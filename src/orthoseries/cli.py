@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,10 +31,9 @@ from .coefficients import (SequenceSpec, WeightSpec, orlicz_conditions,
 from .direct_integral import Field
 from .errors import ContractError, StructuralError
 from .majorants import dyadic_decomposition, majorant
+from .serialization import SCHEMA_VERSION
 from .systems import SystemKind, SystemSpec, generate
 from .verify import Check, TrialConfig, default_config, run_suite
-
-SCHEMA_VERSION = 1
 
 
 def _write(text: str, path: str | None) -> None:
@@ -49,6 +49,30 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise StructuralError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
+def _read_column(path: str) -> list[float]:
+    """The first comma-separated column of a text file as floats, blank
+    lines skipped."""
+    values = []
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line.split(",")[0]))
+        except ValueError as exc:
+            raise StructuralError(
+                f"{path}: malformed value at line {lineno}, column 1") from exc
+    return values
+
+
 def _parse_floats(text: str, expected: int | None = None) -> list[float]:
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     values = [float(p) for p in parts]
@@ -62,32 +86,18 @@ def _sequence_from_args(args) -> SequenceSpec:
         c, alpha, beta = _parse_floats(args.powerlog, 3)
         return SequenceSpec.power_log(c, alpha, beta)
     if args.explicit is not None:
-        values = []
-        for lineno, line in enumerate(_read(args.explicit).splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line.split(",")[0]))
-            except ValueError as exc:
-                raise StructuralError(
-                    f"{args.explicit}: malformed value at line {lineno}, column 1") from exc
-        return SequenceSpec.from_values(values)
+        return SequenceSpec.from_values(_read_column(args.explicit))
     raise ContractError("provide --powerlog C,ALPHA,BETA or --explicit FILE")
 
 
 def _weights_from_args(args) -> WeightSpec:
     if args.logpower is not None:
         vals = _parse_floats(args.logpower)
-        if len(vals) == 1:
-            return WeightSpec.log_power(vals[0])
-        if len(vals) == 2:
-            return WeightSpec.log_power(vals[0], vals[1])
+        if len(vals) in (1, 2):
+            return WeightSpec.log_power(*vals)
         raise ContractError("--logpower takes GAMMA or GAMMA,SHIFT")
     if args.explicit_weights is not None:
-        values = [float(line.split(",")[0]) for line in
-                  _read(args.explicit_weights).splitlines() if line.strip()]
-        return WeightSpec.from_values(values)
+        return WeightSpec.from_values(_read_column(args.explicit_weights))
     raise ContractError("provide --logpower GAMMA[,SHIFT] or --explicit-weights FILE")
 
 
@@ -101,17 +111,24 @@ def _condition_dict(report) -> dict:
     }
 
 
+def _spec_from_dict(entry: dict, default_seed: int) -> SystemSpec:
+    """A system spec from its JSON form {kind, n, resolution, fiber_dim, seed, field}."""
+    for key in ("kind", "n"):
+        if key not in entry:
+            raise StructuralError(f"system entry {json.dumps(entry)} is missing '{key}'")
+    return SystemSpec(
+        kind=SystemKind(entry["kind"]),
+        n_functions=int(entry["n"]),
+        resolution=entry.get("resolution"),
+        fiber_dim=int(entry.get("fiber_dim", 1)),
+        seed=int(entry.get("seed", default_seed)),
+        field=Field(entry.get("field", "real")),
+    )
+
+
 def _cmd_gen_ons(args) -> int:
     if args.spec is not None:
-        payload = json.loads(_read(args.spec))
-        spec = SystemSpec(
-            kind=SystemKind(payload["kind"]),
-            n_functions=int(payload["n"]),
-            resolution=payload.get("resolution"),
-            fiber_dim=int(payload.get("fiber_dim", 1)),
-            seed=int(payload.get("seed", args.seed)),
-            field=Field(payload.get("field", "real")),
-        )
+        spec = _spec_from_dict(_read_json(args.spec), args.seed)
     else:
         if args.kind is None or args.n is None:
             raise ContractError("gen-ons needs --kind and --n (or --spec FILE)")
@@ -126,15 +143,8 @@ def _cmd_gen_ons(args) -> int:
     return 0
 
 
-def _cmd_check_mr(args) -> int:
-    rep = weyl_sum(_sequence_from_args(args), args.trunc)
-    _write(json.dumps({"schema_version": SCHEMA_VERSION, **_condition_dict(rep)},
-                      sort_keys=True), args.out)
-    return 0
-
-
-def _cmd_check_tandori(args) -> int:
-    rep = tandori_sum(_sequence_from_args(args), args.trunc)
+def _cmd_check_condition(args) -> int:
+    rep = args.condition(_sequence_from_args(args), args.trunc)
     _write(json.dumps({"schema_version": SCHEMA_VERSION, **_condition_dict(rep)},
                       sort_keys=True), args.out)
     return 0
@@ -174,8 +184,7 @@ def _cmd_majorant(args) -> int:
     if args.coeffs is not None:
         coeffs = np.asarray(_parse_floats(args.coeffs))
     elif args.coeffs_file is not None:
-        coeffs = np.asarray([float(line.split(",")[0]) for line in
-                             _read(args.coeffs_file).splitlines() if line.strip()])
+        coeffs = np.asarray(_read_column(args.coeffs_file))
     else:
         raise ContractError("provide --coeffs LIST or --coeffs-file FILE")
     profile = majorant(system, coeffs, args.n)
@@ -187,20 +196,6 @@ def _cmd_decompose(args) -> int:
     dec = dyadic_decomposition(args.j, args.r)
     _write(" ".join(f"({lo},{hi}]" for lo, hi in dec.blocks), args.out)
     return 0
-
-
-def _specs_from_config(payload: dict) -> tuple[SystemSpec, ...]:
-    specs = []
-    for entry in payload["systems"]:
-        specs.append(SystemSpec(
-            kind=SystemKind(entry["kind"]),
-            n_functions=int(entry["n"]),
-            resolution=entry.get("resolution"),
-            fiber_dim=int(entry.get("fiber_dim", 1)),
-            seed=int(entry.get("seed", 0)),
-            field=Field(entry.get("field", "real")),
-        ))
-    return tuple(specs)
 
 
 def _sequence_from_config(entry) -> SequenceSpec | None:
@@ -223,39 +218,39 @@ def _weights_from_config(entry) -> WeightSpec | None:
     raise ContractError(f"unknown weight form {entry['form']!r}")
 
 
-def _config_from_file(path: str, seed_override: int | None,
-                      trials_override: int | None) -> TrialConfig:
-    try:
-        payload = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise StructuralError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
+def _config_from_file(path: str, overrides: dict) -> TrialConfig:
+    """The file's config with the command-line overrides in place of its
+    values, validated once, so a file value that is overridden is never checked."""
+    payload = _read_json(path)
+    if "systems" not in payload:
+        raise StructuralError(f"{path}: config has no 'systems' list")
     checks = frozenset(Check(c) for c in payload.get("checks", [c.value for c in Check]))
     tolerances = {Check(k): float(v) for k, v in payload.get("tolerances", {}).items()}
-    return TrialConfig(
-        system_specs=_specs_from_config(payload),
-        checks=checks,
-        n_trials=trials_override or int(payload.get("n_trials", 100)),
-        seed=seed_override if seed_override is not None else int(payload.get("seed", 0)),
-        coeff_spec=_sequence_from_config(payload.get("coefficients")),
-        weight_spec=_weights_from_config(payload.get("weights")),
-        tolerances=tolerances,
-        truncation=int(payload.get("truncation", 65536)),
-        exhaustive_n=int(payload.get("exhaustive_n", 6)),
-        shuffle_plans=int(payload.get("shuffle_plans", 2)),
-        riesz_condition=float(payload.get("riesz_condition", 4.0)),
-    )
+    return TrialConfig(**{
+        "system_specs": tuple(_spec_from_dict(entry, 0) for entry in payload["systems"]),
+        "checks": checks,
+        "n_trials": int(payload.get("n_trials", 100)),
+        "seed": int(payload.get("seed", 0)),
+        "coeff_spec": _sequence_from_config(payload.get("coefficients")),
+        "weight_spec": _weights_from_config(payload.get("weights")),
+        "tolerances": tolerances,
+        "truncation": int(payload.get("truncation", 65536)),
+        "exhaustive_n": int(payload.get("exhaustive_n", 6)),
+        "shuffle_plans": int(payload.get("shuffle_plans", 2)),
+        "riesz_condition": float(payload.get("riesz_condition", 4.0)),
+        **overrides,
+    })
 
 
 def _cmd_verify(args) -> int:
-    if args.config is not None:
-        cfg = _config_from_file(args.config, args.seed, args.trials)
-    else:
-        cfg = default_config(seed=args.seed if args.seed is not None else 0,
-                             n_trials=args.trials or 100)
+    overrides = {"seed": args.seed, "n_trials": args.trials}
     if args.check is not None:
-        wanted = frozenset(Check(c.strip()) for c in args.check.split(",") if c.strip())
-        cfg = TrialConfig(**{**cfg.__dict__, "checks": wanted})
+        overrides["checks"] = frozenset(Check(c.strip()) for c in args.check.split(",")
+                                        if c.strip())
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    # TrialConfig validates the overridden values, so --trials 0 is refused
+    cfg = (_config_from_file(args.config, overrides) if args.config is not None
+           else replace(default_config(seed=0), **overrides))
     report = run_suite(cfg, threads=args.threads)
     _write(report.to_json(), args.out)
     if args.verbose:
@@ -285,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=None)
     g.set_defaults(fn=_cmd_gen_ons)
 
-    for name, fn in (("check-mr", _cmd_check_mr), ("check-tandori", _cmd_check_tandori)):
+    for name, condition in (("check-mr", weyl_sum), ("check-tandori", tandori_sum)):
         p = sub.add_parser(name, help=f"{name} condition report")
         p.add_argument("--powerlog", default=None, metavar="C,ALPHA,BETA")
         p.add_argument("--explicit", default=None, metavar="FILE.csv")
         p.add_argument("--trunc", type=int, required=True)
         p.add_argument("--out", default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_check_condition, condition=condition)
 
     p = sub.add_parser("check-orlicz", help="weighted condition pair and reduction chain")
     p.add_argument("--powerlog", default=None, metavar="C,ALPHA,BETA")

@@ -64,21 +64,19 @@ class SequenceSpec:
     scale: float | None = None
     alpha: float | None = None
     beta: float | None = None
-    length_hint: int = 1024
 
     @classmethod
     def from_values(cls, values) -> "SequenceSpec":
         values = tuple(values)
         if not values:
             raise ContractError("explicit sequence must be nonempty")
-        return cls(explicit=values, length_hint=len(values))
+        return cls(explicit=values)
 
     @classmethod
-    def power_log(cls, scale: float, alpha: float, beta: float,
-                  length_hint: int = 1024) -> "SequenceSpec":
+    def power_log(cls, scale: float, alpha: float, beta: float) -> "SequenceSpec":
         if scale < 0:
             raise ContractError("power-log scale must be >= 0 (conditions use |a_n|)")
-        return cls(scale=scale, alpha=alpha, beta=beta, length_hint=length_hint)
+        return cls(scale=scale, alpha=alpha, beta=beta)
 
     @property
     def is_explicit(self) -> bool:
@@ -210,10 +208,6 @@ class TandoriBlocks:
     def partial_last(self) -> bool:
         k = self.k_max
         return self.ranges[k][1] < self.nu[k] * self.nu[k]
-
-    def indices(self, k: int) -> np.ndarray:
-        lo, hi = self.ranges[k]
-        return np.arange(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -422,7 +416,10 @@ REDUCTION_SLACK = 1e-12
 ABSOLUTE_FLOOR = 1e-300
 
 
-def _leq_with_slack(lhs: float, rhs: float, slack: float = REDUCTION_SLACK) -> bool:
+def leq_with_slack(lhs: float, rhs: float, slack: float = REDUCTION_SLACK) -> bool:
+    """lhs <= rhs (1 + slack) + ABSOLUTE_FLOOR; false on any NaN or infinity."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        return False
     return lhs <= rhs * (1.0 + slack) + ABSOLUTE_FLOOR
 
 
@@ -449,8 +446,8 @@ def orlicz_reduction(a: SequenceSpec, w: WeightSpec, truncation: int) -> Reducti
     lhs = sqrt_mass_sum ** 2
     mid = c_partial * weighted_block_sum
     rhs = c_partial * weighted_coeff_sum
-    cauchy = _leq_with_slack(lhs, mid)
-    mono = _leq_with_slack(mid, rhs)
+    cauchy = leq_with_slack(lhs, mid)
+    mono = leq_with_slack(mid, rhs)
 
     return ReductionReport(
         blocks=blocks, masses=masses, sqrt_mass_sum=sqrt_mass_sum,

@@ -18,6 +18,7 @@ read-only), so they can be shared freely across parallel workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -26,10 +27,10 @@ import numpy as np
 
 from .errors import StructuralError
 
-# Full symmetric eigendecompositions are used for Gram spectra up to this
-# size; above it an iterative extremal-eigenvalue method (Lanczos via
-# scipy.sparse.linalg.eigsh) is used instead.
-DENSE_EIG_LIMIT = 512
+# Gram spectra always come from the dense symmetric eigendecomposition, at
+# every size.  Nothing in the package reads this name; it stays because the
+# benchmark's eigen-path counter (perfbench/tracing.py) does.
+DENSE_EIG_LIMIT = math.inf
 
 GRAM_HERMITIAN_TOL = 1e-12
 
@@ -68,10 +69,6 @@ class MeasureSpace:
     @property
     def n_atoms(self) -> int:
         return self.weights.size
-
-    @property
-    def atoms(self) -> np.ndarray:
-        return np.arange(self.n_atoms)
 
     @property
     def total_mass(self) -> float:
@@ -280,33 +277,14 @@ class OrthonormalSystem:
         return validate_ons(self, self.space, self.fibers, tol)
 
 
-def _as_value_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> np.ndarray:
-    if isinstance(system, OrthonormalSystem):
-        return system.values
-    elements = list(system)
-    if not elements:
-        raise StructuralError("empty system")
-    for el in elements:
-        el.conform(space, fibers)
-    return np.stack([el.values for el in elements])
-
-
-def _extremal_eigenvalues(gram_h: np.ndarray) -> tuple[float, float]:
-    n = gram_h.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        eig = np.linalg.eigvalsh(gram_h)
-        return float(eig[0]), float(eig[-1])
-    # Lanczos extremes for large systems; the matrix is already Hermitian.
-    from scipy.sparse.linalg import eigsh
-
-    lo = eigsh(gram_h, k=1, which="SA", return_eigenvectors=False)
-    hi = eigsh(gram_h, k=1, which="LA", return_eigenvectors=False)
-    return float(lo[0]), float(hi[0])
-
-
 def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramReport:
-    """Gram matrix G[m, n] = <phi_m, phi_n> with extremal eigenvalue bounds."""
-    V = _as_value_matrix(system, space, fibers)
+    """Gram matrix G[m, n] = <phi_m, phi_n> with extremal eigenvalue bounds.
+
+    ``system`` is an OrthonormalSystem or any iterable of elements.
+    """
+    if not isinstance(system, OrthonormalSystem):
+        system = OrthonormalSystem.from_elements(space, fibers, system)
+    V = system.values
     w = expanded_weights(space, fibers)
     G = (V * w) @ np.conj(V).T
     herm = 0.5 * (G + np.conj(G).T)
@@ -317,9 +295,9 @@ def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramR
     off = G - np.diag(np.diagonal(G))
     max_offdiag = float(np.max(np.abs(off))) if n > 1 else 0.0
     max_diag_dev = float(np.max(np.abs(diag - 1.0)))
-    lo, hi = _extremal_eigenvalues(herm)
-    return GramReport(gram=G, max_offdiag_abs=max_offdiag,
-                      max_diag_dev=max_diag_dev, riesz_lower=lo, riesz_upper=hi)
+    eig = np.linalg.eigvalsh(herm)
+    return GramReport(gram=G, max_offdiag_abs=max_offdiag, max_diag_dev=max_diag_dev,
+                      riesz_lower=float(eig[0]), riesz_upper=float(eig[-1]))
 
 
 def validate_ons(system, space: MeasureSpace, fibers: HilbertCollection,

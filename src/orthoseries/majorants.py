@@ -32,6 +32,7 @@ from .coefficients import tandori_blocks
 from .direct_integral import DirectIntegralElement, Field, OrthonormalSystem
 from .errors import ContractError, StructuralError
 from .summation import compensated_sum
+from .systems import seeded_rng
 
 # Widest block for which rearranged oscillations are computed by the exact
 # all-pairs supremum; wider blocks fall back to the doubled one-sided
@@ -138,8 +139,7 @@ class PermutationPlan:
 
     @classmethod
     def seeded_shuffle(cls, n: int, seed) -> "PermutationPlan":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        order = tuple(int(v) + 1 for v in rng.permutation(n))
+        order = tuple(int(v) + 1 for v in seeded_rng(seed).permutation(n))
         return cls(order=order, provenance=PlanProvenance.SEEDED_SHUFFLE, seed=seed)
 
     def describe(self) -> str:
@@ -225,13 +225,17 @@ def dyadic_pointwise_bound(h, r: int) -> tuple[float, float]:
     return lhs, rhs
 
 
+def complete_block_length(n: int) -> int:
+    """The least length 2^(K+1) - 1 >= n that ends on a complete dyadic block."""
+    return (1 << n.bit_length()) - 1
+
+
 def complete_block_form(n: int) -> int:
     """The exponent K with n = 2^(K+1) - 1, or raise with padding advice."""
-    if n < 1 or (n + 1) & n != 0:
-        target = (1 << (max(n, 1)).bit_length()) - 1
+    if n < 1 or complete_block_length(n) != n:
         raise ContractError(
             f"n={n} does not end on a complete dyadic block; zero-pad the "
-            f"coefficients to n={target}"
+            f"coefficients to n={complete_block_length(max(n, 1))}"
         )
     return (n + 1).bit_length() - 2
 
@@ -449,9 +453,9 @@ def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
         values = doubled
         mode = "doubled-one-sided"
 
-    if mode == "exact":
-        slack = 1e-12 * np.maximum(doubled, 1.0)
-        assert np.all(values <= doubled + slack), "oscillation exceeded its doubled one-sided bound"
+    # NaN fails this comparison too, so it raises as well
+    if mode == "exact" and not np.all(values <= doubled + 1e-12 * np.maximum(doubled, 1.0)):
+        raise RuntimeError("oscillation exceeded its doubled one-sided bound")
 
     l2 = math.sqrt(max(float(np.sum(weights * values ** 2)), 0.0))
     return BlockOscillation(block_index=k, lo=lo, hi=hi, indicator_count=count,

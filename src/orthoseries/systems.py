@@ -91,7 +91,8 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-def _rng(seed) -> np.random.Generator:
+def seeded_rng(seed) -> np.random.Generator:
+    """The package's one seeded generator: PCG64 on SeedSequence(seed)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -180,7 +181,7 @@ def _random_qr(spec: SystemSpec):
     total = m * d
     if n > total:
         raise ContractError(f"cannot fit {n} orthonormal functions in dimension {m}*{d}={total}")
-    rng = _rng(spec.seed)
+    rng = seeded_rng(spec.seed)
     a = rng.standard_normal((total, n))
     if spec.field is Field.COMPLEX:
         a = a + 1j * rng.standard_normal((total, n))

@@ -28,21 +28,20 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coefficients import (SequenceSpec, WeightSpec, condensation_chain,
-                           orlicz_conditions, orlicz_reduction,
-                           tandori_blocks)
+from .coefficients import (ABSOLUTE_FLOOR, SequenceSpec, WeightSpec,
+                           condensation_chain, leq_with_slack,
+                           orlicz_conditions, orlicz_reduction, tandori_blocks)
 from .direct_integral import Field, OrthonormalSystem, gram_matrix
 from .errors import BudgetError, ContractError
 from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
                         adversarial_permutation, chaining_diagnostics,
-                        dyadic_pointwise_bound, majorant, permuted_majorant,
-                        tandori_delta)
-from .systems import SystemKind, SystemSpec, generate
+                        complete_block_length, dyadic_pointwise_bound,
+                        majorant, permuted_majorant, tandori_delta)
+from .serialization import SCHEMA_VERSION
+from .systems import SystemKind, SystemSpec, generate, seeded_rng
 
-SCHEMA_VERSION = 1
 DEFAULT_SLACK = 1e-12
 PARSEVAL_SLACK = 1e-10
-ABSOLUTE_FLOOR = 1e-300
 ORACLE_BUDGET = 10_000_000
 
 
@@ -60,10 +59,6 @@ class Check(Enum):
 
 CHECK_ORDER = tuple(Check)
 _CHECK_ORDINAL = {c: i for i, c in enumerate(CHECK_ORDER)}
-
-
-def _rng(path) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(path)))
 
 
 def trial_seed_path(root_seed: int, check: Check, trial: int) -> tuple[int, int, int]:
@@ -165,12 +160,6 @@ def environment_fingerprint() -> dict:
     }
 
 
-def _holds(lhs: float, rhs: float, slack: float) -> bool:
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        return False
-    return lhs <= rhs * (1.0 + slack) + ABSOLUTE_FLOOR
-
-
 def _ratio(lhs: float, rhs: float) -> float:
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         return math.nan
@@ -191,6 +180,14 @@ def _merge_worst(records: list[dict]) -> tuple[float, dict]:
 
     worst = max(records, key=key)
     return worst["ratio"], worst["case"]
+
+
+def _result(check: Check, records: list[dict], details: dict | None = None) -> CheckResult:
+    """One check's result from its per-trial records: passed iff every
+    record is ok, one case per record, the worst record reported."""
+    worst_ratio, worst_case = _merge_worst(records)
+    return CheckResult(check, all(r["ok"] for r in records), len(records),
+                       worst_ratio, worst_case, details or {})
 
 
 def _run_trials(count: int, fn: Callable[[int], dict], threads: int | None) -> list[dict]:
@@ -259,17 +256,14 @@ def check_mr_inequality(cfg: TrialConfig, threads: int | None = None) -> CheckRe
         spec = specs[t % len(specs)]
         system = _system_for(spec)
         path = trial_seed_path(cfg.seed, Check.MR_INEQUALITY, t)
-        b = _draw_coefficients(cfg, _rng(path), len(system), system.fibers.field)
+        b = _draw_coefficients(cfg, seeded_rng(path), len(system), system.fibers.field)
         lhs = majorant(system, b).l2_norm
         rhs = (2.0 + math.log2(len(system))) * _coeff_norm(b)
-        return {"ratio": _ratio(lhs, rhs), "ok": _holds(lhs, rhs, slack),
+        return {"ratio": _ratio(lhs, rhs), "ok": leq_with_slack(lhs, rhs, slack),
                 "case": {"trial": t, "seed_path": list(path), "system": spec.describe(),
                          "n": len(system)}}
 
-    records = _run_trials(cfg.n_trials, one, threads)
-    worst_ratio, worst_case = _merge_worst(records)
-    return CheckResult(Check.MR_INEQUALITY, all(r["ok"] for r in records),
-                       len(records), worst_ratio, worst_case)
+    return _result(Check.MR_INEQUALITY, _run_trials(cfg.n_trials, one, threads))
 
 
 def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
@@ -278,7 +272,7 @@ def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None) -> Chec
 
     def one(t: int) -> dict:
         path = trial_seed_path(cfg.seed, Check.DYADIC_POINTWISE, t)
-        rng = _rng(path)
+        rng = seeded_rng(path)
         r = int(rng.integers(0, 11))
         j = int(rng.integers(1, (1 << r) + 1))
         d = int(rng.integers(1, 9))
@@ -286,17 +280,10 @@ def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None) -> Chec
         if t % 4 == 3:
             h = h + 1j * rng.standard_normal((j, d))
         lhs, rhs = dyadic_pointwise_bound(h, r)
-        return {"ratio": _ratio(lhs, rhs), "ok": _holds(lhs, rhs, slack),
+        return {"ratio": _ratio(lhs, rhs), "ok": leq_with_slack(lhs, rhs, slack),
                 "case": {"trial": t, "seed_path": list(path), "j": j, "r": r, "dim": d}}
 
-    records = _run_trials(cfg.n_trials, one, threads)
-    worst_ratio, worst_case = _merge_worst(records)
-    return CheckResult(Check.DYADIC_POINTWISE, all(r["ok"] for r in records),
-                       len(records), worst_ratio, worst_case)
-
-
-def _complete_block_length(n: int) -> int:
-    return (1 << n.bit_length()) - 1 if (n + 1) & n else n
+    return _result(Check.DYADIC_POINTWISE, _run_trials(cfg.n_trials, one, threads))
 
 
 def _chaining_results(cfg: TrialConfig, threads: int | None = None) -> dict[Check, CheckResult]:
@@ -311,9 +298,9 @@ def _chaining_results(cfg: TrialConfig, threads: int | None = None) -> dict[Chec
         spec = specs[t % len(specs)]
         system = _system_for(spec)
         n_sys = len(system)
-        n_pad = _complete_block_length(n_sys)
+        n_pad = complete_block_length(n_sys)
         path = trial_seed_path(cfg.seed, Check.MR_THEOREM, t)
-        b = _draw_coefficients(cfg, _rng(path), n_sys, system.fibers.field)
+        b = _draw_coefficients(cfg, seeded_rng(path), n_sys, system.fibers.field)
         b_pad = np.concatenate([b, np.zeros(n_pad - n_sys, dtype=b.dtype)])
         diag = chaining_diagnostics(system, b_pad, n_pad)
         parseval_dev = 0.0
@@ -325,29 +312,24 @@ def _chaining_results(cfg: TrialConfig, threads: int | None = None) -> dict[Chec
                 "n": n_sys, "n_padded": n_pad}
         return {
             "main": {"ratio": _ratio(diag.majorant_l2, diag.majorant_bound),
-                     "ok": _holds(diag.majorant_l2, diag.majorant_bound, slack_main)
+                     "ok": leq_with_slack(diag.majorant_l2, diag.majorant_bound, slack_main)
                            and parseval_dev <= PARSEVAL_SLACK,
                      "case": dict(case, parseval_rel_dev=parseval_dev)},
             "norm_sum": {"ratio": _ratio(diag.block_norm_sum, diag.block_norm_sum_bound),
-                         "ok": _holds(diag.block_norm_sum, diag.block_norm_sum_bound, slack_15),
+                         "ok": leq_with_slack(diag.block_norm_sum, diag.block_norm_sum_bound,
+                                              slack_15),
                          "case": dict(case)},
             "sq_sum": {"ratio": _ratio(diag.inner_sq_sum, diag.inner_sq_bound),
-                       "ok": _holds(diag.inner_sq_sum, diag.inner_sq_bound, slack_20),
+                       "ok": leq_with_slack(diag.inner_sq_sum, diag.inner_sq_bound, slack_20),
                        "case": dict(case)},
         }
 
     rows = _run_trials(cfg.n_trials, one, threads)
-    out = {}
-    for check, key in ((Check.MR_THEOREM, "main"),
-                       (Check.BLOCK_NORM_SUM, "norm_sum"),
-                       (Check.BLOCK_SQ_SUM, "sq_sum")):
-        if check not in cfg.checks:
-            continue
-        records = [row[key] for row in rows]
-        worst_ratio, worst_case = _merge_worst(records)
-        out[check] = CheckResult(check, all(r["ok"] for r in records),
-                                 len(records), worst_ratio, worst_case)
-    return out
+    return {check: _result(check, [row[key] for row in rows])
+            for check, key in ((Check.MR_THEOREM, "main"),
+                               (Check.BLOCK_NORM_SUM, "norm_sum"),
+                               (Check.BLOCK_SQ_SUM, "sq_sum"))
+            if check in cfg.checks}
 
 
 def _trial_plans(cfg: TrialConfig, system: OrthonormalSystem, b: np.ndarray,
@@ -389,7 +371,7 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None) -> CheckRe
         system = _system_for(spec)
         n = len(system)
         path = trial_seed_path(cfg.seed, Check.TANDORI_BLOCK, t)
-        b = _draw_coefficients(cfg, _rng(path), n, system.fibers.field)
+        b = _draw_coefficients(cfg, seeded_rng(path), n, system.fibers.field)
         blocks = tandori_blocks(n)
         best = {"ratio": 0.0, "ok": True,
                 "case": {"trial": t, "seed_path": list(path), "system": spec.describe(),
@@ -398,7 +380,7 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None) -> CheckRe
             for k in range(blocks.k_max + 1):
                 osc = tandori_delta(system, b, plan, k, n)
                 ratio = _ratio(osc.l2, osc.bound)
-                ok = _holds(osc.l2, osc.bound, slack)
+                ok = leq_with_slack(osc.l2, osc.bound, slack)
                 if not ok or math.isnan(ratio) or ratio > best["ratio"]:
                     best = {"ratio": ratio, "ok": ok and best["ok"],
                             "case": {"trial": t, "seed_path": list(path),
@@ -412,13 +394,11 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None) -> CheckRe
     worst_ratio, worst_case = _merge_worst(records)
     arithmetic = tandori_threshold_arithmetic()
     ok = all(r["ok"] for r in records) and all(row["ok"] for row in arithmetic)
-    return CheckResult(Check.TANDORI_BLOCK, ok, len(records), worst_ratio, worst_case,
-                       details={
-                           "threshold_arithmetic": arithmetic,
-                           "plan_search": "heuristic plans only beyond 8 functions; "
-                                          "the reported worst ratio is a lower bound "
-                                          "for the true worst rearrangement",
-                       })
+    return CheckResult(Check.TANDORI_BLOCK, ok, len(records), worst_ratio, worst_case, {
+        "threshold_arithmetic": arithmetic,
+        "plan_search": "heuristic plans only beyond 8 functions; the reported worst "
+                       "ratio is a lower bound for the true worst rearrangement",
+    })
 
 
 def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
@@ -438,7 +418,7 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
     for perm in itertools.permutations(range(1, n + 1)):
         plan = PermutationPlan(order=perm)
         lhs = permuted_majorant(system, b, plan, n).l2_norm
-        all_ok = all_ok and _holds(lhs, rhs, slack)
+        all_ok = all_ok and leq_with_slack(lhs, rhs, slack)
         if lhs > worst[0]:
             worst = (lhs, perm)
         count += 1
@@ -451,23 +431,23 @@ def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None) -> Check
     """Exhaustive rearrangement sweep on capped-size variants of each system kind."""
     n = cfg.exhaustive_n
     records = []
-    all_ok = True
     total = 0
     for i, spec in enumerate(cfg.system_specs):
         small = replace(spec, n_functions=n, resolution=None)
         system = _system_for(small)
         path = trial_seed_path(cfg.seed, Check.EXHAUSTIVE_PERM, i)
-        b = _draw_coefficients(cfg, _rng(path), n, system.fibers.field)
+        b = _draw_coefficients(cfg, seeded_rng(path), n, system.fibers.field)
         res = exhaustive_permutation_check(system, b, n,
                                            slack=cfg.slack(Check.EXHAUSTIVE_PERM))
-        all_ok = all_ok and res.passed
         total += res.n_cases
         records.append({"ratio": res.worst_ratio, "ok": res.passed,
                         "case": {"trial": i, "seed_path": list(path),
                                  "system": small.describe(),
                                  "worst_permutation": res.worst_case["worst_permutation"]}})
     worst_ratio, worst_case = _merge_worst(records)
-    return CheckResult(Check.EXHAUSTIVE_PERM, all_ok, total, worst_ratio, worst_case)
+    # every system counts its n! permutations as cases
+    return CheckResult(Check.EXHAUSTIVE_PERM, all(r["ok"] for r in records), total,
+                       worst_ratio, worst_case)
 
 
 def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
@@ -483,7 +463,7 @@ def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None) -> CheckRes
     red = orlicz_reduction(coeff_spec, weight_spec, cfg.truncation)
     r_cauchy = _ratio(red.lhs, red.mid)
     r_mono = _ratio(red.mid, red.rhs)
-    ok = (_holds(red.lhs, red.mid, slack) and _holds(red.mid, red.rhs, slack))
+    ok = leq_with_slack(red.lhs, red.mid, slack) and leq_with_slack(red.mid, red.rhs, slack)
     coeff_rep, weight_rep = orlicz_conditions(coeff_spec, weight_spec, cfg.truncation)
     details = {
         "c_partial": red.c_partial,
@@ -498,11 +478,10 @@ def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None) -> CheckRes
         ok = ok and agree
         details["condensation_agrees"] = agree
         details["condensation_partial"] = chain[2].total
-    worst_ratio = max(r_cauchy, r_mono)
     case = {"trial": 0, "coefficients": coeff_spec.describe(),
             "weights": weight_spec.describe(), "truncation": cfg.truncation,
             "cauchy_ratio": r_cauchy, "monotonicity_ratio": r_mono}
-    return CheckResult(Check.ORLICZ_CHAIN, ok, 1, worst_ratio, case, details)
+    return CheckResult(Check.ORLICZ_CHAIN, ok, 1, max(r_cauchy, r_mono), case, details)
 
 
 def _conditioned_mix(rng: np.random.Generator, n: int, condition: float) -> np.ndarray:
@@ -532,7 +511,7 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None) -> CheckResu
         system = _system_for(spec)
         n = len(system)
         path = trial_seed_path(cfg.seed, Check.RIESZ_RATIO, t)
-        rng = _rng(path)
+        rng = seeded_rng(path)
         mix = _conditioned_mix(rng, n, cfg.riesz_condition)
         if system.values.dtype.kind == "c":
             mix = mix.astype(np.complex128)
@@ -549,11 +528,8 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None) -> CheckResu
                          "riesz_upper": report.riesz_upper,
                          "mix_condition": cfg.riesz_condition}}
 
-    records = _run_trials(cfg.n_trials, one, threads)
-    worst_ratio, worst_case = _merge_worst(records)
-    return CheckResult(Check.RIESZ_RATIO, all(r["ok"] for r in records),
-                       len(records), worst_ratio, worst_case,
-                       details={"note": "no pass threshold; ratio is reported only"})
+    return _result(Check.RIESZ_RATIO, _run_trials(cfg.n_trials, one, threads),
+                   {"note": "no pass threshold; ratio is reported only"})
 
 
 def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
@@ -562,26 +538,24 @@ def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
     Deterministic given cfg.seed; independent of ``threads``.
     """
     start = time.perf_counter()
+    # built per call, so the check functions are looked up when the suite runs;
+    # the three chaining checks share one trial loop that returns all of them
+    single = {
+        Check.MR_INEQUALITY: check_mr_inequality,
+        Check.DYADIC_POINTWISE: check_dyadic_pointwise,
+        Check.TANDORI_BLOCK: check_tandori_block,
+        Check.ORLICZ_CHAIN: check_orlicz_chain,
+        Check.EXHAUSTIVE_PERM: check_exhaustive_perm,
+        Check.RIESZ_RATIO: check_riesz_ratio,
+    }
     results: dict[Check, CheckResult] = {}
-    requested = cfg.checks
-    chaining = {Check.MR_THEOREM, Check.BLOCK_NORM_SUM, Check.BLOCK_SQ_SUM} & requested
     for check in CHECK_ORDER:
-        if check not in requested or check in results:
+        if check not in cfg.checks or check in results:
             continue
-        if check in chaining:
+        if check in single:
+            results[check] = single[check](cfg, threads)
+        else:
             results.update(_chaining_results(cfg, threads))
-        elif check is Check.MR_INEQUALITY:
-            results[check] = check_mr_inequality(cfg, threads)
-        elif check is Check.DYADIC_POINTWISE:
-            results[check] = check_dyadic_pointwise(cfg, threads)
-        elif check is Check.TANDORI_BLOCK:
-            results[check] = check_tandori_block(cfg, threads)
-        elif check is Check.ORLICZ_CHAIN:
-            results[check] = check_orlicz_chain(cfg, threads)
-        elif check is Check.EXHAUSTIVE_PERM:
-            results[check] = check_exhaustive_perm(cfg, threads)
-        elif check is Check.RIESZ_RATIO:
-            results[check] = check_riesz_ratio(cfg, threads)
     wall = time.perf_counter() - start
     return VerifyReport(seed=cfg.seed, results=results, wall_time_s=wall,
                         environment=environment_fingerprint())

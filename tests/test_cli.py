@@ -151,3 +151,55 @@ def test_missing_file_exit_2(tmp_path):
 
 def test_out_of_range_decompose_exit_2():
     assert main(["decompose", "9", "3"]) == 2
+
+
+def test_verify_zero_trials_exit_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--check", "dyadic-pointwise", "--trials", "0",
+                 "--out", str(out)]) == 2
+    assert "n_trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg,missing", [
+    ({"n_trials": 2}, "systems"),
+    ({"systems": [{"n": 8}]}, "kind"),
+    ({"systems": [{"kind": "haar"}]}, "n"),
+])
+def test_verify_config_missing_key_exit_2(tmp_path, capsys, cfg, missing):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{missing}'" in err
+
+
+def test_gen_ons_spec_missing_kind_exit_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n": 4}))
+    assert main(["gen-ons", "--spec", str(spec_path)]) == 2
+    assert "'kind'" in capsys.readouterr().err
+
+
+def test_malformed_coeffs_file_names_line(tmp_path, capsys):
+    sys_path = tmp_path / "sys.json"
+    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--out", str(sys_path)]) == 0
+    coeffs = tmp_path / "a.csv"
+    coeffs.write_text("1.0\n0.5\nabc\n0.25\n")
+    assert main(["majorant", "--system", str(sys_path), "--coeffs-file", str(coeffs)]) == 2
+    assert "line 3, column 1" in capsys.readouterr().err
+
+
+def test_verify_overrides_replace_invalid_file_values(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": [{"kind": "haar", "n": 8}],
+                                    "checks": ["dyadic-pointwise"],
+                                    "n_trials": 0, "seed": -1}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert main(["verify", "--config", str(cfg_path), "--trials", "2", "--seed", "1",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["seed"] == 1
+    assert report["results"]["dyadic-pointwise"]["n_cases"] == 2

@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orthoseries import (DirectIntegralElement, Field, HilbertCollection,
-                         MeasureSpace, StructuralError, SystemKind,
-                         SystemSpec, generate, gram_matrix, inner_product,
-                         norm, validate_ons)
+                         MeasureSpace, OrthonormalSystem, StructuralError,
+                         SystemKind, SystemSpec, generate, gram_matrix,
+                         inner_product, norm, validate_ons)
+from orthoseries.verify import _conditioned_mix
 
 from conftest import random_element, random_space, rng
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def oracle_inner(weights, f_blocks, g_blocks):
@@ -145,13 +152,36 @@ class TestGram:
         with pytest.raises(StructuralError):
             gram_matrix([], space, fibers)
 
-    def test_large_system_iterative_bounds(self):
-        # above the dense-eigendecomposition limit the Lanczos path runs
+    def test_large_system_bounds_reproducible(self):
+        # the dense eigendecomposition runs at every size, including n = 600
         spec = SystemSpec(SystemKind.STANDARD_BASIS, 600)
         space, fibers, system = generate(spec)
         rep = gram_matrix(system, space, fibers)
         assert rep.riesz_lower == pytest.approx(1.0, abs=1e-9)
         assert rep.riesz_upper == pytest.approx(1.0, abs=1e-9)
+        # a mixed system with singular values in [1, 4] has Gram spectrum in
+        # [1, 16]; repeated calls must give bitwise-equal bounds
+        space, fibers, system = generate(SystemSpec(SystemKind.VARYING_DIM, 600))
+        mix = _conditioned_mix(rng(600), 600, 4.0)
+        mixed = OrthonormalSystem(space, fibers, mix @ system.values)
+        first, second = (gram_matrix(mixed, space, fibers) for _ in range(2))
+        assert first.riesz_lower == second.riesz_lower
+        assert first.riesz_upper == second.riesz_upper
+        assert first.riesz_lower == pytest.approx(1.0, abs=1e-9)
+        assert first.riesz_upper == pytest.approx(16.0, abs=1e-9)
+
+    def test_gram_spectrum_needs_no_scipy(self):
+        # a fresh interpreter, so modules imported by other tests do not count
+        code = ("import sys\n"
+                "from orthoseries import SystemKind, SystemSpec, generate, gram_matrix\n"
+                "space, fibers, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 600))\n"
+                "gram_matrix(system, space, fibers)\n"
+                "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestValidateOns:

@@ -455,6 +455,18 @@ class TestTandoriDelta:
         with pytest.raises(ContractError):
             tandori_delta(system, np.ones(4), PermutationPlan.identity(4), 3)
 
+    def test_inflated_oscillation_raises(self, monkeypatch):
+        # the exact vector-fiber path checks its all-pairs diameters against
+        # the doubled one-sided bound with an explicit raise, which python -O
+        # keeps
+        real = mj._pointwise_diameters
+        monkeypatch.setattr(mj, "_pointwise_diameters",
+                            lambda prefixes, offsets: 3.0 * real(prefixes, offsets) + 1.0)
+        _, _, system = generate(SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2))
+        b = rng(47).standard_normal(16)
+        with pytest.raises(RuntimeError, match="doubled one-sided bound"):
+            tandori_delta(system, b, PermutationPlan.identity(16), 1)
+
 
 class TestAdversarial:
     def test_greedy_two_case(self):
