@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -111,18 +110,57 @@ def _condition_dict(report) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _field(entry, what: str, key: str, cast, default=_REQUIRED):
+    """``cast(entry[key])``, or ``default`` when the key is absent.
+
+    A non-object entry, a missing required key, or a value that ``cast``
+    refuses (a JSON null, list or string where a number belongs) is a
+    one-line StructuralError naming the key, so the CLI exits 2.
+    """
+    if not isinstance(entry, dict):
+        raise StructuralError(f"{what} must be a JSON object, got {json.dumps(entry)}")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise StructuralError(f"{what} is missing '{key}'")
+        return default
+    try:
+        return cast(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(
+            f"{what}: '{key}' has a malformed value {json.dumps(entry[key])}") from exc
+
+
+def _json_number(value):
+    """A JSON number, unchanged; null, booleans, strings and lists are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a JSON number")
+    return value
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("not a JSON list")
+    return value
+
+
+def _json_numbers(value) -> list:
+    return [_json_number(v) for v in _json_list(value)]
+
+
 def _spec_from_dict(entry: dict, default_seed: int) -> SystemSpec:
     """A system spec from its JSON form {kind, n, resolution, fiber_dim, seed, field}."""
-    for key in ("kind", "n"):
-        if key not in entry:
-            raise StructuralError(f"system entry {json.dumps(entry)} is missing '{key}'")
+    what = f"system entry {json.dumps(entry)}"
     return SystemSpec(
-        kind=SystemKind(entry["kind"]),
-        n_functions=int(entry["n"]),
-        resolution=entry.get("resolution"),
-        fiber_dim=int(entry.get("fiber_dim", 1)),
-        seed=int(entry.get("seed", default_seed)),
-        field=Field(entry.get("field", "real")),
+        kind=_field(entry, what, "kind", SystemKind),
+        n_functions=_field(entry, what, "n", int),
+        resolution=_field(entry, what, "resolution",
+                          lambda v: None if v is None else int(v), None),
+        fiber_dim=_field(entry, what, "fiber_dim", int, 1),
+        seed=_field(entry, what, "seed", int, default_seed),
+        field=_field(entry, what, "field", Field, Field.REAL),
     )
 
 
@@ -198,51 +236,62 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _sequence_from_config(entry) -> SequenceSpec | None:
-    if entry is None:
-        return None
-    if entry["form"] == "power-log":
-        return SequenceSpec.power_log(entry["scale"], entry["alpha"], entry["beta"])
-    if entry["form"] == "explicit":
-        return SequenceSpec.from_values(entry["values"])
-    raise ContractError(f"unknown coefficient form {entry['form']!r}")
+def _sequence_from_config(entry, what: str) -> SequenceSpec:
+    form = _field(entry, what, "form", str)
+    if form == "power-log":
+        return SequenceSpec.power_log(*(_field(entry, what, key, _json_number)
+                                        for key in ("scale", "alpha", "beta")))
+    if form == "explicit":
+        return SequenceSpec.from_values(_field(entry, what, "values", _json_numbers))
+    raise ContractError(f"{what}: unknown 'form' {form!r}")
 
 
-def _weights_from_config(entry) -> WeightSpec | None:
-    if entry is None:
-        return None
-    if entry["form"] == "log-power":
-        return WeightSpec.log_power(entry["gamma"], entry.get("shift", 0.0))
-    if entry["form"] == "explicit":
-        return WeightSpec.from_values(entry["values"])
-    raise ContractError(f"unknown weight form {entry['form']!r}")
+def _weights_from_config(entry, what: str) -> WeightSpec:
+    form = _field(entry, what, "form", str)
+    if form == "log-power":
+        return WeightSpec.log_power(_field(entry, what, "gamma", _json_number),
+                                    _field(entry, what, "shift", _json_number, 0.0))
+    if form == "explicit":
+        return WeightSpec.from_values(_field(entry, what, "values", _json_numbers))
+    raise ContractError(f"{what}: unknown 'form' {form!r}")
 
 
 def _config_from_file(path: str, overrides: dict) -> TrialConfig:
     """The file's config with the command-line overrides in place of its
-    values, validated once, so a file value that is overridden is never checked."""
+    values, validated once, so a file value that is overridden is never read."""
     payload = _read_json(path)
-    if "systems" not in payload:
-        raise StructuralError(f"{path}: config has no 'systems' list")
-    checks = frozenset(Check(c) for c in payload.get("checks", [c.value for c in Check]))
-    tolerances = {Check(k): float(v) for k, v in payload.get("tolerances", {}).items()}
-    return TrialConfig(**{
-        "system_specs": tuple(_spec_from_dict(entry, 0) for entry in payload["systems"]),
-        "checks": checks,
-        "n_trials": int(payload.get("n_trials", 100)),
-        "seed": int(payload.get("seed", 0)),
-        "coeff_spec": _sequence_from_config(payload.get("coefficients")),
-        "weight_spec": _weights_from_config(payload.get("weights")),
-        "tolerances": tolerances,
-        "truncation": int(payload.get("truncation", 65536)),
-        "exhaustive_n": int(payload.get("exhaustive_n", 6)),
-        "shuffle_plans": int(payload.get("shuffle_plans", 2)),
-        "riesz_condition": float(payload.get("riesz_condition", 4.0)),
-        **overrides,
-    })
+    what = f"{path}: config"
+
+    def optional(key, parse):
+        spec = _field(payload, what, key, lambda v: v, None)
+        return None if spec is None else parse(spec, f"{what} '{key}' entry")
+
+    parsers = {
+        "system_specs": lambda: tuple(
+            _spec_from_dict(entry, 0)
+            for entry in _field(payload, what, "systems", _json_list)),
+        "checks": lambda: _field(payload, what, "checks",
+                                 lambda v: frozenset(Check(c) for c in _json_list(v)),
+                                 frozenset(Check)),
+        "n_trials": lambda: _field(payload, what, "n_trials", int, 100),
+        "seed": lambda: _field(payload, what, "seed", int, 0),
+        "coeff_spec": lambda: optional("coefficients", _sequence_from_config),
+        "weight_spec": lambda: optional("weights", _weights_from_config),
+        "tolerances": lambda: _field(payload, what, "tolerances",
+                                     lambda v: {Check(k): float(x) for k, x in dict(v).items()},
+                                     {}),
+        "truncation": lambda: _field(payload, what, "truncation", int, 65536),
+        "exhaustive_n": lambda: _field(payload, what, "exhaustive_n", int, 6),
+        "shuffle_plans": lambda: _field(payload, what, "shuffle_plans", int, 2),
+        "riesz_condition": lambda: _field(payload, what, "riesz_condition", float, 4.0),
+    }
+    return TrialConfig(**{name: overrides[name] if name in overrides else parse()
+                          for name, parse in parsers.items()})
 
 
 def _cmd_verify(args) -> int:
+    if args.threads < 1:
+        raise ContractError(f"--threads must be >= 1, got {args.threads}")
     overrides = {"seed": args.seed, "n_trials": args.trials}
     if args.check is not None:
         overrides["checks"] = frozenset(Check(c.strip()) for c in args.check.split(",")
@@ -318,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--check", default=None, help="comma-separated check names")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--threads", type=int, default=os.cpu_count())
+    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--out", default=None)
     v.add_argument("--verbose", action="store_true")
     v.set_defaults(fn=_cmd_verify)

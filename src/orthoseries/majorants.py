@@ -39,6 +39,13 @@ from .systems import seeded_rng
 # estimate the proof itself uses.
 EXACT_OSCILLATION_LIMIT = 4096
 
+# The exact oscillation kernel forms the pairwise squared distances of about
+# DIAMETER_BUDGET (atom, row, row) triples at once (512 KiB of float64, which
+# measured as fast as any larger budget), DIAMETER_ROWS rows of an atom per
+# product.
+DIAMETER_BUDGET = 1 << 16
+DIAMETER_ROWS = 256
+
 
 def _coeff_array(coeffs, system: OrthonormalSystem, n: int | None = None) -> np.ndarray:
     a = np.asarray(coeffs)
@@ -56,8 +63,9 @@ def _coeff_array(coeffs, system: OrthonormalSystem, n: int | None = None) -> np.
 
 
 def _fiber_sq_norms(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Squared fiber norms per atom, along the last axis of ``flat``."""
     mag = flat.real ** 2 + flat.imag ** 2 if flat.dtype.kind == "c" else flat ** 2
-    return np.add.reduceat(mag, offsets[:-1])
+    return np.add.reduceat(mag, offsets[:-1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -355,26 +363,37 @@ class BlockOscillation:
     mode: str
 
 
-def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray,
-                         chunk: int = 256) -> np.ndarray:
-    """Per-atom diameter of the prefix point sets (rows of ``prefixes``)."""
-    m1, total = prefixes.shape
-    n_atoms = offsets.size - 1
-    out = np.zeros(n_atoms)
-    active_coord = np.any(prefixes != 0, axis=0)
-    for i in range(n_atoms):
-        seg = slice(offsets[i], offsets[i + 1])
-        if not np.any(active_coord[seg]):
-            continue
-        pts = prefixes[:, seg]
-        sq = np.real(np.sum(pts * np.conj(pts), axis=1))
-        best = 0.0
-        for start in range(0, m1, chunk):
-            block = pts[start:start + chunk]
-            cross = np.real(block @ np.conj(pts).T)
-            d2 = sq[start:start + chunk, None] + sq[None, :] - 2.0 * cross
-            best = max(best, float(d2.max()))
-        out[i] = math.sqrt(max(best, 0.0))
+def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-atom diameter of the prefix point sets (rows of ``prefixes``).
+
+    Atoms of one fiber dimension are stacked and their pairwise squared
+    distances ``sq_i + sq_j - 2 Re<p_i, p_j>`` formed for as many atoms at
+    once as ``DIAMETER_BUDGET`` allows.  Each atom's rows go ``DIAMETER_ROWS``
+    at a time, and the cross term multiplies by a separate conjugated copy,
+    so BLAS sees the products (and rounds them) as a per-atom loop would: a
+    lone trailing row is a matrix-vector product, and a transposed view of
+    the same buffer would be a symmetric product, each rounding differently.
+    """
+    m1 = prefixes.shape[0]
+    dims = np.diff(offsets)
+    out = np.zeros(dims.size)
+    active = np.logical_or.reduceat(np.any(prefixes != 0, axis=0), offsets[:-1])
+    step = max(1, DIAMETER_BUDGET // (min(m1, DIAMETER_ROWS) * m1))
+    for d in sorted(set(dims.tolist())):
+        atoms = np.flatnonzero(active & (dims == d))
+        for start in range(0, atoms.size, step):
+            sel = atoms[start:start + step]
+            cols = offsets[sel, None] + np.arange(d)
+            pts = np.ascontiguousarray(prefixes[:, cols].transpose(1, 0, 2))
+            ptsc = np.conj(pts)
+            sq = np.real(np.sum(pts * ptsc, axis=2))
+            conj_t = ptsc.transpose(0, 2, 1)
+            best = np.zeros(sel.size)
+            for r in range(0, m1, DIAMETER_ROWS):
+                cross = np.real(pts[:, r:r + DIAMETER_ROWS] @ conj_t)
+                d2 = sq[:, r:r + DIAMETER_ROWS, None] + sq[:, None, :] - 2.0 * cross
+                np.maximum(best, d2.max(axis=(1, 2)), out=best)
+            out[sel] = np.sqrt(best)
     return out
 
 
@@ -432,14 +451,11 @@ def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
         doubled = 2.0 * one_sided
         mode = "exact"
     elif exact:
+        src = np.array([plan.order[p] - 1 for p in positions])
         prefixes = np.zeros((count + 1, V.shape[1]), dtype=V.dtype)
-        for row, p in enumerate(positions, start=1):
-            src = plan.order[p] - 1
-            prefixes[row] = prefixes[row - 1] + a[src] * V[src]
+        np.cumsum(a[src, None] * V[src], axis=0, out=prefixes[1:])
         values = _pointwise_diameters(prefixes, offsets)
-        sup_sq = np.zeros(n_atoms)
-        for row in range(1, count + 1):
-            np.maximum(sup_sq, _fiber_sq_norms(prefixes[row], offsets), out=sup_sq)
+        sup_sq = _fiber_sq_norms(prefixes[1:], offsets).max(axis=0)
         doubled = 2.0 * np.sqrt(sup_sq)
         mode = "exact"
     else:
@@ -494,17 +510,21 @@ def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
     Vc = np.conj(V) if V.dtype.kind == "c" else V
     w = system.expanded_weights
     fn_sq = np.real(np.sum(w * np.abs(V) ** 2, axis=1))
+    # weighted Gram matrix: the inner products <v, phi_j> of the running
+    # prefix v advance by one row per pick instead of a product over V
+    gram = (w * V) @ Vc.T
+    ips = np.zeros(n, dtype=V.dtype)
     mask = np.ones(n, dtype=bool)
     v = np.zeros(V.shape[1], dtype=V.dtype)
     v_sq = 0.0
     order = []
     for _ in range(n):
-        ips = (w * v) @ Vc.T
         scores = v_sq + 2.0 * np.real(np.conj(a[:n]) * ips) + np.abs(a[:n]) ** 2 * fn_sq
         scores[~mask] = -np.inf
         pick = int(np.argmax(scores))
         mask[pick] = False
         order.append(pick + 1)
+        ips += a[pick] * gram[pick]
         v = v + a[pick] * V[pick]
         v_sq = float(np.real(np.sum(w * np.abs(v) ** 2)))
     return PermutationPlan(order=tuple(order),

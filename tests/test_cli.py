@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthoseries.cli import main
+from orthoseries.cli import build_parser, main
 from orthoseries.serialization import system_from_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -203,3 +203,55 @@ def test_verify_overrides_replace_invalid_file_values(tmp_path):
     report = json.loads(out.read_text())
     assert report["seed"] == 1
     assert report["results"]["dyadic-pointwise"]["n_cases"] == 2
+
+
+HAAR8 = {"systems": [{"kind": "haar", "n": 8}], "checks": ["dyadic-pointwise"],
+         "n_trials": 1}
+
+
+@pytest.mark.parametrize("extra,key", [
+    ({"coefficients": {"scale": 1}}, "form"),
+    ({"coefficients": {"form": "power-log", "scale": 1, "alpha": 1}}, "beta"),
+    ({"coefficients": {"form": "explicit"}}, "values"),
+    ({"weights": {"gamma": 1.5}}, "form"),
+    ({"weights": {"form": "log-power"}}, "gamma"),
+    ({"weights": {"form": "explicit"}}, "values"),
+    ({"coefficients": {"form": "power-log", "scale": 1, "alpha": None, "beta": 2}},
+     "alpha"),
+    ({"coefficients": {"form": "explicit", "values": [1.0, None]}}, "values"),
+    ({"weights": {"form": "log-power", "gamma": None}}, "gamma"),
+    ({"weights": {"form": "log-power", "gamma": 1.5, "shift": [0]}}, "shift"),
+    ({"systems": [{"kind": "haar", "n": None}]}, "n"),
+    ({"systems": [{"kind": "haar", "n": 8, "seed": [1]}]}, "seed"),
+    ({"systems": {"kind": "haar", "n": 8}}, "systems"),
+    ({"n_trials": None}, "n_trials"),
+    ({"truncation": [65536]}, "truncation"),
+    ({"riesz_condition": None}, "riesz_condition"),
+    ({"tolerances": None}, "tolerances"),
+    ({"checks": None}, "checks"),
+])
+def test_verify_config_malformed_value_exit_2(tmp_path, capsys, extra, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**HAAR8, **extra}))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err
+
+
+def test_gen_ons_spec_null_number_exit_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "haar", "n": None}))
+    assert main(["gen-ons", "--spec", str(spec_path)]) == 2
+    assert "'n'" in capsys.readouterr().err
+
+
+def test_verify_threads_default_and_range(tmp_path, capsys):
+    assert build_parser().parse_args(["verify"]).threads == 1
+    out = tmp_path / "r.json"
+    for threads in ("0", "-2"):
+        assert main(["verify", "--check", "dyadic-pointwise", "--trials", "1",
+                     "--threads", threads, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--threads" in err
+    assert not out.exists()

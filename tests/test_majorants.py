@@ -82,6 +82,60 @@ def brute_delta(system, coeffs, plan, k, n):
     return out
 
 
+def per_atom_diameters(prefixes, offsets, chunk=256):
+    """The per-atom diameter loop the stacked kernel replaced; its bits are
+    the reference the kernel must reproduce exactly."""
+    m1 = prefixes.shape[0]
+    out = np.zeros(offsets.size - 1)
+    active_coord = np.any(prefixes != 0, axis=0)
+    for i in range(offsets.size - 1):
+        seg = slice(offsets[i], offsets[i + 1])
+        if not np.any(active_coord[seg]):
+            continue
+        pts = prefixes[:, seg]
+        sq = np.real(np.sum(pts * np.conj(pts), axis=1))
+        best = 0.0
+        for start in range(0, m1, chunk):
+            block = pts[start:start + chunk]
+            cross = np.real(block @ np.conj(pts).T)
+            d2 = sq[start:start + chunk, None] + sq[None, :] - 2.0 * cross
+            best = max(best, float(d2.max()))
+        out[i] = math.sqrt(max(best, 0.0))
+    return out
+
+
+def per_step_greedy(system, coeffs, n):
+    """The greedy adversary recomputing <v, phi_j> from V at every step,
+    the reference for the one-Gram-product version."""
+    a = np.asarray(coeffs, dtype=system.values.dtype)
+    V = system.values[:n]
+    Vc = np.conj(V) if V.dtype.kind == "c" else V
+    w = system.expanded_weights
+    fn_sq = np.real(np.sum(w * np.abs(V) ** 2, axis=1))
+    mask = np.ones(n, dtype=bool)
+    v = np.zeros(V.shape[1], dtype=V.dtype)
+    v_sq = 0.0
+    order = []
+    for _ in range(n):
+        ips = (w * v) @ Vc.T
+        scores = v_sq + 2.0 * np.real(np.conj(a[:n]) * ips) + np.abs(a[:n]) ** 2 * fn_sq
+        scores[~mask] = -np.inf
+        pick = int(np.argmax(scores))
+        mask[pick] = False
+        order.append(pick + 1)
+        v = v + a[pick] * V[pick]
+        v_sq = float(np.real(np.sum(w * np.abs(v) ** 2)))
+    return tuple(order)
+
+
+def random_coeffs(system, seed):
+    gen = rng(seed)
+    b = gen.standard_normal(len(system))
+    if system.fibers.field is Field.COMPLEX:
+        b = b + 1j * gen.standard_normal(len(system))
+    return b
+
+
 # ---------------------------------------------------------------------------
 # prefix sums and majorants
 
@@ -468,7 +522,71 @@ class TestTandoriDelta:
             tandori_delta(system, b, PermutationPlan.identity(16), 1)
 
 
+class TestPointwiseDiameters:
+    CASES = {
+        "real-d2": (SystemSpec(SystemKind.RANDOM_QR, 48, resolution=24, fiber_dim=2,
+                               seed=3), 48),
+        "real-d3": (SystemSpec(SystemKind.TENSOR_VECTOR, 32, fiber_dim=3), 32),
+        "complex-d1": (SystemSpec(SystemKind.RANDOM_QR, 40, resolution=40, seed=4,
+                                  field=Field.COMPLEX), 40),
+        "varying-dim": (SystemSpec(SystemKind.VARYING_DIM, 48), 48),
+        # more prefixes than one 256-row product, ending on a lone row
+        "m1-over-one-chunk": (SystemSpec(SystemKind.RANDOM_QR, 256, resolution=128,
+                                         fiber_dim=2, seed=5), 257),
+    }
+
+    @staticmethod
+    def prefixes(system, m1, seed):
+        b = random_coeffs(system, seed)
+        order = rng(seed + 1).permutation(len(system))[:m1 - 1]
+        out = np.zeros((m1, system.values.shape[1]), dtype=system.values.dtype)
+        np.cumsum(b[order, None] * system.values[order], axis=0, out=out[1:])
+        return out
+
+    @pytest.mark.parametrize("budget", [mj.DIAMETER_BUDGET, 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_per_atom_loop(self, case, budget, monkeypatch):
+        # budget 1 stacks one atom per product, the default many
+        monkeypatch.setattr(mj, "DIAMETER_BUDGET", budget)
+        spec, m1 = self.CASES[case]
+        _, _, system = generate(spec)
+        offsets = system.fibers.offsets
+        P = self.prefixes(system, m1, 70)
+        if case == "varying-dim":
+            # atoms whose coordinates stay zero in every prefix, of each dimension
+            for atom in (0, 1, 2, 7):
+                P[:, offsets[atom]:offsets[atom + 1]] = 0
+        got = mj._pointwise_diameters(P, offsets)
+        want = per_atom_diameters(P, offsets)
+        assert np.array_equal(got, want)
+        if case == "varying-dim":
+            assert np.all(got[[0, 1, 2, 7]] == 0) and np.all(got[3:7] > 0)
+
+
 class TestAdversarial:
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(SystemKind.HAAR, 64),
+        SystemSpec(SystemKind.RANDOM_QR, 48, resolution=24, fiber_dim=2, seed=6),
+        SystemSpec(SystemKind.RANDOM_QR, 40, resolution=40, seed=7, field=Field.COMPLEX),
+        SystemSpec(SystemKind.TENSOR_VECTOR, 32, fiber_dim=4),
+        SystemSpec(SystemKind.VARYING_DIM, 48),
+    ], ids=lambda spec: f"{spec.kind.value}-{spec.field.value}")
+    def test_greedy_matches_per_step_recompute(self, spec):
+        _, _, system = generate(spec)
+        n = len(system)
+        for seed in (80, 81):
+            b = random_coeffs(system, seed)
+            plan = adversarial_permutation(system, b, n,
+                                           AdversarialStrategy.GREEDY_MAX_PREFIX)
+            assert plan.order == per_step_greedy(system, b, n)
+
+    def test_greedy_exact_ties_match_per_step_recompute(self):
+        _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 16))
+        b = np.array([1.0, -1.0] * 8)
+        plan = adversarial_permutation(system, b, 16,
+                                       AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert plan.order == per_step_greedy(system, b, 16)
+
     def test_greedy_two_case(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 2))
         plan = adversarial_permutation(system, [1.0, 2.0], 2,
