@@ -10,15 +10,17 @@ majorant      compute a partial-sum majorant profile for a stored system
 decompose     print the dyadic block decomposition of a prefix length
 verify        run the seeded verification suite
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error or
-malformed input.  All randomness derives from --seed (default 0); wall
-clocks are never consulted for seeding.
+Exit codes: 0 success, 1 a verification check failed, 2 usage error,
+malformed or non-finite input, or a system over the generation limit.  All
+randomness derives from --seed (default 0); wall clocks are never consulted
+for seeding.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -56,16 +58,24 @@ def _read_json(path: str):
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+def _finite(value) -> float:
+    """``float(value)``; NaN and infinities are a ValueError."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {value!r}")
+    return x
+
+
 def _read_column(path: str) -> list[float]:
-    """The first comma-separated column of a text file as floats, blank
-    lines skipped."""
+    """The first comma-separated column of a text file as finite floats,
+    blank lines skipped."""
     values = []
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            values.append(float(line.split(",")[0]))
+            values.append(_finite(line.split(",")[0]))
         except ValueError as exc:
             raise StructuralError(
                 f"{path}: malformed value at line {lineno}, column 1") from exc
@@ -74,7 +84,7 @@ def _read_column(path: str) -> list[float]:
 
 def _parse_floats(text: str, expected: int | None = None) -> list[float]:
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    values = [float(p) for p in parts]
+    values = [_finite(p) for p in parts]
     if expected is not None and len(values) != expected:
         raise ContractError(f"expected {expected} comma-separated values, got {len(values)}")
     return values
@@ -118,7 +128,8 @@ def _field(entry, what: str, key: str, cast, default=_REQUIRED):
 
     A non-object entry, a missing required key, or a value that ``cast``
     refuses (a JSON null, list or string where a number belongs) is a
-    one-line StructuralError naming the key, so the CLI exits 2.
+    one-line StructuralError naming the key, so the CLI exits 2.  So is
+    an integer beyond the float range, a JSON NaN or an infinity.
     """
     if not isinstance(entry, dict):
         raise StructuralError(f"{what} must be a JSON object, got {json.dumps(entry)}")
@@ -128,15 +139,17 @@ def _field(entry, what: str, key: str, cast, default=_REQUIRED):
         return default
     try:
         return cast(entry[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructuralError(
             f"{what}: '{key}' has a malformed value {json.dumps(entry[key])}") from exc
 
 
 def _json_number(value):
-    """A JSON number, unchanged; null, booleans, strings and lists are refused."""
+    """A finite JSON number, unchanged; NaN, infinities, null, booleans,
+    strings and lists are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("not a JSON number")
+    _finite(value)
     return value
 
 
@@ -278,12 +291,12 @@ def _config_from_file(path: str, overrides: dict) -> TrialConfig:
         "coeff_spec": lambda: optional("coefficients", _sequence_from_config),
         "weight_spec": lambda: optional("weights", _weights_from_config),
         "tolerances": lambda: _field(payload, what, "tolerances",
-                                     lambda v: {Check(k): float(x) for k, x in dict(v).items()},
+                                     lambda v: {Check(k): _finite(x) for k, x in dict(v).items()},
                                      {}),
         "truncation": lambda: _field(payload, what, "truncation", int, 65536),
         "exhaustive_n": lambda: _field(payload, what, "exhaustive_n", int, 6),
         "shuffle_plans": lambda: _field(payload, what, "shuffle_plans", int, 2),
-        "riesz_condition": lambda: _field(payload, what, "riesz_condition", float, 4.0),
+        "riesz_condition": lambda: _field(payload, what, "riesz_condition", _finite, 4.0),
     }
     return TrialConfig(**{name: overrides[name] if name in overrides else parse()
                           for name, parse in parsers.items()})

@@ -54,6 +54,15 @@ def system_to_json(system: OrthonormalSystem) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _finite_system(space: MeasureSpace, fibers: HilbertCollection,
+                   elements: list) -> OrthonormalSystem:
+    system = OrthonormalSystem.from_elements(space, fibers, elements)
+    bad = np.flatnonzero(~np.all(np.isfinite(system.values), axis=1))
+    if bad.size:
+        raise StructuralError(f"element {int(bad[0])} has a non-finite value")
+    return system
+
+
 def system_from_json(text: str) -> OrthonormalSystem:
     try:
         payload = json.loads(text)
@@ -73,7 +82,7 @@ def system_from_json(text: str) -> OrthonormalSystem:
         else:
             parsed = [np.asarray(blk, dtype=float) for blk in blocks]
         elements.append(DirectIntegralElement.from_blocks(parsed, field=field))
-    return OrthonormalSystem.from_elements(space, fibers, elements)
+    return _finite_system(space, fibers, elements)
 
 
 def system_to_csv(system: OrthonormalSystem) -> str:
@@ -157,7 +166,7 @@ def system_from_csv(text: str) -> OrthonormalSystem:
             else:
                 blocks.append(np.asarray(cells, dtype=float))
         elements.append(DirectIntegralElement.from_blocks(blocks, field=field))
-    return OrthonormalSystem.from_elements(space, fibers, elements)
+    return _finite_system(space, fibers, elements)
 
 
 def profile_to_json(profile) -> str:

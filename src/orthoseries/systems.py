@@ -35,6 +35,11 @@ from .direct_integral import (Field, HilbertCollection, MeasureSpace,
                               OrthonormalSystem)
 from .errors import ContractError
 
+# The most values (functions x flat fiber coordinates) a generated system may
+# hold: Haar n=4096, 128 MiB of float64.  Larger requests are refused before
+# any array is allocated.
+MAX_SYSTEM_VALUES = 1 << 24
+
 
 class SystemKind(Enum):
     RANDOM_QR = "random-qr"
@@ -91,6 +96,14 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _check_size(spec: SystemSpec, width: int) -> None:
+    """Refuse a system of n_functions x width values over MAX_SYSTEM_VALUES."""
+    if spec.n_functions * width > MAX_SYSTEM_VALUES:
+        raise ContractError(
+            f"{spec.kind.value} n={spec.n_functions} needs {spec.n_functions} x {width} "
+            f"values, over the limit of {MAX_SYSTEM_VALUES}")
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """The package's one seeded generator: PCG64 on SeedSequence(seed)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -122,6 +135,7 @@ def generate(spec: SystemSpec) -> tuple[MeasureSpace, HilbertCollection, Orthono
 
 def _standard_basis(spec: SystemSpec):
     n = spec.n_functions
+    _check_size(spec, n)
     space = MeasureSpace(weights=np.ones(n))
     fibers = HilbertCollection(dims=np.ones(n, dtype=np.int64))
     return space, fibers, np.eye(n)
@@ -137,6 +151,7 @@ def _rademacher(spec: SystemSpec):
         raise ContractError(
             f"rademacher needs resolution >= 2^{n} = {min_res} for {n} exactly orthonormal functions"
         )
+    _check_size(spec, res)
     i = np.arange(res, dtype=np.int64)
     rows = np.empty((n, res))
     for fn in range(1, n + 1):
@@ -157,6 +172,7 @@ def _haar(spec: SystemSpec):
         raise ContractError(
             f"haar needs a power-of-two resolution >= {min_res} for {n} functions"
         )
+    _check_size(spec, res)
     rows = np.zeros((n, res))
     rows[0] = 1.0
     for fn in range(2, n + 1):
@@ -181,6 +197,7 @@ def _random_qr(spec: SystemSpec):
     total = m * d
     if n > total:
         raise ContractError(f"cannot fit {n} orthonormal functions in dimension {m}*{d}={total}")
+    _check_size(spec, total)
     rng = seeded_rng(spec.seed)
     a = rng.standard_normal((total, n))
     if spec.field is Field.COMPLEX:
@@ -200,10 +217,10 @@ def _random_qr(spec: SystemSpec):
 def _tensor_vector(spec: SystemSpec):
     n, d = spec.n_functions, spec.fiber_dim
     n_scalar = -(-n // d)
-    base_spec = SystemSpec(kind=SystemKind.HAAR, n_functions=n_scalar,
-                           resolution=spec.resolution)
+    res = spec.resolution if spec.resolution is not None else _next_pow2(n_scalar)
+    _check_size(spec, res * d)
+    base_spec = SystemSpec(kind=SystemKind.HAAR, n_functions=n_scalar, resolution=res)
     space, _, base_rows = _haar(base_spec)
-    res = space.n_atoms
     rows = np.zeros((n, res * d))
     for fn in range(n):
         scalar_idx, fiber_idx = divmod(fn, d)
@@ -226,6 +243,7 @@ def _varying_dim(spec: SystemSpec):
     # dims cycle 1,2,3; an even number of cycles keeps the flat dimension a
     # multiple of 4 so the Hadamard blocks tile it exactly
     cycles = 2 * (-(-n // 12))
+    _check_size(spec, 6 * cycles)
     dims = np.tile(np.array([1, 2, 3], dtype=np.int64), cycles)
     total = int(dims.sum())
     rows = np.zeros((n, total))

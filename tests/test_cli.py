@@ -255,3 +255,70 @@ def test_verify_threads_default_and_range(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--threads" in err
     assert not out.exists()
+
+
+def _system_file(tmp_path, fmt, bad_value):
+    """A Haar n=4 system file whose first stored value is ``bad_value``."""
+    path = tmp_path / f"sys.{fmt}"
+    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--format", fmt,
+                 "--out", str(path)]) == 0
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        payload["elements"][0][0][0] = bad_value
+        path.write_text(json.dumps(payload))
+    else:
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:3] + [repr(bad_value)])
+        path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "values.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def _config(tmp_path, extra):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**HAAR8, **extra}))
+    return ["verify", "--config", str(path)]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("case", [
+    lambda t: ["check-mr", "--powerlog", "1,nan,2", "--trunc", "8"],
+    lambda t: ["check-orlicz", "--powerlog", "1,1,2", "--logpower", "inf", "--trunc", "8"],
+    lambda t: ["check-mr", "--explicit", _file(t, "1.0\nnan\n"), "--trunc", "2"],
+    lambda t: ["majorant", "--system", _system_file(t, "json", 1.0), "--coeffs", "1,nan,1,1"],
+    lambda t: ["majorant", "--system", _system_file(t, "json", 1.0),
+               "--coeffs-file", _file(t, "1\n-inf\n1\n1\n")],
+    lambda t: ["majorant", "--system", _system_file(t, "json", NAN), "--coeffs", "1,1,1,1"],
+    lambda t: ["majorant", "--system", _system_file(t, "csv", INF), "--coeffs", "1,1,1,1"],
+    lambda t: _config(t, {"weights": {"form": "log-power", "gamma": NAN}}),
+    lambda t: _config(t, {"coefficients": {"form": "explicit", "values": [1.0, INF]}}),
+    lambda t: _config(t, {"riesz_condition": NAN}),
+    lambda t: _config(t, {"tolerances": {"dyadic-pointwise": INF}}),
+    lambda t: _config(t, {"systems": [{"kind": "haar", "n": INF}]}),
+], ids=["powerlog", "logpower", "explicit-file", "coeffs", "coeffs-file", "system-json",
+        "system-csv", "config-gamma", "config-values", "config-riesz", "config-tolerance",
+        "config-n"])
+def test_non_finite_input_exit_2(tmp_path, capsys, case):
+    argv = case(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_oversized_system_refused_before_allocating(capsys):
+    # 40 Rademacher functions need a 40 x 2^40 array
+    assert main(["gen-ons", "--kind", "rademacher", "--n", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "limit" in captured.err

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +13,8 @@ from orthoseries import (AdversarialStrategy, ContractError, Field,
                          dyadic_pointwise_bound, generate, majorant,
                          permuted_majorant, prefix_sum, tandori_blocks,
                          tandori_delta)
+from orthoseries.majorants import complete_block_form
+from orthoseries.summation import compensated_sum
 
 from conftest import rng
 
@@ -126,6 +130,110 @@ def per_step_greedy(system, coeffs, n):
         v = v + a[pick] * V[pick]
         v_sq = float(np.real(np.sum(w * np.abs(v) ** 2)))
     return tuple(order)
+
+
+# The per-term loops the prefix sweep replaced.  Their bits are the
+# reference the sweep must reproduce exactly.
+
+
+def reduceat_sq_norms(flat, offsets):
+    mag = flat.real ** 2 + flat.imag ** 2 if flat.dtype.kind == "c" else flat ** 2
+    return np.add.reduceat(mag, offsets[:-1], axis=-1)
+
+
+def weighted_l2(system, sq):
+    return math.sqrt(max(float(np.sum(system.space.weights * sq)), 0.0))
+
+
+def per_term_profile(system, coeffs, order):
+    """One running sum advanced a term at a time; (values, argmax, l2)."""
+    a = np.asarray(coeffs, dtype=system.values.dtype)
+    V = system.values
+    running = np.zeros(V.shape[1], dtype=V.dtype)
+    best = arg = None
+    for pos, idx in enumerate(order):
+        running += a[idx] * V[idx]
+        sq = reduceat_sq_norms(running, system.fibers.offsets)
+        if best is None:
+            best, arg = sq, np.ones(sq.size, dtype=np.int64)
+        else:
+            upd = sq > best
+            best[upd] = sq[upd]
+            arg[upd] = pos + 1
+    return np.sqrt(best), arg, weighted_l2(system, best)
+
+
+def per_term_chaining(system, coeffs, n):
+    """Every ChainingDiagnostics field, from a running and a within-block sum
+    advanced a term at a time."""
+    K = complete_block_form(n)
+    n_sys = len(system)
+    a = np.asarray(coeffs, dtype=system.values.dtype)
+    V = system.values
+    offsets = system.fibers.offsets
+    m = system.space.n_atoms
+    running = np.zeros(V.shape[1], dtype=V.dtype)
+    best_sq, dyad_sq = np.zeros(m), np.zeros(m)
+    block_norms, block_coeff_sq, inner_sup = np.empty(K + 1), np.empty(K + 1), np.empty(K + 1)
+    for k in range(K + 1):
+        lo, hi = 1 << k, (1 << (k + 1)) - 1
+        inner = np.zeros_like(running)
+        inner_sq = np.zeros(m)
+        for j in range(lo, min(hi, n_sys) + 1):
+            term = a[j - 1] * V[j - 1]
+            running += term
+            inner += term
+            np.maximum(best_sq, reduceat_sq_norms(running, offsets), out=best_sq)
+            np.maximum(inner_sq, reduceat_sq_norms(inner, offsets), out=inner_sq)
+        np.maximum(dyad_sq, reduceat_sq_norms(running, offsets), out=dyad_sq)
+        block_norms[k] = weighted_l2(system, reduceat_sq_norms(inner, offsets))
+        block_coeff_sq[k] = compensated_sum(np.abs(a[lo - 1:hi]) ** 2)
+        inner_sup[k] = weighted_l2(system, inner_sq)
+    weyl_mass = compensated_sum(np.abs(a[:n]) ** 2
+                                * np.log2(np.arange(1, n + 1, dtype=float) + 1.0) ** 2)
+    return dict(
+        n=n, k_max=K, block_norms=block_norms, block_coeff_sq=block_coeff_sq,
+        inner_sup_norms=inner_sup, dyadic_sup_l2=weighted_l2(system, dyad_sq),
+        majorant_l2=weighted_l2(system, best_sq), weyl_mass=weyl_mass,
+        block_norm_sum=compensated_sum(block_norms),
+        block_norm_sum_bound=2.0 * math.sqrt(weyl_mass),
+        inner_sq_sum=compensated_sum(inner_sup ** 2),
+        inner_sq_bound=4.0 * weyl_mass, majorant_bound=4.0 * math.sqrt(weyl_mass))
+
+
+def per_term_delta(system, coeffs, plan, k, n):
+    """(values, doubled_one_sided, l2, mode) of block k: the scalar-real
+    envelope loop, the cumsum vector branch and the doubled-estimate loop."""
+    a = np.array(coeffs, dtype=system.values.dtype)
+    a[:2] = 0
+    lo, hi = tandori_blocks(n).ranges[k]
+    src = [s - 1 for s in plan.order[:n] if lo <= s <= hi]
+    V = system.values
+    offsets = system.fibers.offsets
+    m = system.space.n_atoms
+    if hi - lo + 1 > mj.EXACT_OSCILLATION_LIMIT:
+        running = np.zeros(V.shape[1], dtype=V.dtype)
+        sup_sq = np.zeros(m)
+        for i in src:
+            running += a[i] * V[i]
+            np.maximum(sup_sq, reduceat_sq_norms(running, offsets), out=sup_sq)
+        values = doubled = 2.0 * np.sqrt(sup_sq)
+        mode = "doubled-one-sided"
+    elif np.all(system.fibers.dims == 1) and V.dtype.kind != "c":
+        running, hi_env, lo_env, one_sided = (np.zeros(m) for _ in range(4))
+        for i in src:
+            running = running + a[i] * V[i]
+            np.maximum(hi_env, running, out=hi_env)
+            np.minimum(lo_env, running, out=lo_env)
+            np.maximum(one_sided, np.abs(running), out=one_sided)
+        values, doubled, mode = hi_env - lo_env, 2.0 * one_sided, "exact"
+    else:
+        prefixes = np.zeros((len(src) + 1, V.shape[1]), dtype=V.dtype)
+        np.cumsum(a[src, None] * V[src], axis=0, out=prefixes[1:])
+        values = mj._pointwise_diameters(prefixes, offsets)
+        doubled = 2.0 * np.sqrt(reduceat_sq_norms(prefixes[1:], offsets).max(axis=0))
+        mode = "exact"
+    return values, doubled, weighted_l2(system, values ** 2), mode
 
 
 def random_coeffs(system, seed):
@@ -388,6 +496,100 @@ class TestChaining:
         assert diag.weyl_mass == short.weyl_mass
         with pytest.raises(ContractError):
             chaining_diagnostics(system, np.array([1, 0.5, 0.5, 0.1, 0, 0, 0.0]), 7)
+
+
+# ---------------------------------------------------------------------------
+# the prefix sweep against the per-term loops it replaced
+
+
+SWEEP_SPECS = {
+    "standard-basis": SystemSpec(SystemKind.STANDARD_BASIS, 20),
+    "haar": SystemSpec(SystemKind.HAAR, 32),
+    "rademacher": SystemSpec(SystemKind.RADEMACHER, 5),
+    "random-qr-real-d2": SystemSpec(SystemKind.RANDOM_QR, 24, resolution=12,
+                                    fiber_dim=2, seed=11),
+    "random-qr-complex": SystemSpec(SystemKind.RANDOM_QR, 24, resolution=24, seed=12,
+                                    field=Field.COMPLEX),
+    "tensor-vector": SystemSpec(SystemKind.TENSOR_VECTOR, 24, fiber_dim=3),
+    "varying-dim": SystemSpec(SystemKind.VARYING_DIM, 24),
+}
+
+
+@pytest.fixture(params=sorted(SWEEP_SPECS))
+def sweep_system(request):
+    return generate(SWEEP_SPECS[request.param])[2]
+
+
+@pytest.fixture(params=["default", "one-row", "mid-system"])
+def prefix_budget(request, sweep_system, monkeypatch):
+    """PREFIX_BUDGET at its default, at one row per step, and at a value
+    whose steps split the system mid-way."""
+    width = sweep_system.values.shape[1]
+    budget = {"default": mj.PREFIX_BUDGET, "one-row": 1,
+              "mid-system": width * (len(sweep_system) // 2) + width // 2}[request.param]
+    monkeypatch.setattr(mj, "PREFIX_BUDGET", budget)
+    return budget
+
+
+def sweep_coeffs(system):
+    """Random coefficients with zeros in them, all-zero coefficients, and
+    coefficients so small that their squares underflow."""
+    b = random_coeffs(system, 90)
+    b[::3] = 0
+    return [b, np.zeros_like(b), 1e-160 * b]
+
+
+class TestPrefixSweep:
+    def test_majorants_bitwise_equal_to_per_term_loop(self, sweep_system, prefix_budget):
+        system = sweep_system
+        # the whole system and a prefix shorter than it
+        for n in (len(system), len(system) - 2):
+            for b in sweep_coeffs(system):
+                plan = PermutationPlan.seeded_shuffle(n, 91)
+                for prof, order in ((majorant(system, b, n), range(n)),
+                                    (permuted_majorant(system, b[:n], plan),
+                                     [s - 1 for s in plan.order])):
+                    values, arg, l2 = per_term_profile(system, b, order)
+                    assert np.array_equal(prof.values, values)
+                    assert np.array_equal(prof.argmax_prefix, arg)
+                    assert prof.l2_norm == l2
+
+    def test_chaining_bitwise_equal_to_per_term_loop(self, sweep_system, prefix_budget):
+        system = sweep_system
+        n_sys = len(system)
+        # the longest complete prefix inside the system, and one padded past it
+        for n in sorted({(1 << (n_sys + 1).bit_length() - 1) - 1,
+                         mj.complete_block_length(n_sys)}):
+            for b in sweep_coeffs(system):
+                b = np.concatenate([b, np.zeros(max(0, n - n_sys), dtype=b.dtype)])
+                diag = chaining_diagnostics(system, b[:n], n)
+                want = per_term_chaining(system, b, n)
+                for field in dataclasses.fields(diag):
+                    assert np.array_equal(getattr(diag, field.name), want[field.name]), field.name
+
+    @pytest.mark.parametrize("limit", [mj.EXACT_OSCILLATION_LIMIT, 4])
+    def test_tandori_delta_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget,
+                                                           limit, monkeypatch):
+        # a limit of 4 sends every wider block to the doubled estimate
+        monkeypatch.setattr(mj, "EXACT_OSCILLATION_LIMIT", limit)
+        system = sweep_system
+        for n in (len(system), len(system) - 2):
+            plans = (PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 92),
+                     adversarial_permutation(system, np.ones(n), n,
+                                             AdversarialStrategy.BLOCK_REVERSAL))
+            modes = set()
+            for b, plan, k in itertools.product(sweep_coeffs(system), plans,
+                                                range(tandori_blocks(n).k_max + 1)):
+                osc = tandori_delta(system, b, plan, k, n)
+                values, doubled, l2, mode = per_term_delta(system, b, plan, k, n)
+                assert np.array_equal(osc.values, values)
+                assert np.array_equal(osc.doubled_one_sided, doubled)
+                assert osc.l2 == l2
+                assert osc.mode == mode
+                modes.add(mode)
+            assert "exact" in modes
+            assert ("doubled-one-sided" in modes) == (limit < max(
+                hi - lo + 1 for lo, hi in tandori_blocks(n).ranges))
 
 
 # ---------------------------------------------------------------------------

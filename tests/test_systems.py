@@ -130,3 +130,25 @@ def test_bad_spec_values():
         SystemSpec(SystemKind.HAAR, 0)
     with pytest.raises(ContractError):
         SystemSpec(SystemKind.RANDOM_QR, 4, fiber_dim=0)
+
+
+@pytest.mark.parametrize("kind,fits,over", [
+    (SystemKind.STANDARD_BASIS, {"n_functions": 8}, {"n_functions": 9}),
+    (SystemKind.HAAR, {"n_functions": 8}, {"n_functions": 9}),
+    (SystemKind.RADEMACHER, {"n_functions": 4}, {"n_functions": 5}),
+    (SystemKind.RANDOM_QR, {"n_functions": 8, "resolution": 4, "fiber_dim": 2},
+     {"n_functions": 9, "resolution": 5, "fiber_dim": 2}),
+    (SystemKind.TENSOR_VECTOR, {"n_functions": 8, "fiber_dim": 2},
+     {"n_functions": 9, "fiber_dim": 2}),
+    (SystemKind.VARYING_DIM, {"n_functions": 5}, {"n_functions": 6}),
+], ids=lambda v: v.value if isinstance(v, SystemKind) else None)
+def test_every_builder_checks_the_size_limit(monkeypatch, kind, fits, over):
+    # at a limit of 64 values each kind builds its largest system within it
+    # (64 values; 60 for varying-dim, whose width grows by 12) and refuses
+    # the next size up
+    import orthoseries.systems as systems
+    monkeypatch.setattr(systems, "MAX_SYSTEM_VALUES", 64)
+    _, _, system = generate(SystemSpec(kind, **fits))
+    assert system.values.size == (60 if kind is SystemKind.VARYING_DIM else 64)
+    with pytest.raises(ContractError, match="limit"):
+        generate(SystemSpec(kind, **over))
