@@ -116,7 +116,7 @@ def _condition_dict(report) -> dict:
         "classification": report.classification.value,
         "truncation": report.truncation_length,
         "total": report.total,
-        "partial_sums": [float(v) for v in report.partial_sums],
+        "partial_sums": report.partial_sums.tolist(),
     }
 
 

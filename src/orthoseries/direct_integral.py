@@ -80,6 +80,10 @@ class HilbertCollection:
     """Per-atom fiber dimensions and the common scalar field."""
 
     dims: np.ndarray
+    # derived from dims once: each atom's block start in the flat layout, then
+    # the total.  Declared above ``field``, which shadows dataclasses.field.
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
     field: Field = Field.REAL
 
     def __post_init__(self):
@@ -89,22 +93,14 @@ class HilbertCollection:
         if np.any(d < 1):
             bad = int(np.argmax(d < 1))
             raise StructuralError(f"atom {bad}: fiber dimension {int(d[bad])} < 1")
+        offsets = np.concatenate(([0], np.cumsum(d)))
         object.__setattr__(self, "dims", _readonly(d))
+        object.__setattr__(self, "offsets", _readonly(offsets))
+        object.__setattr__(self, "total_dim", int(offsets[-1]))
 
     @property
     def n_atoms(self) -> int:
         return self.dims.size
-
-    @property
-    def offsets(self) -> np.ndarray:
-        # start index of each atom's block in the flat layout, plus total
-        out = np.zeros(self.n_atoms + 1, dtype=np.int64)
-        np.cumsum(self.dims, out=out[1:])
-        return out
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.sum(self.dims))
 
     def matches(self, space: MeasureSpace) -> None:
         if self.n_atoms != space.n_atoms:
@@ -261,10 +257,6 @@ class OrthonormalSystem:
 
     def __getitem__(self, n: int) -> DirectIntegralElement:
         return DirectIntegralElement(values=self.values[n], offsets=self.fibers.offsets)
-
-    @property
-    def elements(self) -> list[DirectIntegralElement]:
-        return [self[n] for n in range(len(self))]
 
     @property
     def expanded_weights(self) -> np.ndarray:

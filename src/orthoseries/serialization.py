@@ -25,42 +25,55 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
 
 import numpy as np
 
-from .direct_integral import (DirectIntegralElement, Field, HilbertCollection,
-                              MeasureSpace, OrthonormalSystem)
+from .direct_integral import Field, HilbertCollection, MeasureSpace, OrthonormalSystem
 from .errors import StructuralError
 
 SCHEMA_VERSION = 1
 
 
 def system_to_json(system: OrthonormalSystem) -> str:
-    field = system.fibers.field
-    elements = []
-    for el in system.elements:
-        if field is Field.COMPLEX:
-            blocks = [[[float(v.real), float(v.imag)] for v in blk] for blk in el.blocks]
-        else:
-            blocks = [[float(v) for v in blk] for blk in el.blocks]
-        elements.append(blocks)
+    values, off = system.values, system.fibers.offsets.tolist()
+    if system.fibers.field is Field.COMPLEX:
+        values = values.view(np.float64).reshape(len(system), -1, 2)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "field": field.value,
-        "weights": [float(w) for w in system.space.weights],
-        "dims": [int(d) for d in system.fibers.dims],
-        "elements": elements,
+        "field": system.fibers.field.value,
+        "weights": system.space.weights.tolist(),
+        "dims": system.fibers.dims.tolist(),
+        "elements": [[row[lo:hi] for lo, hi in zip(off, off[1:])] for row in values.tolist()],
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def _finite_system(space: MeasureSpace, fibers: HilbertCollection,
-                   elements: list) -> OrthonormalSystem:
-    system = OrthonormalSystem.from_elements(space, fibers, elements)
+                   values: np.ndarray) -> OrthonormalSystem:
+    system = OrthonormalSystem(space, fibers, values)
     bad = np.flatnonzero(~np.all(np.isfinite(system.values), axis=1))
     if bad.size:
         raise StructuralError(f"element {int(bad[0])} has a non-finite value")
     return system
+
+
+def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
+    """The (n, total_dim) values of the JSON ``elements``: per function one block
+    per atom, block i holding dims[i] numbers ([re, im] pairs when complex)."""
+    is_complex, dims = fibers.field is Field.COMPLEX, fibers.dims.tolist()
+    try:
+        if any([len(block) for block in blocks] != dims for blocks in elements):
+            raise ValueError("block lengths differ from dims")
+        values = np.array([list(chain.from_iterable(blocks)) for blocks in elements],
+                          dtype=float)
+        if values.shape != (len(elements), fibers.total_dim) + ((2,) * is_complex):
+            raise ValueError("wrong entry shape")
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(
+            "system JSON: 'elements' must hold, per function, one block of dims[i] "
+            f"{'[re, im] pairs' if is_complex else 'numbers'} per atom") from exc
+    return values.view(np.complex128)[..., 0] if is_complex else values
 
 
 def system_from_json(text: str) -> OrthonormalSystem:
@@ -68,44 +81,33 @@ def system_from_json(text: str) -> OrthonormalSystem:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(payload, dict):
+        raise StructuralError("system JSON must be an object")
     for key in ("field", "weights", "dims", "elements"):
         if key not in payload:
             raise StructuralError(f"system JSON missing key '{key}'")
-    field = Field(payload["field"])
-    space = MeasureSpace(weights=np.asarray(payload["weights"], dtype=float))
-    fibers = HilbertCollection(dims=np.asarray(payload["dims"], dtype=np.int64), field=field)
-    elements = []
-    for blocks in payload["elements"]:
-        if field is Field.COMPLEX:
-            parsed = [np.array([complex(re, im) for re, im in blk], dtype=np.complex128)
-                      for blk in blocks]
-        else:
-            parsed = [np.asarray(blk, dtype=float) for blk in blocks]
-        elements.append(DirectIntegralElement.from_blocks(parsed, field=field))
-    return _finite_system(space, fibers, elements)
+    try:
+        weights = np.asarray(payload["weights"], dtype=float)
+        dims = np.asarray(payload["dims"], dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError("system JSON: 'weights' and 'dims' must list numbers") from exc
+    fibers = HilbertCollection(dims=dims, field=Field(payload["field"]))
+    return _finite_system(MeasureSpace(weights=weights), fibers,
+                          _json_values(payload["elements"], fibers))
 
 
 def system_to_csv(system: OrthonormalSystem) -> str:
-    field = system.fibers.field
-    dmax = int(system.fibers.dims.max())
-    if field is Field.COMPLEX:
-        value_cols = [f"{part}{i}" for i in range(dmax) for part in ("re", "im")]
-    else:
-        value_cols = [f"v{i}" for i in range(dmax)]
+    parts = ("re", "im") if system.fibers.field is Field.COMPLEX else ("v",)
+    value_cols = [f"{part}{i}" for i in range(int(system.fibers.dims.max())) for part in parts]
+    # complex values as the interleaved sequence re, im, ... at doubled offsets
+    off = (len(parts) * system.fibers.offsets).tolist()
+    atoms = [(atom, w, lo, hi, [""] * (len(value_cols) - (hi - lo))) for atom, (w, lo, hi)
+             in enumerate(zip(system.space.weights.tolist(), off, off[1:]))]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["element", "atom", "weight"] + value_cols)
-    for e, el in enumerate(system.elements):
-        for atom in range(system.fibers.n_atoms):
-            blk = el.block(atom)
-            cells = []
-            for v in blk:
-                if field is Field.COMPLEX:
-                    cells.extend([repr(float(v.real)), repr(float(v.imag))])
-                else:
-                    cells.append(repr(float(v)))
-            pad = [""] * (len(value_cols) - len(cells))
-            writer.writerow([e, atom, repr(float(system.space.weights[atom]))] + cells + pad)
+    for e, row in enumerate(system.values.view(np.float64).tolist()):
+        writer.writerows([e, atom, w, *row[lo:hi], *pad] for atom, w, lo, hi, pad in atoms)
     return buf.getvalue()
 
 
@@ -118,7 +120,6 @@ def system_from_csv(text: str) -> OrthonormalSystem:
     if header[:3] != ["element", "atom", "weight"]:
         raise StructuralError("CSV header must start with element,atom,weight")
     is_complex = any(c.startswith("re") for c in header[3:])
-    field = Field.COMPLEX if is_complex else Field.REAL
 
     rows: dict[tuple[int, int], list[float]] = {}
     weights: dict[int, float] = {}
@@ -126,9 +127,11 @@ def system_from_csv(text: str) -> OrthonormalSystem:
         if not row:
             continue
         try:
-            e, atom = int(row[0]), int(row[1])
-            w = float(row[2])
-            cells = [float(c) for c in row[3:] if c != ""]
+            e, atom, w, *cells = row
+            e, atom, w = int(e), int(atom), float(w)
+            cells = [float(c) for c in cells if c != ""]
+            if min(e, atom) < 0:
+                raise ValueError(f"negative index {min(e, atom)}")
         except ValueError as exc:
             raise StructuralError(f"malformed CSV at line {lineno}: {exc}") from exc
         if atom in weights and weights[atom] != w:
@@ -151,22 +154,16 @@ def system_from_csv(text: str) -> OrthonormalSystem:
     if np.any(dims < 1):
         raise StructuralError("every atom needs at least one populated value column")
 
-    space = MeasureSpace(weights=np.array([weights.get(a, 0.0) for a in range(n_atoms)]))
-    fibers = HilbertCollection(dims=dims, field=field)
-    elements = []
+    space = MeasureSpace(weights=np.array([weights[a] for a in range(n_atoms)]))
+    fibers = HilbertCollection(dims=dims, field=Field.COMPLEX if is_complex else Field.REAL)
+    off = ((1 + is_complex) * fibers.offsets).tolist()
+    flat = np.empty((n_elements, off[-1]))
     for e in range(n_elements):
-        blocks = []
         for atom in range(n_atoms):
-            cells = rows.get((e, atom))
-            if cells is None:
+            if (e, atom) not in rows:
                 raise StructuralError(f"element {e} is missing atom {atom}")
-            if is_complex:
-                pairs = np.asarray(cells, dtype=float).reshape(-1, 2)
-                blocks.append(pairs[:, 0] + 1j * pairs[:, 1])
-            else:
-                blocks.append(np.asarray(cells, dtype=float))
-        elements.append(DirectIntegralElement.from_blocks(blocks, field=field))
-    return _finite_system(space, fibers, elements)
+            flat[e, off[atom]:off[atom + 1]] = rows[(e, atom)]
+    return _finite_system(space, fibers, flat.view(np.complex128) if is_complex else flat)
 
 
 def profile_to_json(profile) -> str:

@@ -1,10 +1,6 @@
-"""Compensated (error-tracking) summation for partial-sum sequences.
-
-The condition sums evaluated in this package mix term magnitudes across
-many orders; plain left-to-right accumulation can lose low-order bits that
-the 1e-12 relative slacks elsewhere rely on.  All running partial sums are
-therefore produced with a Neumaier-compensated accumulator.
-"""
+"""Neumaier-compensated running sums and fsum totals: the condition sums mix
+term magnitudes across many orders, and plain accumulation would lose the
+low-order bits that the 1e-12 relative slacks elsewhere rely on."""
 
 from __future__ import annotations
 
@@ -14,23 +10,24 @@ import numpy as np
 
 
 def compensated_cumsum(terms: np.ndarray) -> np.ndarray:
-    """Running partial sums of ``terms`` with Neumaier compensation.
-
-    Returns an array ``out`` with ``out[m] = terms[0] + ... + terms[m]``,
-    each prefix carrying the accumulated correction term.
-    """
+    """Neumaier-compensated running sums ``out[m] = terms[0] + ... + terms[m]``:
+    per block of terms, the running totals and then the per-term corrections
+    are two prefix scans, each from the last block's final value (0.0 at first,
+    as in the scalar recurrence), so every bit but a NaN's sign is the loop's."""
     terms = np.asarray(terms, dtype=float)
     out = np.empty_like(terms)
-    total = 0.0
-    comp = 0.0
-    for i, x in enumerate(terms):
-        s = total + x
-        if abs(total) >= abs(x):
-            comp += (total - s) + x
-        else:
-            comp += (x - s) + total
-        total = s
-        out[i] = total + comp
+    buf = np.zeros((3, (1 << 12) + 1))
+    for lo in range(0, terms.size, 1 << 12):
+        x = terms[lo:lo + (1 << 12)]
+        total, comp, other = buf[:, :x.size + 1]
+        total[1:] = x
+        prev, s, fix, tmp = total[:-1], np.cumsum(total, out=total)[1:], comp[1:], other[1:]
+        # (prev - s) + x where |prev| >= |x|, else (x - s) + prev
+        keep = np.abs(prev, out=fix) >= np.abs(x, out=tmp)
+        np.add(np.subtract(x, s, out=fix), prev, out=fix)
+        np.copyto(fix, np.add(np.subtract(prev, s, out=tmp), x, out=tmp), where=keep)
+        np.add(s, np.cumsum(comp, out=comp)[1:], out=out[lo:lo + x.size])
+        buf[:, 0] = buf[:, x.size]
     return out
 
 

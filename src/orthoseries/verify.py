@@ -197,13 +197,13 @@ def _run_trials(count: int, fn: Callable[[int], dict], threads: int | None) -> l
         return list(pool.map(fn, range(count)))
 
 
-_SYSTEM_CACHE: dict[SystemSpec, tuple] = {}
+class _Systems(dict):
+    """One run's systems by spec, each generated on first use (``generate`` is
+    looked up then, so a rebinding is seen); a check called alone makes its own."""
 
-
-def _system_for(spec: SystemSpec) -> OrthonormalSystem:
-    if spec not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[spec] = generate(spec)
-    return _SYSTEM_CACHE[spec][2]
+    def __missing__(self, spec: SystemSpec) -> OrthonormalSystem:
+        system = self[spec] = generate(spec)[2]
+        return system
 
 
 def _draw_coefficients(cfg: TrialConfig, rng: np.random.Generator,
@@ -247,14 +247,16 @@ def _coeff_norm(b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(b) ** 2)))
 
 
-def check_mr_inequality(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
+def check_mr_inequality(cfg: TrialConfig, threads: int | None = None,
+                        systems: _Systems | None = None) -> CheckResult:
     """Maximal-inequality ratio ||S_N*||_2 / ((2 + log2 N) ||b||_2) <= 1 per trial."""
+    systems = _Systems() if systems is None else systems
     slack = cfg.slack(Check.MR_INEQUALITY)
     specs = cfg.system_specs
 
     def one(t: int) -> dict:
         spec = specs[t % len(specs)]
-        system = _system_for(spec)
+        system = systems[spec]
         path = trial_seed_path(cfg.seed, Check.MR_INEQUALITY, t)
         b = _draw_coefficients(cfg, seeded_rng(path), len(system), system.fibers.field)
         lhs = majorant(system, b).l2_norm
@@ -266,7 +268,8 @@ def check_mr_inequality(cfg: TrialConfig, threads: int | None = None) -> CheckRe
     return _result(Check.MR_INEQUALITY, _run_trials(cfg.n_trials, one, threads))
 
 
-def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
+def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None,
+                           systems: _Systems | None = None) -> CheckResult:
     """Randomized draws of the single-fiber dyadic chaining bound."""
     slack = cfg.slack(Check.DYADIC_POINTWISE)
 
@@ -286,9 +289,11 @@ def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None) -> Chec
     return _result(Check.DYADIC_POINTWISE, _run_trials(cfg.n_trials, one, threads))
 
 
-def _chaining_results(cfg: TrialConfig, threads: int | None = None) -> dict[Check, CheckResult]:
+def _chaining_results(cfg: TrialConfig, threads: int | None = None,
+                      systems: _Systems | None = None) -> dict[Check, CheckResult]:
     """Shared trial loop for the chaining checks (final bound, block-norm
     sum, within-block square sum) plus the Parseval identity."""
+    systems = _Systems() if systems is None else systems
     specs = cfg.system_specs
     slack_main = cfg.slack(Check.MR_THEOREM)
     slack_15 = cfg.slack(Check.BLOCK_NORM_SUM)
@@ -296,7 +301,7 @@ def _chaining_results(cfg: TrialConfig, threads: int | None = None) -> dict[Chec
 
     def one(t: int) -> dict:
         spec = specs[t % len(specs)]
-        system = _system_for(spec)
+        system = systems[spec]
         n_sys = len(system)
         n_pad = complete_block_length(n_sys)
         path = trial_seed_path(cfg.seed, Check.MR_THEOREM, t)
@@ -358,9 +363,11 @@ def tandori_threshold_arithmetic() -> list[dict]:
     return out
 
 
-def check_tandori_block(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
+def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
+                        systems: _Systems | None = None) -> CheckResult:
     """Blocked oscillation bound ||delta_k||_2 <= 8 (sum_{block} |a_n|^2 log2^2 n)^(1/2)
     under identity, seeded-shuffle, greedy, and block-reversal plans."""
+    systems = _Systems() if systems is None else systems
     slack = cfg.slack(Check.TANDORI_BLOCK)
     specs = [s for s in cfg.system_specs if s.n_functions >= 5]
     if not specs:
@@ -368,7 +375,7 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None) -> CheckRe
 
     def one(t: int) -> dict:
         spec = specs[t % len(specs)]
-        system = _system_for(spec)
+        system = systems[spec]
         n = len(system)
         path = trial_seed_path(cfg.seed, Check.TANDORI_BLOCK, t)
         b = _draw_coefficients(cfg, seeded_rng(path), n, system.fibers.field)
@@ -427,14 +434,16 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
                        {"worst_permutation": list(worst[1]), "n": n})
 
 
-def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
+def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
+                          systems: _Systems | None = None) -> CheckResult:
     """Exhaustive rearrangement sweep on capped-size variants of each system kind."""
+    systems = _Systems() if systems is None else systems
     n = cfg.exhaustive_n
     records = []
     total = 0
     for i, spec in enumerate(cfg.system_specs):
         small = replace(spec, n_functions=n, resolution=None)
-        system = _system_for(small)
+        system = systems[small]
         path = trial_seed_path(cfg.seed, Check.EXHAUSTIVE_PERM, i)
         b = _draw_coefficients(cfg, seeded_rng(path), n, system.fibers.field)
         res = exhaustive_permutation_check(system, b, n,
@@ -450,7 +459,8 @@ def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None) -> Check
                        worst_ratio, worst_case)
 
 
-def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
+def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
+                       systems: _Systems | None = None) -> CheckResult:
     """Cauchy-Schwarz / monotonicity chain from the Orlicz conditions to the
     blocked sum, plus condensation classifier agreement.
 
@@ -496,7 +506,8 @@ def _conditioned_mix(rng: np.random.Generator, n: int, condition: float) -> np.n
     return (u * s) @ v.T
 
 
-def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None) -> CheckResult:
+def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
+                      systems: _Systems | None = None) -> CheckResult:
     """Empirical majorant/log ratio for Riesz-perturbed systems.
 
     No constant is asserted: the check reports the supremum of
@@ -504,11 +515,12 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None) -> CheckResu
     spectrum bounds, and fails only on non-finite ratios or a numerically
     singular perturbation (lower spectral bound <= 1e-6).
     """
+    systems = _Systems() if systems is None else systems
     specs = cfg.system_specs
 
     def one(t: int) -> dict:
         spec = specs[t % len(specs)]
-        system = _system_for(spec)
+        system = systems[spec]
         n = len(system)
         path = trial_seed_path(cfg.seed, Check.RIESZ_RATIO, t)
         rng = seeded_rng(path)
@@ -549,13 +561,14 @@ def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
         Check.RIESZ_RATIO: check_riesz_ratio,
     }
     results: dict[Check, CheckResult] = {}
+    systems = _Systems()
     for check in CHECK_ORDER:
         if check not in cfg.checks or check in results:
             continue
         if check in single:
-            results[check] = single[check](cfg, threads)
+            results[check] = single[check](cfg, threads, systems)
         else:
-            results.update(_chaining_results(cfg, threads))
+            results.update(_chaining_results(cfg, threads, systems))
     wall = time.perf_counter() - start
     return VerifyReport(seed=cfg.seed, results=results, wall_time_s=wall,
                         environment=environment_fingerprint())

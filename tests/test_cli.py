@@ -322,3 +322,22 @@ def test_oversized_system_refused_before_allocating(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "limit" in captured.err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": 5}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": null, "elements": [[[1.0]]]}'),
+    ("sys.json", "5"),
+    ("sys.json", '{"field": "complex", "weights": [1.0], "dims": [1], "elements": [[[1.0]]]}'),
+    ("sys.csv", "element,atom,weight,v0\n0,-1,1.0,1.0\n"),
+    ("sys.csv", "element,atom,weight,v0\n0,0\n"),
+], ids=["elements-5", "dims-null", "top-level-5", "complex-bare-floats", "csv-atom-minus-1",
+        "csv-short-row"])
+def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "p.json"
+    assert main(["majorant", "--system", str(path), "--coeffs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

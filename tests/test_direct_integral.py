@@ -273,3 +273,14 @@ class TestInvariantsOfTypes:
         f = element([[1.0], [2.0, 3.0]])
         assert [list(b) for b in f.blocks] == [[1.0], [2.0, 3.0]]
         assert f.n_atoms == 2
+
+    def test_offsets_and_total_dim_are_computed_once(self):
+        fibers = HilbertCollection(dims=[3, 1, 2], field=Field.COMPLEX)
+        offsets = fibers.offsets
+        assert fibers.offsets is offsets
+        assert offsets.tolist() == [0, 3, 4, 6] and offsets.dtype == np.int64
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[1] = 0
+        assert fibers.total_dim == 6 and type(fibers.total_dim) is int
+        assert "offsets" not in repr(fibers)

@@ -1,9 +1,12 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from orthoseries import verify
 from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
                          SystemKind, SystemSpec, TrialConfig,
                          exhaustive_permutation_check, generate, majorant,
@@ -230,6 +233,29 @@ class TestRunSuite:
         assert kinds == set(SystemKind)
         assert cfg.checks == frozenset(Check)
 
+
+    def test_systems_live_for_one_run(self, monkeypatch):
+        made = []
+
+        def recording_generate(spec):
+            out = generate(spec)
+            made.append((spec, weakref.ref(out[2])))
+            return out
+
+        monkeypatch.setattr(verify, "generate", recording_generate)
+        cfg = small_config(n_trials=4)
+        report = run_suite(cfg)
+        specs = [spec for spec, _ in made]
+        assert len(specs) == len(set(specs)) > len(cfg.system_specs)
+        assert report.all_passed
+        del report
+        gc.collect()
+        assert all(ref() is None for _, ref in made)
+        # the next run generates its systems afresh; a check called alone too
+        run_suite(small_config(n_trials=1, checks={Check.MR_INEQUALITY}))
+        assert [spec for spec, _ in made[len(specs):]] == [cfg.system_specs[0]]
+        assert check_mr_inequality(small_config(n_trials=2)).passed
+        assert len(made) == len(specs) + 3
 
 class TestConfigValidation:
     def test_requires_specs(self):
