@@ -37,12 +37,24 @@ from .systems import SystemKind, SystemSpec, generate
 from .verify import Check, TrialConfig, default_config, run_suite
 
 
+# Characters per write: a text stream encodes each write whole, so writing
+# the full output at once would hold a second full-size copy of it.
+WRITE_SLICE = 1 << 20
+
+
 def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout ending in a newline."""
+    def emit(fh):
+        for start in range(0, len(text), WRITE_SLICE):
+            fh.write(text[start:start + WRITE_SLICE])
+
     if path in (None, "-"):
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        emit(sys.stdout)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            emit(fh)
 
 
 def _read(path: str) -> str:

@@ -38,15 +38,23 @@ from .systems import seeded_rng
 # estimate the proof itself uses.
 EXACT_OSCILLATION_LIMIT = 4096
 
-# The exact oscillation kernel forms the pairwise squared distances of about
-# DIAMETER_BUDGET (atom, row, row) triples at once (512 KiB of float64, which
-# measured as fast as any larger budget), DIAMETER_ROWS rows of an atom per
-# product.
+# The exact oscillation kernel forms about DIAMETER_BUDGET squared distances
+# at once (512 KiB of float64).
 DIAMETER_BUDGET = 1 << 16
-DIAMETER_ROWS = 256
+
+# Blocks of fewer prefix rows than this skip the candidate filter of the
+# exact oscillation kernel, whose extra small numpy calls cost more than
+# the pairs they save there: on random-walk prefixes the filter took 1.5x
+# the all-pairs time at 17-25 rows and 20-35 % less at 41-49, but it made
+# the stock verify config (blocks of 3, 13 and 49 rows) about 7 % slower
+# at --threads 2, where those calls contend for the GIL.
+FILTER_MIN_ROWS = 64
 
 # Prefix values (whole rows of flat fiber coordinates) one sweep step forms.
 PREFIX_BUDGET = 1 << 16
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 def _coeff_array(coeffs, system: OrthonormalSystem, n: int | None = None) -> np.ndarray:
@@ -387,37 +395,120 @@ class BlockOscillation:
     mode: str
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the points of ``a`` (g, d, r) and ``b``
+    (g, d, c), shape (g, r, c): sum_k (a_k - b_k)^2 added in coordinate
+    order, so each entry's bits depend on its two points alone."""
+    out = np.empty(a.shape[:1] + a.shape[2:] + b.shape[2:])
+    term = np.empty_like(out)
+    for k in range(a.shape[1]):
+        dst = term if k else out
+        np.subtract(a[:, k, :, None], b[:, k, None, :], out=dst)
+        np.multiply(dst, dst, out=dst)
+        if k:
+            out += term
+    return out
+
+
+def _candidates(x: np.ndarray) -> np.ndarray:
+    """The (g, m) mask of the rows of atoms ``x`` (g, d, m) that can end a
+    pair attaining the atom's largest ``_sq_dists`` value.
+
+    A row equal to the row before it is dropped: its distances are those of
+    that row (-0.0 and 0.0 give the same squares).  So is a row i whose
+    farthest-box-corner bound U_i = sum_k max(x_ik - lo_k, hi_k - x_ik)^2
+    falls below L, the largest distance from the 2d per-coordinate extreme
+    rows to any row, which is itself a pair distance of the kernel.
+
+    Margin, with u = eps/2 and S = sum_k c_k^2 for the exact corner
+    distances c_k = max(x_ik - lo_k, hi_k - x_ik) >= |x_ik - x_jk|: a
+    rounded difference, or sum of nonnegative terms, is within a factor
+    1 +- u of exact, and so is a rounded square up to 2^-1075 absolute where
+    it is subnormal.  Hence the kernel's d2_ij <= (1+u)^(d+2) S + d 2^-1075
+    (1+u)^d, and U_i >= (1-u)^(d+2) S - d 2^-1075 in whatever order its sum
+    is taken, so d2_ij <= U_i (1 + (d+2) eps) + 2d 2^-1075, to first order.
+    The factor 1 + 2 (d+1) eps and the term (d+1) 2^-1074 cover that and the
+    rounding of the comparison's own product and sum (the relative part
+    alone would not move a subnormal U_i).  (Where the sum runs in coordinate
+    order, as numpy's does today, monotone rounding alone gives d2_ij <= U_i,
+    so no input shows the margin; it keeps the filter exact in any order.)
+    A row attaining the maximum M >= L thus passes both tests (a repeated
+    row's first copy does), and the maximum over the kept rows is bitwise
+    M.  An atom with a non-finite coordinate keeps every row, so NaN still
+    reaches the caller.
+    """
+    d = x.shape[1]
+    keep = np.ones((x.shape[0], x.shape[2]), dtype=bool)
+    np.any(x[:, :, 1:] != x[:, :, :-1], axis=1, out=keep[:, 1:])
+    lo = x.min(axis=2, keepdims=True)
+    hi = x.max(axis=2, keepdims=True)
+    ext = np.concatenate([x.argmin(axis=2), x.argmax(axis=2)], axis=1)
+    low = _sq_dists(np.take_along_axis(x, ext[:, None, :], axis=2), x).max(axis=(1, 2))
+    far = np.maximum(x - lo, hi - x)
+    far *= far
+    up = far.sum(axis=1)
+    keep &= up * (1.0 + 2 * (d + 1) * _EPS) + (d + 1) * _TINY >= low[:, None]
+    keep[~np.all(np.isfinite(lo) & np.isfinite(hi), axis=(1, 2))] = True
+    return keep
+
+
+def _candidate_stacks(x: np.ndarray):
+    """Yield ``(sel, pts)``: atoms ``sel`` of ``x`` (g, d, m) and their
+    ``_candidates`` rows (g', d, c), stacked in order of candidate count about
+    ``DIAMETER_BUDGET`` pairs at a time, each atom padded to the widest with
+    copies of its first kept row (which adds no new distance)."""
+    d, m = x.shape[1:]
+    step = max(1, DIAMETER_BUDGET // (2 * d * m))
+    keep = np.concatenate([_candidates(x[s:s + step]) for s in range(0, x.shape[0], step)])
+    counts = keep.sum(axis=1)
+    kept = np.argsort(~keep, axis=1, kind="stable")
+    rank = np.argsort(counts, kind="stable")
+    start = 0
+    while start < rank.size:
+        c = counts[rank[start:]]
+        stop = start + max(1, int(np.searchsorted(np.arange(1, c.size + 1) * c * c,
+                                                  DIAMETER_BUDGET, side="right")))
+        sel = rank[start:stop]
+        width = int(counts[sel[-1]])
+        rows = kept[sel, :width]
+        rows = np.where(np.arange(width) < counts[sel, None], rows, rows[:, :1])
+        yield sel, np.take_along_axis(x[sel], rows[:, None, :], axis=2)
+        start = stop
+
+
 def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-atom diameter of the prefix point sets (rows of ``prefixes``).
 
-    Atoms of one fiber dimension are stacked and their pairwise squared
-    distances ``sq_i + sq_j - 2 Re<p_i, p_j>`` formed for as many atoms at
-    once as ``DIAMETER_BUDGET`` allows.  Each atom's rows go ``DIAMETER_ROWS``
-    at a time, and the cross term multiplies by a separate conjugated copy,
-    so BLAS sees the products (and rounds them) as a per-atom loop would: a
-    lone trailing row is a matrix-vector product, and a transposed view of
-    the same buffer would be a symmetric product, each rounding differently.
+    The exact maximum over all pairs of rows of the ``_sq_dists`` distance,
+    on real coordinates (a complex fiber as its (re, im) pairs).  Blocks of
+    at least ``FILTER_MIN_ROWS`` rows first drop, per atom, the rows that
+    ``_candidates`` shows cannot attain it.  Since a distance's bits depend
+    on its two rows alone, the maximum over the kept rows is bitwise the
+    all-pairs one.  Atoms of one dimension are stacked, and each stack's
+    rows go against its candidates about ``DIAMETER_BUDGET`` pairs at a time.
     """
-    m1 = prefixes.shape[0]
+    if prefixes.dtype.kind == "c":
+        prefixes, offsets = prefixes.view(np.float64), 2 * offsets
+    m = prefixes.shape[0]
     dims = np.diff(offsets)
     out = np.zeros(dims.size)
     active = np.logical_or.reduceat(np.any(prefixes != 0, axis=0), offsets[:-1])
-    step = max(1, DIAMETER_BUDGET // (min(m1, DIAMETER_ROWS) * m1))
-    for d in sorted(set(dims.tolist())):
+    for d in sorted(set(dims[active].tolist())):
         atoms = np.flatnonzero(active & (dims == d))
-        for start in range(0, atoms.size, step):
-            sel = atoms[start:start + step]
-            cols = offsets[sel, None] + np.arange(d)
-            pts = np.ascontiguousarray(prefixes[:, cols].transpose(1, 0, 2))
-            ptsc = np.conj(pts)
-            sq = np.real(np.sum(pts * ptsc, axis=2))
-            conj_t = ptsc.transpose(0, 2, 1)
-            best = np.zeros(sel.size)
-            for r in range(0, m1, DIAMETER_ROWS):
-                cross = np.real(pts[:, r:r + DIAMETER_ROWS] @ conj_t)
-                d2 = sq[:, r:r + DIAMETER_ROWS, None] + sq[:, None, :] - 2.0 * cross
-                np.maximum(best, d2.max(axis=(1, 2)), out=best)
-            out[sel] = np.sqrt(best)
+        cols = offsets[atoms, None] + np.arange(d)
+        x = np.ascontiguousarray(prefixes[:, cols].transpose(1, 2, 0))
+        if m < FILTER_MIN_ROWS:
+            step = max(1, DIAMETER_BUDGET // (m * m))
+            stacks = ((slice(s, s + step), x[s:s + step]) for s in range(0, atoms.size, step))
+        else:
+            stacks = _candidate_stacks(x)
+        for sel, pts in stacks:
+            width = pts.shape[2]
+            slab = max(1, min(width, DIAMETER_BUDGET // width))
+            best = np.zeros(pts.shape[0])
+            for r in range(0, width, slab):
+                np.maximum(best, _sq_dists(pts[:, :, r:r + slab], pts).max(axis=(1, 2)), out=best)
+            out[atoms[sel]] = np.sqrt(best)
     return out
 
 
@@ -427,8 +518,10 @@ def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
 
     Coefficients a_1 and a_2 are treated as zero (the usual normalization;
     the first block starts at index 3).  Up to ``EXACT_OSCILLATION_LIMIT``
-    wide, the exact per-atom diameter of the block's prefix sums (max - min
-    on scalar real fibers); wider, the doubled one-sided estimate of a sweep.
+    wide, the exact per-atom diameter of the block's prefix sums: max - min
+    on scalar real fibers, otherwise the largest direct-difference distance
+    over the rows that can attain it (``_pointwise_diameters``).  Wider, the
+    doubled one-sided estimate of a sweep.
     """
     a = _coeff_array(coeffs, system, n).copy()
     n = a.size if n is None else n

@@ -58,6 +58,12 @@ def _finite_system(space: MeasureSpace, fibers: HilbertCollection,
     return system
 
 
+def _numbers(values, types=(int, float)) -> bool:
+    """Whether every value is a JSON number of the given Python types (bool
+    and str are neither, though numpy would convert both)."""
+    return {type(v) for v in values} <= set(types)
+
+
 def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
     """The (n, total_dim) values of the JSON ``elements``: per function one block
     per atom, block i holding dims[i] numbers ([re, im] pairs when complex)."""
@@ -65,8 +71,11 @@ def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
     try:
         if any([len(block) for block in blocks] != dims for blocks in elements):
             raise ValueError("block lengths differ from dims")
-        values = np.array([list(chain.from_iterable(blocks)) for blocks in elements],
-                          dtype=float)
+        rows = [list(chain.from_iterable(blocks)) for blocks in elements]
+        entries = chain.from_iterable(rows)
+        if not _numbers(chain.from_iterable(entries) if is_complex else entries):
+            raise ValueError("entries must be numbers")
+        values = np.array(rows, dtype=float)
         if values.shape != (len(elements), fibers.total_dim) + ((2,) * is_complex):
             raise ValueError("wrong entry shape")
     except (TypeError, ValueError) as exc:
@@ -86,11 +95,16 @@ def system_from_json(text: str) -> OrthonormalSystem:
     for key in ("field", "weights", "dims", "elements"):
         if key not in payload:
             raise StructuralError(f"system JSON missing key '{key}'")
+    weights, dims = payload["weights"], payload["dims"]
+    if not (isinstance(weights, list) and _numbers(weights)):
+        raise StructuralError("system JSON: 'weights' must list numbers")
+    if not (isinstance(dims, list) and _numbers(dims, (int,))):
+        raise StructuralError("system JSON: 'dims' must list integers")
     try:
-        weights = np.asarray(payload["weights"], dtype=float)
-        dims = np.asarray(payload["dims"], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError("system JSON: 'weights' and 'dims' must list numbers") from exc
+        weights = np.asarray(weights, dtype=float)
+        dims = np.asarray(dims, dtype=np.int64)
+    except OverflowError as exc:
+        raise StructuralError("system JSON: a weight or dimension is out of range") from exc
     fibers = HilbertCollection(dims=dims, field=Field(payload["field"]))
     return _finite_system(MeasureSpace(weights=weights), fibers,
                           _json_values(payload["elements"], fibers))

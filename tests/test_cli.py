@@ -73,6 +73,21 @@ def test_check_mr(capsys):
     assert len(payload["partial_sums"]) == 64
 
 
+def test_output_written_in_slices_is_byte_identical(tmp_path, capsys, monkeypatch):
+    import orthoseries.cli as cli
+    args = ["check-mr", "--powerlog", "1,1,0", "--trunc", "64"]
+    assert main(args + ["--out", str(tmp_path / "whole.json")]) == 0
+    assert main(args) == 0
+    whole_out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "WRITE_SLICE", 7)
+    assert main(args + ["--out", str(tmp_path / "sliced.json")]) == 0
+    assert main(args) == 0
+    whole = (tmp_path / "whole.json").read_bytes()
+    assert len(whole) > 100 * cli.WRITE_SLICE
+    assert (tmp_path / "sliced.json").read_bytes() == whole
+    assert capsys.readouterr().out == whole_out == whole.decode() + "\n"
+
+
 def test_check_tandori_explicit_file(tmp_path, capsys):
     coeffs = tmp_path / "a.csv"
     coeffs.write_text("0\n0\n1\n1\n")
@@ -329,10 +344,24 @@ def test_oversized_system_refused_before_allocating(capsys):
     ("sys.json", '{"field": "real", "weights": [1.0], "dims": null, "elements": [[[1.0]]]}'),
     ("sys.json", "5"),
     ("sys.json", '{"field": "complex", "weights": [1.0], "dims": [1], "elements": [[[1.0]]]}'),
+    ("sys.json", '{"field": "real", "weights": ["1.0"], "dims": [1], "elements": [[[0.5]]]}'),
+    ("sys.json", '{"field": "real", "weights": [true], "dims": [1], "elements": [[[0.5]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1.7], "elements": [[[0.5]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": ["1"], "elements": [[[0.5]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [true], "elements": [[[0.5]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1e30], "elements": [[[0.5]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [100000000000000000000000000000],'
+                 ' "elements": [[[0.5]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": [[["0.5"]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": [[[false]]]}'),
+    ("sys.json", '{"field": "complex", "weights": [1.0], "dims": [1],'
+                 ' "elements": [[[["0.5", 0.0]]]]}'),
     ("sys.csv", "element,atom,weight,v0\n0,-1,1.0,1.0\n"),
     ("sys.csv", "element,atom,weight,v0\n0,0\n"),
-], ids=["elements-5", "dims-null", "top-level-5", "complex-bare-floats", "csv-atom-minus-1",
-        "csv-short-row"])
+], ids=["elements-5", "dims-null", "top-level-5", "complex-bare-floats", "weights-string",
+        "weights-bool", "dims-fractional", "dims-string", "dims-bool", "dims-float",
+        "dims-over-int64", "entry-string", "entry-bool", "complex-entry-string",
+        "csv-atom-minus-1", "csv-short-row"])
 def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,25 +87,21 @@ def brute_delta(system, coeffs, plan, k, n):
     return out
 
 
-def per_atom_diameters(prefixes, offsets, chunk=256):
-    """The per-atom diameter loop the stacked kernel replaced; its bits are
-    the reference the kernel must reproduce exactly."""
-    m1 = prefixes.shape[0]
+def per_atom_diameters(prefixes, offsets):
+    """All-pairs diameters one atom at a time: sum_k (x_ik - x_jk)^2 added in
+    coordinate order on real coordinates (complex as (re, im) pairs).  The
+    kernel must reproduce its bits exactly, candidate filter or not."""
+    if prefixes.dtype.kind == "c":
+        prefixes, offsets = prefixes.view(np.float64), 2 * offsets
+    m = prefixes.shape[0]
     out = np.zeros(offsets.size - 1)
-    active_coord = np.any(prefixes != 0, axis=0)
     for i in range(offsets.size - 1):
-        seg = slice(offsets[i], offsets[i + 1])
-        if not np.any(active_coord[seg]):
-            continue
-        pts = prefixes[:, seg]
-        sq = np.real(np.sum(pts * np.conj(pts), axis=1))
-        best = 0.0
-        for start in range(0, m1, chunk):
-            block = pts[start:start + chunk]
-            cross = np.real(block @ np.conj(pts).T)
-            d2 = sq[start:start + chunk, None] + sq[None, :] - 2.0 * cross
-            best = max(best, float(d2.max()))
-        out[i] = math.sqrt(max(best, 0.0))
+        pts = prefixes[:, offsets[i]:offsets[i + 1]]
+        d2 = np.zeros((m, m))
+        for k in range(pts.shape[1]):
+            t = pts[:, k, None] - pts[None, :, k]
+            d2 += t * t
+        out[i] = math.sqrt(d2.max())
     return out
 
 
@@ -724,17 +721,64 @@ class TestTandoriDelta:
             tandori_delta(system, b, PermutationPlan.identity(16), 1)
 
 
+def walk(gen, m, dims, step=None):
+    """m prefix rows of a random walk over atoms of the given fiber ``dims``,
+    starting at 0; ``step(gen, shape)`` draws the increments."""
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    inc = (step or (lambda g, shape: g.standard_normal(shape)))(gen, (m - 1, offsets[-1]))
+    P = np.zeros((m, offsets[-1]), dtype=inc.dtype)
+    np.cumsum(inc, axis=0, out=P[1:])
+    return P, offsets
+
+
+def circle(gen):
+    """Points near circles of radius 1 about (1e3, -1e3): many near-tied
+    diameters, all far from the origin."""
+    theta = np.sort(gen.uniform(0, 2 * np.pi, (300, 3)), axis=0)
+    theta[150:] = theta[:150] + np.pi  # antipodes
+    r = 1.0 + 1e-15 * gen.standard_normal(theta.shape)
+    P = np.empty((300, 6))
+    P[:, 0::2], P[:, 1::2] = 1e3 + r * np.cos(theta), -1e3 + r * np.sin(theta)
+    return P, np.array([0, 2, 4, 6])
+
+
+def repeated_runs(gen):
+    """Rows that repeat the row before them 95 % of the time, per atom."""
+    def step(g, shape):
+        inc = g.standard_normal(shape)
+        inc[g.random(shape) < 0.95] = 0
+        return inc
+    return walk(gen, 400, [1, 2, 2, 3, 1, 4], step)
+
+
+def signed_zeros(gen):
+    """Coordinates that move between 0.0 and -0.0, beside nonzero ones."""
+    P, offsets = walk(gen, 80, [2, 2, 3, 1])
+    P[:, [0, 2, 3, 5, 6]] = np.copysign(0.0, gen.standard_normal((80, 5)))
+    return P, offsets
+
+
 class TestPointwiseDiameters:
-    CASES = {
+    SYSTEMS = {
         "real-d2": (SystemSpec(SystemKind.RANDOM_QR, 48, resolution=24, fiber_dim=2,
                                seed=3), 48),
         "real-d3": (SystemSpec(SystemKind.TENSOR_VECTOR, 32, fiber_dim=3), 32),
         "complex-d1": (SystemSpec(SystemKind.RANDOM_QR, 40, resolution=40, seed=4,
                                   field=Field.COMPLEX), 40),
         "varying-dim": (SystemSpec(SystemKind.VARYING_DIM, 48), 48),
-        # more prefixes than one 256-row product, ending on a lone row
-        "m1-over-one-chunk": (SystemSpec(SystemKind.RANDOM_QR, 256, resolution=128,
-                                         fiber_dim=2, seed=5), 257),
+        "m1-257": (SystemSpec(SystemKind.RANDOM_QR, 256, resolution=128,
+                              fiber_dim=2, seed=5), 257),
+    }
+    CRAFTED = {
+        "circle-far": circle,
+        "repeated-runs": repeated_runs,
+        "signed-zeros": signed_zeros,
+        "tiny-1e-160": lambda gen: walk(gen, 120, [1, 2, 3],
+                                        lambda g, shape: 1e-160 * g.standard_normal(shape)),
+        "complex-walk": lambda gen: walk(gen, 70, [1, 2],
+                                         lambda g, shape: g.standard_normal(shape)
+                                         + 1j * g.standard_normal(shape)),
+        "m1-513": lambda gen: walk(gen, 513, [1, 2, 3]),
     }
 
     @staticmethod
@@ -745,24 +789,99 @@ class TestPointwiseDiameters:
         np.cumsum(b[order, None] * system.values[order], axis=0, out=out[1:])
         return out
 
-    @pytest.mark.parametrize("budget", [mj.DIAMETER_BUDGET, 1])
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bitwise_equal_to_per_atom_loop(self, case, budget, monkeypatch):
-        # budget 1 stacks one atom per product, the default many
-        monkeypatch.setattr(mj, "DIAMETER_BUDGET", budget)
-        spec, m1 = self.CASES[case]
+    def case(self, name):
+        if name in self.CRAFTED:
+            return self.CRAFTED[name](rng(71))
+        spec, m1 = self.SYSTEMS[name]
         _, _, system = generate(spec)
         offsets = system.fibers.offsets
         P = self.prefixes(system, m1, 70)
-        if case == "varying-dim":
+        if name == "varying-dim":
             # atoms whose coordinates stay zero in every prefix, of each dimension
             for atom in (0, 1, 2, 7):
                 P[:, offsets[atom]:offsets[atom + 1]] = 0
+        return P, offsets
+
+    @pytest.mark.parametrize("filter_rows", [0, 1 << 30], ids=["filter", "all-pairs"])
+    @pytest.mark.parametrize("budget", [mj.DIAMETER_BUDGET, 1])
+    @pytest.mark.parametrize("case", sorted(SYSTEMS) + sorted(CRAFTED))
+    def test_bitwise_equal_to_per_atom_loop(self, case, budget, filter_rows, monkeypatch):
+        # budget 1 stacks one atom and one row per product, the default many
+        monkeypatch.setattr(mj, "DIAMETER_BUDGET", budget)
+        monkeypatch.setattr(mj, "FILTER_MIN_ROWS", filter_rows)
+        P, offsets = self.case(case)
         got = mj._pointwise_diameters(P, offsets)
         want = per_atom_diameters(P, offsets)
         assert np.array_equal(got, want)
         if case == "varying-dim":
             assert np.all(got[[0, 1, 2, 7]] == 0) and np.all(got[3:7] > 0)
+        if case == "tiny-1e-160":
+            # squared distances in the subnormal range
+            assert np.all((got > 0) & (got ** 2 < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_atom_keeps_every_row(self, bad, monkeypatch):
+        monkeypatch.setattr(mj, "FILTER_MIN_ROWS", 0)
+        P, offsets = walk(rng(72), 100, [2, 2, 1])
+        P[40, 1] = bad
+        with np.errstate(invalid="ignore"):
+            got = mj._pointwise_diameters(P, offsets)
+            want = per_atom_diameters(P, offsets)
+        assert np.isnan(got[0])
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_within_rounding_of_exact_arithmetic(self, complex_field):
+        # the exact diameter from the same binary64 inputs in rationals; each
+        # squared distance adds D = 2 * dim or dim terms, so the result is
+        # within (D + 2) eps of it
+        gen = rng(73)
+        for _ in range(6):
+            dims = gen.integers(1, 4, size=3)
+            step = ((lambda g, shape: g.standard_normal(shape)
+                     + 1j * g.standard_normal(shape)) if complex_field else None)
+            P, offsets = walk(gen, int(gen.integers(2, 40)), dims, step)
+            P *= 10.0 ** int(gen.integers(-5, 6))
+            got = mj._pointwise_diameters(P, offsets)
+            R = P.view(np.float64) if complex_field else P
+            scale = 2 if complex_field else 1
+            for i in range(dims.size):
+                cols = range(scale * offsets[i], scale * offsets[i + 1])
+                pts = [[Fraction(float(R[r, k])) for k in cols] for r in range(R.shape[0])]
+                exact_sq = max(sum((u - v) ** 2 for u, v in zip(p, q))
+                               for p in pts for q in pts)
+                tol = Fraction((len(cols) + 2) * np.finfo(float).eps)
+                g = Fraction(float(got[i]))
+                assert (g / (1 + tol)) ** 2 <= exact_sq <= (g / (1 - tol)) ** 2
+
+    @staticmethod
+    def kept_share(P, offsets):
+        """The share of (atom, row) pairs the candidate filter keeps."""
+        dims = np.diff(offsets)
+        kept = 0
+        for d in set(dims.tolist()):
+            atoms = np.flatnonzero(dims == d)
+            cols = offsets[atoms, None] + np.arange(d)
+            x = np.ascontiguousarray(P[:, cols].transpose(1, 2, 0))
+            kept += int(mj._candidates(x).sum())
+        return kept / (P.shape[0] * dims.size)
+
+    @pytest.mark.parametrize("spec, share", [
+        # 11-20 % kept measured
+        (SystemSpec(SystemKind.RANDOM_QR, 640, resolution=320, fiber_dim=2, seed=1001), 0.3),
+        # atoms see about 2 distinct points of the block: under 1 % kept
+        (SystemSpec(SystemKind.VARYING_DIM, 600), 0.05),
+    ], ids=["random-qr-d2", "varying-dim"])
+    def test_filter_keeps_few_rows(self, spec, share):
+        # a filter that silently keeps every row is still exact, only slow
+        _, _, system = generate(spec)
+        lo, hi = tandori_blocks(len(system)).ranges[-1]
+        b = random_coeffs(system, 74)
+        order = lo - 1 + rng(75).permutation(hi - lo + 1)
+        P = np.zeros((order.size + 1, system.values.shape[1]))
+        np.cumsum(b[order, None] * system.values[order], axis=0, out=P[1:])
+        assert P.shape[0] >= 345
+        assert self.kept_share(P, system.fibers.offsets) <= share
 
 
 class TestAdversarial:
