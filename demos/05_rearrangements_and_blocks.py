@@ -2,8 +2,9 @@
 """Rearrangement stress tests and blocked oscillations.
 
 Every rearrangement of a short series is enumerated to find the worst one;
-adversarial plans (greedy prefix growth, block reversal) are built for a
-longer series; and the blocked oscillation of each double-exponential
+adversarial plans are built for a longer series (greedy prefix growth,
+which on an orthonormal system is the decreasing-|a_n| order, and block
+reversal); and the blocked oscillation of each double-exponential
 block is compared with its 8 sqrt(block mass) bound.
 """
 

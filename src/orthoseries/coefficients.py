@@ -31,8 +31,11 @@ import numpy as np
 
 from .errors import ContractError
 from .summation import compensated_cumsum, compensated_sum
+from .systems import MAX_SYSTEM_VALUES
 
-MAX_TRUNCATION = 1 << 32
+# The condition sums take about 180 bytes per term at peak, so a truncation
+# is held to the same 2^24 limit as the values of a generated system.
+MAX_TRUNCATION = MAX_SYSTEM_VALUES
 
 
 class Classification(Enum):
@@ -228,7 +231,7 @@ def _check_truncation(truncation: int, minimum: int) -> None:
     if truncation < minimum:
         raise ContractError(f"truncation must be >= {minimum}")
     if truncation > MAX_TRUNCATION:
-        raise ContractError(f"truncation capped at 2^32 = {MAX_TRUNCATION}")
+        raise ContractError(f"truncation {truncation} over the limit of {MAX_TRUNCATION} terms")
 
 
 def _bertrand(p: float, q: float) -> Classification:

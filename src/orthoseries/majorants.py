@@ -16,7 +16,10 @@ the chaining and oscillation diagnostics run on it too.  On top sit:
   final majorant bound with constant 4),
 * blocked oscillations of a rearranged series (the quantity controlled by
   the Tandori blocks), and
-* permutation plans, including two adversarial constructions.
+* permutation plans, including two adversarial constructions that depend
+  on the coefficients alone: the max-prefix greedy order, which Parseval
+  makes the decreasing-|a_n| order on an orthonormal system, and the
+  reversal of every Tandori block.
 """
 
 from __future__ import annotations
@@ -581,10 +584,13 @@ def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
     """Deterministic stress rearrangements.
 
     GREEDY_MAX_PREFIX picks, at each step, the unused index that maximizes
-    the L2 norm of the resulting running prefix (ties break to the
-    smallest index).  BLOCK_REVERSAL keeps indices 1, 2 fixed and reverses
-    each Tandori block.  ``seed`` is recorded but unused; both strategies
-    are functions of (system, coefficients, n) alone.
+    the L2 norm of the resulting running prefix, ties breaking to the
+    smallest index.  On an orthonormal system (every generated one is, to
+    1e-10) Parseval makes that norm the sum of |a_n|^2 over the picks, so
+    each step takes the largest remaining |a_n|: the plan is the stable
+    decreasing-|a_n| order.  BLOCK_REVERSAL keeps indices 1, 2 fixed and
+    reverses each Tandori block.  ``seed`` is recorded but unused; both
+    strategies are functions of (coefficients, n) alone.
     """
     if n < 2:
         raise ContractError("adversarial permutations need n >= 2")
@@ -597,26 +603,6 @@ def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
         return PermutationPlan(order=tuple(order),
                                provenance=PlanProvenance.BLOCK_REVERSAL, seed=seed)
 
-    V = system.values[:n]
-    Vc = np.conj(V) if V.dtype.kind == "c" else V
-    w = system.expanded_weights
-    fn_sq = np.real(np.sum(w * np.abs(V) ** 2, axis=1))
-    # weighted Gram matrix: the inner products <v, phi_j> of the running
-    # prefix v advance by one row per pick instead of a product over V
-    gram = (w * V) @ Vc.T
-    ips = np.zeros(n, dtype=V.dtype)
-    mask = np.ones(n, dtype=bool)
-    v = np.zeros(V.shape[1], dtype=V.dtype)
-    v_sq = 0.0
-    order = []
-    for _ in range(n):
-        scores = v_sq + 2.0 * np.real(np.conj(a[:n]) * ips) + np.abs(a[:n]) ** 2 * fn_sq
-        scores[~mask] = -np.inf
-        pick = int(np.argmax(scores))
-        mask[pick] = False
-        order.append(pick + 1)
-        ips += a[pick] * gram[pick]
-        v = v + a[pick] * V[pick]
-        v_sq = float(np.real(np.sum(w * np.abs(v) ** 2)))
-    return PermutationPlan(order=tuple(order),
+    order = np.argsort(-np.abs(a[:n]), kind="stable") + 1
+    return PermutationPlan(order=tuple(order.tolist()),
                            provenance=PlanProvenance.GREEDY_ADVERSARIAL, seed=seed)

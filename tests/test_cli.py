@@ -168,6 +168,13 @@ def test_out_of_range_decompose_exit_2():
     assert main(["decompose", "9", "3"]) == 2
 
 
+def test_truncation_over_cap_exit_2(capsys):
+    assert main(["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1.5",
+                 "--trunc", "16777217"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_zero_trials_exit_2(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["verify", "--check", "dyadic-pointwise", "--trials", "0",
@@ -242,6 +249,9 @@ HAAR8 = {"systems": [{"kind": "haar", "n": 8}], "checks": ["dyadic-pointwise"],
     ({"n_trials": None}, "n_trials"),
     ({"truncation": [65536]}, "truncation"),
     ({"riesz_condition": None}, "riesz_condition"),
+    ({"riesz_condition": -4}, "riesz_condition"),
+    ({"riesz_condition": 0}, "riesz_condition"),
+    ({"shuffle_plans": -1}, "shuffle_plans"),
     ({"tolerances": None}, "tolerances"),
     ({"checks": None}, "checks"),
 ])

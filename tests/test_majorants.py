@@ -106,8 +106,9 @@ def per_atom_diameters(prefixes, offsets):
 
 
 def per_step_greedy(system, coeffs, n):
-    """The greedy adversary recomputing <v, phi_j> from V at every step,
-    the reference for the one-Gram-product version."""
+    """The greedy adversary by its definition, recomputing <v, phi_j> from V
+    at every step: on untied draws, the reference that the decreasing-|a_n|
+    sort of ``adversarial_permutation`` reproduces by Parseval."""
     a = np.asarray(coeffs, dtype=system.values.dtype)
     V = system.values[:n]
     Vc = np.conj(V) if V.dtype.kind == "c" else V
@@ -907,6 +908,28 @@ class TestAdversarial:
         plan = adversarial_permutation(system, b, 16,
                                        AdversarialStrategy.GREEDY_MAX_PREFIX)
         assert plan.order == per_step_greedy(system, b, 16)
+
+    @pytest.mark.parametrize("spec, pattern", [
+        (SystemSpec(SystemKind.HAAR, 64), [1.0, -1.0, 0.5, 0.5, 0.0, 2.0]),
+        (SystemSpec(SystemKind.RANDOM_QR, 40, resolution=40, seed=7, field=Field.COMPLEX),
+         [1.0, 1j, -1.0, -1j, 0.5, 0.5j]),
+    ], ids=["haar", "random-qr-complex"])
+    def test_greedy_exact_ties_break_to_smallest_index(self, spec, pattern):
+        # rounding in a float greedy's scores would break these ties arbitrarily
+        _, _, system = generate(spec)
+        n = len(system)
+        b = np.resize(np.array(pattern), n)
+        plan = adversarial_permutation(system, b, n, AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert plan.order == tuple(sorted(range(1, n + 1), key=lambda i: -abs(b[i - 1])))
+
+    def test_greedy_orders_magnitudes_whose_squares_underflow(self):
+        _, _, system = generate(SystemSpec(SystemKind.HAAR, 16))
+        b = 1e-170 * np.arange(1, 17)
+        assert np.all(b ** 2 == 0.0)
+        # the float greedy sees sixteen zero scores and falls back to index order
+        assert per_step_greedy(system, b, 16) == tuple(range(1, 17))
+        plan = adversarial_permutation(system, b, 16, AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert plan.order == tuple(range(16, 0, -1))
 
     def test_greedy_two_case(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 2))
