@@ -95,7 +95,9 @@ class SequenceSpec:
             out[:m] = vals[:m]
             return out
         n = np.arange(1, truncation + 1, dtype=float)
-        return self.scale * n ** (-self.alpha) * np.log2(n + 1.0) ** (-self.beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self.scale * n ** (-self.alpha) * np.log2(n + 1.0) ** (-self.beta),
+                           self)
 
     def describe(self) -> str:
         if self.is_explicit:
@@ -157,9 +159,7 @@ class WeightSpec:
             # math.log2 takes exact big ints; fold a fractional shift in as
             # log2(n) + log2(1 + shift/n)
             base = math.log2(n) + math.log1p(self.shift / n) / math.log(2)
-        base = max(base, 1.0)
-        w1 = self._first_value()
-        return max(base ** self.gamma, w1)
+        return max(self._power(max(base, 1.0)), self._first_value())
 
     def _first_value(self) -> float:
         if self.is_explicit:
@@ -168,7 +168,16 @@ class WeightSpec:
             b1 = math.log2(1 + int(self.shift))
         else:
             b1 = math.log2(1.0 + self.shift)
-        return max(b1, 1.0) ** self.gamma
+        return self._power(max(b1, 1.0))
+
+    def _power(self, base):
+        """base ** gamma, for a float or an array base; overflow is a ContractError."""
+        try:
+            with np.errstate(over="ignore"):
+                out = base ** self.gamma
+        except OverflowError:
+            out = math.inf
+        return _finite(out, self)
 
     def values(self, truncation: int) -> np.ndarray:
         """w_1 .. w_truncation."""
@@ -181,7 +190,7 @@ class WeightSpec:
             return np.asarray(self.explicit[:truncation], dtype=float)
         n = np.arange(1, truncation + 1, dtype=float)
         base = np.maximum(np.log2(n + self.shift), 1.0)
-        return np.maximum(base ** self.gamma, self._first_value())
+        return np.maximum(self._power(base), self._first_value())
 
     def describe(self) -> str:
         if self.is_explicit:
@@ -225,6 +234,13 @@ class ConditionReport:
     @property
     def total(self) -> float:
         return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
+
+
+def _finite(values, spec):
+    """``values`` unchanged when all finite, else a ContractError naming ``spec``."""
+    if not np.all(np.isfinite(values)):
+        raise ContractError(f"{spec.describe()}: a value overflows float64")
+    return values
 
 
 def _check_truncation(truncation: int, minimum: int) -> None:
@@ -272,8 +288,6 @@ def tandori_blocks(truncation: int) -> TandoriBlocks:
             break
         hi = min(lo_threshold * lo_threshold, truncation)
         ranges.append((lo, hi))
-    if not ranges:
-        raise ContractError("no Tandori block intersects support")
     return TandoriBlocks(truncation=truncation, nu=tuple(nu), ranges=tuple(ranges))
 
 

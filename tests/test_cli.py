@@ -327,9 +327,19 @@ NAN, INF = float("nan"), float("inf")
     lambda t: _config(t, {"riesz_condition": NAN}),
     lambda t: _config(t, {"tolerances": {"dyadic-pointwise": INF}}),
     lambda t: _config(t, {"systems": [{"kind": "haar", "n": INF}]}),
+    # finite parameters whose values overflow float64
+    lambda t: ["check-mr", "--powerlog", "1,-1000,0", "--trunc", "8"],
+    lambda t: ["check-tandori", "--powerlog", "1,-1000,0", "--trunc", "8"],
+    lambda t: ["check-orlicz", "--powerlog", "1,-1000,0", "--logpower", "1.5", "--trunc", "8"],
+    lambda t: ["check-orlicz", "--powerlog", "1,1,2", "--logpower", "2000", "--trunc", "8"],
+    lambda t: _config(t, {"checks": ["orlicz-chain"],
+                          "weights": {"form": "log-power", "gamma": 2000}}),
+    lambda t: _config(t, {"checks": ["mr-inequality"], "coefficients": {
+        "form": "power-log", "scale": 1, "alpha": -1000, "beta": 0}}),
 ], ids=["powerlog", "logpower", "explicit-file", "coeffs", "coeffs-file", "system-json",
         "system-csv", "config-gamma", "config-values", "config-riesz", "config-tolerance",
-        "config-n"])
+        "config-n", "mr-overflow", "tandori-overflow", "orlicz-coeff-overflow",
+        "orlicz-weight-overflow", "config-weight-overflow", "config-coeff-overflow"])
 def test_non_finite_input_exit_2(tmp_path, capsys, case):
     argv = case(tmp_path)
     capsys.readouterr()

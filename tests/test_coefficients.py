@@ -255,3 +255,15 @@ def test_truncation_cap():
 def test_power_log_rejects_negative_scale():
     with pytest.raises(ContractError):
         SequenceSpec.power_log(-1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SequenceSpec.power_log(1.0, -1000.0, 0.0).coefficients(8),
+    lambda: SequenceSpec.power_log(0.0, -1000.0, 0.0).coefficients(8),
+    lambda: WeightSpec.log_power(2000.0).values(8),
+    lambda: WeightSpec.log_power(2000.0).value_at(4),
+    lambda: WeightSpec.log_power(2000.0, shift=2.5).value_at(1),
+], ids=["coeff-inf", "coeff-zero-times-inf", "weights-array", "weight-at", "weight-at-shift"])
+def test_overflowing_families_refused(call):
+    with pytest.raises(ContractError, match="overflows float64"):
+        call()

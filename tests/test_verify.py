@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
                          SystemKind, SystemSpec, TrialConfig,
                          exhaustive_permutation_check, generate, majorant,
                          oracle_majorant, run_suite)
+from orthoseries.direct_integral import OrthonormalSystem
+from orthoseries.systems import seeded_rng
 from orthoseries.verify import (check_mr_inequality, check_riesz_ratio,
                                 check_tandori_block, default_config,
-                                tandori_threshold_arithmetic)
+                                tandori_threshold_arithmetic, trial_seed_path)
 
 from conftest import rng
 
@@ -118,6 +121,24 @@ class TestTandoriBlockCheck:
         assert [row["nu"] for row in rows] == [2, 4, 16, 256, 65536, 2 ** 32]
         assert all(row["ok"] for row in rows)
 
+    def test_nan_oscillation_is_the_reported_case(self, monkeypatch):
+        # one plan and block go NaN in every trial: the earliest trial's
+        # NaN record is the worst case, whatever finite ratios surround it
+        real = verify.tandori_delta
+
+        def nan_on_greedy_block_1(system, coeffs, plan, k, n=None):
+            osc = real(system, coeffs, plan, k, n)
+            if plan.describe() == "greedy-adversarial" and k == 1:
+                return replace(osc, l2=math.nan)
+            return osc
+
+        monkeypatch.setattr(verify, "tandori_delta", nan_on_greedy_block_1)
+        res = check_tandori_block(small_config(checks={Check.TANDORI_BLOCK}, n_trials=4))
+        assert not res.passed
+        assert math.isnan(res.worst_ratio)
+        case = res.worst_case
+        assert (case["trial"], case["plan"], case["block"]) == (0, "greedy-adversarial", 1)
+
     def test_arithmetic_values(self):
         rows = tandori_threshold_arithmetic()
         k1 = rows[1]
@@ -147,6 +168,14 @@ class TestExhaustivePermutations:
         assert res.n_cases == 720
         assert len(res.worst_case["worst_permutation"]) == 6
 
+    def test_nan_coefficients_fail(self):
+        _, _, system = generate(SystemSpec(SystemKind.HAAR, 6))
+        res = exhaustive_permutation_check(system, np.full(6, np.nan), 6)
+        assert not res.passed
+        assert math.isnan(res.worst_ratio)
+        assert res.n_cases == 720
+        assert res.worst_case["worst_permutation"] == [1, 2, 3, 4, 5, 6]
+
     def test_size_cap(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 9))
         with pytest.raises(ContractError):
@@ -155,16 +184,35 @@ class TestExhaustivePermutations:
 
 class TestRieszRatio:
     def test_ratio_identity_with_mr_normalization(self):
-        # same data, two normalizations: the quotient is fixed by n alone
-        gen = rng(2)
-        _, _, system = generate(SystemSpec(SystemKind.HAAR, 32))
-        b = gen.standard_normal(32)
-        l2 = majorant(system, b).l2_norm
-        bn = math.sqrt(float(np.sum(b ** 2)))
-        lemma_ratio = l2 / ((2 + math.log2(32)) * bn)
-        riesz_ratio = l2 / (math.log2(33) * bn)
-        scale = (2 + math.log2(32)) / math.log2(33)
-        assert riesz_ratio == pytest.approx(lemma_ratio * scale, rel=1e-14)
+        # trial 0 by hand: the mix is drawn before b, and the ratio is
+        # ||S_N*|| / (sqrt(B) (2 + log2 N) ||b||) on the mixed system
+        cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.HAAR, 32),),
+                          checks={Check.RIESZ_RATIO}, n_trials=1, seed=5)
+        res = check_riesz_ratio(cfg)
+        _, _, system = generate(cfg.system_specs[0])
+        gen = seeded_rng(trial_seed_path(5, Check.RIESZ_RATIO, 0))
+        mix = verify._conditioned_mix(gen, 32, cfg.riesz_condition)
+        mixed = OrthonormalSystem(system.space, system.fibers, mix @ system.values)
+        b = gen.standard_normal(32) / np.arange(1, 33)
+        rhs = (math.sqrt(res.worst_case["riesz_upper"]) * (2 + math.log2(32))
+               * math.sqrt(float(np.sum(b ** 2))))
+        assert res.passed
+        assert res.worst_ratio == pytest.approx(majorant(mixed, b).l2_norm / rhs, rel=1e-14)
+
+    def test_inflated_majorant_fails(self, monkeypatch):
+        # scale every majorant so the worst trial lands at ratio 2
+        cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8)
+        worst = check_riesz_ratio(cfg).worst_ratio
+        real = verify.majorant
+
+        def inflated(system, coeffs):
+            prof = real(system, coeffs)
+            return replace(prof, l2_norm=prof.l2_norm * 2.0 / worst)
+
+        monkeypatch.setattr(verify, "majorant", inflated)
+        res = check_riesz_ratio(cfg)
+        assert not res.passed
+        assert res.worst_ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_check_reports_finite_ratio_and_bounds(self):
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8,
