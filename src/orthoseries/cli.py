@@ -208,8 +208,8 @@ def _cmd_gen_ons(args) -> int:
 
 def _cmd_check_condition(args) -> int:
     rep = args.condition(_sequence_from_args(args), args.trunc)
-    _write(json.dumps({"schema_version": SCHEMA_VERSION, **_condition_dict(rep)},
-                      sort_keys=True), args.out)
+    _write(serialization.dumps({"schema_version": SCHEMA_VERSION, **_condition_dict(rep)},
+                               sort_keys=True), args.out)
     return 0
 
 
@@ -231,7 +231,7 @@ def _cmd_check_orlicz(args) -> int:
             "classification": red.classification.value,
         },
     }
-    _write(json.dumps(payload, sort_keys=True), args.out)
+    _write(serialization.dumps(payload, sort_keys=True), args.out)
     return 0 if red.all_hold else 1
 
 

@@ -231,6 +231,11 @@ class ConditionReport:
     classification: Classification
     truncation_length: int
 
+    def __post_init__(self):
+        # a running sum that reached inf or NaN stays there, so the total tells
+        if not math.isfinite(self.total):
+            raise ContractError(f"{self.condition_id.value}: the partial sums overflow float64")
+
     @property
     def total(self) -> float:
         return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
@@ -257,13 +262,16 @@ def _bertrand(p: float, q: float) -> Classification:
     return Classification.DIVERGES
 
 
+def weyl_terms(coeffs: np.ndarray) -> np.ndarray:
+    """The Menshov-Rademacher terms |a_n|^2 log2^2(n+1) of a_1, a_2, ..."""
+    n = np.arange(1, len(coeffs) + 1, dtype=float)
+    return np.abs(coeffs) ** 2 * np.log2(n + 1.0) ** 2
+
+
 def weyl_sum(a: SequenceSpec, truncation: int) -> ConditionReport:
     """Partial sums of sum_n |a_n|^2 log2^2(n+1) from n = 1."""
     _check_truncation(truncation, 1)
-    coeffs = a.coefficients(truncation)
-    n = np.arange(1, truncation + 1, dtype=float)
-    terms = np.abs(coeffs) ** 2 * np.log2(n + 1.0) ** 2
-    partials = compensated_cumsum(terms)
+    partials = compensated_cumsum(weyl_terms(a.coefficients(truncation)))
     if a.is_explicit:
         cls = Classification.UNKNOWN_FROM_TRUNCATION
     elif a.scale == 0:
@@ -291,15 +299,16 @@ def tandori_blocks(truncation: int) -> TandoriBlocks:
     return TandoriBlocks(truncation=truncation, nu=tuple(nu), ranges=tuple(ranges))
 
 
+def block_mass(coeffs: np.ndarray, lo: int, hi: int) -> float:
+    """sum_{n=lo}^{hi} |a_n|^2 log2^2 n, for the coefficients a_1, a_2, ..."""
+    n = np.arange(lo, hi + 1, dtype=float)
+    return compensated_sum(np.abs(coeffs[lo - 1:hi]) ** 2 * np.log2(n) ** 2)
+
+
 def block_masses(a: SequenceSpec, blocks: TandoriBlocks) -> np.ndarray:
     """A_k = sum_{n in block k} |a_n|^2 log2^2 n for each block."""
     coeffs = a.coefficients(blocks.truncation)
-    out = np.empty(len(blocks.ranges))
-    for k, (lo, hi) in enumerate(blocks.ranges):
-        n = np.arange(lo, hi + 1, dtype=float)
-        seg = np.abs(coeffs[lo - 1:hi]) ** 2 * np.log2(n) ** 2
-        out[k] = compensated_sum(seg)
-    return out
+    return np.array([block_mass(coeffs, lo, hi) for lo, hi in blocks.ranges])
 
 
 def _tandori_classification(a: SequenceSpec) -> Classification:

@@ -15,7 +15,7 @@ the chaining and oscillation diagnostics run on it too.  On top sit:
   three inequalities (block-norm sum, within-block square sum, and the
   final majorant bound with constant 4),
 * blocked oscillations of a rearranged series (the quantity controlled by
-  the Tandori blocks), and
+  the Tandori blocks), exact on every block, and
 * permutation plans, including two adversarial constructions that depend
   on the coefficients alone: the max-prefix greedy order, which Parseval
   makes the decreasing-|a_n| order on an orthonormal system, and the
@@ -30,16 +30,11 @@ from enum import Enum
 
 import numpy as np
 
-from .coefficients import tandori_blocks
+from .coefficients import block_mass, tandori_blocks, weyl_terms
 from .direct_integral import DirectIntegralElement, Field, OrthonormalSystem
 from .errors import ContractError, StructuralError
 from .summation import compensated_sum
 from .systems import seeded_rng
-
-# Widest block for which rearranged oscillations are computed by the exact
-# all-pairs supremum; wider blocks fall back to the doubled one-sided
-# estimate the proof itself uses.
-EXACT_OSCILLATION_LIMIT = 4096
 
 # The exact oscillation kernel forms about DIAMETER_BUDGET squared distances
 # at once (512 KiB of float64).
@@ -356,8 +351,7 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingD
         block_coeff_sq[k] = compensated_sum(np.abs(a[lo - 1:hi]) ** 2)
         inner_sup_norms[k] = _weighted_l2(weights, inner_sq)
 
-    idx = np.arange(1, n + 1, dtype=float)
-    weyl_mass = compensated_sum(np.abs(a) ** 2 * np.log2(idx + 1.0) ** 2)
+    weyl_mass = compensated_sum(weyl_terms(a[:n]))
     block_norm_sum = compensated_sum(block_norms)
     inner_sq_sum = compensated_sum(inner_sup_norms ** 2)
     return ChainingDiagnostics(
@@ -383,8 +377,8 @@ class BlockOscillation:
     to indices of this block, in rearranged order) of the fiber norm;
     ``doubled_one_sided`` is twice the one-sided prefix supremum, the
     estimate the proof uses; ``bound`` is
-    8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).  ``mode`` records whether
-    the exact all-pairs supremum ran or the doubled estimate stands in.
+    8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).  ``mode`` is always
+    "exact", the mode the tandori-block report case records.
     """
 
     block_index: int
@@ -520,11 +514,10 @@ def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
     """Oscillation diagnostics of block ``k`` for one rearrangement.
 
     Coefficients a_1 and a_2 are treated as zero (the usual normalization;
-    the first block starts at index 3).  Up to ``EXACT_OSCILLATION_LIMIT``
-    wide, the exact per-atom diameter of the block's prefix sums: max - min
-    on scalar real fibers, otherwise the largest direct-difference distance
-    over the rows that can attain it (``_pointwise_diameters``).  Wider, the
-    doubled one-sided estimate of a sweep.
+    the first block starts at index 3).  The exact per-atom diameter of the
+    block's prefix sums: max - min on scalar real fibers, otherwise the
+    largest direct-difference distance over the rows that can attain it
+    (``_pointwise_diameters``).
     """
     a = _coeff_array(coeffs, system, n).copy()
     n = a.size if n is None else n
@@ -539,17 +532,10 @@ def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
     order = np.asarray(plan.order)
     src = order[(order >= lo) & (order <= hi)] - 1
 
-    idx = np.arange(lo, hi + 1, dtype=float)
-    mass = compensated_sum(np.abs(a[lo - 1:hi]) ** 2 * np.log2(idx) ** 2)
-    bound = 8.0 * math.sqrt(mass)
-
     V = system.values
     offsets = system.fibers.offsets
     zero = np.zeros(V.shape[1], dtype=V.dtype)
-    exact = hi - lo + 1 <= EXACT_OSCILLATION_LIMIT
-    if not exact:
-        values = doubled = 2.0 * np.sqrt(_sweep(V, offsets, a, src)[0])
-    elif V.dtype.kind != "c" and np.all(system.fibers.dims == 1):
+    if V.dtype.kind != "c" and np.all(system.fibers.dims == 1):
         # on a real line the diameter is max - min, taken a budget of rows at
         # a time; |x| keeps the bits that sqrt(x^2) would lose to underflow
         top, bottom = zero.copy(), zero.copy()
@@ -564,13 +550,13 @@ def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
         doubled = 2.0 * np.sqrt(_fiber_sq_norms(prefixes[1:], offsets).max(axis=0))
 
     # NaN fails this comparison too, so it raises as well
-    if exact and not np.all(values <= doubled + 1e-12 * np.maximum(doubled, 1.0)):
+    if not np.all(values <= doubled + 1e-12 * np.maximum(doubled, 1.0)):
         raise RuntimeError("oscillation exceeded its doubled one-sided bound")
 
     return BlockOscillation(block_index=k, lo=lo, hi=hi, indicator_count=src.size,
                             values=values, l2=_weighted_l2(system.space.weights, values ** 2),
-                            doubled_one_sided=doubled, bound=bound,
-                            mode="exact" if exact else "doubled-one-sided")
+                            doubled_one_sided=doubled,
+                            bound=8.0 * math.sqrt(block_mass(a, lo, hi)), mode="exact")
 
 
 class AdversarialStrategy(Enum):
@@ -579,8 +565,7 @@ class AdversarialStrategy(Enum):
 
 
 def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
-                            strategy: AdversarialStrategy,
-                            seed=None) -> PermutationPlan:
+                            strategy: AdversarialStrategy) -> PermutationPlan:
     """Deterministic stress rearrangements.
 
     GREEDY_MAX_PREFIX picks, at each step, the unused index that maximizes
@@ -589,8 +574,8 @@ def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
     1e-10) Parseval makes that norm the sum of |a_n|^2 over the picks, so
     each step takes the largest remaining |a_n|: the plan is the stable
     decreasing-|a_n| order.  BLOCK_REVERSAL keeps indices 1, 2 fixed and
-    reverses each Tandori block.  ``seed`` is recorded but unused; both
-    strategies are functions of (coefficients, n) alone.
+    reverses each Tandori block.  Both strategies are functions of
+    (coefficients, n) alone.
     """
     if n < 2:
         raise ContractError("adversarial permutations need n >= 2")
@@ -600,9 +585,8 @@ def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
         if n >= 3:
             for lo, hi in tandori_blocks(n).ranges:
                 order[lo - 1:hi] = order[lo - 1:hi][::-1]
-        return PermutationPlan(order=tuple(order),
-                               provenance=PlanProvenance.BLOCK_REVERSAL, seed=seed)
+        return PermutationPlan(order=tuple(order), provenance=PlanProvenance.BLOCK_REVERSAL)
 
     order = np.argsort(-np.abs(a[:n]), kind="stable") + 1
     return PermutationPlan(order=tuple(order.tolist()),
-                           provenance=PlanProvenance.GREEDY_ADVERSARIAL, seed=seed)
+                           provenance=PlanProvenance.GREEDY_ADVERSARIAL)

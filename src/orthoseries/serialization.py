@@ -17,7 +17,9 @@ dimensions are recovered from the number of populated value cells, and the
 weight column repeats each atom's mass on every row.
 
 Floats are written with repr(), so every binary64 value round-trips
-bit-exactly through both formats.
+bit-exactly through both formats.  Every JSON file the package writes goes
+through ``dumps`` and is strict JSON: a NaN or an infinity is written as
+``null``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,16 @@ from .errors import StructuralError
 SCHEMA_VERSION = 1
 
 
+def dumps(payload, **kwargs) -> str:
+    """``json.dumps(payload, **kwargs)`` as strict JSON: only a payload that
+    holds a NaN or an infinity is encoded again, with those floats as null."""
+    try:
+        return json.dumps(payload, allow_nan=False, **kwargs)
+    except ValueError:
+        nulled = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        return json.dumps(nulled, allow_nan=False, **kwargs)
+
+
 def system_to_json(system: OrthonormalSystem) -> str:
     values, off = system.values, system.fibers.offsets.tolist()
     if system.fibers.field is Field.COMPLEX:
@@ -46,7 +58,7 @@ def system_to_json(system: OrthonormalSystem) -> str:
         "dims": system.fibers.dims.tolist(),
         "elements": [[row[lo:hi] for lo, hi in zip(off, off[1:])] for row in values.tolist()],
     }
-    return json.dumps(payload, sort_keys=True)
+    return dumps(payload, sort_keys=True)
 
 
 def _finite_system(space: MeasureSpace, fibers: HilbertCollection,
@@ -181,7 +193,7 @@ def system_from_csv(text: str) -> OrthonormalSystem:
 
 
 def profile_to_json(profile) -> str:
-    return json.dumps({
+    return dumps({
         "schema_version": SCHEMA_VERSION,
         "values": [float(v) for v in profile.values],
         "argmax_prefix": [int(j) for j in profile.argmax_prefix],

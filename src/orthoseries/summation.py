@@ -32,5 +32,11 @@ def compensated_cumsum(terms: np.ndarray) -> np.ndarray:
 
 
 def compensated_sum(terms) -> float:
-    """Accurate one-shot sum (math.fsum on the flattened input)."""
-    return math.fsum(np.asarray(terms, dtype=float).ravel())
+    """Accurate one-shot sum (math.fsum on the flattened input); where fsum
+    overflows in between, the plain float sum, +-inf or NaN."""
+    terms = np.asarray(terms, dtype=float).ravel()
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(terms))

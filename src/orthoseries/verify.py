@@ -21,7 +21,6 @@ across thread counts, apart from the wall-time field.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 import time
@@ -41,7 +40,7 @@ from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
                         adversarial_permutation, chaining_diagnostics,
                         complete_block_length, dyadic_pointwise_bound,
                         majorant, permuted_majorant, tandori_delta)
-from .serialization import SCHEMA_VERSION
+from .serialization import SCHEMA_VERSION, dumps
 from .systems import SystemKind, SystemSpec, generate, seeded_rng
 
 DEFAULT_SLACK = 1e-12
@@ -156,7 +155,7 @@ class VerifyReport:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+        return dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
 
 
 def environment_fingerprint() -> dict:

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from orthoseries import (Field, HilbertCollection, MeasureSpace,
                          SystemKind, SystemSpec, generate)
@@ -32,3 +37,13 @@ def random_element(gen, fibers):
     from orthoseries import DirectIntegralElement
     return DirectIntegralElement(values=flat.astype(fibers.field.dtype),
                                  offsets=fibers.offsets)
+
+
+# one derandomized hypothesis profile: every run draws the same examples and
+# no example database is written
+settings.register_profile("orthoseries", derandomize=True, database=None, deadline=None)
+settings.load_profile("orthoseries")
+# hypothesis still caches the constants it reads from the source at collection:
+# in the temporary directory, not in a .hypothesis/ of the working directory
+if "HYPOTHESIS_STORAGE_DIRECTORY" not in os.environ:
+    set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "orthoseries-hypothesis"))

@@ -390,3 +390,59 @@ def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _overflow_config(t, checks):
+    """Haar n=64 with 64 coefficients of 1e153: every term |a_n|^2 log2^2 n
+    is finite, and their sums overflow float64."""
+    return _config(t, {"systems": [{"kind": "haar", "n": 64}], "n_trials": 2, "checks": checks,
+                       "coefficients": {"form": "explicit", "values": [1e153] * 64}})
+
+
+@pytest.mark.parametrize("case,code", [
+    (lambda t: ["check-mr", "--explicit", _file(t, "1e154\n" * 40), "--trunc", "40"], 2),
+    (lambda t: ["check-tandori", "--explicit", _file(t, "1e154\n" * 40), "--trunc", "40"], 2),
+    (lambda t: ["check-orlicz", "--explicit", _file(t, "1e154\n" * 40), "--logpower", "1.5",
+                "--trunc", "40"], 2),
+    (lambda t: _overflow_config(t, ["mr-theorem", "tandori-block", "orlicz-chain"]), 2),
+    (lambda t: _overflow_config(t, ["mr-theorem", "tandori-block"]), 1),
+], ids=["check-mr", "check-tandori", "check-orlicz", "verify-orlicz", "verify-ratios"])
+def test_overflowing_sums_keep_exit_contract(tmp_path, capsys, case, code):
+    # a condition sum that overflows is refused; a bound that overflows fails
+    argv = case(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err
+        assert not out.exists()
+    else:
+        assert err == ""
+        report = _strict_json(out.read_text())
+        for check in ("mr-theorem", "tandori-block"):
+            assert report["results"][check]["passed"] is False
+            assert report["results"][check]["worst_ratio"] is None
+
+
+def test_failing_report_is_strict_json(tmp_path):
+    # ratios that are NaN are written as null, so strict parsers read the report
+    argv = _config(tmp_path, {
+        "n_trials": 2, "checks": ["mr-inequality", "tandori-block", "mr-theorem", "riesz-ratio"],
+        "coefficients": {"form": "explicit", "values": [1e308] * 8}})
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv + ["--out", str(out)]) == 1
+    report = _strict_json(out.read_text())
+    assert report["all_passed"] is False
+    assert [report["results"][c]["worst_ratio"] for c in sorted(report["results"])] == [None] * 4
+    assert report["results"]["mr-theorem"]["worst_case"]["parseval_rel_dev"] is None

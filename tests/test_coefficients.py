@@ -267,3 +267,22 @@ def test_power_log_rejects_negative_scale():
 def test_overflowing_families_refused(call):
     with pytest.raises(ContractError, match="overflows float64"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weyl_sum(SequenceSpec.from_values([1e154] * 4), 4),
+    lambda: tandori_sum(SequenceSpec.from_values([1e154] * 4), 4),
+    lambda: orlicz_conditions(SequenceSpec.from_values([1e153] * 64),
+                              WeightSpec.log_power(1.5), 64),
+], ids=["mr-weyl", "tandori-blocked", "orlicz-coeff"])
+def test_overflowing_condition_sums_refused(call):
+    # finite coefficients whose condition sum overflows float64
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ContractError, match="partial sums overflow float64"):
+        call()
+
+
+def test_overflowing_masses_are_infinite():
+    # the one-shot sums go to inf where fsum overflows in between
+    masses = block_masses(SequenceSpec.from_values([1e153] * 64), tandori_blocks(64))
+    assert masses[-1] == math.inf and np.all(np.isfinite(masses[:-1]))

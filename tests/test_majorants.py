@@ -8,6 +8,7 @@ import pytest
 
 import orthoseries.majorants as mj
 from orthoseries import (AdversarialStrategy, ContractError, Field,
+                         HilbertCollection, MeasureSpace, OrthonormalSystem,
                          PermutationPlan, PlanProvenance, StructuralError,
                          SystemKind, SystemSpec, adversarial_permutation,
                          chaining_diagnostics, dyadic_decomposition,
@@ -200,8 +201,8 @@ def per_term_chaining(system, coeffs, n):
 
 
 def per_term_delta(system, coeffs, plan, k, n):
-    """(values, doubled_one_sided, l2, mode) of block k: the scalar-real
-    envelope loop, the cumsum vector branch and the doubled-estimate loop."""
+    """(values, doubled_one_sided, l2) of block k: the scalar-real envelope
+    loop and the cumsum vector branch."""
     a = np.array(coeffs, dtype=system.values.dtype)
     a[:2] = 0
     lo, hi = tandori_blocks(n).ranges[k]
@@ -209,29 +210,20 @@ def per_term_delta(system, coeffs, plan, k, n):
     V = system.values
     offsets = system.fibers.offsets
     m = system.space.n_atoms
-    if hi - lo + 1 > mj.EXACT_OSCILLATION_LIMIT:
-        running = np.zeros(V.shape[1], dtype=V.dtype)
-        sup_sq = np.zeros(m)
-        for i in src:
-            running += a[i] * V[i]
-            np.maximum(sup_sq, reduceat_sq_norms(running, offsets), out=sup_sq)
-        values = doubled = 2.0 * np.sqrt(sup_sq)
-        mode = "doubled-one-sided"
-    elif np.all(system.fibers.dims == 1) and V.dtype.kind != "c":
+    if np.all(system.fibers.dims == 1) and V.dtype.kind != "c":
         running, hi_env, lo_env, one_sided = (np.zeros(m) for _ in range(4))
         for i in src:
             running = running + a[i] * V[i]
             np.maximum(hi_env, running, out=hi_env)
             np.minimum(lo_env, running, out=lo_env)
             np.maximum(one_sided, np.abs(running), out=one_sided)
-        values, doubled, mode = hi_env - lo_env, 2.0 * one_sided, "exact"
+        values, doubled = hi_env - lo_env, 2.0 * one_sided
     else:
         prefixes = np.zeros((len(src) + 1, V.shape[1]), dtype=V.dtype)
         np.cumsum(a[src, None] * V[src], axis=0, out=prefixes[1:])
         values = mj._pointwise_diameters(prefixes, offsets)
         doubled = 2.0 * np.sqrt(reduceat_sq_norms(prefixes[1:], offsets).max(axis=0))
-        mode = "exact"
-    return values, doubled, weighted_l2(system, values ** 2), mode
+    return values, doubled, weighted_l2(system, values ** 2)
 
 
 def random_coeffs(system, seed):
@@ -565,29 +557,44 @@ class TestPrefixSweep:
                 for field in dataclasses.fields(diag):
                     assert np.array_equal(getattr(diag, field.name), want[field.name]), field.name
 
-    @pytest.mark.parametrize("limit", [mj.EXACT_OSCILLATION_LIMIT, 4])
-    def test_tandori_delta_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget,
-                                                           limit, monkeypatch):
-        # a limit of 4 sends every wider block to the doubled estimate
-        monkeypatch.setattr(mj, "EXACT_OSCILLATION_LIMIT", limit)
+    def test_tandori_delta_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget):
         system = sweep_system
         for n in (len(system), len(system) - 2):
             plans = (PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 92),
                      adversarial_permutation(system, np.ones(n), n,
                                              AdversarialStrategy.BLOCK_REVERSAL))
-            modes = set()
             for b, plan, k in itertools.product(sweep_coeffs(system), plans,
                                                 range(tandori_blocks(n).k_max + 1)):
                 osc = tandori_delta(system, b, plan, k, n)
-                values, doubled, l2, mode = per_term_delta(system, b, plan, k, n)
+                values, doubled, l2 = per_term_delta(system, b, plan, k, n)
                 assert np.array_equal(osc.values, values)
                 assert np.array_equal(osc.doubled_one_sided, doubled)
                 assert osc.l2 == l2
-                assert osc.mode == mode
-                modes.add(mode)
-            assert "exact" in modes
-            assert ("doubled-one-sided" in modes) == (limit < max(
-                hi - lo + 1 for lo, hi in tandori_blocks(n).ranges))
+                assert osc.mode == "exact"
+
+    @pytest.mark.parametrize("dims,field", [([1] * 12, Field.REAL), ([2, 2, 2], Field.REAL),
+                                            ([1] * 4, Field.COMPLEX)],
+                             ids=["scalar-real", "vector-d2", "scalar-complex"])
+    def test_exact_on_a_block_wider_than_any_generated_system(self, dims, field):
+        # n = 4400 is past the 2^24-value cap of every generated kind; built
+        # by hand, its last block (256, 4400] is 4144 indices wide
+        n = 4400
+        gen = rng(93)
+        space = MeasureSpace(weights=gen.random(len(dims)) + 0.5)
+        fibers = HilbertCollection(dims=np.array(dims), field=field)
+        values = gen.standard_normal((n, sum(dims)))
+        if field is Field.COMPLEX:
+            values = values + 1j * gen.standard_normal((n, sum(dims)))
+        system = OrthonormalSystem(space, fibers, values)
+        b = gen.standard_normal(n) / np.arange(1, n + 1)
+        assert tandori_blocks(n).ranges[-1] == (257, 4400)
+        for plan in (PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 94)):
+            osc = tandori_delta(system, b, plan, 3, n)
+            values, doubled, l2 = per_term_delta(system, b, plan, 3, n)
+            assert osc.mode == "exact"
+            assert np.array_equal(osc.values, values)
+            assert np.array_equal(osc.doubled_one_sided, doubled)
+            assert osc.l2 == l2
 
 
 # ---------------------------------------------------------------------------
@@ -689,20 +696,6 @@ class TestTandoriDelta:
                 osc = tandori_delta(system, b, plan, k)
                 want = brute_delta(system, b, plan, k, n)
                 assert osc.values == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-    def test_doubled_mode_on_wide_blocks(self, monkeypatch):
-        monkeypatch.setattr(mj, "EXACT_OSCILLATION_LIMIT", 4)
-        gen = rng(46)
-        _, _, system = generate(SystemSpec(SystemKind.HAAR, 16))
-        b = gen.standard_normal(16)
-        osc = tandori_delta(system, b, PermutationPlan.identity(16), 1)
-        assert osc.mode == "doubled-one-sided"
-        assert np.array_equal(osc.values, osc.doubled_one_sided)
-        # the doubled estimate dominates the true oscillation and still
-        # satisfies the block bound
-        want = brute_delta(system, b, PermutationPlan.identity(16), 1, 16)
-        assert np.all(want <= osc.values + 1e-12)
-        assert osc.l2 <= osc.bound * (1 + 1e-12)
 
     def test_block_out_of_range(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 4))

@@ -1,0 +1,173 @@
+"""Property tests: the dyadic partition, permutation-plan validity, the
+streaming majorant against its materializing oracle, bit-exact system round
+trips and strict JSON.  The hypothesis profile in conftest.py derandomizes
+them."""
+
+import json
+import math
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from orthoseries import (AdversarialStrategy, Field, HilbertCollection, MeasureSpace,
+                         OrthonormalSystem, PermutationPlan, SystemKind, SystemSpec,
+                         adversarial_permutation, dyadic_decomposition, generate,
+                         majorant, oracle_majorant, tandori_blocks)
+from orthoseries.serialization import (dumps, system_from_csv, system_from_json,
+                                       system_to_csv, system_to_json)
+
+# finite floats with signed zeros, and no magnitude below 1e-100 but zero, so
+# that no square underflows into the subnormal range
+finite = st.floats(allow_nan=False, allow_infinity=False)
+moderate = st.floats(-1e3, 1e3).map(lambda x: math.copysign(0.0, x) if abs(x) < 1e-100 else x)
+
+
+@lru_cache(maxsize=None)
+def _system(kind: SystemKind, n: int, field: Field = Field.REAL) -> OrthonormalSystem:
+    kw = {}
+    if kind is SystemKind.RANDOM_QR:
+        kw = {"resolution": n, "fiber_dim": 2 - (field is Field.COMPLEX), "seed": n,
+              "field": field}
+    elif kind is SystemKind.TENSOR_VECTOR:
+        kw = {"fiber_dim": 3}
+    return generate(SystemSpec(kind, n, **kw))[2]
+
+
+# -- the dyadic partition ------------------------------------------------------
+
+@st.composite
+def prefix_lengths(draw):
+    r = draw(st.integers(0, 40))
+    return draw(st.integers(1, 1 << r)), r
+
+
+@given(prefix_lengths())
+def test_dyadic_blocks_tile_the_prefix_in_decreasing_powers_of_two(jr):
+    j, r = jr
+    blocks = dyadic_decomposition(j, r).blocks
+    assert len(blocks) == bin(j).count("1") <= r + 1
+    assert blocks[0][0] == 0 and blocks[-1][1] == j
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert all(s & (s - 1) == 0 for s in sizes)
+    assert all(a > b for a, b in zip(sizes, sizes[1:]))
+
+
+# -- permutation plans ---------------------------------------------------------
+
+@given(st.integers(1, 300), st.integers(0, 2 ** 32))
+def test_seeded_shuffle_is_a_permutation(n, seed):
+    plan = PermutationPlan.seeded_shuffle(n, seed)
+    assert sorted(plan.order) == list(range(1, n + 1))
+    assert plan.order == PermutationPlan.seeded_shuffle(n, seed).order
+
+
+# few distinct magnitudes, so ties are common
+tied = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0]) | moderate
+
+
+@given(st.lists(tied, min_size=2, max_size=64))
+def test_greedy_plan_is_the_stable_decreasing_magnitude_order(coeffs):
+    n = len(coeffs)
+    order = adversarial_permutation(_system(SystemKind.STANDARD_BASIS, n), np.array(coeffs), n,
+                                    AdversarialStrategy.GREEDY_MAX_PREFIX).order
+    assert sorted(order) == list(range(1, n + 1))
+    mags = [abs(coeffs[i - 1]) for i in order]
+    for (i, a), (j, b) in zip(zip(order, mags), zip(order[1:], mags[1:])):
+        assert a > b or (a == b and i < j)
+
+
+@given(st.integers(2, 4096))
+def test_block_reversal_fixes_1_2_and_maps_each_block_onto_itself(n):
+    # the plan reads only the length of the system: one scalar atom will do
+    system = OrthonormalSystem(MeasureSpace(weights=np.ones(1)),
+                               HilbertCollection(dims=np.ones(1, dtype=int)), np.ones((n, 1)))
+    order = adversarial_permutation(system, np.ones(n), n,
+                                    AdversarialStrategy.BLOCK_REVERSAL).order
+    assert order[:2] == (1, 2)
+    for lo, hi in tandori_blocks(n).ranges if n >= 3 else ():
+        assert order[lo - 1:hi] == tuple(range(hi, lo - 1, -1))
+
+
+# -- the streaming majorant ----------------------------------------------------
+
+KINDS = [(SystemKind.STANDARD_BASIS, Field.REAL), (SystemKind.HAAR, Field.REAL),
+         (SystemKind.RANDOM_QR, Field.REAL), (SystemKind.RANDOM_QR, Field.COMPLEX),
+         (SystemKind.TENSOR_VECTOR, Field.REAL), (SystemKind.VARYING_DIM, Field.REAL)]
+
+
+@st.composite
+def systems_and_coefficients(draw):
+    kind, field = draw(st.sampled_from(KINDS))
+    system = _system(kind, draw(st.sampled_from([1, 2, 5, 8, 16, 33])), field)
+    n = len(system)
+    b = np.array(draw(st.lists(moderate, min_size=n, max_size=n)))
+    if field is Field.COMPLEX:
+        b = b + 1j * np.array(draw(st.lists(moderate, min_size=n, max_size=n)))
+    return system, b, draw(st.integers(1, n))
+
+
+@given(systems_and_coefficients())
+def test_streaming_majorant_matches_the_oracle(case):
+    system, b, n = case
+    fast, slow = majorant(system, b, n), oracle_majorant(system, b, n)
+    assert np.all(np.abs(fast.values - slow.values) <= 1e-13 * slow.values)
+    assert abs(fast.l2_norm - slow.l2_norm) <= 1e-13 * slow.l2_norm
+
+
+# -- bit-exact round trips -----------------------------------------------------
+
+@st.composite
+def hand_built_systems(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    weights = draw(st.lists(st.floats(0.0, 1e300), min_size=len(dims), max_size=len(dims)))
+    weights[draw(st.integers(0, len(dims) - 1))] = draw(st.floats(1e-300, 1e300))
+    field = draw(st.sampled_from(Field))
+    rows = draw(st.integers(1, 4))
+    width = sum(dims) * (2 if field is Field.COMPLEX else 1)
+    values = np.array(draw(st.lists(finite | st.sampled_from([0.0, -0.0]),
+                                    min_size=rows * width, max_size=rows * width)))
+    values = values.reshape(rows, width)
+    if field is Field.COMPLEX:
+        values = values.view(np.complex128)
+    return OrthonormalSystem(MeasureSpace(weights=np.array(weights)),
+                             HilbertCollection(dims=np.array(dims), field=field), values)
+
+
+@given(hand_built_systems())
+def test_json_and_csv_round_trips_are_bit_exact(system):
+    for text, reader in ((system_to_json(system), system_from_json),
+                         (system_to_csv(system), system_from_csv)):
+        back = reader(text)
+        assert back.fibers.field is system.fibers.field
+        assert np.array_equal(back.fibers.dims, system.fibers.dims)
+        assert back.space.weights.tobytes() == system.space.weights.tobytes()
+        assert back.values.dtype == system.values.dtype
+        assert back.values.tobytes() == system.values.tobytes()
+
+
+# -- strict JSON ---------------------------------------------------------------
+
+keys = st.text("abc", max_size=2)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | keys,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
+    max_leaves=8)
+
+
+def _nulled(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, list):
+        return [_nulled(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    return value
+
+
+@given(json_values)
+def test_dumps_is_strict_json_that_nulls_only_non_finite_floats(payload):
+    # a finite payload keeps the bytes of json.dumps
+    assert dumps(payload, sort_keys=True) == json.dumps(_nulled(payload), sort_keys=True)

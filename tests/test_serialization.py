@@ -8,7 +8,7 @@ import pytest
 
 from orthoseries import (Field, HilbertCollection, MeasureSpace, OrthonormalSystem,
                          StructuralError, SystemKind, SystemSpec, generate)
-from orthoseries.serialization import (system_from_csv, system_from_json,
+from orthoseries.serialization import (dumps, system_from_csv, system_from_json,
                                        system_to_csv, system_to_json)
 
 
@@ -200,3 +200,13 @@ def test_malformed_json_structure_raises(text):
 def test_malformed_csv_rows_raise(rows):
     with pytest.raises(StructuralError, match="line"):
         system_from_csv("element,atom,weight,v0\n" + "\n".join(rows) + "\n")
+
+
+# -- strict JSON ---------------------------------------------------------------
+
+def test_dumps_writes_non_finite_floats_as_null():
+    # numpy scalars and tuples too; finite payloads are a property test
+    payload = {"r": float("nan"), "v": [1.0, float("inf"), (float("-inf"), 2.0)],
+               "d": {"k": np.float64("nan"), "n": 3}}
+    assert json.loads(dumps(payload, sort_keys=True)) == {
+        "r": None, "v": [1.0, None, [None, 2.0]], "d": {"k": None, "n": 3}}

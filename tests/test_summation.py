@@ -1,6 +1,7 @@
 """The two-scan compensated_cumsum against the per-term Neumaier loop it
 replaced, compared bit for bit."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from orthoseries import SequenceSpec, WeightSpec, coefficients
 from orthoseries.coefficients import orlicz_conditions, weyl_sum
-from orthoseries.summation import compensated_cumsum
+from orthoseries.summation import compensated_cumsum, compensated_sum
 
 from conftest import rng
 
@@ -113,3 +114,10 @@ def test_bitwise_equal_on_the_condition_sums_at_2_to_the_19(monkeypatch):
     for terms in seen:
         want, got = both(terms)
         assert got.tobytes() == want.tobytes()
+
+
+def test_compensated_sum_overflow_is_the_plain_sum():
+    # math.fsum raises on intermediate overflow; the sum is then +-inf
+    assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
+    assert compensated_sum(np.full(4, -1e308)) == -math.inf
+    assert compensated_sum([1e308, 1e-300, -1e308]) == 1e-300
