@@ -11,9 +11,9 @@ decompose     print the dyadic block decomposition of a prefix length
 verify        run the seeded verification suite
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-malformed or non-finite input, or a system over the generation limit.  All
-randomness derives from --seed (default 0); wall clocks are never consulted
-for seeding.
+malformed or non-finite input, a sum or majorant that overflows float64, or
+a system over the generation limit.  All randomness derives from --seed
+(default 0); wall clocks are never consulted for seeding.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import ContractError, StructuralError
 from .majorants import dyadic_decomposition, majorant
 from .serialization import SCHEMA_VERSION
 from .systems import SystemKind, SystemSpec, generate
-from .verify import Check, TrialConfig, default_config, run_suite
+from .verify import Check, TrialConfig, default_config, run_suite, worker_count
 
 
 # Characters per write: a text stream encodes each write whole, so writing
@@ -251,6 +251,8 @@ def _cmd_majorant(args) -> int:
     else:
         raise ContractError("provide --coeffs LIST or --coeffs-file FILE")
     profile = majorant(system, coeffs, args.n)
+    if not (np.all(np.isfinite(profile.values)) and math.isfinite(profile.l2_norm)):
+        raise ContractError("the majorant overflows float64")
     _write(serialization.profile_to_json(profile), args.out)
     return 0
 
@@ -329,8 +331,10 @@ def _cmd_verify(args) -> int:
     _write(report.to_json(), args.out)
     if args.verbose:
         for check, res in sorted(report.results.items(), key=lambda kv: kv[0].value):
+            workers = worker_count(args.threads, res.trials)
             sys.stderr.write(f"{check.value}: {'pass' if res.passed else 'FAIL'} "
-                             f"(worst ratio {res.worst_ratio:.6g})\n")
+                             f"(worst ratio {res.worst_ratio:.6g}) in {res.seconds:.3f} s "
+                             f"on {workers} worker{'s' if workers > 1 else ''}\n")
     return report.exit_code
 
 
@@ -404,7 +408,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # every non-finite result is refused (exit 2) or fails a check (exit
+        # 1) explicitly, so numpy's floating-point warnings add only noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (StructuralError, ContractError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -44,8 +44,7 @@ DIAMETER_BUDGET = 1 << 16
 # exact oscillation kernel, whose extra small numpy calls cost more than
 # the pairs they save there: on random-walk prefixes the filter took 1.5x
 # the all-pairs time at 17-25 rows and 20-35 % less at 41-49, but it made
-# the stock verify config (blocks of 3, 13 and 49 rows) about 7 % slower
-# at --threads 2, where those calls contend for the GIL.
+# the stock verify config (blocks of 3, 13 and 49 rows) slower.
 FILTER_MIN_ROWS = 64
 
 # Prefix values (whole rows of flat fiber coordinates) one sweep step forms.

@@ -14,17 +14,32 @@ bound B (largest Gram eigenvalue) of the mixed system:
 
 Determinism: trial t of check c under root seed s uses the PCG64 stream
 seeded with SeedSequence((s, ordinal(c), t)); shuffle plans inside a trial
-extend the tuple.  Reports are therefore byte-identical across runs and
-across thread counts, apart from the wall-time field.
+extend the tuple.  Reports are therefore byte-identical across runs, apart
+from the wall-time field.  They are also byte-identical across worker
+counts whenever BLAS runs one thread per process: with more than one
+worker each process holds numpy's bundled OpenBLAS to one thread, so under
+OpenBLAS's own threads a large system's Gram spectrum (riesz_lower,
+riesz_upper) may differ in its last bits between one worker and several.
+
+Parallelism: with N > 1 workers a check's trials run in the calling
+process and N - 1 children made by os.fork, each taking the next unclaimed
+trial index; the results come back in trial order, so the worst-case rule
+and every report byte are as with one worker.  Fork, not spawn: children
+inherit the run's generated systems, and the package starts no threads of
+its own (OpenBLAS stops its thread pool at fork).
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import itertools
 import math
+import os
+import pickle
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Mapping
@@ -114,6 +129,9 @@ class CheckResult:
     worst_ratio: float
     worst_case: dict
     details: dict = field(default_factory=dict)
+    # not serialized: the trials run and the seconds they took
+    trials: int = field(default=1, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -203,14 +221,136 @@ def _result(check: Check, records: list[dict], details: dict | None = None,
     worst = _merge_worst(records)
     return CheckResult(check, worst["ok"] and ok,
                        len(records) if n_cases is None else n_cases,
-                       worst["ratio"], worst["case"], details or {})
+                       worst["ratio"], worst["case"], details or {}, trials=len(records))
 
 
-def _run_trials(count: int, fn: Callable[[int], dict], threads: int | None) -> list[dict]:
-    if threads is None or threads <= 1:
+def worker_count(threads: int | None, trials: int) -> int:
+    """Processes that run ``trials`` trials when ``threads`` are allowed."""
+    return max(1, min(threads or 1, trials))
+
+
+def _run_trials(count: int, fn: Callable[[int], object], threads: int | None) -> list:
+    """``[fn(0), ..., fn(count - 1)]``, on ``worker_count(threads, count)``
+    processes (see the module docstring)."""
+    workers = worker_count(threads, count)
+    if workers == 1:
         return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    with _one_blas_thread():
+        return _forked(count, fn, workers)
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where numpy bundles none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        lib = ctypes.CDLL(path)
+        suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread, then restore its count:
+    N workers each running OpenBLAS's own threads oversubscribe the CPUs."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _claim(token: tuple[int, int], stop: int | None = None) -> int:
+    """Take the next unclaimed trial index from the token pipe, whose one
+    8-byte message is the shared counter (a pipe write of 8 bytes is
+    atomic, so exactly one reader holds the counter at a time); ``stop``
+    instead sets the counter to at least ``stop``."""
+    t = int.from_bytes(os.read(token[0], 8), "little")
+    os.write(token[1], (t + 1 if stop is None else max(t, stop)).to_bytes(8, "little"))
+    return t
+
+
+def _work(fn: Callable[[int], object], count: int, token: tuple[int, int]) -> tuple:
+    """One worker's share: ``((t, fn(t)) pairs, None)``, or the pairs and
+    ``(t, exception)`` of the first trial that raised, after which no
+    worker claims another trial."""
+    pairs = []
+    while (t := _claim(token)) < count:
+        try:
+            pairs.append((t, fn(t)))
+        except BaseException as exc:  # handed to the parent, which re-raises it
+            _claim(token, stop=count)
+            return pairs, (t, exc)
+    return pairs, None
+
+
+def _child(fn: Callable[[int], object], count: int, token: tuple[int, int], out: int):
+    """A forked worker: pickle its share to ``out``, then leave through
+    ``os._exit`` (status 0 once the share is written, 1 otherwise), so no
+    exit handler of the parent runs twice."""
+    status = 1
+    try:
+        share = _work(fn, count, token)
+        with os.fdopen(out, "wb") as fh:
+            pickle.dump(share, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(count: int, fn: Callable[[int], object], workers: int) -> list:
+    """Trials 0..count-1 on this process and ``workers - 1`` forked children
+    sharing one counter, returned in trial order.  The exception of the
+    earliest trial that raised is re-raised here with its type; a child that
+    exits without its share is a RuntimeError naming its exit status."""
+    token = os.pipe()
+    os.write(token[1], (0).to_bytes(8, "little"))
+    children, results, errors, lost = [], {}, [], []
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(fn, count, token, write)
+            os.close(write)
+            children.append((pid, read))
+        pairs, error = _work(fn, count, token)
+        results.update(pairs)
+        if error:
+            errors.append(error)
+    finally:
+        # a child ends once the counter passes count, so none is left behind
+        for pid, read in children:
+            with os.fdopen(read, "rb") as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                lost.append((pid, status))
+                continue
+            pairs, error = pickle.loads(data)
+            results.update(pairs)
+            if error:
+                errors.append(error)
+        os.close(token[0])
+        os.close(token[1])
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    if lost:
+        pid, status = lost[0]
+        raise RuntimeError(f"verify worker {pid} exited with status {status} "
+                           f"without returning its trials")
+    return [results[t] for t in range(count)]
 
 
 class _Systems(dict):
@@ -430,7 +570,7 @@ def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
         return {"ratio": res.worst_ratio, "ok": res.passed, "case": case}
 
     # every system counts its n! permutations as cases
-    return _result(Check.EXHAUSTIVE_PERM, [one(i) for i in range(len(specs))],
+    return _result(Check.EXHAUSTIVE_PERM, _run_trials(len(specs), one, threads),
                    n_cases=len(specs) * math.factorial(n))
 
 
@@ -512,9 +652,12 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
 
 
 def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
-    """Dispatch every requested check and merge the results.
+    """Dispatch every requested check and merge the results, each timed in
+    its ``seconds`` (the three chaining checks share one trial loop and its
+    time).  The config's systems are generated before the first check, so
+    forked workers inherit them.
 
-    Deterministic given cfg.seed; independent of ``threads``.
+    Deterministic given cfg.seed; see the module docstring for ``threads``.
     """
     start = time.perf_counter()
     # built per call, so the check functions are looked up when the suite runs;
@@ -529,13 +672,18 @@ def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
     }
     results: dict[Check, CheckResult] = {}
     systems = _Systems()
+    for spec in cfg.system_specs:
+        systems[spec]
     for check in CHECK_ORDER:
         if check not in cfg.checks or check in results:
             continue
-        if check in single:
-            results[check] = single[check](cfg, threads, systems)
-        else:
-            results.update(_chaining_results(cfg, threads, systems))
+        began = time.perf_counter()
+        done = ({check: single[check](cfg, threads, systems)} if check in single
+                else _chaining_results(cfg, threads, systems))
+        seconds = time.perf_counter() - began
+        for res in done.values():
+            res.seconds = seconds
+        results.update(done)
     wall = time.perf_counter() - start
     return VerifyReport(seed=cfg.seed, results=results, wall_time_s=wall,
                         environment=environment_fingerprint())

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +284,19 @@ def test_verify_threads_default_and_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_verbose_lines(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--check", "mr-inequality,orlicz-chain", "--trials", "3",
+                 "--threads", "2", "--verbose", "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line, check, workers in zip(lines, ("mr-inequality", "orlicz-chain"),
+                                    ("2 workers", "1 worker")):
+        assert re.fullmatch(rf"{check}: pass \(worst ratio \S+\) in \d+\.\d{{3}} s "
+                            rf"on {workers}", line), line
+    assert "seconds" not in out.read_text()
+
+
 def _system_file(tmp_path, fmt, bad_value):
     """A Haar n=4 system file whose first stored value is ``bad_value``."""
     path = tmp_path / f"sys.{fmt}"
@@ -336,10 +351,13 @@ NAN, INF = float("nan"), float("inf")
                           "weights": {"form": "log-power", "gamma": 2000}}),
     lambda t: _config(t, {"checks": ["mr-inequality"], "coefficients": {
         "form": "power-log", "scale": 1, "alpha": -1000, "beta": 0}}),
+    lambda t: ["majorant", "--system", _system_file(t, "json", 1.0),
+               "--coeffs", "1e308,1e308,1e308,1e308"],
 ], ids=["powerlog", "logpower", "explicit-file", "coeffs", "coeffs-file", "system-json",
         "system-csv", "config-gamma", "config-values", "config-riesz", "config-tolerance",
         "config-n", "mr-overflow", "tandori-overflow", "orlicz-coeff-overflow",
-        "orlicz-weight-overflow", "config-weight-overflow", "config-coeff-overflow"])
+        "orlicz-weight-overflow", "config-weight-overflow", "config-coeff-overflow",
+        "majorant-overflow"])
 def test_non_finite_input_exit_2(tmp_path, capsys, case):
     argv = case(tmp_path)
     capsys.readouterr()
@@ -415,11 +433,13 @@ def _overflow_config(t, checks):
     (lambda t: _overflow_config(t, ["mr-theorem", "tandori-block"]), 1),
 ], ids=["check-mr", "check-tandori", "check-orlicz", "verify-orlicz", "verify-ratios"])
 def test_overflowing_sums_keep_exit_contract(tmp_path, capsys, case, code):
-    # a condition sum that overflows is refused; a bound that overflows fails
+    # a condition sum that overflows is refused; a bound that overflows
+    # fails; neither emits a floating-point warning
     argv = case(tmp_path)
     capsys.readouterr()
     out = tmp_path / "out.json"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     if code == 2:
@@ -440,7 +460,8 @@ def test_failing_report_is_strict_json(tmp_path):
         "n_trials": 2, "checks": ["mr-inequality", "tandori-block", "mr-theorem", "riesz-ratio"],
         "coefficients": {"form": "explicit", "values": [1e308] * 8}})
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(argv + ["--out", str(out)]) == 1
     report = _strict_json(out.read_text())
     assert report["all_passed"] is False

@@ -1,7 +1,12 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +23,11 @@ from orthoseries.verify import (check_mr_inequality, check_riesz_ratio,
                                 check_tandori_block, default_config,
                                 tandori_threshold_arithmetic, trial_seed_path)
 
+from orthoseries.cli import main as cli_main
+
 from conftest import rng
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_config(**kw):
@@ -299,11 +308,106 @@ class TestRunSuite:
         del report
         gc.collect()
         assert all(ref() is None for _, ref in made)
-        # the next run generates its systems afresh; a check called alone too
+        # the next run generates every system of its config afresh, before
+        # its first check; a check called alone generates the ones it uses
         run_suite(small_config(n_trials=1, checks={Check.MR_INEQUALITY}))
-        assert [spec for spec, _ in made[len(specs):]] == [cfg.system_specs[0]]
+        assert [spec for spec, _ in made[len(specs):]] == list(cfg.system_specs)
         assert check_mr_inequality(small_config(n_trials=2)).passed
-        assert len(made) == len(specs) + 3
+        assert len(made) == len(specs) + 4
+
+
+def _in_children(action):
+    """verify.majorant, with ``action()`` run first in forked workers only;
+    the calling process lags, so that the children claim trials."""
+    parent, real = os.getpid(), verify.majorant
+
+    def majorant_(system, coeffs):
+        if os.getpid() != parent:
+            action()
+        else:
+            time.sleep(0.02)
+        return real(system, coeffs)
+    return majorant_
+
+
+class TestWorkers:
+    def test_few_trials_many_workers(self):
+        cfg = small_config(n_trials=3)
+        assert (run_suite(cfg, threads=8).to_json(include_timing=False)
+                == run_suite(cfg, threads=1).to_json(include_timing=False))
+
+    def test_mixed_sizes_byte_equal(self):
+        # trial 0 (Haar n=256) outlasts the n=8 trials, so workers finish
+        # trials out of trial order
+        cfg = small_config(n_trials=8, system_specs=(
+            SystemSpec(SystemKind.HAAR, 256),
+            SystemSpec(SystemKind.HAAR, 8),
+            SystemSpec(SystemKind.RANDOM_QR, 8, resolution=8, seed=5),
+            SystemSpec(SystemKind.STANDARD_BASIS, 8),
+        ))
+        assert (run_suite(cfg, threads=2).to_json(include_timing=False)
+                == run_suite(cfg, threads=1).to_json(include_timing=False))
+
+    def test_every_trial_runs_once_in_order(self, tmp_path):
+        # more workers than CPUs; each run appends its index to one log, so
+        # a trial claimed twice or never shows there
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def trial(t):
+            os.write(log, f"{t}\n".encode())
+            time.sleep(0.001)
+            return t, os.getpid()
+
+        try:
+            out = verify._run_trials(200, trial, 4)
+        finally:
+            os.close(log)
+        assert [t for t, _ in out] == list(range(200))
+        assert {pid for _, pid in out} - {os.getpid()}
+        assert sorted(map(int, (tmp_path / "log").read_text().split())) == list(range(200))
+
+    def test_trial_error_keeps_its_type(self, monkeypatch, tmp_path, capsys):
+        def refuse():
+            raise ContractError("injected refusal")
+
+        monkeypatch.setattr(verify, "majorant", _in_children(refuse))
+        cfg = small_config(n_trials=20, checks={Check.MR_INEQUALITY})
+        with pytest.raises(ContractError, match="injected refusal"):
+            run_suite(cfg, threads=2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"systems": [{"kind": "haar", "n": 16}], "n_trials": 20,
+                                    "checks": ["mr-inequality"]}))
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", "--config", str(path), "--threads", "2",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: injected refusal\n"
+        assert not out.exists()
+
+    def test_dead_worker_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(verify, "majorant", _in_children(lambda: os._exit(3)))
+        cfg = small_config(n_trials=20, checks={Check.MR_INEQUALITY})
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            run_suite(cfg, threads=2)
+
+    def test_fork_after_threaded_blas(self):
+        # OpenBLAS's thread pool has run a product before the fork; the
+        # workers must not deadlock on it
+        code = ("import numpy as np\n"
+                "from orthoseries import verify\n"
+                "from orthoseries.verify import default_config, run_suite\n"
+                "blas = verify._openblas_threads()\n"
+                "before = blas and blas[0]()\n"
+                "a = np.random.default_rng(0).standard_normal((512, 512))\n"
+                "a @ a\n"
+                "rep = run_suite(default_config(seed=1, n_trials=8), threads=2)\n"
+                "assert rep.all_passed\n"
+                "assert (blas and blas[0]()) == before\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestConfigValidation:
     def test_requires_specs(self):
