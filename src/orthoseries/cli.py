@@ -11,8 +11,9 @@ decompose     print the dyadic block decomposition of a prefix length
 verify        run the seeded verification suite
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-malformed or non-finite input, a sum or majorant that overflows float64, or
-a system over the generation limit.  All randomness derives from --seed
+malformed or non-finite input, a sum or majorant that overflows float64, a
+system over the generation limit, or a verify worker that died (work
+beyond the resources it was given).  All randomness derives from --seed
 (default 0); wall clocks are never consulted for seeding.
 """
 
@@ -30,7 +31,7 @@ from . import serialization
 from .coefficients import (SequenceSpec, WeightSpec, orlicz_conditions,
                            orlicz_reduction, tandori_sum, weyl_sum)
 from .direct_integral import Field
-from .errors import ContractError, StructuralError
+from .errors import BudgetError, ContractError, StructuralError
 from .majorants import dyadic_decomposition, majorant
 from .serialization import SCHEMA_VERSION
 from .systems import SystemKind, SystemSpec, generate
@@ -332,9 +333,11 @@ def _cmd_verify(args) -> int:
     if args.verbose:
         for check, res in sorted(report.results.items(), key=lambda kv: kv[0].value):
             workers = worker_count(args.threads, res.trials)
+            rate = res.n_cases / res.seconds if res.seconds > 0 else math.inf
             sys.stderr.write(f"{check.value}: {'pass' if res.passed else 'FAIL'} "
                              f"(worst ratio {res.worst_ratio:.6g}) in {res.seconds:.3f} s "
-                             f"on {workers} worker{'s' if workers > 1 else ''}\n")
+                             f"on {workers} worker{'s' if workers > 1 else ''}, "
+                             f"{rate:.0f} cases/s\n")
     return report.exit_code
 
 
@@ -412,7 +415,8 @@ def main(argv=None) -> int:
         # 1) explicitly, so numpy's floating-point warnings add only noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except (StructuralError, ContractError, FileNotFoundError, ValueError) as exc:
+    except (StructuralError, ContractError, BudgetError, FileNotFoundError,
+            ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

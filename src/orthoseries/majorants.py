@@ -6,8 +6,9 @@ The central object is the finite majorant of partial sums
     S_N*(x) = max_{1 <= j <= N} || sum_{n<=j} a_n phi_n(x) ||,
 
 computed by one running-sum sweep that holds about ``PREFIX_BUDGET`` prefix
-values at once (an independent materializing oracle lives in ``verify``);
-the chaining and oscillation diagnostics run on it too.  On top sit:
+values at once, for one order or a batch of them (an independent
+materializing oracle lives in ``verify``); the chaining and oscillation
+diagnostics run on it too.  On top sit:
 
 * the binary-representation decomposition of a prefix length into at most
   r+1 dyadic blocks, and the pointwise bound it yields,
@@ -85,41 +86,51 @@ def _weighted_l2(weights: np.ndarray, sq: np.ndarray) -> float:
 
 def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
                  start: np.ndarray, step: int | None = None):
-    """Yield ``(lo, rows)`` for lo = 0, step, ...: ``rows[0]`` is the running sum
-    ``start + sum_{p<lo} coeffs[order[p]] V[order[p]]``, ``rows[1:]`` the sums
-    through positions lo, lo+1, ... (``step`` rows, about ``PREFIX_BUDGET``
-    values by default), and the next step overwrites them.  Adding row by
-    row gives the bits of ``np.cumsum(axis=0)``, which measured 3x slower.
+    """Yield ``(lo, rows)`` for lo = 0, step, ...: ``rows[..., 0, :]`` is the
+    running sum ``start + sum_{p<lo} coeffs[order[p]] V[order[p]]``,
+    ``rows[..., 1:, :]`` the sums through positions lo, lo+1, ..., and the
+    next step overwrites them.  The leading axes of ``order`` (..., m) and
+    ``start`` (..., D) index independent orders, which share one buffer of
+    ``step`` rows each (by default about ``PREFIX_BUDGET`` values in all).
+    Adding row by row gives the bits of ``np.cumsum(axis=-2)``, which
+    measured 3x slower.
     """
-    step = step or max(1, PREFIX_BUDGET // V.shape[1])
-    buf = np.empty((min(step, order.size) + 1, V.shape[1]), dtype=V.dtype)
-    buf[0] = start
-    for lo in range(0, order.size, step):
-        idx = order[lo:lo + step]
-        rows = buf[:idx.size + 1]
-        # indices come from a prefix or a validated plan; "clip" skips a copy
-        np.take(V, idx, axis=0, out=rows[1:], mode="clip")
-        np.multiply(coeffs[idx, None], rows[1:], out=rows[1:])
-        for i in range(1, rows.shape[0]):
-            rows[i] += rows[i - 1]
+    batch, m = order.shape[:-1], order.shape[-1]
+    step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
+    buf = np.empty(batch + (min(step, m) + 1, V.shape[1]), dtype=V.dtype)
+    buf[..., 0, :] = start
+    for lo in range(0, m, step):
+        idx = order[..., lo:lo + step]
+        rows = buf[..., :idx.shape[-1] + 1, :]
+        # indices come from a prefix or a validated plan; "clip" skips a copy.
+        # The products are formed in place, each order's rows running the
+        # inner loops of a sweep of that order alone, so an order's bits do
+        # not depend on the batch it runs in.
+        np.take(V, idx, axis=0, out=rows[..., 1:, :], mode="clip")
+        np.multiply(coeffs[idx][..., None], rows[..., 1:, :], out=rows[..., 1:, :])
+        steps = rows.swapaxes(-2, 0)
+        for i in range(1, steps.shape[0]):
+            steps[i] += steps[i - 1]
         yield lo, rows
-        buf[0] = rows[-1]
+        buf[..., 0, :] = rows[..., -1, :]
 
 
 def _sweep(V: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
            start: np.ndarray | None = None):
-    """The per-atom sup (at least 0) of the squared fiber norms of the sums
-    ``_prefix_rows`` forms, the first i >= 1 attaining it, and the final sum."""
-    sup_sq = np.zeros(offsets.size - 1)
-    arg = np.ones(sup_sq.size, dtype=np.int64)
-    final = np.zeros(V.shape[1], dtype=V.dtype) if start is None else start
+    """Per order (the leading axes of ``order``), the per-atom sup (at least
+    0) of the squared fiber norms of the sums ``_prefix_rows`` forms, the
+    first i >= 1 attaining it, and the final sum."""
+    batch = order.shape[:-1]
+    sup_sq = np.zeros(batch + (offsets.size - 1,))
+    arg = np.ones(sup_sq.shape, dtype=np.int64)
+    final = np.zeros(batch + V.shape[1:], dtype=V.dtype) if start is None else start
     for lo, rows in _prefix_rows(V, coeffs, order, final):
-        sq = _fiber_sq_norms(rows[1:], offsets)
-        peak = sq.max(axis=0)
+        sq = _fiber_sq_norms(rows[..., 1:, :], offsets)
+        peak = sq.max(axis=-2)
         upd = peak > sup_sq
-        arg[upd] = lo + 1 + sq.argmax(axis=0)[upd]
+        arg[upd] = lo + 1 + sq.argmax(axis=-2)[upd]
         np.maximum(sup_sq, peak, out=sup_sq)
-        final = rows[-1]
+        final = rows[..., -1, :]
     return sup_sq, arg, final
 
 
@@ -198,6 +209,34 @@ def permuted_majorant(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
                             np.asarray(plan.order) - 1)
     return MajorantProfile(values=np.sqrt(sup_sq), argmax_prefix=arg,
                            l2_norm=_weighted_l2(system.space.weights, sup_sq))
+
+
+def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
+    """``permuted_majorant(...).l2_norm`` for every row of ``orders``, a
+    (P, n) array of 0-based permutations of the first n indices, bit for bit.
+
+    The orders run through one sweep in chunks of
+    max(1, PREFIX_BUDGET // (n * D)) rows, D the flat fiber dimension, so a
+    chunk's prefix buffer holds about ``PREFIX_BUDGET`` values whatever P is.
+    """
+    orders = np.asarray(orders)
+    if orders.ndim != 2 or orders.dtype.kind not in "iu":
+        raise StructuralError("orders must be a two-dimensional integer array")
+    n = orders.shape[1]
+    a = _coeff_array(coeffs, system, n)
+    V = system.values
+    offsets = system.fibers.offsets
+    weights = system.space.weights
+    chunk = max(1, PREFIX_BUDGET // (n * V.shape[1]))
+    sums = np.empty(orders.shape[0])
+    for lo in range(0, orders.shape[0], chunk):
+        block = orders[lo:lo + chunk]
+        if not np.all(np.sort(block, axis=1) == np.arange(n)):
+            raise ContractError(f"orders must be permutations of 0..{n - 1}")
+        sup_sq, _, _ = _sweep(V, offsets, a, block)
+        # one row's sum has the bits of _weighted_l2's
+        sums[lo:lo + chunk] = np.sum(weights * sup_sq, axis=-1)
+    return np.sqrt(np.maximum(sums, 0.0))
 
 
 def majorant(system: OrthonormalSystem, coeffs, n: int | None = None) -> MajorantProfile:

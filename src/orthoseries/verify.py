@@ -51,8 +51,10 @@ from .coefficients import (ABSOLUTE_FLOOR, SequenceSpec, WeightSpec,
                            orlicz_conditions, orlicz_reduction, tandori_blocks)
 from .direct_integral import Field, OrthonormalSystem, gram_matrix
 from .errors import BudgetError, ContractError
+# permuted_majorant is no longer called here, but perfbench/tracing.py wraps
+# it by its name in this module
 from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
-                        adversarial_permutation, chaining_diagnostics,
+                        adversarial_permutation, all_orders_l2, chaining_diagnostics,
                         complete_block_length, dyadic_pointwise_bound,
                         majorant, permuted_majorant, tandori_delta)
 from .serialization import SCHEMA_VERSION, dumps
@@ -313,7 +315,8 @@ def _forked(count: int, fn: Callable[[int], object], workers: int) -> list:
     """Trials 0..count-1 on this process and ``workers - 1`` forked children
     sharing one counter, returned in trial order.  The exception of the
     earliest trial that raised is re-raised here with its type; a child that
-    exits without its share is a RuntimeError naming its exit status."""
+    exits without its share is a BudgetError naming its exit status (the
+    work did not fit the resources it was given)."""
     token = os.pipe()
     os.write(token[1], (0).to_bytes(8, "little"))
     children, results, errors, lost = [], {}, [], []
@@ -348,8 +351,8 @@ def _forked(count: int, fn: Callable[[int], object], workers: int) -> list:
         raise min(errors, key=lambda e: e[0])[1]
     if lost:
         pid, status = lost[0]
-        raise RuntimeError(f"verify worker {pid} exited with status {status} "
-                           f"without returning its trials")
+        raise BudgetError(f"verify worker {pid} exited with status {status} "
+                          f"without returning its trials")
     return [results[t] for t in range(count)]
 
 
@@ -541,16 +544,20 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
     """Assert the maximal inequality under every one of the n! rearrangements.
 
     Records the permutation with the largest ratio (the empirical worst
-    rearrangement).  Refuses n > 8.
+    rearrangement).  Refuses n > 8.  The n! orders, lexicographic, go
+    through ``all_orders_l2`` in chunks of max(1, PREFIX_BUDGET // (n * D))
+    orders, D the flat fiber dimension, so its prefix buffer holds about
+    ``PREFIX_BUDGET`` values at any n.
     """
     if n > 8:
         raise ContractError("exhaustive permutation check limited to n <= 8")
     b = np.asarray(coeffs)
     rhs = (2.0 + math.log2(n)) * _coeff_norm(b[:n])
+    perms = list(itertools.permutations(range(1, n + 1)))
+    lhs = all_orders_l2(system, b, np.array(perms) - 1)
     return _result(Check.EXHAUSTIVE_PERM, [
-        _record(permuted_majorant(system, b, PermutationPlan(order=perm), n).l2_norm, rhs,
-                slack, {"worst_permutation": list(perm), "n": n})
-        for perm in itertools.permutations(range(1, n + 1))])
+        _record(l2, rhs, slack, {"worst_permutation": list(perm), "n": n})
+        for perm, l2 in zip(perms, lhs.tolist())])
 
 
 def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,

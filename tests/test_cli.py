@@ -293,7 +293,7 @@ def test_verify_verbose_lines(tmp_path, capsys):
     for line, check, workers in zip(lines, ("mr-inequality", "orlicz-chain"),
                                     ("2 workers", "1 worker")):
         assert re.fullmatch(rf"{check}: pass \(worst ratio \S+\) in \d+\.\d{{3}} s "
-                            rf"on {workers}", line), line
+                            rf"on {workers}, (\d+|inf) cases/s", line), line
     assert "seconds" not in out.read_text()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from orthoseries import (AdversarialStrategy, ContractError, Field,
                          tandori_delta)
 from orthoseries.majorants import complete_block_form
 from orthoseries.summation import compensated_sum
+from orthoseries.verify import default_config
 
 from conftest import rng
 
@@ -595,6 +597,68 @@ class TestPrefixSweep:
             assert np.array_equal(osc.values, values)
             assert np.array_equal(osc.doubled_one_sided, doubled)
             assert osc.l2 == l2
+
+
+# ---------------------------------------------------------------------------
+# every order at once against one permuted_majorant per order
+
+
+def per_order_l2(system, coeffs, orders):
+    """The loop all_orders_l2 replaced: one permuted_majorant per order."""
+    n = orders.shape[1]
+    return np.array([permuted_majorant(system, coeffs,
+                                       PermutationPlan(tuple(int(i) + 1 for i in row)), n).l2_norm
+                     for row in orders])
+
+
+def all_orders(n):
+    orders = np.array(list(itertools.permutations(range(n))))
+    # n = 7 keeps every 17th of its 5040 orders, so the loop stays short
+    return orders[::17] if n == 7 else orders
+
+
+class TestAllOrders:
+    @pytest.mark.parametrize("spec", default_config().system_specs,
+                             ids=lambda spec: spec.describe())
+    @pytest.mark.parametrize("budget", ["default", "one"])
+    def test_bitwise_equal_to_per_order_loop(self, spec, budget, monkeypatch):
+        if budget == "one":
+            monkeypatch.setattr(mj, "PREFIX_BUDGET", 1)
+        for n in range(1, 8) if budget == "default" else (1, 2, 4):
+            system = generate(dataclasses.replace(spec, n_functions=n, resolution=None))[2]
+            orders = all_orders(n)
+            nan = random_coeffs(system, 95)
+            nan[n // 2] = np.nan
+            for b in sweep_coeffs(system) + [nan]:
+                got = mj.all_orders_l2(system, b, orders)
+                assert np.array_equal(got, per_order_l2(system, b, orders), equal_nan=True)
+                assert np.all(np.isnan(got)) == (b is nan)
+
+    def test_memory_bounded_by_the_prefix_budget(self):
+        # Rademacher n=8: D = 256 coordinates, 40,320 orders; holding every
+        # order's prefixes at once would take 40320 * 9 * 256 values
+        system = generate(SystemSpec(SystemKind.RADEMACHER, 8))[2]
+        orders = np.array(list(itertools.permutations(range(8))))
+        tracemalloc.start()
+        try:
+            l2 = mj.all_orders_l2(system, 1.0 / np.arange(1, 9), orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert l2.shape == (40320,) and np.all(np.isfinite(l2))
+        assert peak <= 8 * mj.PREFIX_BUDGET * system.values.itemsize
+
+    def test_refusals(self):
+        system = generate(SystemSpec(SystemKind.HAAR, 4))[2]
+        b = np.ones(4)
+        for bad in (np.arange(4), np.array([[0.0, 1.0, 2.0, 3.0]])):
+            with pytest.raises(StructuralError):
+                mj.all_orders_l2(system, b, bad)
+        for bad in ([[0, 1, 2, 2]], [[1, 2, 3, 4]], [[0, 1, 2, -1]]):
+            with pytest.raises(ContractError, match="permutations"):
+                mj.all_orders_l2(system, b, np.array(bad))
+        with pytest.raises(ContractError):
+            mj.all_orders_l2(system, b, np.zeros((1, 5), dtype=int))
 
 
 # ---------------------------------------------------------------------------

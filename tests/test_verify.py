@@ -177,6 +177,15 @@ class TestExhaustivePermutations:
         assert res.n_cases == 720
         assert len(res.worst_case["worst_permutation"]) == 6
 
+    def test_eight_function_haar(self):
+        # n = 8, the largest exhaustive size: 40,320 orders in one batched sweep
+        _, _, system = generate(SystemSpec(SystemKind.HAAR, 8))
+        res = exhaustive_permutation_check(system, 1.0 / np.arange(1, 9), 8)
+        assert res.passed
+        assert res.n_cases == 40320
+        assert sorted(res.worst_case["worst_permutation"]) == list(range(1, 9))
+        assert 0 < res.worst_ratio < 1
+
     def test_nan_coefficients_fail(self):
         _, _, system = generate(SystemSpec(SystemKind.HAAR, 6))
         res = exhaustive_permutation_check(system, np.full(6, np.nan), 6)
@@ -388,6 +397,23 @@ class TestWorkers:
         cfg = small_config(n_trials=20, checks={Check.MR_INEQUALITY})
         with pytest.raises(RuntimeError, match="exited with status 3"):
             run_suite(cfg, threads=2)
+
+    def test_dead_worker_exits_2(self, monkeypatch, tmp_path, capsys):
+        # a dead worker is a BudgetError, which the CLI counts as
+        # unaffordable work: exit 2, one error line, no report
+        monkeypatch.setattr(verify, "majorant", _in_children(lambda: os._exit(3)))
+        with pytest.raises(BudgetError, match="exited with status 3"):
+            run_suite(small_config(n_trials=20, checks={Check.MR_INEQUALITY}), threads=2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"systems": [{"kind": "haar", "n": 16}], "n_trials": 20,
+                                    "checks": ["mr-inequality"]}))
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", "--config", str(path), "--threads", "2",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "exited with status 3" in err[0]
+        assert not out.exists()
 
     def test_fork_after_threaded_blas(self):
         # OpenBLAS's thread pool has run a product before the fork; the
