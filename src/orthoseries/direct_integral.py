@@ -278,9 +278,10 @@ def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramR
         system = OrthonormalSystem.from_elements(space, fibers, system)
     V = system.values
     w = expanded_weights(space, fibers)
-    G = (V * w) @ np.conj(V).T
-    herm = 0.5 * (G + np.conj(G).T)
-    if np.max(np.abs(G - np.conj(G).T)) > GRAM_HERMITIAN_TOL:
+    # the .conj() method returns a real array itself, where np.conj copies it
+    G = (V * w) @ V.conj().T
+    herm = 0.5 * (G + G.conj().T)
+    if np.max(np.abs(G - G.conj().T)) > GRAM_HERMITIAN_TOL:
         raise StructuralError("gram matrix is not Hermitian to within 1e-12")
     n = G.shape[0]
     diag = np.real(np.diagonal(G))

@@ -8,18 +8,19 @@ measured as lhs <= rhs * (1 + slack) + 1e-300); any NaN or infinity fails
 it.  One rule picks the reported worst case, pass or fail: the largest
 lhs/rhs ratio, NaN above all, ties to the earliest trial, then to plan/block
 or permutation order; its seed path and spec are the reproducer.
-riesz-ratio asserts the Menshov-Rademacher bound scaled by the upper Riesz
-bound B (largest Gram eigenvalue) of the mixed system:
-||S_N*||_2 <= sqrt(B) (2 + log2 N) ||b||_2.
+riesz-ratio asserts the Menshov-Rademacher bound scaled by an upper Riesz
+bound B of a system mixed by a seeded matrix M with singular values in
+[1, riesz_condition]: ||S_N*||_2 <= sqrt(B) (2 + log2 N) ||b||_2, where
+B = s_max^2 lambda_max(G0) (1 + MIX_MARGIN) comes from the construction,
+s_max = riesz_condition (1 when N = 1) and G0 the unmixed system's Gram
+matrix (see check_riesz_ratio).
 
 Determinism: trial t of check c under root seed s uses the PCG64 stream
 seeded with SeedSequence((s, ordinal(c), t)); shuffle plans inside a trial
 extend the tuple.  Reports are therefore byte-identical across runs, apart
-from the wall-time field.  They are also byte-identical across worker
-counts whenever BLAS runs one thread per process: with more than one
-worker each process holds numpy's bundled OpenBLAS to one thread, so under
-OpenBLAS's own threads a large system's Gram spectrum (riesz_lower,
-riesz_upper) may differ in its last bits between one worker and several.
+from the wall-time field, and across worker counts: the one BLAS-heavy
+step whose last bits follow OpenBLAS's thread count, G0's spectrum, runs
+in the calling process before any worker starts.
 
 Parallelism: with N > 1 workers a check's trials run in the calling
 process and N - 1 children made by os.fork, each taking the next unclaimed
@@ -63,6 +64,23 @@ from .systems import SystemKind, SystemSpec, generate, seeded_rng
 DEFAULT_SLACK = 1e-12
 PARSEVAL_SLACK = 1e-10
 ORACLE_BUDGET = 10_000_000
+# Householder reflectors on each side of the row scaling of a riesz-ratio mix
+MIX_REFLECTORS = 4
+# Relative widening of the Riesz bounds riesz-ratio takes from its mix's
+# construction.  The exact mix M = P diag(s) Q has singular values s, but
+# its 2k reflector applications and one row scaling run in rounded
+# arithmetic.  Applying x -> x - (2u)(u^T x) rounds each output entry about
+# four times (the unit vector, the dot product's result, the product and the
+# difference), each moving a column's norm by at most a relative u = 2^-53,
+# and the scaling rounds once more: the computed mix's singular values lie
+# within s (1 +- (8k + 1) u), its Gram eigenvalues within s^2 times
+# (1 +- 2 (8k + 1) u).  The margin doubles that, 4 (8k + 1) u = 1.5e-14 at
+# k = 4, for the dot products' own accumulation.  It is a budget, not a
+# worst-case bound (that would grow like n u): on every stock kind up to
+# Haar n=4096 the unmargined bounds missed eigvalsh of the mixed Gram matrix
+# by at most 4.3e-15 relative, and tests/test_verify.py holds the margined
+# ones against eigvalsh.
+MIX_MARGIN = 4 * (8 * MIX_REFLECTORS + 1) * 2.0 ** -53
 
 
 class Check(Enum):
@@ -195,6 +213,24 @@ def _ratio(lhs: float, rhs: float) -> float:
     if rhs == 0.0:
         return math.inf
     return lhs / rhs
+
+
+def _ratios(lhs: np.ndarray, rhs: float) -> np.ndarray:
+    """``_ratio(l, rhs)`` for every l in ``lhs``, bit for bit."""
+    if not math.isfinite(rhs):
+        return np.full(lhs.shape, math.nan)
+    with np.errstate(over="ignore"):
+        out = lhs / rhs if rhs != 0.0 else np.full(lhs.shape, math.inf)
+    out[np.abs(lhs) <= ABSOLUTE_FLOOR] = 0.0
+    out[~np.isfinite(lhs)] = math.nan
+    return out
+
+
+def _leq_with_slack(lhs: np.ndarray, rhs: float, slack: float) -> np.ndarray:
+    """``leq_with_slack(l, rhs, slack)`` for every l in ``lhs``."""
+    if not math.isfinite(rhs):
+        return np.zeros(lhs.shape, dtype=bool)
+    return np.isfinite(lhs) & (lhs <= rhs * (1.0 + slack) + ABSOLUTE_FLOOR)
 
 
 def _record(lhs: float, rhs: float, slack: float, case: dict, ok: bool = True) -> dict:
@@ -553,11 +589,16 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
         raise ContractError("exhaustive permutation check limited to n <= 8")
     b = np.asarray(coeffs)
     rhs = (2.0 + math.log2(n)) * _coeff_norm(b[:n])
-    perms = list(itertools.permutations(range(1, n + 1)))
-    lhs = all_orders_l2(system, b, np.array(perms) - 1)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int64, count=math.factorial(n) * n).reshape(-1, n)
+    lhs = all_orders_l2(system, b, perms)
+    ratios, ok = _ratios(lhs, rhs), _leq_with_slack(lhs, rhs, slack)
+    # _merge_worst's rule over the orders: NaN ranks as inf, ties to the first
+    worst = int(np.argmax(np.where(np.isnan(ratios), math.inf, ratios)))
     return _result(Check.EXHAUSTIVE_PERM, [
-        _record(l2, rhs, slack, {"worst_permutation": list(perm), "n": n})
-        for perm, l2 in zip(perms, lhs.tolist())])
+        {"ratio": float(ratios[worst]), "ok": bool(ok.all()),
+         "case": {"worst_permutation": (perms[worst] + 1).tolist(), "n": n}}],
+        n_cases=len(perms))
 
 
 def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
@@ -617,45 +658,68 @@ def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
                    [{"ratio": max(r_cauchy, r_mono), "ok": ok, "case": case}], details)
 
 
-def _conditioned_mix(rng: np.random.Generator, n: int, condition: float) -> np.ndarray:
-    """A deterministic well-conditioned mixing matrix with the given
-    condition number: U diag(s) V^T with seeded orthogonal U, V and
-    geometrically spaced singular values in [1, condition]."""
-    if n == 1:
-        return np.array([[1.0]])
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
+                     condition: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(M values, s)`` for the seeded mix M = P diag(s) Q of condition
+    number ``condition``: P and Q are each MIX_REFLECTORS real Householder
+    reflectors I - 2 u u^T (unit u, from one (2k, n) standard-normal draw)
+    and s = geomspace(1, condition, n), so M's singular values are exactly
+    s.  O(k n T) for n functions of T flat coordinates; no n x n array."""
+    n = values.shape[0]
+    u = rng.standard_normal((2 * MIX_REFLECTORS, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
     s = np.geomspace(1.0, condition, n)
-    return (u * s) @ v.T
+    mixed = np.array(values)
+    scratch = np.empty_like(mixed)
+    for j, row in enumerate(u):
+        if j == MIX_REFLECTORS:
+            mixed *= s[:, None]
+        np.multiply.outer(2.0 * row, row @ mixed, out=scratch)
+        mixed -= scratch
+    return mixed, s
 
 
 def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
                       systems: _Systems | None = None) -> CheckResult:
-    """Maximal inequality on systems mixed by a seeded matrix of condition
-    number ``riesz_condition``, at the bound in the module docstring; the
-    chaining proof uses orthogonality only through
-    ||sum_{n in I} b_n psi_n||^2 <= B sum_{n in I} |b_n|^2.  A numerically
-    singular mix (lower Riesz bound <= 1e-6) fails the trial."""
+    """Maximal inequality on systems mixed by a seeded matrix M of
+    condition number ``riesz_condition`` (``_conditioned_mix``), at the
+    bound in the module docstring; the chaining proof uses orthogonality
+    only through ||sum_{n in I} b_n psi_n||^2 <= B sum_{n in I} |b_n|^2.
+
+    The mixed Gram matrix is M G0 M^T, G0 the unmixed system's, so its
+    spectrum lies in [s_min^2 lambda_min(G0), s_max^2 lambda_max(G0)]; the
+    reported Riesz bounds are those ends widened by MIX_MARGIN.  G0's
+    extremal eigenvalues come from one ``gram_matrix`` per system the
+    trials use, before the trials start.  A numerically singular mix
+    (lower Riesz bound <= 1e-6) fails the trial."""
     systems = _Systems() if systems is None else systems
+    spectra = {}
+    for spec in cfg.system_specs[:cfg.n_trials]:
+        if (system := systems[spec]) not in spectra:
+            report = gram_matrix(system, system.space, system.fibers)
+            spectra[system] = (report.riesz_lower, report.riesz_upper)
 
     def one(t: int) -> dict:
         system, rng, case = _trial(cfg, Check.RIESZ_RATIO, t, systems)
         n = len(system)
-        mix = _conditioned_mix(rng, n, cfg.riesz_condition)
-        if system.values.dtype.kind == "c":
-            mix = mix.astype(np.complex128)
-        mixed = OrthonormalSystem(system.space, system.fibers, mix @ system.values)
-        report = gram_matrix(mixed, mixed.space, mixed.fibers)
+        values, s = _conditioned_mix(rng, system.values, cfg.riesz_condition)
+        mixed = OrthonormalSystem(system.space, system.fibers, values)
         b = _draw_coefficients(cfg, rng, n, system.fibers.field)
-        case.update(riesz_lower=report.riesz_lower, riesz_upper=report.riesz_upper,
-                    mix_condition=cfg.riesz_condition)
-        rhs = math.sqrt(report.riesz_upper) * (2.0 + math.log2(n)) * _coeff_norm(b)
+        lower, upper = spectra[system]
+        lower *= float(s[0]) ** 2 * (1.0 - MIX_MARGIN)
+        upper *= float(s[-1]) ** 2 * (1.0 + MIX_MARGIN)
+        case.update(riesz_lower=lower, riesz_upper=upper, mix_condition=cfg.riesz_condition)
+        rhs = math.sqrt(upper) * (2.0 + math.log2(n)) * _coeff_norm(b)
         return _record(majorant(mixed, b).l2_norm, rhs, cfg.slack(Check.RIESZ_RATIO), case,
-                       ok=report.riesz_lower > 1e-6)
+                       ok=lower > 1e-6)
 
     return _result(Check.RIESZ_RATIO, _run_trials(cfg.n_trials, one, threads),
                    {"note": "bound sqrt(riesz_upper) (2 + log2 N) ||b||_2: the "
-                            "Menshov-Rademacher constant scaled by the upper Riesz bound"})
+                            "Menshov-Rademacher constant scaled by the upper Riesz bound "
+                            f"riesz_upper = s_max^2 lambda_max(G0) (1 + {MIX_MARGIN:.2g}) of "
+                            "the mixed system: s_max its mix's largest singular value "
+                            "(riesz_condition when N > 1), G0 the unmixed system's Gram "
+                            "matrix"})
 
 
 def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,8 @@ from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
                          SystemKind, SystemSpec, TrialConfig,
                          exhaustive_permutation_check, generate, majorant,
                          oracle_majorant, run_suite)
-from orthoseries.direct_integral import OrthonormalSystem
+from orthoseries.direct_integral import Field, OrthonormalSystem, gram_matrix
+from orthoseries.majorants import all_orders_l2
 from orthoseries.systems import seeded_rng
 from orthoseries.verify import (check_mr_inequality, check_riesz_ratio,
                                 check_tandori_block, default_config,
@@ -28,6 +30,14 @@ from orthoseries.cli import main as cli_main
 from conftest import rng
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# the three systems of the benchmark's large-n workload at seed 1
+LARGE_N_SPECS = (
+    SystemSpec(SystemKind.HAAR, 1024),
+    SystemSpec(SystemKind.RANDOM_QR, 640, resolution=320, fiber_dim=2, seed=1001),
+    SystemSpec(SystemKind.VARYING_DIM, 600),
+)
 
 
 def small_config(**kw):
@@ -199,6 +209,40 @@ class TestExhaustivePermutations:
         with pytest.raises(ContractError):
             exhaustive_permutation_check(system, np.ones(9), 9)
 
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(SystemKind.HAAR, 6),
+        SystemSpec(SystemKind.STANDARD_BASIS, 5),
+        SystemSpec(SystemKind.RANDOM_QR, 5, resolution=8, seed=4, field=Field.COMPLEX),
+    ], ids=lambda spec: spec.describe())
+    @pytest.mark.parametrize("coeffs", [
+        "nan", "zero", "tied", "1e-160", "1e308", "one-nan", "drawn"])
+    def test_matches_per_record_loop(self, spec, coeffs):
+        # the check picks its worst order from arrays; the reference builds
+        # one record per order and merges them by the suite's rule
+        _, _, system = generate(spec)
+        n = len(system)
+        b = {"nan": np.full(n, np.nan), "zero": np.zeros(n), "tied": np.ones(n),
+             "1e-160": np.full(n, 1e-160), "1e308": np.full(n, 1e308),
+             "one-nan": np.r_[np.ones(n - 1), np.nan],
+             "drawn": rng(n).standard_normal(n)}[coeffs]
+        slack = 1e-12
+        perms = list(itertools.permutations(range(1, n + 1)))
+        with np.errstate(all="ignore"):
+            rhs = (2.0 + math.log2(n)) * math.sqrt(float(np.sum(np.abs(b) ** 2)))
+            lhs = all_orders_l2(system, b, np.array(perms) - 1)
+            res = exhaustive_permutation_check(system, b, n, slack=slack)
+        worst = verify._merge_worst([
+            verify._record(l2, rhs, slack, {"worst_permutation": list(perm), "n": n})
+            for perm, l2 in zip(perms, lhs.tolist())])
+        assert res.passed == worst["ok"]
+        assert res.n_cases == len(perms)
+        assert res.worst_case == worst["case"]
+        assert (math.isnan(res.worst_ratio) and math.isnan(worst["ratio"])
+                or res.worst_ratio == worst["ratio"])
+        if coeffs == "zero" or coeffs == "tied" and spec.kind is SystemKind.STANDARD_BASIS:
+            # every order ties; the first one is reported
+            assert res.worst_case["worst_permutation"] == list(range(1, n + 1))
+
 
 class TestRieszRatio:
     def test_ratio_identity_with_mr_normalization(self):
@@ -209,8 +253,8 @@ class TestRieszRatio:
         res = check_riesz_ratio(cfg)
         _, _, system = generate(cfg.system_specs[0])
         gen = seeded_rng(trial_seed_path(5, Check.RIESZ_RATIO, 0))
-        mix = verify._conditioned_mix(gen, 32, cfg.riesz_condition)
-        mixed = OrthonormalSystem(system.space, system.fibers, mix @ system.values)
+        values, _ = verify._conditioned_mix(gen, system.values, cfg.riesz_condition)
+        mixed = OrthonormalSystem(system.space, system.fibers, values)
         b = gen.standard_normal(32) / np.arange(1, 33)
         rhs = (math.sqrt(res.worst_case["riesz_upper"]) * (2 + math.log2(32))
                * math.sqrt(float(np.sum(b ** 2))))
@@ -231,6 +275,69 @@ class TestRieszRatio:
         res = check_riesz_ratio(cfg)
         assert not res.passed
         assert res.worst_ratio == pytest.approx(2.0, rel=1e-12)
+
+    def test_mix_has_singular_values_s(self):
+        # mixing the identity returns M itself, whose singular values are s
+        gen = rng(3)
+        mix, s = verify._conditioned_mix(gen, np.eye(64), 4.0)
+        assert s[0] == 1.0 and s[-1] == 4.0
+        np.testing.assert_allclose(np.linalg.svd(mix, compute_uv=False), s[::-1],
+                                   rtol=1e-14)
+        # one (2k, 64) draw, nothing else
+        again = rng(3)
+        again.standard_normal((2 * verify.MIX_REFLECTORS, 64))
+        assert again.standard_normal() == gen.standard_normal()
+
+    @pytest.mark.parametrize("condition", [1.0, 4.0])
+    @pytest.mark.parametrize("spec", [
+        *(SystemSpec(kind, n) for kind in SystemKind
+          for n in ((1, 8) if kind is SystemKind.RADEMACHER else (1, 64))),
+        SystemSpec(SystemKind.RANDOM_QR, 64, resolution=64, fiber_dim=1, seed=102,
+                   field=Field.COMPLEX),
+        *LARGE_N_SPECS,
+    ], ids=lambda spec: spec.describe())
+    def test_constructed_bounds_bracket_eigvalsh(self, spec, condition):
+        # the Riesz bounds taken from the construction against the mixed
+        # system's own Gram spectrum (Rademacher stops at n = 8: 2^n atoms)
+        cfg = TrialConfig(system_specs=(spec,), checks={Check.RIESZ_RATIO}, n_trials=1,
+                          seed=3, riesz_condition=condition)
+        case = check_riesz_ratio(cfg).worst_case
+        _, _, system = generate(spec)
+        gen = seeded_rng(trial_seed_path(3, Check.RIESZ_RATIO, 0))
+        values, _ = verify._conditioned_mix(gen, system.values, condition)
+        exact = gram_matrix(OrthonormalSystem(system.space, system.fibers, values),
+                            system.space, system.fibers)
+        assert exact.riesz_upper <= case["riesz_upper"] <= exact.riesz_upper * (1 + 1e-13)
+        assert case["riesz_lower"] <= exact.riesz_lower
+
+    def test_gram_once_per_spec_and_no_trial_factorization(self, monkeypatch):
+        # G0 comes from one gram_matrix per system, before the trials; no
+        # trial runs a QR, a Gram product or an eigensolve (random-qr systems
+        # are generated by QR, so they are made first)
+        cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8)
+        systems = verify._Systems()
+        for spec in cfg.system_specs:
+            systems[spec]
+        calls = {"gram": 0, "eigvalsh": 0}
+        real_gram, real_eig = verify.gram_matrix, np.linalg.eigvalsh
+
+        def gram(*args):
+            calls["gram"] += 1
+            return real_gram(*args)
+
+        def eigvalsh(*args, **kw):
+            calls["eigvalsh"] += 1
+            return real_eig(*args, **kw)
+
+        def qr(*args, **kw):
+            raise AssertionError("riesz-ratio ran a QR")
+
+        monkeypatch.setattr(verify, "gram_matrix", gram)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        res = check_riesz_ratio(cfg, systems=systems)
+        assert res.passed and res.n_cases == 8
+        assert calls == {"gram": 2, "eigvalsh": 2}
 
     def test_check_reports_finite_ratio_and_bounds(self):
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8,
@@ -414,6 +521,25 @@ class TestWorkers:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "exited with status 3" in err[0]
         assert not out.exists()
+
+    def test_large_n_bytes_equal_under_threaded_blas(self):
+        # G0 is computed in the calling process before any fork, so a report
+        # is byte-identical at one worker (OpenBLAS on its own 2 threads)
+        # and at two (each process held to one BLAS thread)
+        fields = [(s.kind.value, s.n_functions, s.resolution, s.fiber_dim, s.seed)
+                  for s in LARGE_N_SPECS]
+        code = ("from orthoseries import Check, SystemKind, SystemSpec, TrialConfig, run_suite\n"
+                f"specs = [SystemSpec(SystemKind(k), *rest) for k, *rest in {fields!r}]\n"
+                "cfg = TrialConfig(system_specs=specs, n_trials=3, seed=1,\n"
+                "                  checks={Check.RIESZ_RATIO, Check.MR_INEQUALITY})\n"
+                "one, two = (run_suite(cfg, threads=t).to_json(include_timing=False)\n"
+                "            for t in (1, 2))\n"
+                "assert one == two\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_fork_after_threaded_blas(self):
         # OpenBLAS's thread pool has run a product before the fork; the
