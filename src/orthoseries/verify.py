@@ -18,9 +18,11 @@ matrix (see check_riesz_ratio).
 Determinism: trial t of check c under root seed s uses the PCG64 stream
 seeded with SeedSequence((s, ordinal(c), t)); shuffle plans inside a trial
 extend the tuple.  Reports are therefore byte-identical across runs, apart
-from the wall-time field, and across worker counts: the one BLAS-heavy
-step whose last bits follow OpenBLAS's thread count, G0's spectrum, runs
-in the calling process before any worker starts.
+from the wall-time field, and across worker counts, whose processes run
+BLAS on different thread counts: no trial's arithmetic calls BLAS
+(riesz-ratio's mix projects with einsum), and G0's Gram spectrum, the one
+BLAS step behind a check's numbers, runs in the calling process before any
+worker starts.
 
 Parallelism: with N > 1 workers a check's trials run in the calling
 process and N - 1 children made by os.fork, each taking the next unclaimed
@@ -215,28 +217,15 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _ratios(lhs: np.ndarray, rhs: float) -> np.ndarray:
-    """``_ratio(l, rhs)`` for every l in ``lhs``, bit for bit."""
-    if not math.isfinite(rhs):
-        return np.full(lhs.shape, math.nan)
-    with np.errstate(over="ignore"):
-        out = lhs / rhs if rhs != 0.0 else np.full(lhs.shape, math.inf)
-    out[np.abs(lhs) <= ABSOLUTE_FLOOR] = 0.0
-    out[~np.isfinite(lhs)] = math.nan
-    return out
-
-
-def _leq_with_slack(lhs: np.ndarray, rhs: float, slack: float) -> np.ndarray:
-    """``leq_with_slack(l, rhs, slack)`` for every l in ``lhs``."""
-    if not math.isfinite(rhs):
-        return np.zeros(lhs.shape, dtype=bool)
-    return np.isfinite(lhs) & (lhs <= rhs * (1.0 + slack) + ABSOLUTE_FLOOR)
-
-
 def _record(lhs: float, rhs: float, slack: float, case: dict, ok: bool = True) -> dict:
     """One case's record: its ratio, whether lhs <= rhs held (and ``ok``), its case."""
     return {"ratio": _ratio(lhs, rhs), "ok": ok and leq_with_slack(lhs, rhs, slack),
             "case": case}
+
+
+def _rank(ratio: float) -> float:
+    """A ratio's place in the worst-case order: NaN above every number."""
+    return math.inf if math.isnan(ratio) else ratio
 
 
 def _merge_worst(records: list[dict]) -> dict:
@@ -244,9 +233,7 @@ def _merge_worst(records: list[dict]) -> dict:
     record is; ties break to the smallest trial index, then to the earliest
     record (plan/block or permutation order)."""
     def key(rec):
-        r = rec["ratio"]
-        rank = math.inf if math.isnan(r) else r
-        return (rank, -rec["case"].get("trial", 0))
+        return (_rank(rec["ratio"]), -rec["case"].get("trial", 0))
 
     return dict(max(records, key=key), ok=all(r["ok"] for r in records))
 
@@ -592,12 +579,15 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
                         dtype=np.int64, count=math.factorial(n) * n).reshape(-1, n)
     lhs = all_orders_l2(system, b, perms)
-    ratios, ok = _ratios(lhs, rhs), _leq_with_slack(lhs, rhs, slack)
-    # _merge_worst's rule over the orders: NaN ranks as inf, ties to the first
-    worst = int(np.argmax(np.where(np.isnan(ratios), math.inf, ratios)))
+    # _merge_worst's rule over one record per order: highest rank, ties to
+    # the first order; every order shares rhs, so all pass iff the largest
+    # lhs does (np.max propagates NaN, which fails)
+    ranks = [_rank(_ratio(l2, rhs)) for l2 in lhs.tolist()]
+    worst = ranks.index(max(ranks))
     return _result(Check.EXHAUSTIVE_PERM, [
-        {"ratio": float(ratios[worst]), "ok": bool(ok.all()),
-         "case": {"worst_permutation": (perms[worst] + 1).tolist(), "n": n}}],
+        _record(float(lhs[worst]), rhs, slack,
+                {"worst_permutation": (perms[worst] + 1).tolist(), "n": n},
+                ok=leq_with_slack(float(np.max(lhs)), rhs, slack))],
         n_cases=len(perms))
 
 
@@ -669,13 +659,16 @@ def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
     u = rng.standard_normal((2 * MIX_REFLECTORS, n))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     s = np.geomspace(1.0, condition, n)
-    mixed = np.array(values)
-    scratch = np.empty_like(mixed)
+    mixed = np.array(values, order="C")
+    # M is real, so it acts on real and imaginary parts alike; einsum's own
+    # loop (not BLAS) keeps the projections' bits independent of BLAS threads
+    work = mixed.view(np.float64)
+    scratch = np.empty_like(work)
     for j, row in enumerate(u):
         if j == MIX_REFLECTORS:
-            mixed *= s[:, None]
-        np.multiply.outer(2.0 * row, row @ mixed, out=scratch)
-        mixed -= scratch
+            work *= s[:, None]
+        np.multiply.outer(2.0 * row, np.einsum("i,ij->j", row, work), out=scratch)
+        work -= scratch
     return mixed, s
 
 

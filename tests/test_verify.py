@@ -523,9 +523,9 @@ class TestWorkers:
         assert not out.exists()
 
     def test_large_n_bytes_equal_under_threaded_blas(self):
-        # G0 is computed in the calling process before any fork, so a report
-        # is byte-identical at one worker (OpenBLAS on its own 2 threads)
-        # and at two (each process held to one BLAS thread)
+        # G0 is computed in the calling process before any fork and no trial
+        # calls BLAS, so a report is byte-identical at one worker (OpenBLAS
+        # on its own 4 threads) and at two (each held to one BLAS thread)
         fields = [(s.kind.value, s.n_functions, s.resolution, s.fiber_dim, s.seed)
                   for s in LARGE_N_SPECS]
         code = ("from orthoseries import Check, SystemKind, SystemSpec, TrialConfig, run_suite\n"
@@ -535,7 +535,7 @@ class TestWorkers:
                 "one, two = (run_suite(cfg, threads=t).to_json(include_timing=False)\n"
                 "            for t in (1, 2))\n"
                 "assert one == two\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
@@ -554,7 +554,7 @@ class TestWorkers:
                 "rep = run_suite(default_config(seed=1, n_trials=8), threads=2)\n"
                 "assert rep.all_passed\n"
                 "assert (blas and blas[0]()) == before\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
