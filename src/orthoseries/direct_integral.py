@@ -280,13 +280,20 @@ def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramR
     w = expanded_weights(space, fibers)
     # the .conj() method returns a real array itself, where np.conj copies it
     G = (V * w) @ V.conj().T
-    herm = 0.5 * (G + G.conj().T)
-    if np.max(np.abs(G - G.conj().T)) > GRAM_HERMITIAN_TOL:
+    Gh = G.conj().T
+    herm = 0.5 * (G + Gh)
+    # one real n x n scratch array serves both maxima
+    scratch = G - Gh
+    scratch = np.abs(scratch, out=None if scratch.dtype.kind == "c" else scratch)
+    if np.max(scratch) > GRAM_HERMITIAN_TOL:
         raise StructuralError("gram matrix is not Hermitian to within 1e-12")
     n = G.shape[0]
     diag = np.real(np.diagonal(G))
-    off = G - np.diag(np.diagonal(G))
-    max_offdiag = float(np.max(np.abs(off))) if n > 1 else 0.0
+    # the entries of |G - diag(G)|: |G| off the diagonal, |G_ii - G_ii| on it
+    # (0, or NaN where G_ii is not finite)
+    np.abs(G, out=scratch)
+    np.fill_diagonal(scratch, np.abs(np.diagonal(G) - np.diagonal(G)))
+    max_offdiag = float(np.max(scratch)) if n > 1 else 0.0
     max_diag_dev = float(np.max(np.abs(diag - 1.0)))
     eig = np.linalg.eigvalsh(herm)
     return GramReport(gram=G, max_offdiag_abs=max_offdiag, max_diag_dev=max_diag_dev,

@@ -16,7 +16,9 @@ diagnostics run on it too.  On top sit:
   three inequalities (block-norm sum, within-block square sum, and the
   final majorant bound with constant 4),
 * blocked oscillations of a rearranged series (the quantity controlled by
-  the Tandori blocks), exact on every block, and
+  the Tandori blocks), exact on every block, for a batch of rearrangements
+  at once: their orders inside a block share one prefix sweep and one
+  stack of per-atom diameters, and
 * permutation plans, including two adversarial constructions that depend
   on the coefficients alone: the max-prefix greedy order, which Parseval
   makes the decreasing-|a_n| order on an orthonormal system, and the
@@ -43,10 +45,12 @@ DIAMETER_BUDGET = 1 << 16
 
 # Blocks of fewer prefix rows than this skip the candidate filter of the
 # exact oscillation kernel, whose extra small numpy calls cost more than
-# the pairs they save there: on random-walk prefixes the filter took 1.5x
-# the all-pairs time at 17-25 rows and 20-35 % less at 41-49, but it made
-# the stock verify config (blocks of 3, 13 and 49 rows) slower.
-FILTER_MIN_ROWS = 64
+# the pairs they save there.  On random walks stacked as verify stacks them
+# (5 plans x 64 atoms of dimension d = 1, 2, 4), the filter took 1.1-2.0x
+# the all-pairs time at 17 rows, 0.65-1.24x at 25, 0.43-1.04x at 33 and
+# 0.25-0.71x at 49; the stock verify config (blocks of 3, 13 and 49 rows)
+# ran fastest with its 49-row blocks filtered.
+FILTER_MIN_ROWS = 32
 
 # Prefix values (whole rows of flat fiber coordinates) one sweep step forms.
 PREFIX_BUDGET = 1 << 16
@@ -97,38 +101,41 @@ def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
     """
     batch, m = order.shape[:-1], order.shape[-1]
     step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
-    buf = np.empty(batch + (min(step, m) + 1, V.shape[1]), dtype=V.dtype)
-    buf[..., 0, :] = start
+    # step-major: the rows of one position, across the batch, are one
+    # contiguous block, so np.take writes the products in place (a strided
+    # ``out`` made it allocate a copy of the whole step) and each running-sum
+    # add covers the batch at once
+    buf = np.empty((min(step, m) + 1,) + batch + V.shape[1:], dtype=V.dtype)
+    buf[0] = start
     for lo in range(0, m, step):
-        idx = order[..., lo:lo + step]
-        rows = buf[..., :idx.shape[-1] + 1, :]
+        idx = np.moveaxis(order[..., lo:lo + step], -1, 0)
+        s = idx.shape[0]
         # indices come from a prefix or a validated plan; "clip" skips a copy.
-        # The products are formed in place, each order's rows running the
-        # inner loops of a sweep of that order alone, so an order's bits do
-        # not depend on the batch it runs in.
-        np.take(V, idx, axis=0, out=rows[..., 1:, :], mode="clip")
-        np.multiply(coeffs[idx][..., None], rows[..., 1:, :], out=rows[..., 1:, :])
-        steps = rows.swapaxes(-2, 0)
-        for i in range(1, steps.shape[0]):
-            steps[i] += steps[i - 1]
-        yield lo, rows
-        buf[..., 0, :] = rows[..., -1, :]
+        # Every order's rows run the elementwise operations of a sweep of
+        # that order alone, so an order's bits do not depend on its batch.
+        np.take(V, idx, axis=0, out=buf[1:s + 1], mode="clip")
+        np.multiply(coeffs[idx][..., None], buf[1:s + 1], out=buf[1:s + 1])
+        for i in range(1, s + 1):
+            buf[i] += buf[i - 1]
+        yield lo, np.moveaxis(buf[:s + 1], 0, -2)
+        buf[0] = buf[s]
 
 
 def _sweep(V: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
-           start: np.ndarray | None = None):
+           start: np.ndarray | None = None, first_arg: bool = False):
     """Per order (the leading axes of ``order``), the per-atom sup (at least
     0) of the squared fiber norms of the sums ``_prefix_rows`` forms, the
-    first i >= 1 attaining it, and the final sum."""
+    first i >= 1 attaining it (None unless ``first_arg``), and the final sum."""
     batch = order.shape[:-1]
     sup_sq = np.zeros(batch + (offsets.size - 1,))
-    arg = np.ones(sup_sq.shape, dtype=np.int64)
+    arg = np.ones(sup_sq.shape, dtype=np.int64) if first_arg else None
     final = np.zeros(batch + V.shape[1:], dtype=V.dtype) if start is None else start
     for lo, rows in _prefix_rows(V, coeffs, order, final):
         sq = _fiber_sq_norms(rows[..., 1:, :], offsets)
         peak = sq.max(axis=-2)
-        upd = peak > sup_sq
-        arg[upd] = lo + 1 + sq.argmax(axis=-2)[upd]
+        if first_arg:
+            upd = peak > sup_sq
+            arg[upd] = lo + 1 + sq.argmax(axis=-2)[upd]
         np.maximum(sup_sq, peak, out=sup_sq)
         final = rows[..., -1, :]
     return sup_sq, arg, final
@@ -206,7 +213,7 @@ def permuted_majorant(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
     if len(plan) != n:
         raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {n}")
     sup_sq, arg, _ = _sweep(system.values, system.fibers.offsets, a,
-                            np.asarray(plan.order) - 1)
+                            np.asarray(plan.order) - 1, first_arg=True)
     return MajorantProfile(values=np.sqrt(sup_sq), argmax_prefix=arg,
                            l2_norm=_weighted_l2(system.space.weights, sup_sq))
 
@@ -233,7 +240,9 @@ def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
         block = orders[lo:lo + chunk]
         if not np.all(np.sort(block, axis=1) == np.arange(n)):
             raise ContractError(f"orders must be permutations of 0..{n - 1}")
-        sup_sq, _, _ = _sweep(V, offsets, a, block)
+        # indexing drops the final sum, a view that would keep this chunk's
+        # prefix buffer alive through the next chunk's sweep
+        sup_sq = _sweep(V, offsets, a, block)[0]
         # one row's sum has the bits of _weighted_l2's
         sums[lo:lo + chunk] = np.sum(weights * sup_sq, axis=-1)
     return np.sqrt(np.maximum(sums, 0.0))
@@ -512,26 +521,29 @@ def _candidate_stacks(x: np.ndarray):
 
 
 def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-atom diameter of the prefix point sets (rows of ``prefixes``).
+    """Per-atom diameter of the prefix point sets: ``prefixes`` (..., m, T)
+    holds m rows per leading index, the result is (..., atoms).
 
     The exact maximum over all pairs of rows of the ``_sq_dists`` distance,
     on real coordinates (a complex fiber as its (re, im) pairs).  Blocks of
     at least ``FILTER_MIN_ROWS`` rows first drop, per atom, the rows that
     ``_candidates`` shows cannot attain it.  Since a distance's bits depend
     on its two rows alone, the maximum over the kept rows is bitwise the
-    all-pairs one.  Atoms of one dimension are stacked, and each stack's
-    rows go against its candidates about ``DIAMETER_BUDGET`` pairs at a time.
+    all-pairs one.  The (leading index, atom) pairs of one dimension are
+    stacked, and each stack's rows go against its candidates about
+    ``DIAMETER_BUDGET`` pairs at a time.
     """
     if prefixes.dtype.kind == "c":
         prefixes, offsets = prefixes.view(np.float64), 2 * offsets
-    m = prefixes.shape[0]
+    batch, m = prefixes.shape[:-2], prefixes.shape[-2]
+    flat = prefixes.reshape((-1,) + prefixes.shape[-2:])
     dims = np.diff(offsets)
-    out = np.zeros(dims.size)
-    active = np.logical_or.reduceat(np.any(prefixes != 0, axis=0), offsets[:-1])
-    for d in sorted(set(dims[active].tolist())):
-        atoms = np.flatnonzero(active & (dims == d))
+    out = np.zeros((flat.shape[0], dims.size))
+    active = np.logical_or.reduceat(np.any(flat != 0, axis=1), offsets[:-1], axis=1)
+    for d in sorted(set(dims[np.any(active, axis=0)].tolist())):
+        g, atoms = np.nonzero(active & (dims == d))
         cols = offsets[atoms, None] + np.arange(d)
-        x = np.ascontiguousarray(prefixes[:, cols].transpose(1, 2, 0))
+        x = np.ascontiguousarray(flat[g[:, None], :, cols])
         if m < FILTER_MIN_ROWS:
             step = max(1, DIAMETER_BUDGET // (m * m))
             stacks = ((slice(s, s + step), x[s:s + step]) for s in range(0, atoms.size, step))
@@ -543,58 +555,75 @@ def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarra
             best = np.zeros(pts.shape[0])
             for r in range(0, width, slab):
                 np.maximum(best, _sq_dists(pts[:, :, r:r + slab], pts).max(axis=(1, 2)), out=best)
-            out[atoms[sel]] = np.sqrt(best)
-    return out
+            out[g[sel], atoms[sel]] = np.sqrt(best)
+    return out.reshape(batch + (dims.size,))
 
 
-def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
-                  k: int, n: int | None = None) -> BlockOscillation:
-    """Oscillation diagnostics of block ``k`` for one rearrangement.
+def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
+                       n: int | None = None) -> list[BlockOscillation]:
+    """Oscillation diagnostics of block ``k`` for every rearrangement in
+    ``plans``, in plan order, in one pass.
 
     Coefficients a_1 and a_2 are treated as zero (the usual normalization;
     the first block starts at index 3).  The exact per-atom diameter of the
     block's prefix sums: max - min on scalar real fibers, otherwise the
     largest direct-difference distance over the rows that can attain it
-    (``_pointwise_diameters``).
+    (``_pointwise_diameters``).  The P plans' orders inside the block run
+    through one ``_prefix_rows`` sweep as a (P, m) batch, and their
+    (plan, atom) pairs through one diameter stack; each plan's values have
+    the bits of a pass over that plan alone.  The bound is the plans' shared
+    8 * sqrt(block_mass).
     """
     a = _coeff_array(coeffs, system, n).copy()
     n = a.size if n is None else n
-    if len(plan) != n:
-        raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {n}")
+    for plan in plans:
+        if len(plan) != n:
+            raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {n}")
     a[:min(2, n)] = 0
     blocks = tandori_blocks(n)
     if not 0 <= k <= blocks.k_max:
         raise ContractError(f"block {k} outside the {blocks.k_max + 1} blocks of n={n}")
     lo, hi = blocks.ranges[k]
 
-    order = np.asarray(plan.order)
-    src = order[(order >= lo) & (order <= hi)] - 1
+    orders = np.array([plan.order for plan in plans])
+    # every plan holds each index of the block once, so each row keeps hi - lo + 1
+    src = orders[(orders >= lo) & (orders <= hi)].reshape(len(plans), -1) - 1
 
     V = system.values
     offsets = system.fibers.offsets
-    zero = np.zeros(V.shape[1], dtype=V.dtype)
+    zero = np.zeros((len(plans), V.shape[1]), dtype=V.dtype)
     if V.dtype.kind != "c" and np.all(system.fibers.dims == 1):
         # on a real line the diameter is max - min, taken a budget of rows at
         # a time; |x| keeps the bits that sqrt(x^2) would lose to underflow
         top, bottom = zero.copy(), zero.copy()
         for _, rows in _prefix_rows(V, a, src, zero):
-            np.maximum(top, rows.max(axis=0), out=top)
-            np.minimum(bottom, rows.min(axis=0), out=bottom)
+            np.maximum(top, rows.max(axis=-2), out=top)
+            np.minimum(bottom, rows.min(axis=-2), out=bottom)
         values = top - bottom
         doubled = 2.0 * np.maximum(top, np.abs(bottom))
     else:
-        _, prefixes = next(_prefix_rows(V, a, src, zero, src.size))
+        _, prefixes = next(_prefix_rows(V, a, src, zero, src.shape[1]))
         values = _pointwise_diameters(prefixes, offsets)
-        doubled = 2.0 * np.sqrt(_fiber_sq_norms(prefixes[1:], offsets).max(axis=0))
+        doubled = 2.0 * np.sqrt(_fiber_sq_norms(prefixes[:, 1:], offsets).max(axis=-2))
 
-    # NaN fails this comparison too, so it raises as well
+    # per (plan, atom); NaN fails this comparison too, so it raises as well
     if not np.all(values <= doubled + 1e-12 * np.maximum(doubled, 1.0)):
         raise RuntimeError("oscillation exceeded its doubled one-sided bound")
 
-    return BlockOscillation(block_index=k, lo=lo, hi=hi, indicator_count=src.size,
-                            values=values, l2=_weighted_l2(system.space.weights, values ** 2),
-                            doubled_one_sided=doubled,
-                            bound=8.0 * math.sqrt(block_mass(a, lo, hi)), mode="exact")
+    # one row's sum has the bits of _weighted_l2's
+    l2 = np.sqrt(np.maximum(np.sum(system.space.weights * values ** 2, axis=-1), 0.0))
+    bound = 8.0 * math.sqrt(block_mass(a, lo, hi))
+    return [BlockOscillation(block_index=k, lo=lo, hi=hi, indicator_count=src.shape[1],
+                             values=values[p], l2=float(l2[p]),
+                             doubled_one_sided=doubled[p], bound=bound, mode="exact")
+            for p in range(len(plans))]
+
+
+def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
+                  k: int, n: int | None = None) -> BlockOscillation:
+    """Oscillation diagnostics of block ``k`` for one rearrangement: the
+    one-plan case of ``block_oscillations``."""
+    return block_oscillations(system, coeffs, [plan], k, n)[0]
 
 
 class AdversarialStrategy(Enum):

@@ -54,12 +54,12 @@ from .coefficients import (ABSOLUTE_FLOOR, SequenceSpec, WeightSpec,
                            orlicz_conditions, orlicz_reduction, tandori_blocks)
 from .direct_integral import Field, OrthonormalSystem, gram_matrix
 from .errors import BudgetError, ContractError
-# permuted_majorant is no longer called here, but perfbench/tracing.py wraps
-# it by its name in this module
+# permuted_majorant and tandori_delta are no longer called here, but
+# perfbench/tracing.py wraps them by their names in this module
 from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
-                        adversarial_permutation, all_orders_l2, chaining_diagnostics,
-                        complete_block_length, dyadic_pointwise_bound,
-                        majorant, permuted_majorant, tandori_delta)
+                        adversarial_permutation, all_orders_l2, block_oscillations,
+                        chaining_diagnostics, complete_block_length,
+                        dyadic_pointwise_bound, majorant, permuted_majorant, tandori_delta)
 from .serialization import SCHEMA_VERSION, dumps
 from .systems import SystemKind, SystemSpec, generate, seeded_rng
 
@@ -543,15 +543,14 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
         system, rng, case = _trial(cfg, Check.TANDORI_BLOCK, t, systems, specs)
         n = len(system)
         b = _draw_coefficients(cfg, rng, n, system.fibers.field)
-        blocks = tandori_blocks(n)
-        records = []
-        for plan in _trial_plans(cfg, system, b, n, tuple(case["seed_path"])):
-            for k in range(blocks.k_max + 1):
-                osc = tandori_delta(system, b, plan, k, n)
-                records.append(_record(osc.l2, osc.bound, cfg.slack(Check.TANDORI_BLOCK),
-                                       dict(case, plan=plan.describe(), block=k,
-                                            mode=osc.mode)))
-        return _merge_worst(records)
+        plans = _trial_plans(cfg, system, b, n, tuple(case["seed_path"]))
+        # every plan of a block at once; the records keep plan-major order
+        by_block = [block_oscillations(system, b, plans, k, n)
+                    for k in range(tandori_blocks(n).k_max + 1)]
+        return _merge_worst([
+            _record(osc.l2, osc.bound, cfg.slack(Check.TANDORI_BLOCK),
+                    dict(case, plan=plan.describe(), block=k, mode=osc.mode))
+            for plan, oscs in zip(plans, zip(*by_block)) for k, osc in enumerate(oscs)])
 
     arithmetic = tandori_threshold_arithmetic()
     return _result(Check.TANDORI_BLOCK, _run_trials(cfg.n_trials, one, threads), {

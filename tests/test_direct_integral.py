@@ -11,7 +11,7 @@ from orthoseries import (DirectIntegralElement, Field, HilbertCollection,
                          MeasureSpace, OrthonormalSystem, StructuralError,
                          SystemKind, SystemSpec, generate, gram_matrix,
                          inner_product, norm, validate_ons)
-from orthoseries.verify import _conditioned_mix
+from orthoseries.verify import _conditioned_mix, default_config
 
 from conftest import random_element, random_space, rng
 
@@ -169,6 +169,28 @@ class TestGram:
         assert first.riesz_upper == second.riesz_upper
         assert first.riesz_lower == pytest.approx(1.0, abs=1e-9)
         assert first.riesz_upper == pytest.approx(16.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", list(default_config().system_specs) + [
+        SystemSpec(SystemKind.HAAR, 1024),
+        SystemSpec(SystemKind.RANDOM_QR, 640, resolution=320, fiber_dim=2, seed=1001),
+        SystemSpec(SystemKind.VARYING_DIM, 600),
+    ], ids=lambda spec: spec.describe())
+    def test_fields_equal_the_direct_formulas(self, spec):
+        # every GramReport field against the formulas written out on whole
+        # n x n arrays, on the system and on a mix of it (off-diagonal mass)
+        space, fibers, system = generate(spec)
+        mixed = OrthonormalSystem(space, fibers,
+                                  _conditioned_mix(rng(601), system.values, 4.0)[0])
+        for ons in (system, mixed):
+            V = ons.values
+            G = (V * ons.expanded_weights) @ V.conj().T
+            eig = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+            off = G - np.diag(np.diagonal(G))
+            rep = gram_matrix(ons, space, fibers)
+            assert np.array_equal(rep.gram, G)
+            assert rep.max_offdiag_abs == (float(np.max(np.abs(off))) if len(ons) > 1 else 0.0)
+            assert rep.max_diag_dev == float(np.max(np.abs(np.real(np.diagonal(G)) - 1.0)))
+            assert (rep.riesz_lower, rep.riesz_upper) == (float(eig[0]), float(eig[-1]))
 
     def test_gram_spectrum_needs_no_scipy(self):
         # a fresh interpreter, so modules imported by other tests do not count

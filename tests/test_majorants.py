@@ -574,6 +574,28 @@ class TestPrefixSweep:
                 assert osc.l2 == l2
                 assert osc.mode == "exact"
 
+    @pytest.mark.parametrize("filter_rows", [0, mj.FILTER_MIN_ROWS], ids=["filter", "default"])
+    def test_block_oscillations_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget,
+                                                                 filter_rows, monkeypatch):
+        # the five plans of a verify trial in one batch, each against a loop
+        # over that plan alone
+        monkeypatch.setattr(mj, "FILTER_MIN_ROWS", filter_rows)
+        system = sweep_system
+        n = len(system)
+        for b in sweep_coeffs(system):
+            plans = ([PermutationPlan.identity(n)]
+                     + [PermutationPlan.seeded_shuffle(n, s) for s in (95, 96)]
+                     + [adversarial_permutation(system, b, n, strategy)
+                        for strategy in AdversarialStrategy])
+            for k in range(tandori_blocks(n).k_max + 1):
+                oscs = mj.block_oscillations(system, b, plans, k, n)
+                assert len(oscs) == 5
+                for plan, osc in zip(plans, oscs):
+                    values, doubled, l2 = per_term_delta(system, b, plan, k, n)
+                    assert np.array_equal(osc.values, values)
+                    assert np.array_equal(osc.doubled_one_sided, doubled)
+                    assert osc.l2 == l2
+
     @pytest.mark.parametrize("dims,field", [([1] * 12, Field.REAL), ([2, 2, 2], Field.REAL),
                                             ([1] * 4, Field.COMPLEX)],
                              ids=["scalar-real", "vector-d2", "scalar-complex"])
@@ -646,7 +668,9 @@ class TestAllOrders:
         finally:
             tracemalloc.stop()
         assert l2.shape == (40320,) and np.all(np.isfinite(l2))
-        assert peak <= 8 * mj.PREFIX_BUDGET * system.values.itemsize
+        # one chunk's prefix buffer and squared norms, and the 40,320 sums:
+        # measured 3.4 budgets (5.6 with a strided np.take out)
+        assert peak <= 4 * mj.PREFIX_BUDGET * system.values.itemsize
 
     def test_refusals(self):
         system = generate(SystemSpec(SystemKind.HAAR, 4))[2]
@@ -777,6 +801,25 @@ class TestTandoriDelta:
         b = rng(47).standard_normal(16)
         with pytest.raises(RuntimeError, match="doubled one-sided bound"):
             tandori_delta(system, b, PermutationPlan.identity(16), 1)
+
+    def test_one_inflated_plan_of_a_batch_raises(self, monkeypatch):
+        # the invariant holds per (plan, atom): inflating the third plan's
+        # diameters alone must raise (a batch without a third plan does not)
+        real = mj._pointwise_diameters
+
+        def inflate_third(prefixes, offsets):
+            out = real(prefixes, offsets)
+            out[2:3] = 3.0 * out[2:3] + 1.0
+            return out
+
+        _, _, system = generate(SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2))
+        b = rng(47).standard_normal(16)
+        plans = [PermutationPlan.seeded_shuffle(16, s) for s in range(4)]
+        mj.block_oscillations(system, b, plans, 1)
+        monkeypatch.setattr(mj, "_pointwise_diameters", inflate_third)
+        mj.block_oscillations(system, b, plans[:2], 1)
+        with pytest.raises(RuntimeError, match="doubled one-sided bound"):
+            mj.block_oscillations(system, b, plans, 1)
 
 
 def walk(gen, m, dims, step=None):

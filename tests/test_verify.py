@@ -143,15 +143,14 @@ class TestTandoriBlockCheck:
     def test_nan_oscillation_is_the_reported_case(self, monkeypatch):
         # one plan and block go NaN in every trial: the earliest trial's
         # NaN record is the worst case, whatever finite ratios surround it
-        real = verify.tandori_delta
+        real = verify.block_oscillations
 
-        def nan_on_greedy_block_1(system, coeffs, plan, k, n=None):
-            osc = real(system, coeffs, plan, k, n)
-            if plan.describe() == "greedy-adversarial" and k == 1:
-                return replace(osc, l2=math.nan)
-            return osc
+        def nan_on_greedy_block_1(system, coeffs, plans, k, n=None):
+            return [replace(osc, l2=math.nan)
+                    if plan.describe() == "greedy-adversarial" and k == 1 else osc
+                    for plan, osc in zip(plans, real(system, coeffs, plans, k, n))]
 
-        monkeypatch.setattr(verify, "tandori_delta", nan_on_greedy_block_1)
+        monkeypatch.setattr(verify, "block_oscillations", nan_on_greedy_block_1)
         res = check_tandori_block(small_config(checks={Check.TANDORI_BLOCK}, n_trials=4))
         assert not res.passed
         assert math.isnan(res.worst_ratio)
