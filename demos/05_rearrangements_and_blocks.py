@@ -46,5 +46,5 @@ print("\n=== blocked oscillations under the greedy plan ===")
 blocks = tandori_blocks(16)
 for k in range(blocks.k_max + 1):
     osc = tandori_delta(system, coeffs, greedy, k)
-    print(f"  block {k} [{osc.lo},{osc.hi}] ({osc.indicator_count} terms, "
-          f"{osc.mode}): ||delta|| = {osc.l2:.4f} <= {osc.bound:.4f}")
+    print(f"  block {k} [{osc.lo},{osc.hi}] ({osc.indicator_count} terms): "
+          f"||delta|| = {osc.l2:.4f} <= {osc.bound:.4f}")

@@ -129,8 +129,6 @@ class WeightSpec:
             raise ContractError("weights must be positive")
         if any(b < a for a, b in zip(values, values[1:])):
             raise ContractError("explicit weights must be nondecreasing")
-        if any(v <= 0 for v in values):
-            raise ContractError("weights must be positive")
         return cls(explicit=values)
 
     @classmethod
@@ -283,8 +281,6 @@ def weyl_sum(a: SequenceSpec, truncation: int) -> ConditionReport:
 
 def tandori_blocks(truncation: int) -> TandoriBlocks:
     """Thresholds nu_k = 2^(2^k) capped at the truncation, and their blocks."""
-    if truncation < 3:
-        raise ContractError("no Tandori block intersects support (truncation < 3)")
     _check_truncation(truncation, 3)
     nu = [2]
     while nu[-1] * nu[-1] <= truncation:
@@ -453,14 +449,14 @@ def orlicz_reduction(a: SequenceSpec, w: WeightSpec, truncation: int) -> Reducti
     """Evaluate and check the reduction chain on [1, truncation]."""
     _check_truncation(truncation, 3)
     blocks = tandori_blocks(truncation)
-    masses = block_masses(a, blocks)
+    coeffs = a.coefficients(truncation)
+    masses = np.array([block_mass(coeffs, lo, hi) for lo, hi in blocks.ranges])
     w_nu = np.array([w.value_at(blocks.nu[k]) for k in range(len(blocks.ranges))])
     weights = w.values(truncation)
     if np.any(np.diff(weights) < 0):
         bad = int(np.argmax(np.diff(weights) < 0)) + 1
         raise ContractError(f"weights must be nondecreasing (w_{bad} > w_{bad + 1})")
 
-    coeffs = a.coefficients(truncation)
     n = np.arange(3, truncation + 1, dtype=float)
     coeff_terms = np.abs(coeffs[2:]) ** 2 * np.log2(n) ** 2 * weights[2:]
 

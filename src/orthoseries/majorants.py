@@ -83,9 +83,10 @@ def _fiber_sq_norms(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.add.reduceat(mag, offsets[:-1], axis=-1)
 
 
-def _weighted_l2(weights: np.ndarray, sq: np.ndarray) -> float:
-    """The measure-weighted L2 norm of a profile given by its squares."""
-    return math.sqrt(max(float(np.sum(weights * sq)), 0.0))
+def _weighted_l2(weights: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """The measure-weighted L2 norm of each profile given by its squares
+    along the last axis."""
+    return np.sqrt(np.maximum(np.sum(weights * sq, axis=-1), 0.0))
 
 
 def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
@@ -215,7 +216,7 @@ def permuted_majorant(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
     sup_sq, arg, _ = _sweep(system.values, system.fibers.offsets, a,
                             np.asarray(plan.order) - 1, first_arg=True)
     return MajorantProfile(values=np.sqrt(sup_sq), argmax_prefix=arg,
-                           l2_norm=_weighted_l2(system.space.weights, sup_sq))
+                           l2_norm=float(_weighted_l2(system.space.weights, sup_sq)))
 
 
 def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
@@ -235,17 +236,15 @@ def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
     offsets = system.fibers.offsets
     weights = system.space.weights
     chunk = max(1, PREFIX_BUDGET // (n * V.shape[1]))
-    sums = np.empty(orders.shape[0])
+    l2 = np.empty(orders.shape[0])
     for lo in range(0, orders.shape[0], chunk):
         block = orders[lo:lo + chunk]
         if not np.all(np.sort(block, axis=1) == np.arange(n)):
             raise ContractError(f"orders must be permutations of 0..{n - 1}")
         # indexing drops the final sum, a view that would keep this chunk's
         # prefix buffer alive through the next chunk's sweep
-        sup_sq = _sweep(V, offsets, a, block)[0]
-        # one row's sum has the bits of _weighted_l2's
-        sums[lo:lo + chunk] = np.sum(weights * sup_sq, axis=-1)
-    return np.sqrt(np.maximum(sums, 0.0))
+        l2[lo:lo + chunk] = _weighted_l2(weights, _sweep(V, offsets, a, block)[0])
+    return l2
 
 
 def majorant(system: OrthonormalSystem, coeffs, n: int | None = None) -> MajorantProfile:
@@ -405,8 +404,8 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingD
         n=n, k_max=K,
         block_norms=block_norms, block_coeff_sq=block_coeff_sq,
         inner_sup_norms=inner_sup_norms,
-        dyadic_sup_l2=_weighted_l2(weights, dyad_sq),
-        majorant_l2=_weighted_l2(weights, best_sq),
+        dyadic_sup_l2=float(_weighted_l2(weights, dyad_sq)),
+        majorant_l2=float(_weighted_l2(weights, best_sq)),
         weyl_mass=weyl_mass,
         block_norm_sum=block_norm_sum,
         block_norm_sum_bound=2.0 * math.sqrt(weyl_mass),
@@ -424,8 +423,7 @@ class BlockOscillation:
     to indices of this block, in rearranged order) of the fiber norm;
     ``doubled_one_sided`` is twice the one-sided prefix supremum, the
     estimate the proof uses; ``bound`` is
-    8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).  ``mode`` is always
-    "exact", the mode the tandori-block report case records.
+    8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).
     """
 
     block_index: int
@@ -436,7 +434,6 @@ class BlockOscillation:
     l2: float
     doubled_one_sided: np.ndarray
     bound: float
-    mode: str
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -610,12 +607,11 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
     if not np.all(values <= doubled + 1e-12 * np.maximum(doubled, 1.0)):
         raise RuntimeError("oscillation exceeded its doubled one-sided bound")
 
-    # one row's sum has the bits of _weighted_l2's
-    l2 = np.sqrt(np.maximum(np.sum(system.space.weights * values ** 2, axis=-1), 0.0))
+    l2 = _weighted_l2(system.space.weights, values ** 2)
     bound = 8.0 * math.sqrt(block_mass(a, lo, hi))
     return [BlockOscillation(block_index=k, lo=lo, hi=hi, indicator_count=src.shape[1],
                              values=values[p], l2=float(l2[p]),
-                             doubled_one_sided=doubled[p], bound=bound, mode="exact")
+                             doubled_one_sided=doubled[p], bound=bound)
             for p in range(len(plans))]
 
 

@@ -18,11 +18,10 @@ matrix (see check_riesz_ratio).
 Determinism: trial t of check c under root seed s uses the PCG64 stream
 seeded with SeedSequence((s, ordinal(c), t)); shuffle plans inside a trial
 extend the tuple.  Reports are therefore byte-identical across runs, apart
-from the wall-time field, and across worker counts, whose processes run
-BLAS on different thread counts: no trial's arithmetic calls BLAS
-(riesz-ratio's mix projects with einsum), and G0's Gram spectrum, the one
-BLAS step behind a check's numbers, runs in the calling process before any
-worker starts.
+from the wall-time field, and across worker counts and BLAS thread counts:
+workers run BLAS unpinned, as no trial's arithmetic calls it (riesz-ratio's
+mix projects with einsum; tests/test_verify.py checks that no worker starts
+a thread), and run_suite's systems and G0's spectrum are made before forking.
 
 Parallelism: with N > 1 workers a check's trials run in the calling
 process and N - 1 children made by os.fork, each taking the next unclaimed
@@ -34,15 +33,12 @@ its own (OpenBLAS stops its thread pool at fork).
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import itertools
 import math
 import os
 import pickle
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Mapping
@@ -260,40 +256,7 @@ def _run_trials(count: int, fn: Callable[[int], object], threads: int | None) ->
     workers = worker_count(threads, count)
     if workers == 1:
         return [fn(t) for t in range(count)]
-    with _one_blas_thread():
-        return _forked(count, fn, workers)
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    where numpy bundles none."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        lib = ctypes.CDLL(path)
-        suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's bundled OpenBLAS to one thread, then restore its count:
-    N workers each running OpenBLAS's own threads oversubscribe the CPUs."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    return _forked(count, fn, workers)
 
 
 def _claim(token: tuple[int, int], stop: int | None = None) -> int:
@@ -549,7 +512,7 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
                     for k in range(tandori_blocks(n).k_max + 1)]
         return _merge_worst([
             _record(osc.l2, osc.bound, cfg.slack(Check.TANDORI_BLOCK),
-                    dict(case, plan=plan.describe(), block=k, mode=osc.mode))
+                    dict(case, plan=plan.describe(), block=k))
             for plan, oscs in zip(plans, zip(*by_block)) for k, osc in enumerate(oscs)])
 
     arithmetic = tandori_threshold_arithmetic()
@@ -596,6 +559,8 @@ def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
     systems = _Systems() if systems is None else systems
     n = cfg.exhaustive_n
     specs = [replace(spec, n_functions=n, resolution=None) for spec in cfg.system_specs]
+    for spec in specs:
+        systems[spec]  # before any fork, like run_suite's systems
 
     def one(i: int) -> dict:
         system, rng, case = _trial(cfg, Check.EXHAUSTIVE_PERM, i, systems, specs)

@@ -86,7 +86,7 @@ class TestTandoriBlocks:
         assert b.ranges[-1] == (65537, 70000)
 
     def test_small_truncation_rejected(self):
-        with pytest.raises(ContractError, match="no Tandori block"):
+        with pytest.raises(ContractError, match="truncation must be >= 3"):
             tandori_blocks(2)
 
     def test_threshold_recurrence_and_partition(self):

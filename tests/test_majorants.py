@@ -572,7 +572,6 @@ class TestPrefixSweep:
                 assert np.array_equal(osc.values, values)
                 assert np.array_equal(osc.doubled_one_sided, doubled)
                 assert osc.l2 == l2
-                assert osc.mode == "exact"
 
     @pytest.mark.parametrize("filter_rows", [0, mj.FILTER_MIN_ROWS], ids=["filter", "default"])
     def test_block_oscillations_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget,
@@ -615,7 +614,6 @@ class TestPrefixSweep:
         for plan in (PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 94)):
             osc = tandori_delta(system, b, plan, 3, n)
             values, doubled, l2 = per_term_delta(system, b, plan, 3, n)
-            assert osc.mode == "exact"
             assert np.array_equal(osc.values, values)
             assert np.array_equal(osc.doubled_one_sided, doubled)
             assert osc.l2 == l2
@@ -742,7 +740,6 @@ class TestTandoriDelta:
         assert osc.bound == pytest.approx(20.415062876129102, rel=1e-14)
         assert osc.l2 <= osc.bound
         assert osc.indicator_count == 2
-        assert osc.mode == "exact"
 
     def test_first_coefficients_are_normalized_away(self):
         # a_1, a_2 never enter any block

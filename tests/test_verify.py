@@ -523,41 +523,77 @@ class TestWorkers:
 
     def test_large_n_bytes_equal_under_threaded_blas(self):
         # G0 is computed in the calling process before any fork and no trial
-        # calls BLAS, so a report is byte-identical at one worker (OpenBLAS
-        # on its own 4 threads) and at two (each held to one BLAS thread)
-        fields = [(s.kind.value, s.n_functions, s.resolution, s.fiber_dim, s.seed)
-                  for s in LARGE_N_SPECS]
-        code = ("from orthoseries import Check, SystemKind, SystemSpec, TrialConfig, run_suite\n"
-                f"specs = [SystemSpec(SystemKind(k), *rest) for k, *rest in {fields!r}]\n"
-                "cfg = TrialConfig(system_specs=specs, n_trials=3, seed=1,\n"
-                "                  checks={Check.RIESZ_RATIO, Check.MR_INEQUALITY})\n"
-                "one, two = (run_suite(cfg, threads=t).to_json(include_timing=False)\n"
-                "            for t in (1, 2))\n"
-                "assert one == two\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        # calls BLAS, so a report is byte-identical at one worker and at two,
+        # with OpenBLAS allowed 4 threads in every process
+        _run_under_threaded_blas(
+            "from orthoseries import Check, TrialConfig, run_suite\n"
+            + _LARGE_N_CODE +
+            "cfg = TrialConfig(system_specs=specs, n_trials=3, seed=1,\n"
+            "                  checks={Check.RIESZ_RATIO, Check.MR_INEQUALITY})\n"
+            "one, two = (run_suite(cfg, threads=t).to_json(include_timing=False)\n"
+            "            for t in (1, 2))\n"
+            "assert one == two\n")
 
     def test_fork_after_threaded_blas(self):
         # OpenBLAS's thread pool has run a product before the fork; the
         # workers must not deadlock on it
-        code = ("import numpy as np\n"
-                "from orthoseries import verify\n"
-                "from orthoseries.verify import default_config, run_suite\n"
-                "blas = verify._openblas_threads()\n"
-                "before = blas and blas[0]()\n"
-                "a = np.random.default_rng(0).standard_normal((512, 512))\n"
-                "a @ a\n"
-                "rep = run_suite(default_config(seed=1, n_trials=8), threads=2)\n"
-                "assert rep.all_passed\n"
-                "assert (blas and blas[0]()) == before\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _run_under_threaded_blas(
+            "import numpy as np\n"
+            "from orthoseries.verify import default_config, run_suite\n"
+            "a = np.random.default_rng(0).standard_normal((512, 512))\n"
+            "a @ a\n"
+            "rep = run_suite(default_config(seed=1, n_trials=8), threads=2)\n"
+            "assert rep.all_passed\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count a process's threads")
+    def test_no_trial_starts_a_blas_thread(self):
+        # workers run BLAS unpinned, so a trial that called BLAS would start
+        # OpenBLAS's pool (up to 4 threads here) in its worker; every trial
+        # run in a forked worker must leave that worker on its one thread
+        _run_under_threaded_blas(
+            "import os\n"
+            "import numpy as np\n"
+            "from orthoseries import Check, TrialConfig, verify\n"
+            "from orthoseries.verify import default_config, run_suite\n"
+            + _LARGE_N_CODE +
+            "a = np.random.default_rng(0).standard_normal((512, 512))\n"
+            "a @ a\n"
+            "run, seen = verify._run_trials, []\n"
+            "def traced(count, fn, threads):\n"
+            "    def one(t):\n"
+            "        out = fn(t)\n"
+            "        return out, os.getpid(), len(os.listdir('/proc/self/task'))\n"
+            "    rows = run(count, one, threads)\n"
+            "    seen.extend((pid, tasks) for _, pid, tasks in rows)\n"
+            "    return [out for out, _, _ in rows]\n"
+            "verify._run_trials = traced\n"
+            "checks = {Check.MR_INEQUALITY, Check.MR_THEOREM, Check.BLOCK_NORM_SUM,\n"
+            "          Check.BLOCK_SQ_SUM, Check.TANDORI_BLOCK, Check.RIESZ_RATIO}\n"
+            "for cfg in (default_config(1, n_trials=14),\n"
+            "            TrialConfig(system_specs=specs, n_trials=3, seed=1, checks=checks)):\n"
+            "    assert run_suite(cfg, threads=2).all_passed\n"
+            "forked = [(pid, tasks) for pid, tasks in seen if pid != os.getpid()]\n"
+            "assert forked, 'no trial ran in a forked worker'\n"
+            "assert all(tasks == 1 for _, tasks in forked), sorted(set(forked))\n")
+
+
+# the LARGE_N_SPECS as ``specs`` in a subprocess
+_LARGE_N_FIELDS = [(s.kind.value, s.n_functions, s.resolution, s.fiber_dim, s.seed)
+                   for s in LARGE_N_SPECS]
+_LARGE_N_CODE = ("from orthoseries import SystemKind, SystemSpec\n"
+                 "specs = [SystemSpec(SystemKind(k), *rest)\n"
+                 f"         for k, *rest in {_LARGE_N_FIELDS!r}]\n")
+
+
+def _run_under_threaded_blas(code: str):
+    """Run ``code`` in a fresh interpreter with OpenBLAS allowed 4 threads;
+    it must exit 0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigValidation:
