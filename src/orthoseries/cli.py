@@ -28,6 +28,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import serialization
+# orlicz_conditions is no longer called here, but perfbench/tracing.py
+# wraps it by its name in this module
 from .coefficients import (SequenceSpec, WeightSpec, orlicz_conditions,
                            orlicz_reduction, tandori_sum, weyl_sum)
 from .direct_integral import Field
@@ -215,15 +217,12 @@ def _cmd_check_condition(args) -> int:
 
 
 def _cmd_check_orlicz(args) -> int:
-    a = _sequence_from_args(args)
-    w = _weights_from_args(args)
-    coeff_rep, weight_rep = orlicz_conditions(a, w, args.trunc)
-    red = orlicz_reduction(a, w, args.trunc)
+    red = orlicz_reduction(_sequence_from_args(args), _weights_from_args(args), args.trunc)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "all_hold": red.all_hold,
-        "coefficient_condition": _condition_dict(coeff_rep),
-        "weight_condition": _condition_dict(weight_rep),
+        "coefficient_condition": _condition_dict(red.coefficient),
+        "weight_condition": _condition_dict(red.weight),
         "reduction": {
             "lhs": red.lhs, "mid": red.mid, "rhs": red.rhs,
             "c_partial": red.c_partial,
@@ -286,35 +285,38 @@ def _weights_from_config(entry, what: str) -> WeightSpec:
 
 def _config_from_file(path: str, overrides: dict) -> TrialConfig:
     """The file's config with the command-line overrides in place of its
-    values, validated once, so a file value that is overridden is never read."""
+    values, validated once, so a file value that is overridden is never read;
+    a key the file leaves out (or a null entry) takes TrialConfig's default."""
     payload = _read_json(path)
     what = f"{path}: config"
 
+    def given(key, cast):
+        return _field(payload, what, key, cast, None)
+
     def optional(key, parse):
-        spec = _field(payload, what, key, lambda v: v, None)
+        spec = given(key, lambda v: v)
         return None if spec is None else parse(spec, f"{what} '{key}' entry")
 
     parsers = {
         "system_specs": lambda: tuple(
             _spec_from_dict(entry, 0)
             for entry in _field(payload, what, "systems", _json_list)),
-        "checks": lambda: _field(payload, what, "checks",
-                                 lambda v: frozenset(Check(c) for c in _json_list(v)),
-                                 frozenset(Check)),
-        "n_trials": lambda: _field(payload, what, "n_trials", int, 100),
-        "seed": lambda: _field(payload, what, "seed", int, 0),
+        "checks": lambda: given("checks",
+                                lambda v: frozenset(Check(c) for c in _json_list(v))),
+        "n_trials": lambda: given("n_trials", int),
+        "seed": lambda: given("seed", int),
         "coeff_spec": lambda: optional("coefficients", _sequence_from_config),
         "weight_spec": lambda: optional("weights", _weights_from_config),
-        "tolerances": lambda: _field(payload, what, "tolerances",
-                                     lambda v: {Check(k): _finite(x) for k, x in dict(v).items()},
-                                     {}),
-        "truncation": lambda: _field(payload, what, "truncation", int, 65536),
-        "exhaustive_n": lambda: _field(payload, what, "exhaustive_n", int, 6),
-        "shuffle_plans": lambda: _field(payload, what, "shuffle_plans", int, 2),
-        "riesz_condition": lambda: _field(payload, what, "riesz_condition", _finite, 4.0),
+        "tolerances": lambda: given("tolerances",
+                                    lambda v: {Check(k): _finite(x) for k, x in dict(v).items()}),
+        "truncation": lambda: given("truncation", int),
+        "exhaustive_n": lambda: given("exhaustive_n", int),
+        "shuffle_plans": lambda: given("shuffle_plans", int),
+        "riesz_condition": lambda: given("riesz_condition", _finite),
     }
-    return TrialConfig(**{name: overrides[name] if name in overrides else parse()
-                          for name, parse in parsers.items()})
+    values = {name: overrides[name] if name in overrides else parse()
+              for name, parse in parsers.items()}
+    return TrialConfig(**{name: v for name, v in values.items() if v is not None})
 
 
 def _cmd_verify(args) -> int:

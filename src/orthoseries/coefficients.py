@@ -329,23 +329,20 @@ def tandori_sum(a: SequenceSpec, truncation: int) -> ConditionReport:
                            _tandori_classification(a), truncation)
 
 
-def orlicz_conditions(a: SequenceSpec, w: WeightSpec,
-                      truncation: int) -> tuple[ConditionReport, ConditionReport]:
-    """The weighted coefficient condition and the weight growth condition.
-
-    Both sums start at n = 2.  Returns (coefficient report, weight report).
-    """
+def _orlicz_pass(a: SequenceSpec, w: WeightSpec, truncation: int) -> tuple:
+    """From one draw of a_1..a_T and w_1..w_T: the n >= 2 terms
+    |a_n|^2 log2^2 n and |a_n|^2 (log2^2 n) w_n, then the Orlicz pair's
+    coefficient report and weight report."""
     _check_truncation(truncation, 2)
-    coeffs = a.coefficients(truncation)
-    weights = w.values(truncation)
-    if np.any(weights <= 0) or np.any(np.diff(weights) < 0):
-        raise ContractError("weights must be positive and nondecreasing")
     n = np.arange(2, truncation + 1, dtype=float)
     logs = np.log2(n)
-    coeff_terms = np.abs(coeffs[1:]) ** 2 * logs ** 2 * weights[1:]
+    mass_terms = np.abs(a.coefficients(truncation)[1:]) ** 2 * logs ** 2
+    weights = w.values(truncation)
+    bad = np.flatnonzero((weights <= 0) | (np.diff(weights, prepend=weights[0]) < 0))
+    if bad.size:
+        raise ContractError(f"weights must be positive and nondecreasing (not at w_{bad[0] + 1})")
+    coeff_terms = mass_terms * weights[1:]
     weight_terms = 1.0 / (n * logs * weights[1:])
-    coeff_partials = compensated_cumsum(coeff_terms)
-    weight_partials = compensated_cumsum(weight_terms)
 
     if w.is_explicit:
         weight_cls = Classification.UNKNOWN_FROM_TRUNCATION
@@ -360,8 +357,22 @@ def orlicz_conditions(a: SequenceSpec, w: WeightSpec,
         # termwise ~ n^(-2 alpha) (log n)^(2 - 2 beta + max(gamma, 0))
         coeff_cls = _bertrand(2 * a.alpha, 2 * a.beta - 2 - max(w.gamma, 0.0))
 
-    return (ConditionReport(ConditionId.ORLICZ_COEFF, coeff_partials, coeff_cls, truncation),
-            ConditionReport(ConditionId.ORLICZ_WEIGHT, weight_partials, weight_cls, truncation))
+    return (mass_terms, coeff_terms,
+            ConditionReport(ConditionId.ORLICZ_COEFF, compensated_cumsum(coeff_terms),
+                            coeff_cls, truncation),
+            ConditionReport(ConditionId.ORLICZ_WEIGHT, compensated_cumsum(weight_terms),
+                            weight_cls, truncation))
+
+
+def orlicz_conditions(a: SequenceSpec, w: WeightSpec,
+                      truncation: int) -> tuple[ConditionReport, ConditionReport]:
+    """The weighted coefficient condition and the weight growth condition.
+
+    Both sums start at n = 2; truncation must be >= 2, and the weights
+    positive and nondecreasing.  Returns (coefficient report, weight
+    report), the pair ``orlicz_reduction`` also reports.
+    """
+    return _orlicz_pass(a, w, truncation)[2:]
 
 
 def condensation_chain(w: WeightSpec, terms: int) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
@@ -408,9 +419,10 @@ def condensation_chain(w: WeightSpec, terms: int) -> tuple[ConditionReport, Cond
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """The Cauchy-Schwarz / monotonicity chain from the Orlicz conditions
+    """The Orlicz pair and the Cauchy-Schwarz / monotonicity chain from it
     to the blocked Tandori sum, evaluated on a truncated range.
 
+    ``coefficient`` and ``weight`` are the reports of ``orlicz_conditions``.
     The verified chain is
 
         (sum_k sqrt(A_k))^2  <=  c_partial * sum_k A_k w_{nu_k}
@@ -419,26 +431,27 @@ class ReductionReport:
     with c_partial = sum_k 1/w_{nu_k} over the blocks present.
     """
 
-    blocks: TandoriBlocks
-    masses: np.ndarray
+    coefficient: ConditionReport
+    weight: ConditionReport
     sqrt_mass_sum: float
     c_partial: float
-    weighted_block_sum: float
-    weighted_coeff_sum: float
     lhs: float
     mid: float
     rhs: float
     cauchy_holds: bool
     monotonicity_holds: bool
-    all_hold: bool
     classification: Classification
 
+    @property
+    def all_hold(self) -> bool:
+        return self.cauchy_holds and self.monotonicity_holds
 
-REDUCTION_SLACK = 1e-12
+
+DEFAULT_SLACK = 1e-12
 ABSOLUTE_FLOOR = 1e-300
 
 
-def leq_with_slack(lhs: float, rhs: float, slack: float = REDUCTION_SLACK) -> bool:
+def leq_with_slack(lhs: float, rhs: float, slack: float = DEFAULT_SLACK) -> bool:
     """lhs <= rhs (1 + slack) + ABSOLUTE_FLOOR; false on any NaN or infinity."""
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         return False
@@ -446,35 +459,19 @@ def leq_with_slack(lhs: float, rhs: float, slack: float = REDUCTION_SLACK) -> bo
 
 
 def orlicz_reduction(a: SequenceSpec, w: WeightSpec, truncation: int) -> ReductionReport:
-    """Evaluate and check the reduction chain on [1, truncation]."""
-    _check_truncation(truncation, 3)
+    """The Orlicz pair and the reduction chain on [1, truncation], from one
+    draw of a_n and w_n; the chain needs truncation >= 3."""
+    mass_terms, coeff_terms, coeff_rep, weight_rep = _orlicz_pass(a, w, truncation)
     blocks = tandori_blocks(truncation)
-    coeffs = a.coefficients(truncation)
-    masses = np.array([block_mass(coeffs, lo, hi) for lo, hi in blocks.ranges])
-    w_nu = np.array([w.value_at(blocks.nu[k]) for k in range(len(blocks.ranges))])
-    weights = w.values(truncation)
-    if np.any(np.diff(weights) < 0):
-        bad = int(np.argmax(np.diff(weights) < 0)) + 1
-        raise ContractError(f"weights must be nondecreasing (w_{bad} > w_{bad + 1})")
-
-    n = np.arange(3, truncation + 1, dtype=float)
-    coeff_terms = np.abs(coeffs[2:]) ** 2 * np.log2(n) ** 2 * weights[2:]
-
+    # the term arrays start at n = 2
+    masses = np.array([compensated_sum(mass_terms[lo - 2:hi - 1]) for lo, hi in blocks.ranges])
+    w_nu = np.array([w.value_at(nu) for nu in blocks.nu[:len(blocks.ranges)]])
     sqrt_mass_sum = compensated_sum(np.sqrt(masses))
     c_partial = compensated_sum(1.0 / w_nu)
-    weighted_block_sum = compensated_sum(masses * w_nu)
-    weighted_coeff_sum = compensated_sum(coeff_terms)
-
     lhs = sqrt_mass_sum ** 2
-    mid = c_partial * weighted_block_sum
-    rhs = c_partial * weighted_coeff_sum
-    cauchy = leq_with_slack(lhs, mid)
-    mono = leq_with_slack(mid, rhs)
-
+    mid = c_partial * compensated_sum(masses * w_nu)
+    rhs = c_partial * compensated_sum(coeff_terms[1:])
     return ReductionReport(
-        blocks=blocks, masses=masses, sqrt_mass_sum=sqrt_mass_sum,
-        c_partial=c_partial, weighted_block_sum=weighted_block_sum,
-        weighted_coeff_sum=weighted_coeff_sum, lhs=lhs, mid=mid, rhs=rhs,
-        cauchy_holds=cauchy, monotonicity_holds=mono, all_hold=cauchy and mono,
-        classification=_tandori_classification(a),
-    )
+        coefficient=coeff_rep, weight=weight_rep, sqrt_mass_sum=sqrt_mass_sum,
+        c_partial=c_partial, lhs=lhs, mid=mid, rhs=rhs, cauchy_holds=leq_with_slack(lhs, mid),
+        monotonicity_holds=leq_with_slack(mid, rhs), classification=_tandori_classification(a))

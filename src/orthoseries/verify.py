@@ -21,7 +21,7 @@ extend the tuple.  Reports are therefore byte-identical across runs, apart
 from the wall-time field, and across worker counts and BLAS thread counts:
 workers run BLAS unpinned, as no trial's arithmetic calls it (riesz-ratio's
 mix projects with einsum; tests/test_verify.py checks that no worker starts
-a thread), and run_suite's systems and G0's spectrum are made before forking.
+a thread), and every check's systems and G0's spectrum are made before it forks.
 
 Parallelism: with N > 1 workers a check's trials run in the calling
 process and N - 1 children made by os.fork, each taking the next unclaimed
@@ -45,13 +45,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coefficients import (ABSOLUTE_FLOOR, SequenceSpec, WeightSpec,
+# orlicz_conditions, permuted_majorant and tandori_delta are no longer called
+# here, but perfbench/tracing.py wraps them by their names in this module
+from .coefficients import (ABSOLUTE_FLOOR, DEFAULT_SLACK, SequenceSpec, WeightSpec,
                            condensation_chain, leq_with_slack,
                            orlicz_conditions, orlicz_reduction, tandori_blocks)
 from .direct_integral import Field, OrthonormalSystem, gram_matrix
 from .errors import BudgetError, ContractError
-# permuted_majorant and tandori_delta are no longer called here, but
-# perfbench/tracing.py wraps them by their names in this module
 from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
                         adversarial_permutation, all_orders_l2, block_oscillations,
                         chaining_diagnostics, complete_block_length,
@@ -59,7 +59,6 @@ from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
 from .serialization import SCHEMA_VERSION, dumps
 from .systems import SystemKind, SystemSpec, generate, seeded_rng
 
-DEFAULT_SLACK = 1e-12
 PARSEVAL_SLACK = 1e-10
 ORACLE_BUDGET = 10_000_000
 # Householder reflectors on each side of the row scaling of a riesz-ratio mix
@@ -342,16 +341,17 @@ def _forked(count: int, fn: Callable[[int], object], workers: int) -> list:
     return [results[t] for t in range(count)]
 
 
-class _Systems(dict):
-    """One run's systems by spec, each generated on first use (``generate`` is
-    looked up then, so a rebinding is seen); a check called alone makes its own."""
+def _make_systems(specs, systems: dict | None) -> dict:
+    """``systems`` (a new dict when None) with the system of every spec, those
+    it lacks generated here, before the check forks, so its workers inherit them."""
+    systems = {} if systems is None else systems
+    for spec in specs:
+        if spec not in systems:
+            systems[spec] = generate(spec)[2]
+    return systems
 
-    def __missing__(self, spec: SystemSpec) -> OrthonormalSystem:
-        system = self[spec] = generate(spec)[2]
-        return system
 
-
-def _trial(cfg: TrialConfig, check: Check, t: int, systems: _Systems,
+def _trial(cfg: TrialConfig, check: Check, t: int, systems: dict,
            specs: list[SystemSpec] | None = None) -> tuple:
     """Trial t of a system check: its system (the specs, by default the
     config's, cycle by trial), its seeded generator and the case fields
@@ -407,9 +407,9 @@ def _coeff_norm(b: np.ndarray) -> float:
 
 
 def check_mr_inequality(cfg: TrialConfig, threads: int | None = None,
-                        systems: _Systems | None = None) -> CheckResult:
+                        systems: dict | None = None) -> CheckResult:
     """Maximal-inequality ratio ||S_N*||_2 / ((2 + log2 N) ||b||_2) <= 1 per trial."""
-    systems = _Systems() if systems is None else systems
+    systems = _make_systems(cfg.system_specs, systems)
 
     def one(t: int) -> dict:
         system, rng, case = _trial(cfg, Check.MR_INEQUALITY, t, systems)
@@ -422,7 +422,7 @@ def check_mr_inequality(cfg: TrialConfig, threads: int | None = None,
 
 
 def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None,
-                           systems: _Systems | None = None) -> CheckResult:
+                           systems: dict | None = None) -> CheckResult:
     """Randomized draws of the single-fiber dyadic chaining bound."""
     def one(t: int) -> dict:
         path = trial_seed_path(cfg.seed, Check.DYADIC_POINTWISE, t)
@@ -441,10 +441,10 @@ def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None,
 
 
 def _chaining_results(cfg: TrialConfig, threads: int | None = None,
-                      systems: _Systems | None = None) -> dict[Check, CheckResult]:
+                      systems: dict | None = None) -> dict[Check, CheckResult]:
     """Shared trial loop for the chaining checks (final bound, block-norm
     sum, within-block square sum) plus the Parseval identity."""
-    systems = _Systems() if systems is None else systems
+    systems = _make_systems(cfg.system_specs, systems)
     checks = (Check.MR_THEOREM, Check.BLOCK_NORM_SUM, Check.BLOCK_SQ_SUM)
 
     def one(t: int) -> tuple[dict, dict, dict]:
@@ -494,13 +494,13 @@ def tandori_threshold_arithmetic() -> list[dict]:
 
 
 def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
-                        systems: _Systems | None = None) -> CheckResult:
+                        systems: dict | None = None) -> CheckResult:
     """Blocked oscillation bound ||delta_k||_2 <= 8 (sum_{block} |a_n|^2 log2^2 n)^(1/2)
     under identity, seeded-shuffle, greedy, and block-reversal plans."""
-    systems = _Systems() if systems is None else systems
     specs = [s for s in cfg.system_specs if s.n_functions >= 5]
     if not specs:
         raise ContractError("tandori block checks need at least one system with n >= 5")
+    systems = _make_systems(specs, systems)
 
     def one(t: int) -> dict:
         system, rng, case = _trial(cfg, Check.TANDORI_BLOCK, t, systems, specs)
@@ -554,13 +554,11 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
 
 
 def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
-                          systems: _Systems | None = None) -> CheckResult:
+                          systems: dict | None = None) -> CheckResult:
     """Exhaustive rearrangement sweep on capped-size variants of each system kind."""
-    systems = _Systems() if systems is None else systems
     n = cfg.exhaustive_n
     specs = [replace(spec, n_functions=n, resolution=None) for spec in cfg.system_specs]
-    for spec in specs:
-        systems[spec]  # before any fork, like run_suite's systems
+    systems = _make_systems(specs, systems)
 
     def one(i: int) -> dict:
         system, rng, case = _trial(cfg, Check.EXHAUSTIVE_PERM, i, systems, specs)
@@ -577,7 +575,7 @@ def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
 
 
 def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
-                       systems: _Systems | None = None) -> CheckResult:
+                       systems: dict | None = None) -> CheckResult:
     """Cauchy-Schwarz / monotonicity chain from the Orlicz conditions to the
     blocked sum, plus condensation classifier agreement.
 
@@ -591,13 +589,12 @@ def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
     r_cauchy = _ratio(red.lhs, red.mid)
     r_mono = _ratio(red.mid, red.rhs)
     ok = leq_with_slack(red.lhs, red.mid, slack) and leq_with_slack(red.mid, red.rhs, slack)
-    coeff_rep, weight_rep = orlicz_conditions(coeff_spec, weight_spec, cfg.truncation)
     details = {
         "c_partial": red.c_partial,
         "sqrt_mass_sum": red.sqrt_mass_sum,
         "classification": red.classification.value,
-        "coeff_condition": coeff_rep.classification.value,
-        "weight_condition": weight_rep.classification.value,
+        "coeff_condition": red.coefficient.classification.value,
+        "weight_condition": red.weight.classification.value,
     }
     if not weight_spec.is_explicit:
         chain = condensation_chain(weight_spec, terms=12)
@@ -637,7 +634,7 @@ def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
 
 
 def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
-                      systems: _Systems | None = None) -> CheckResult:
+                      systems: dict | None = None) -> CheckResult:
     """Maximal inequality on systems mixed by a seeded matrix M of
     condition number ``riesz_condition`` (``_conditioned_mix``), at the
     bound in the module docstring; the chaining proof uses orthogonality
@@ -649,7 +646,7 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
     extremal eigenvalues come from one ``gram_matrix`` per system the
     trials use, before the trials start.  A numerically singular mix
     (lower Riesz bound <= 1e-6) fails the trial."""
-    systems = _Systems() if systems is None else systems
+    systems = _make_systems(cfg.system_specs, systems)
     spectra = {}
     for spec in cfg.system_specs[:cfg.n_trials]:
         if (system := systems[spec]) not in spectra:
@@ -682,8 +679,9 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
 def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
     """Dispatch every requested check and merge the results, each timed in
     its ``seconds`` (the three chaining checks share one trial loop and its
-    time).  The config's systems are generated before the first check, so
-    forked workers inherit them.
+    time).  The checks share one dict of systems: each system is generated
+    once, by the first check that reads it, before that check forks, and
+    in that check's ``seconds``.
 
     Deterministic given cfg.seed; see the module docstring for ``threads``.
     """
@@ -699,9 +697,7 @@ def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
         Check.RIESZ_RATIO: check_riesz_ratio,
     }
     results: dict[Check, CheckResult] = {}
-    systems = _Systems()
-    for spec in cfg.system_specs:
-        systems[spec]
+    systems: dict = {}
     for check in CHECK_ORDER:
         if check not in cfg.checks or check in results:
             continue
@@ -729,14 +725,5 @@ def default_config(seed: int = 1, n_trials: int = 100) -> TrialConfig:
         SystemSpec(SystemKind.TENSOR_VECTOR, 64, fiber_dim=4),
         SystemSpec(SystemKind.VARYING_DIM, 64),
     )
-    return TrialConfig(
-        system_specs=specs,
-        checks=frozenset(Check),
-        n_trials=n_trials,
-        seed=seed,
-        coeff_spec=None,
-        weight_spec=WeightSpec.log_power(1.5),
-        truncation=65536,
-        exhaustive_n=6,
-        shuffle_plans=2,
-    )
+    return TrialConfig(system_specs=specs, seed=seed, n_trials=n_trials,
+                       weight_spec=WeightSpec.log_power(1.5))

@@ -1,13 +1,16 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthoseries.cli import build_parser, main
+from orthoseries.cli import _config_from_file, build_parser, main
+from orthoseries.coefficients import SequenceSpec, WeightSpec
 from orthoseries.serialization import system_from_json
+from orthoseries.verify import Check, check_orlicz_chain, default_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,6 +110,28 @@ def test_check_orlicz_spec_example(capsys):
     assert payload["all_hold"] is True
     assert payload["reduction"]["classification"] == "converges"
     assert payload["weight_condition"]["classification"] == "converges"
+
+
+def test_one_draw_per_orlicz_run(monkeypatch, capsys):
+    # check-orlicz and the orlicz-chain check each draw a_n and w_n once
+    calls = []
+    for cls, name in ((SequenceSpec, "coefficients"), (WeightSpec, "values")):
+        def counted(self, truncation, real=getattr(cls, name), name=name):
+            calls.append(name)
+            return real(self, truncation)
+        monkeypatch.setattr(cls, name, counted)
+    assert main(["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1.5",
+                 "--trunc", "4096"]) == 0
+    assert sorted(calls) == ["coefficients", "values"]
+    calls.clear()
+    cfg = replace(default_config(1), checks={Check.ORLICZ_CHAIN}, truncation=4096,
+                  coeff_spec=SequenceSpec.power_log(1.0, 1.0, 2.0))
+    assert check_orlicz_chain(cfg).passed
+    assert sorted(calls) == ["coefficients", "values"]
+
+
+def test_default_json_is_the_default_config():
+    assert _config_from_file(str(REPO_ROOT / "default.json"), {}) == default_config(1)
 
 
 def test_verify_small_config(tmp_path):

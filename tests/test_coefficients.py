@@ -242,9 +242,26 @@ class TestOrliczReduction:
             assert red.monotonicity_holds
 
     def test_weight_monotonicity_is_enforced(self):
-        bad = WeightSpec(explicit=(2.0, 1.0))  # bypass the factory check
-        with pytest.raises(ContractError):
+        bad = WeightSpec(explicit=(2.0, 1.0, 1.0))  # bypass the factory check
+        with pytest.raises(ContractError, match="nondecreasing"):
             orlicz_reduction(SequenceSpec.from_values([1.0, 1.0, 1.0]), bad, 3)
+
+    @pytest.mark.parametrize("a,w,trunc", [
+        (SequenceSpec.power_log(1.0, 1.0, 2.0), WeightSpec.log_power(1.5), 65536),
+        (SequenceSpec.power_log(1.0, 0.5, 1.0), WeightSpec.log_power(0.5, shift=2.5), 300),
+        (SequenceSpec.from_values(rng(5).standard_normal(40)),
+         WeightSpec.from_values(1.0 + np.cumsum(np.abs(rng(6).standard_normal(257)))), 257),
+    ], ids=["power-log", "shifted", "explicit"])
+    def test_pair_and_rhs_from_one_draw(self, a, w, trunc):
+        red = orlicz_reduction(a, w, trunc)
+        n = np.arange(3, trunc + 1, dtype=float)
+        terms = np.abs(a.coefficients(trunc)[2:]) ** 2 * np.log2(n) ** 2 * w.values(trunc)[2:]
+        assert red.rhs == red.c_partial * math.fsum(terms)
+        coeff, weight = orlicz_conditions(a, w, trunc)
+        assert red.coefficient.condition_id is coeff.condition_id
+        assert red.weight.condition_id is weight.condition_id
+        assert np.array_equal(red.coefficient.partial_sums, coeff.partial_sums)
+        assert np.array_equal(red.weight.partial_sums, weight.partial_sums)
 
 
 def test_truncation_cap():

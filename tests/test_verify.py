@@ -314,9 +314,7 @@ class TestRieszRatio:
         # trial runs a QR, a Gram product or an eigensolve (random-qr systems
         # are generated by QR, so they are made first)
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8)
-        systems = verify._Systems()
-        for spec in cfg.system_specs:
-            systems[spec]
+        systems = verify._make_systems(cfg.system_specs, None)
         calls = {"gram": 0, "eigvalsh": 0}
         real_gram, real_eig = verify.gram_matrix, np.linalg.eigvalsh
 
@@ -480,6 +478,28 @@ class TestWorkers:
         assert [t for t, _ in out] == list(range(200))
         assert {pid for _, pid in out} - {os.getpid()}
         assert sorted(map(int, (tmp_path / "log").read_text().split())) == list(range(200))
+
+    @pytest.mark.parametrize("check", [
+        verify.check_mr_inequality, verify._chaining_results, verify.check_tandori_block,
+        verify.check_exhaustive_perm, verify.check_riesz_ratio], ids=lambda f: f.__name__)
+    def test_check_alone_makes_its_systems_before_forking(self, check, monkeypatch, tmp_path):
+        # each generate call appends its pid to one log, so a system made in
+        # a forked worker, or made twice, shows there
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        real = verify.generate
+
+        def logged(spec):
+            os.write(log, f"{os.getpid()}\n".encode())
+            return real(spec)
+
+        monkeypatch.setattr(verify, "generate", logged)
+        cfg = small_config(n_trials=6)
+        try:
+            check(cfg, threads=2)
+        finally:
+            os.close(log)
+        pids = (tmp_path / "log").read_text().split()
+        assert pids == [str(os.getpid())] * len(cfg.system_specs)
 
     def test_trial_error_keeps_its_type(self, monkeypatch, tmp_path, capsys):
         def refuse():
