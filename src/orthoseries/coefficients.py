@@ -70,10 +70,7 @@ class SequenceSpec:
 
     @classmethod
     def from_values(cls, values) -> "SequenceSpec":
-        values = tuple(values)
-        if not values:
-            raise ContractError("explicit sequence must be nonempty")
-        return cls(explicit=values)
+        return cls(explicit=_explicit(values, "sequence", "a"))
 
     @classmethod
     def power_log(cls, scale: float, alpha: float, beta: float) -> "SequenceSpec":
@@ -122,9 +119,7 @@ class WeightSpec:
 
     @classmethod
     def from_values(cls, values) -> "WeightSpec":
-        values = tuple(float(v) for v in values)
-        if not values:
-            raise ContractError("explicit weights must be nonempty")
+        values = _explicit((float(v) for v in values), "weights", "w")
         if values[0] <= 0:
             raise ContractError("weights must be positive")
         if any(b < a for a, b in zip(values, values[1:])):
@@ -239,6 +234,16 @@ class ConditionReport:
         return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
 
 
+def _explicit(values, what: str, symbol: str) -> tuple:
+    """``values`` as a nonempty tuple of finite numbers, else a ContractError."""
+    values = tuple(values)
+    if not values:
+        raise ContractError(f"explicit {what} must be nonempty")
+    if (bad := np.flatnonzero(~np.isfinite(np.asarray(values)))).size:
+        raise ContractError(f"explicit {what} must be finite (not at {symbol}_{bad[0] + 1})")
+    return values
+
+
 def _finite(values, spec):
     """``values`` unchanged when all finite, else a ContractError naming ``spec``."""
     if not np.all(np.isfinite(values)):
@@ -338,7 +343,7 @@ def _orlicz_pass(a: SequenceSpec, w: WeightSpec, truncation: int) -> tuple:
     logs = np.log2(n)
     mass_terms = np.abs(a.coefficients(truncation)[1:]) ** 2 * logs ** 2
     weights = w.values(truncation)
-    bad = np.flatnonzero((weights <= 0) | (np.diff(weights, prepend=weights[0]) < 0))
+    bad = np.flatnonzero(~(weights > 0) | (np.diff(weights, prepend=weights[0]) < 0))
     if bad.size:
         raise ContractError(f"weights must be positive and nondecreasing (not at w_{bad[0] + 1})")
     coeff_terms = mass_terms * weights[1:]
@@ -461,6 +466,7 @@ def leq_with_slack(lhs: float, rhs: float, slack: float = DEFAULT_SLACK) -> bool
 def orlicz_reduction(a: SequenceSpec, w: WeightSpec, truncation: int) -> ReductionReport:
     """The Orlicz pair and the reduction chain on [1, truncation], from one
     draw of a_n and w_n; the chain needs truncation >= 3."""
+    _check_truncation(truncation, 3)
     mass_terms, coeff_terms, coeff_rep, weight_rep = _orlicz_pass(a, w, truncation)
     blocks = tandori_blocks(truncation)
     # the term arrays start at n = 2

@@ -10,7 +10,7 @@ and the inner product is
 conjugate-linear in the second slot for complex fibers.  Everything in the
 package (orthonormal systems, partial-sum majorants, verification checks)
 is built on the three primitives here: inner products, norms, and Gram
-matrices with extremal-eigenvalue (Riesz) bounds.
+matrices with eigenvalue (Riesz) bounds, exact or from Gershgorin discs.
 
 All value types are immutable after construction (their arrays are marked
 read-only), so they can be shared freely across parallel workers.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import StructuralError
 
-# Gram spectra always come from the dense symmetric eigendecomposition, at
+# gram_matrix's spectra come from the dense symmetric eigendecomposition, at
 # every size.  Nothing in the package reads this name; it stays because the
 # benchmark's eigen-path counter (perfbench/tracing.py) does.
 DENSE_EIG_LIMIT = math.inf
@@ -269,6 +269,20 @@ class OrthonormalSystem:
         return validate_ons(self, self.space, self.fibers, tol)
 
 
+def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G = (V w) V^H, its Hermitian part and one real n x n scratch array;
+    raises unless G is Hermitian to within GRAM_HERMITIAN_TOL."""
+    # the .conj() method returns a real array itself, where np.conj copies it
+    G = (V * w) @ V.conj().T
+    Gh = G.conj().T
+    herm = 0.5 * (G + Gh)
+    scratch = G - Gh
+    scratch = np.abs(scratch, out=None if scratch.dtype.kind == "c" else scratch)
+    if np.max(scratch) > GRAM_HERMITIAN_TOL:
+        raise StructuralError("gram matrix is not Hermitian to within 1e-12")
+    return G, herm, scratch
+
+
 def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramReport:
     """Gram matrix G[m, n] = <phi_m, phi_n> with extremal eigenvalue bounds.
 
@@ -276,17 +290,7 @@ def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramR
     """
     if not isinstance(system, OrthonormalSystem):
         system = OrthonormalSystem.from_elements(space, fibers, system)
-    V = system.values
-    w = expanded_weights(space, fibers)
-    # the .conj() method returns a real array itself, where np.conj copies it
-    G = (V * w) @ V.conj().T
-    Gh = G.conj().T
-    herm = 0.5 * (G + Gh)
-    # one real n x n scratch array serves both maxima
-    scratch = G - Gh
-    scratch = np.abs(scratch, out=None if scratch.dtype.kind == "c" else scratch)
-    if np.max(scratch) > GRAM_HERMITIAN_TOL:
-        raise StructuralError("gram matrix is not Hermitian to within 1e-12")
+    G, herm, scratch = _hermitian_gram(system.values, expanded_weights(space, fibers))
     n = G.shape[0]
     diag = np.real(np.diagonal(G))
     # the entries of |G - diag(G)|: |G| off the diagonal, |G_ii - G_ii| on it
@@ -298,6 +302,21 @@ def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramR
     eig = np.linalg.eigvalsh(herm)
     return GramReport(gram=G, max_offdiag_abs=max_offdiag, max_diag_dev=max_diag_dev,
                       riesz_lower=float(eig[0]), riesz_upper=float(eig[-1]))
+
+
+def gershgorin_bounds(system: OrthonormalSystem) -> tuple[float, float]:
+    """Gershgorin bounds (min_i H_ii - r_i, max_i H_ii + r_i) on the spectrum of
+    the Gram matrix's Hermitian part H, r_i = sum_{j != i} |H_ij| (1 + n 2^-53),
+    ends with r_i > 0 rounded outward by one ulp.  O(n^2); NaN in H gives NaN."""
+    herm, radius = _hermitian_gram(system.values, system.expanded_weights)[1:]
+    diag = np.real(np.diagonal(herm))
+    np.abs(herm, out=radius)
+    np.fill_diagonal(radius, 0.0)
+    r = radius.sum(axis=1) * (1.0 + len(diag) * 2.0 ** -53)
+    lower, upper = diag - r, diag + r
+    np.nextafter(lower, -np.inf, out=lower, where=r > 0)
+    np.nextafter(upper, np.inf, out=upper, where=r > 0)
+    return float(np.min(lower)), float(np.max(upper))
 
 
 def validate_ons(system, space: MeasureSpace, fibers: HilbertCollection,

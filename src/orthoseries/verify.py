@@ -11,9 +11,9 @@ or permutation order; its seed path and spec are the reproducer.
 riesz-ratio asserts the Menshov-Rademacher bound scaled by an upper Riesz
 bound B of a system mixed by a seeded matrix M with singular values in
 [1, riesz_condition]: ||S_N*||_2 <= sqrt(B) (2 + log2 N) ||b||_2, where
-B = s_max^2 lambda_max(G0) (1 + MIX_MARGIN) comes from the construction,
-s_max = riesz_condition (1 when N = 1) and G0 the unmixed system's Gram
-matrix (see check_riesz_ratio).
+B = s_max^2 g_max(G0) (1 + MIX_MARGIN) comes from the construction,
+s_max = riesz_condition (1 when N = 1), g_max(G0) >= lambda_max(G0) the
+upper Gershgorin bound of the unmixed Gram matrix G0 (see check_riesz_ratio).
 
 Determinism: trial t of check c under root seed s uses the PCG64 stream
 seeded with SeedSequence((s, ordinal(c), t)); shuffle plans inside a trial
@@ -21,7 +21,8 @@ extend the tuple.  Reports are therefore byte-identical across runs, apart
 from the wall-time field, and across worker counts and BLAS thread counts:
 workers run BLAS unpinned, as no trial's arithmetic calls it (riesz-ratio's
 mix projects with einsum; tests/test_verify.py checks that no worker starts
-a thread), and every check's systems and G0's spectrum are made before it forks.
+a thread), every check's systems and G0's bounds are made before it forks,
+and no verify path calls an eigensolver (its bits follow BLAS threads).
 
 Parallelism: with N > 1 workers a check's trials run in the calling
 process and N - 1 children made by os.fork, each taking the next unclaimed
@@ -45,12 +46,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-# orlicz_conditions, permuted_majorant and tandori_delta are no longer called
-# here, but perfbench/tracing.py wraps them by their names in this module
+# gram_matrix, orlicz_conditions, permuted_majorant and tandori_delta are no
+# longer called here, but perfbench/tracing.py wraps them by their names in
+# this module
 from .coefficients import (ABSOLUTE_FLOOR, DEFAULT_SLACK, SequenceSpec, WeightSpec,
                            condensation_chain, leq_with_slack,
                            orlicz_conditions, orlicz_reduction, tandori_blocks)
-from .direct_integral import Field, OrthonormalSystem, gram_matrix
+from .direct_integral import Field, OrthonormalSystem, gershgorin_bounds, gram_matrix
 from .errors import BudgetError, ContractError
 from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
                         adversarial_permutation, all_orders_l2, block_oscillations,
@@ -74,9 +76,9 @@ MIX_REFLECTORS = 4
 # (1 +- 2 (8k + 1) u).  The margin doubles that, 4 (8k + 1) u = 1.5e-14 at
 # k = 4, for the dot products' own accumulation.  It is a budget, not a
 # worst-case bound (that would grow like n u): on every stock kind up to
-# Haar n=4096 the unmargined bounds missed eigvalsh of the mixed Gram matrix
-# by at most 4.3e-15 relative, and tests/test_verify.py holds the margined
-# ones against eigvalsh.
+# Haar n=4096 the unmargined bounds from G0's eigenvalues missed eigvalsh of
+# the mixed Gram matrix by at most 4.3e-15 relative, and tests/test_verify.py
+# holds the margined ones (from G0's Gershgorin bounds) against eigvalsh.
 MIX_MARGIN = 4 * (8 * MIX_REFLECTORS + 1) * 2.0 ** -53
 
 
@@ -642,16 +644,15 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
 
     The mixed Gram matrix is M G0 M^T, G0 the unmixed system's, so its
     spectrum lies in [s_min^2 lambda_min(G0), s_max^2 lambda_max(G0)]; the
-    reported Riesz bounds are those ends widened by MIX_MARGIN.  G0's
-    extremal eigenvalues come from one ``gram_matrix`` per system the
-    trials use, before the trials start.  A numerically singular mix
-    (lower Riesz bound <= 1e-6) fails the trial."""
+    reported Riesz bounds are those ends, G0's eigenvalues bounded by
+    ``gershgorin_bounds`` once per system before the trials, widened by
+    MIX_MARGIN.  A lower Riesz bound <= 1e-6 or NaN (a numerically singular
+    mix, or discs of G0 that reach 0) fails the trial."""
     systems = _make_systems(cfg.system_specs, systems)
-    spectra = {}
+    bounds = {}
     for spec in cfg.system_specs[:cfg.n_trials]:
-        if (system := systems[spec]) not in spectra:
-            report = gram_matrix(system, system.space, system.fibers)
-            spectra[system] = (report.riesz_lower, report.riesz_upper)
+        if (system := systems[spec]) not in bounds:
+            bounds[system] = gershgorin_bounds(system)
 
     def one(t: int) -> dict:
         system, rng, case = _trial(cfg, Check.RIESZ_RATIO, t, systems)
@@ -659,7 +660,7 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
         values, s = _conditioned_mix(rng, system.values, cfg.riesz_condition)
         mixed = OrthonormalSystem(system.space, system.fibers, values)
         b = _draw_coefficients(cfg, rng, n, system.fibers.field)
-        lower, upper = spectra[system]
+        lower, upper = bounds[system]
         lower *= float(s[0]) ** 2 * (1.0 - MIX_MARGIN)
         upper *= float(s[-1]) ** 2 * (1.0 + MIX_MARGIN)
         case.update(riesz_lower=lower, riesz_upper=upper, mix_condition=cfg.riesz_condition)
@@ -670,10 +671,10 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
     return _result(Check.RIESZ_RATIO, _run_trials(cfg.n_trials, one, threads),
                    {"note": "bound sqrt(riesz_upper) (2 + log2 N) ||b||_2: the "
                             "Menshov-Rademacher constant scaled by the upper Riesz bound "
-                            f"riesz_upper = s_max^2 lambda_max(G0) (1 + {MIX_MARGIN:.2g}) of "
+                            f"riesz_upper = s_max^2 g_max(G0) (1 + {MIX_MARGIN:.2g}) of "
                             "the mixed system: s_max its mix's largest singular value "
-                            "(riesz_condition when N > 1), G0 the unmixed system's Gram "
-                            "matrix"})
+                            "(riesz_condition when N > 1), g_max(G0) >= lambda_max(G0) the "
+                            "upper Gershgorin bound of the unmixed system's Gram matrix G0"})
 
 
 def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:

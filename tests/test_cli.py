@@ -202,6 +202,20 @@ def test_truncation_over_cap_exit_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    lambda t, trunc: ["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1.5",
+                      "--trunc", str(trunc)],
+    lambda t, trunc: _config(t, {"checks": ["orlicz-chain"], "truncation": trunc}),
+], ids=["check-orlicz", "verify-orlicz-chain"])
+@pytest.mark.parametrize("trunc", [1, 2])
+def test_orlicz_truncation_floor_is_three(tmp_path, capsys, argv, trunc):
+    # one floor for the Orlicz pair and the reduction chain
+    out = tmp_path / "out.json"
+    assert main(argv(tmp_path, trunc) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: truncation must be >= 3\n"
+    assert not out.exists()
+
+
 def test_verify_zero_trials_exit_2(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["verify", "--check", "dyadic-pointwise", "--trials", "0",

@@ -160,6 +160,22 @@ class TestOrliczConditions:
         with pytest.raises(ContractError):
             WeightSpec.from_values([0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_explicit_values_must_be_finite(self, bad):
+        with pytest.raises(ContractError, match=r"explicit sequence must be finite \(not at a_3\)"):
+            SequenceSpec.from_values([1.0, 2.0, bad, 4.0])
+        with pytest.raises(ContractError, match=r"explicit sequence must be finite \(not at a_2\)"):
+            SequenceSpec.from_values([1.0, complex(0.5, bad)])
+        with pytest.raises(ContractError, match=r"explicit weights must be finite \(not at w_2\)"):
+            WeightSpec.from_values([1.0, bad, 2.0, 3.0])
+        with pytest.raises(ContractError, match=r"explicit weights must be finite \(not at w_1\)"):
+            WeightSpec.from_values([bad])
+
+    def test_nan_weight_rejected_at_use(self):
+        bad = WeightSpec(explicit=(1.0, math.nan, 2.0, 3.0))  # bypass the factory
+        with pytest.raises(ContractError, match=r"not at w_2\)"):
+            orlicz_reduction(SequenceSpec.from_values([1.0] * 4), bad, 4)
+
     def test_non_monotone_weights_rejected_at_use(self):
         bad = WeightSpec(explicit=(2.0, 1.0, 1.0))  # bypass the factory
         with pytest.raises(ContractError, match="nondecreasing"):
@@ -240,6 +256,13 @@ class TestOrliczReduction:
             red = orlicz_reduction(a, w, trunc)
             assert red.cauchy_holds
             assert red.monotonicity_holds
+
+    @pytest.mark.parametrize("trunc", [0, 1, 2])
+    def test_truncation_floor_is_three(self, trunc):
+        # the chain's floor, before the pair's own floor of 2 is reached
+        with pytest.raises(ContractError, match=r"truncation must be >= 3$"):
+            orlicz_reduction(SequenceSpec.power_log(1.0, 1.0, 2.0), WeightSpec.log_power(1.5),
+                             trunc)
 
     def test_weight_monotonicity_is_enforced(self):
         bad = WeightSpec(explicit=(2.0, 1.0, 1.0))  # bypass the factory check

@@ -11,11 +11,19 @@ from orthoseries import (DirectIntegralElement, Field, HilbertCollection,
                          MeasureSpace, OrthonormalSystem, StructuralError,
                          SystemKind, SystemSpec, generate, gram_matrix,
                          inner_product, norm, validate_ons)
+from orthoseries.direct_integral import gershgorin_bounds
 from orthoseries.verify import _conditioned_mix, default_config
 
 from conftest import random_element, random_space, rng
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# every stock kind at the default sizes, then the benchmark's large-n systems
+STOCK_AND_LARGE_N = list(default_config().system_specs) + [
+    SystemSpec(SystemKind.HAAR, 1024),
+    SystemSpec(SystemKind.RANDOM_QR, 640, resolution=320, fiber_dim=2, seed=1001),
+    SystemSpec(SystemKind.VARYING_DIM, 600),
+]
 
 
 def oracle_inner(weights, f_blocks, g_blocks):
@@ -170,11 +178,7 @@ class TestGram:
         assert first.riesz_lower == pytest.approx(1.0, abs=1e-9)
         assert first.riesz_upper == pytest.approx(16.0, abs=1e-9)
 
-    @pytest.mark.parametrize("spec", list(default_config().system_specs) + [
-        SystemSpec(SystemKind.HAAR, 1024),
-        SystemSpec(SystemKind.RANDOM_QR, 640, resolution=320, fiber_dim=2, seed=1001),
-        SystemSpec(SystemKind.VARYING_DIM, 600),
-    ], ids=lambda spec: spec.describe())
+    @pytest.mark.parametrize("spec", STOCK_AND_LARGE_N, ids=lambda spec: spec.describe())
     def test_fields_equal_the_direct_formulas(self, spec):
         # every GramReport field against the formulas written out on whole
         # n x n arrays, on the system and on a mix of it (off-diagonal mass)
@@ -204,6 +208,45 @@ class TestGram:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestGershgorinBounds:
+    @pytest.mark.parametrize("spec", STOCK_AND_LARGE_N, ids=lambda spec: spec.describe())
+    def test_contain_the_eigvalsh_spectrum(self, spec):
+        # on the system and on a mix of it, whose Gram matrix carries mass off
+        # the diagonal and spreads its spectrum over [1, 16].  The reference is
+        # eigvalsh of H - I, whose rounding scales with |H - I| (exact on a
+        # near-identity H's diagonal).  eigvalsh of H itself errs by more than
+        # such an H's discs are wide: on Haar n=64 it gives lambda_min - 1 =
+        # -2.9e-15, where every disc lies in [1 - 3.3e-16, 1 + 8.9e-16]
+        space, fibers, system = generate(spec)
+        mixed = OrthonormalSystem(space, fibers,
+                                  _conditioned_mix(rng(602), system.values, 4.0)[0])
+        for ons in (system, mixed):
+            G = gram_matrix(ons, space, fibers).gram
+            shifted = np.linalg.eigvalsh(0.5 * (G + G.conj().T) - np.eye(len(ons)))
+            lower, upper = gershgorin_bounds(ons)
+            assert lower - 1.0 <= shifted[0] and shifted[-1] <= upper - 1.0
+
+    def test_exact_identity_keeps_its_bits(self):
+        _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 64))
+        assert gershgorin_bounds(system) == (1.0, 1.0)
+
+    def test_two_by_two_discs(self):
+        # G = [[2, 1], [1, 2]]: both discs are [1, 3]; the radius 1 grows to
+        # 1 + 2^-52, then each end moves out by one ulp
+        space, fibers = pair([1.0, 1.0, 1.0], [1, 1, 1])
+        ons = OrthonormalSystem(space, fibers, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+        assert gershgorin_bounds(ons) == (1.0 - 3 * 2.0 ** -53, 3.0 + 2.0 ** -51)
+
+    def test_nan_off_the_diagonal_makes_both_bounds_nan(self):
+        # G[0, 1] = inf - inf is NaN while G[1, 1] = 2 is finite: row 1's
+        # disc must not be read as [2, 2]
+        space, fibers = pair([1.0, 1.0], [1, 1])
+        ons = OrthonormalSystem(space, fibers, np.array([[np.inf, -np.inf], [1.0, 1.0]]))
+        with np.errstate(invalid="ignore"):
+            lower, upper = gershgorin_bounds(ons)
+        assert math.isnan(lower) and math.isnan(upper)
 
 
 class TestValidateOns:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orthoseries import verify
+from orthoseries import direct_integral, verify
 from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
                          SystemKind, SystemSpec, TrialConfig,
                          exhaustive_permutation_check, generate, majorant,
@@ -117,7 +117,7 @@ class TestMrInequalityCheck:
     def test_nan_coefficients_fail_with_reproducer(self):
         cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.STANDARD_BASIS, 2),),
                           checks={Check.MR_INEQUALITY}, n_trials=3, seed=1,
-                          coeff_spec=SequenceSpec.from_values([1.0, math.nan]))
+                          coeff_spec=SequenceSpec(explicit=(1.0, math.nan)))
         res = check_mr_inequality(cfg)
         assert not res.passed
         assert math.isnan(res.worst_ratio)
@@ -310,31 +310,51 @@ class TestRieszRatio:
         assert case["riesz_lower"] <= exact.riesz_lower
 
     def test_gram_once_per_spec_and_no_trial_factorization(self, monkeypatch):
-        # G0 comes from one gram_matrix per system, before the trials; no
-        # trial runs a QR, a Gram product or an eigensolve (random-qr systems
-        # are generated by QR, so they are made first)
+        # G0's bounds come from one Gram product per system, before the
+        # trials; nothing runs an eigensolve, and no trial runs a QR or a Gram
+        # product (random-qr systems are generated by QR, so they are made first)
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8)
         systems = verify._make_systems(cfg.system_specs, None)
-        calls = {"gram": 0, "eigvalsh": 0}
-        real_gram, real_eig = verify.gram_matrix, np.linalg.eigvalsh
+        calls = dict.fromkeys(("gram", "eigvalsh", "eigh", "eigvals", "eig"), 0)
 
-        def gram(*args):
-            calls["gram"] += 1
-            return real_gram(*args)
-
-        def eigvalsh(*args, **kw):
-            calls["eigvalsh"] += 1
-            return real_eig(*args, **kw)
+        def counted(name, real):
+            def fn(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+            return fn
 
         def qr(*args, **kw):
             raise AssertionError("riesz-ratio ran a QR")
 
-        monkeypatch.setattr(verify, "gram_matrix", gram)
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(direct_integral, "_hermitian_gram",
+                            counted("gram", direct_integral._hermitian_gram))
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np.linalg, "qr", qr)
         res = check_riesz_ratio(cfg, systems=systems)
         assert res.passed and res.n_cases == 8
-        assert calls == {"gram": 2, "eigvalsh": 2}
+        assert calls == {"gram": 2, "eigvalsh": 0, "eigh": 0, "eigvals": 0, "eig": 0}
+
+    def test_nan_in_g0_fails_the_trial(self, monkeypatch):
+        # a NaN lower bound fails its trial through ``lower > 1e-6`` while
+        # the ratio stays finite; a system with a NaN value fails, not raises
+        cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=4)
+        real = verify.gershgorin_bounds
+        monkeypatch.setattr(verify, "gershgorin_bounds",
+                            lambda system: (math.nan, real(system)[1]))
+        res = check_riesz_ratio(cfg)
+        assert not res.passed and math.isfinite(res.worst_ratio)
+        assert math.isnan(res.worst_case["riesz_lower"])
+        monkeypatch.undo()
+
+        systems = verify._make_systems(cfg.system_specs, None)
+        haar = systems[cfg.system_specs[0]]
+        values = np.array(haar.values)
+        values[3, 5] = math.nan
+        systems[cfg.system_specs[0]] = OrthonormalSystem(haar.space, haar.fibers, values)
+        res = check_riesz_ratio(cfg, systems=systems)
+        assert not res.passed
+        assert res.worst_case["trial"] == 0 and math.isnan(res.worst_case["riesz_lower"])
 
     def test_check_reports_finite_ratio_and_bounds(self):
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8,
@@ -364,6 +384,20 @@ class TestRunSuite:
         assert rep.all_passed
         assert rep.results == {}
         assert rep.exit_code == 0
+
+    @pytest.mark.parametrize("cfg", [
+        default_config(seed=1),
+        TrialConfig(system_specs=LARGE_N_SPECS, n_trials=3, seed=1, checks={
+            Check.MR_INEQUALITY, Check.MR_THEOREM, Check.BLOCK_NORM_SUM,
+            Check.BLOCK_SQ_SUM, Check.TANDORI_BLOCK, Check.RIESZ_RATIO}),
+    ], ids=["default", "large-n"])
+    def test_no_eigensolver_on_a_verify_path(self, cfg, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a verify path ran an eigensolver")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert run_suite(cfg, threads=1).all_passed
 
     def test_default_small_suite_passes(self):
         rep = run_suite(small_config())
@@ -554,6 +588,20 @@ class TestWorkers:
             "            for t in (1, 2))\n"
             "assert one == two\n")
 
+    def test_large_n_bytes_equal_across_blas_thread_counts(self):
+        # the large-n systems at seed 2, whose riesz-ratio report took G0's
+        # spectrum from eigvalsh and differed in its last bits between
+        # OpenBLAS at 1 and at 4 threads (riesz_lower ...9812 and ...9813)
+        code = ("from dataclasses import replace\n"
+                "from orthoseries import Check, TrialConfig, run_suite\n"
+                + _LARGE_N_CODE +
+                "specs[1] = replace(specs[1], seed=1002)\n"
+                "cfg = TrialConfig(system_specs=specs, n_trials=3, seed=2,\n"
+                "                  checks={Check.RIESZ_RATIO})\n"
+                "print(run_suite(cfg, threads=1).to_json(include_timing=False))\n")
+        one, four = (_run_under_threaded_blas(code, blas) for blas in ("1", "4"))
+        assert one == four
+
     def test_fork_after_threaded_blas(self):
         # OpenBLAS's thread pool has run a product before the fork; the
         # workers must not deadlock on it
@@ -606,14 +654,15 @@ _LARGE_N_CODE = ("from orthoseries import SystemKind, SystemSpec\n"
                  f"         for k, *rest in {_LARGE_N_FIELDS!r}]\n")
 
 
-def _run_under_threaded_blas(code: str):
-    """Run ``code`` in a fresh interpreter with OpenBLAS allowed 4 threads;
-    it must exit 0."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=os.pathsep.join(
+def _run_under_threaded_blas(code: str, threads: str = "4") -> str:
+    """Run ``code`` in a fresh interpreter with OpenBLAS allowed ``threads``
+    threads; it must exit 0.  Returns its standard output."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestConfigValidation:
