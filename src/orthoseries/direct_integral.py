@@ -174,7 +174,8 @@ class DirectIntegralElement:
 
 @dataclass(frozen=True)
 class GramReport:
-    """Pairwise inner products of a system plus spectral (Riesz) bounds."""
+    """Pairwise inner products of a system plus eigvalsh's rounded extreme eigenvalues
+    (not guaranteed Riesz bounds, see ``gershgorin_bounds``; their bits follow BLAS threads)."""
 
     gram: np.ndarray
     max_offdiag_abs: float
@@ -284,7 +285,7 @@ def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramReport:
-    """Gram matrix G[m, n] = <phi_m, phi_n> with extremal eigenvalue bounds.
+    """Gram matrix G[m, n] = <phi_m, phi_n> with its extreme eigenvalues (eigvalsh's).
 
     ``system`` is an OrthonormalSystem or any iterable of elements.
     """

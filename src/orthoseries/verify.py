@@ -21,15 +21,16 @@ extend the tuple.  Reports are therefore byte-identical across runs, apart
 from the wall-time field, and across worker counts and BLAS thread counts:
 workers run BLAS unpinned, as no trial's arithmetic calls it (riesz-ratio's
 mix projects with einsum; tests/test_verify.py checks that no worker starts
-a thread), every check's systems and G0's bounds are made before it forks,
+a thread), every check's systems and G0's bounds are made before any fork,
 and no verify path calls an eigensolver (its bits follow BLAS threads).
 
-Parallelism: with N > 1 workers a check's trials run in the calling
-process and N - 1 children made by os.fork, each taking the next unclaimed
-trial index; the results come back in trial order, so the worst-case rule
-and every report byte are as with one worker.  Fork, not spawn: children
-inherit the run's generated systems, and the package starts no threads of
-its own (OpenBLAS stops its thread pool at fork).
+Parallelism: run_suite runs every check's setup (systems, G0's bounds) in
+the calling process, then all checks' (check, trial) claims in one pool of N
+workers, it and N - 1 children made once by os.fork, each taking the next
+unclaimed claim; records come back per check in trial order, so every report
+byte is as with one worker (a check called alone runs the same way).  Fork,
+not spawn: children inherit the run's systems, and the package starts no
+threads of its own (OpenBLAS stops its thread pool at fork).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -94,8 +96,7 @@ class Check(Enum):
     RIESZ_RATIO = "riesz-ratio"
 
 
-CHECK_ORDER = tuple(Check)
-_CHECK_ORDINAL = {c: i for i, c in enumerate(CHECK_ORDER)}
+_CHECK_ORDINAL = {c: i for i, c in enumerate(Check)}
 
 
 def trial_seed_path(root_seed: int, check: Check, trial: int) -> tuple[int, int, int]:
@@ -148,7 +149,7 @@ class CheckResult:
     worst_ratio: float
     worst_case: dict
     details: dict = field(default_factory=dict)
-    # not serialized: the trials run and the seconds they took
+    # not serialized: the trials run, and their seconds plus run_suite's setup
     trials: int = field(default=1, compare=False)
     seconds: float = field(default=0.0, compare=False)
 
@@ -251,13 +252,34 @@ def worker_count(threads: int | None, trials: int) -> int:
     return max(1, min(threads or 1, trials))
 
 
-def _run_trials(count: int, fn: Callable[[int], object], threads: int | None) -> list:
-    """``[fn(0), ..., fn(count - 1)]``, on ``worker_count(threads, count)``
-    processes (see the module docstring)."""
-    workers = worker_count(threads, count)
-    if workers == 1:
-        return [fn(t) for t in range(count)]
-    return _forked(count, fn, workers)
+def _run_plans(plans: list[tuple], threads: int | None, setups: list[float]) -> list:
+    """Each plan ``(count, one, finish)``'s result: all plans' claims ``one(t)``
+    run in plan then trial order, timed where they run, on ``worker_count(threads,
+    claims)`` processes (one lazily); ``finish`` takes a plan's records in trial
+    order, and its results' ``seconds`` add the setup's."""
+    claims = [(one, t) for count, one, _ in plans for t in range(count)]
+
+    def run(k: int) -> tuple:
+        one, t = claims[k]
+        began = time.perf_counter()
+        return one(t), time.perf_counter() - began
+
+    workers = worker_count(threads, len(claims))
+    rows = iter(_forked(len(claims), run, workers)) if workers > 1 else map(run, range(len(claims)))
+    out = []
+    for (count, _, finish), setup in zip(plans, setups):
+        records, times = zip(*itertools.islice(rows, count))
+        out.append(done := finish(list(records)))
+        for res in (done.values() if isinstance(done, dict) else [done]):
+            res.seconds = setup + sum(times)
+    return out
+
+
+def _submit(pool: list | None, threads: int | None, *plan):
+    """A check's result from its plan (count, one, finish), or None once it joins ``pool``."""
+    if pool is None:
+        return _run_plans([plan], threads, [0.0])[0]
+    pool.append(plan)
 
 
 def _claim(token: tuple[int, int], stop: int | None = None) -> int:
@@ -409,7 +431,7 @@ def _coeff_norm(b: np.ndarray) -> float:
 
 
 def check_mr_inequality(cfg: TrialConfig, threads: int | None = None,
-                        systems: dict | None = None) -> CheckResult:
+                        systems: dict | None = None, pool: list | None = None) -> CheckResult:
     """Maximal-inequality ratio ||S_N*||_2 / ((2 + log2 N) ||b||_2) <= 1 per trial."""
     systems = _make_systems(cfg.system_specs, systems)
 
@@ -420,11 +442,11 @@ def check_mr_inequality(cfg: TrialConfig, threads: int | None = None,
                        (2.0 + math.log2(len(system))) * _coeff_norm(b),
                        cfg.slack(Check.MR_INEQUALITY), case)
 
-    return _result(Check.MR_INEQUALITY, _run_trials(cfg.n_trials, one, threads))
+    return _submit(pool, threads, cfg.n_trials, one, partial(_result, Check.MR_INEQUALITY))
 
 
 def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None,
-                           systems: dict | None = None) -> CheckResult:
+                           systems: dict | None = None, pool: list | None = None) -> CheckResult:
     """Randomized draws of the single-fiber dyadic chaining bound."""
     def one(t: int) -> dict:
         path = trial_seed_path(cfg.seed, Check.DYADIC_POINTWISE, t)
@@ -439,11 +461,11 @@ def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None,
         return _record(lhs, rhs, cfg.slack(Check.DYADIC_POINTWISE),
                        {"trial": t, "seed_path": list(path), "j": j, "r": r, "dim": d})
 
-    return _result(Check.DYADIC_POINTWISE, _run_trials(cfg.n_trials, one, threads))
+    return _submit(pool, threads, cfg.n_trials, one, partial(_result, Check.DYADIC_POINTWISE))
 
 
-def _chaining_results(cfg: TrialConfig, threads: int | None = None,
-                      systems: dict | None = None) -> dict[Check, CheckResult]:
+def _chaining_results(cfg: TrialConfig, threads: int | None = None, systems: dict | None = None,
+                      pool: list | None = None) -> dict[Check, CheckResult]:
     """Shared trial loop for the chaining checks (final bound, block-norm
     sum, within-block square sum) plus the Parseval identity."""
     systems = _make_systems(cfg.system_specs, systems)
@@ -468,9 +490,9 @@ def _chaining_results(cfg: TrialConfig, threads: int | None = None,
                 _record(diag.inner_sq_sum, diag.inner_sq_bound,
                         cfg.slack(Check.BLOCK_SQ_SUM), case))
 
-    rows = _run_trials(cfg.n_trials, one, threads)
-    return {check: _result(check, list(records))
-            for check, records in zip(checks, zip(*rows)) if check in cfg.checks}
+    return _submit(pool, threads, cfg.n_trials, one, lambda rows: {
+        check: _result(check, list(records))
+        for check, records in zip(checks, zip(*rows)) if check in cfg.checks})
 
 
 def _trial_plans(cfg: TrialConfig, system: OrthonormalSystem, b: np.ndarray,
@@ -496,7 +518,7 @@ def tandori_threshold_arithmetic() -> list[dict]:
 
 
 def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
-                        systems: dict | None = None) -> CheckResult:
+                        systems: dict | None = None, pool: list | None = None) -> CheckResult:
     """Blocked oscillation bound ||delta_k||_2 <= 8 (sum_{block} |a_n|^2 log2^2 n)^(1/2)
     under identity, seeded-shuffle, greedy, and block-reversal plans."""
     specs = [s for s in cfg.system_specs if s.n_functions >= 5]
@@ -518,12 +540,14 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
             for plan, oscs in zip(plans, zip(*by_block)) for k, osc in enumerate(oscs)])
 
     arithmetic = tandori_threshold_arithmetic()
-    return _result(Check.TANDORI_BLOCK, _run_trials(cfg.n_trials, one, threads), {
+    details = {
         "threshold_arithmetic": arithmetic,
         "plan_search": "identity, seeded-shuffle, greedy and block-reversal plans only; "
                        "the reported worst ratio is a lower bound for the true worst "
                        "rearrangement",
-    }, ok=all(row["ok"] for row in arithmetic))
+    }
+    return _submit(pool, threads, cfg.n_trials, one, partial(
+        _result, Check.TANDORI_BLOCK, details=details, ok=all(row["ok"] for row in arithmetic)))
 
 
 def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
@@ -556,7 +580,7 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
 
 
 def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
-                          systems: dict | None = None) -> CheckResult:
+                          systems: dict | None = None, pool: list | None = None) -> CheckResult:
     """Exhaustive rearrangement sweep on capped-size variants of each system kind."""
     n = cfg.exhaustive_n
     specs = [replace(spec, n_functions=n, resolution=None) for spec in cfg.system_specs]
@@ -572,14 +596,14 @@ def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
         return {"ratio": res.worst_ratio, "ok": res.passed, "case": case}
 
     # every system counts its n! permutations as cases
-    return _result(Check.EXHAUSTIVE_PERM, _run_trials(len(specs), one, threads),
-                   n_cases=len(specs) * math.factorial(n))
+    return _submit(pool, threads, len(specs), one, partial(
+        _result, Check.EXHAUSTIVE_PERM, n_cases=len(specs) * math.factorial(n)))
 
 
 def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
-                       systems: dict | None = None) -> CheckResult:
+                       systems: dict | None = None, pool: list | None = None) -> CheckResult:
     """Cauchy-Schwarz / monotonicity chain from the Orlicz conditions to the
-    blocked sum, plus condensation classifier agreement.
+    blocked sum, plus condensation classifier agreement, in one trial.
 
     When the config does not pin analytic specs, the stock pair
     a_n = n^-1 log2(n+1)^-2 and w_n = max(1, log2 n)^1.5 is used.
@@ -587,28 +611,32 @@ def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
     coeff_spec = cfg.coeff_spec or SequenceSpec.power_log(1.0, 1.0, 2.0)
     weight_spec = cfg.weight_spec or WeightSpec.log_power(1.5)
     slack = cfg.slack(Check.ORLICZ_CHAIN)
-    red = orlicz_reduction(coeff_spec, weight_spec, cfg.truncation)
-    r_cauchy = _ratio(red.lhs, red.mid)
-    r_mono = _ratio(red.mid, red.rhs)
-    ok = leq_with_slack(red.lhs, red.mid, slack) and leq_with_slack(red.mid, red.rhs, slack)
-    details = {
-        "c_partial": red.c_partial,
-        "sqrt_mass_sum": red.sqrt_mass_sum,
-        "classification": red.classification.value,
-        "coeff_condition": red.coefficient.classification.value,
-        "weight_condition": red.weight.classification.value,
-    }
-    if not weight_spec.is_explicit:
-        chain = condensation_chain(weight_spec, terms=12)
-        agree = len({r.classification for r in chain}) == 1
-        ok = ok and agree
-        details["condensation_agrees"] = agree
-        details["condensation_partial"] = chain[2].total
-    case = {"trial": 0, "coefficients": coeff_spec.describe(),
-            "weights": weight_spec.describe(), "truncation": cfg.truncation,
-            "cauchy_ratio": r_cauchy, "monotonicity_ratio": r_mono}
-    return _result(Check.ORLICZ_CHAIN,
-                   [{"ratio": max(r_cauchy, r_mono), "ok": ok, "case": case}], details)
+
+    def one(t: int) -> CheckResult:
+        red = orlicz_reduction(coeff_spec, weight_spec, cfg.truncation)
+        r_cauchy = _ratio(red.lhs, red.mid)
+        r_mono = _ratio(red.mid, red.rhs)
+        ok = leq_with_slack(red.lhs, red.mid, slack) and leq_with_slack(red.mid, red.rhs, slack)
+        details = {
+            "c_partial": red.c_partial,
+            "sqrt_mass_sum": red.sqrt_mass_sum,
+            "classification": red.classification.value,
+            "coeff_condition": red.coefficient.classification.value,
+            "weight_condition": red.weight.classification.value,
+        }
+        if not weight_spec.is_explicit:
+            chain = condensation_chain(weight_spec, terms=12)
+            agree = len({r.classification for r in chain}) == 1
+            ok = ok and agree
+            details["condensation_agrees"] = agree
+            details["condensation_partial"] = chain[2].total
+        case = {"trial": t, "coefficients": coeff_spec.describe(),
+                "weights": weight_spec.describe(), "truncation": cfg.truncation,
+                "cauchy_ratio": r_cauchy, "monotonicity_ratio": r_mono}
+        return _result(Check.ORLICZ_CHAIN,
+                       [{"ratio": max(r_cauchy, r_mono), "ok": ok, "case": case}], details)
+
+    return _submit(pool, threads, 1, one, lambda results: results[0])
 
 
 def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
@@ -636,7 +664,7 @@ def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
 
 
 def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
-                      systems: dict | None = None) -> CheckResult:
+                      systems: dict | None = None, pool: list | None = None) -> CheckResult:
     """Maximal inequality on systems mixed by a seeded matrix M of
     condition number ``riesz_condition`` (``_conditioned_mix``), at the
     bound in the module docstring; the chaining proof uses orthogonality
@@ -668,47 +696,43 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
         return _record(majorant(mixed, b).l2_norm, rhs, cfg.slack(Check.RIESZ_RATIO), case,
                        ok=lower > 1e-6)
 
-    return _result(Check.RIESZ_RATIO, _run_trials(cfg.n_trials, one, threads),
-                   {"note": "bound sqrt(riesz_upper) (2 + log2 N) ||b||_2: the "
-                            "Menshov-Rademacher constant scaled by the upper Riesz bound "
-                            f"riesz_upper = s_max^2 g_max(G0) (1 + {MIX_MARGIN:.2g}) of "
-                            "the mixed system: s_max its mix's largest singular value "
-                            "(riesz_condition when N > 1), g_max(G0) >= lambda_max(G0) the "
-                            "upper Gershgorin bound of the unmixed system's Gram matrix G0"})
+    note = ("bound sqrt(riesz_upper) (2 + log2 N) ||b||_2: the Menshov-Rademacher constant "
+            "scaled by the upper Riesz bound riesz_upper = s_max^2 g_max(G0) "
+            f"(1 + {MIX_MARGIN:.2g}) of the mixed system: s_max its mix's largest singular "
+            "value (riesz_condition when N > 1), g_max(G0) >= lambda_max(G0) the upper "
+            "Gershgorin bound of the unmixed system's Gram matrix G0")
+    return _submit(pool, threads, cfg.n_trials, one,
+                   partial(_result, Check.RIESZ_RATIO, details={"note": note}))
 
 
 def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
-    """Dispatch every requested check and merge the results, each timed in
-    its ``seconds`` (the three chaining checks share one trial loop and its
-    time).  The checks share one dict of systems: each system is generated
-    once, by the first check that reads it, before that check forks, and
-    in that check's ``seconds``.
+    """Every requested check's setup, then all their (check, trial) claims in
+    one pool, largest first, and their results; a check's ``seconds`` is its
+    setup plus its trials' time (the chaining checks share theirs).  The
+    setups share one dict of systems: each is generated once, by the first
+    setup that reads it, and in that check's ``seconds``.
 
     Deterministic given cfg.seed; see the module docstring for ``threads``.
     """
     start = time.perf_counter()
-    # built per call, so the check functions are looked up when the suite runs;
-    # the three chaining checks share one trial loop that returns all of them
-    single = {
-        Check.MR_INEQUALITY: check_mr_inequality,
-        Check.DYADIC_POINTWISE: check_dyadic_pointwise,
-        Check.TANDORI_BLOCK: check_tandori_block,
-        Check.ORLICZ_CHAIN: check_orlicz_chain,
-        Check.EXHAUSTIVE_PERM: check_exhaustive_perm,
-        Check.RIESZ_RATIO: check_riesz_ratio,
-    }
-    results: dict[Check, CheckResult] = {}
-    systems: dict = {}
-    for check in CHECK_ORDER:
-        if check not in cfg.checks or check in results:
-            continue
-        began = time.perf_counter()
-        done = ({check: single[check](cfg, threads, systems)} if check in single
-                else _chaining_results(cfg, threads, systems))
-        seconds = time.perf_counter() - began
-        for res in done.values():
-            res.seconds = seconds
-        results.update(done)
+    # built per call, so the checks are looked up when the suite runs; the largest
+    # claim (orlicz-chain's one trial) first, then largest trial sums on default.json
+    suite = ((check_orlicz_chain, {Check.ORLICZ_CHAIN}),
+             (check_tandori_block, {Check.TANDORI_BLOCK}),
+             (_chaining_results, {Check.MR_THEOREM, Check.BLOCK_NORM_SUM, Check.BLOCK_SQ_SUM}),
+             (check_riesz_ratio, {Check.RIESZ_RATIO}),
+             (check_mr_inequality, {Check.MR_INEQUALITY}),
+             (check_dyadic_pointwise, {Check.DYADIC_POINTWISE}),
+             (check_exhaustive_perm, {Check.EXHAUSTIVE_PERM}))
+    pool, setups, systems = [], [], {}
+    for check, checks in suite:
+        if checks & cfg.checks:
+            began = time.perf_counter()
+            check(cfg, threads, systems, pool)
+            setups.append(time.perf_counter() - began)
+    results = {}
+    for done in _run_plans(pool, threads, setups):
+        results.update(done if isinstance(done, dict) else {done.check: done})
     wall = time.perf_counter() - start
     return VerifyReport(seed=cfg.seed, results=results, wall_time_s=wall,
                         environment=environment_fingerprint())

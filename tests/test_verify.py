@@ -40,6 +40,16 @@ LARGE_N_SPECS = (
 )
 
 
+# trial 0 (Haar n=256) outlasts the n=8 trials, so workers finish trials out
+# of trial order
+MIXED_SPECS = (
+    SystemSpec(SystemKind.HAAR, 256),
+    SystemSpec(SystemKind.HAAR, 8),
+    SystemSpec(SystemKind.RANDOM_QR, 8, resolution=8, seed=5),
+    SystemSpec(SystemKind.STANDARD_BASIS, 8),
+)
+
+
 def small_config(**kw):
     kw.setdefault("system_specs", (
         SystemSpec(SystemKind.HAAR, 16),
@@ -484,16 +494,86 @@ class TestWorkers:
                 == run_suite(cfg, threads=1).to_json(include_timing=False))
 
     def test_mixed_sizes_byte_equal(self):
-        # trial 0 (Haar n=256) outlasts the n=8 trials, so workers finish
-        # trials out of trial order
-        cfg = small_config(n_trials=8, system_specs=(
-            SystemSpec(SystemKind.HAAR, 256),
-            SystemSpec(SystemKind.HAAR, 8),
-            SystemSpec(SystemKind.RANDOM_QR, 8, resolution=8, seed=5),
-            SystemSpec(SystemKind.STANDARD_BASIS, 8),
-        ))
+        cfg = small_config(n_trials=8, system_specs=MIXED_SPECS)
         assert (run_suite(cfg, threads=2).to_json(include_timing=False)
                 == run_suite(cfg, threads=1).to_json(include_timing=False))
+
+    @pytest.mark.parametrize("cfg", [default_config(seed=1),
+                                     small_config(n_trials=8, system_specs=MIXED_SPECS)],
+                             ids=["default", "mixed"])
+    def test_one_two_three_workers_byte_equal(self, cfg):
+        # three workers on two CPUs: the pool's claims span checks
+        one, two, three = (run_suite(cfg, threads=t).to_json(include_timing=False)
+                           for t in (1, 2, 3))
+        assert one == two == three
+
+    def test_one_fork_batch_per_run(self, monkeypatch):
+        # N - 1 forks for the whole run at N workers, not per check
+        forks, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_suite(default_config(seed=1, n_trials=8), threads=3).all_passed
+        assert len(forks) == 2
+        forks.clear()
+        assert check_mr_inequality(small_config(n_trials=6), threads=3).passed
+        assert len(forks) == 2
+
+    def test_earliest_claim_error_wins(self, monkeypatch, tmp_path):
+        # chaining trial 5 (claim 5) raises late; dyadic-pointwise trial 2
+        # (claim 12, later in the pool) raises first in time at 2 workers; the
+        # caller gets the earliest claim's error at 1 and at 2 workers
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        real = verify.trial_seed_path
+
+        def seed_path(seed, check, t):
+            if (check, t) == (Check.MR_THEOREM, 5):
+                time.sleep(0.5)
+                os.write(log, b"chaining\n")
+                raise ContractError("chaining trial 5")
+            if (check, t) == (Check.DYADIC_POINTWISE, 2):
+                os.write(log, b"dyadic\n")
+                raise BudgetError("dyadic trial 2")
+            return real(seed, check, t)
+
+        monkeypatch.setattr(verify, "trial_seed_path", seed_path)
+        cfg = small_config(checks={Check.DYADIC_POINTWISE, Check.MR_THEOREM})
+        try:
+            for threads in (1, 2):
+                with pytest.raises(ContractError, match="^chaining trial 5$"):
+                    run_suite(cfg, threads=threads)
+        finally:
+            os.close(log)
+        # one worker stops at the first error; at two, both errors were raised
+        raised = (tmp_path / "log").read_text().split()
+        assert raised[0] == "chaining" and sorted(raised[1:]) == ["chaining", "dyadic"]
+
+    def test_setup_refusal_before_any_fork(self, monkeypatch, tmp_path, capsys):
+        # tandori-block refuses a config without a system of n >= 5 in its
+        # setup; every setup runs before the pool forks, so nothing forks,
+        # though mr-inequality comes first in the report's check order
+        def fork():
+            raise AssertionError("forked before every setup ran")
+
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.HAAR, 4),), n_trials=4,
+                          checks={Check.MR_INEQUALITY, Check.TANDORI_BLOCK})
+        with pytest.raises(ContractError, match="n >= 5"):
+            run_suite(cfg, threads=2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"systems": [{"kind": "haar", "n": 4}], "n_trials": 4,
+                                    "checks": ["mr-inequality", "tandori-block"]}))
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", "--config", str(path), "--threads", "2",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: tandori block checks need at least one system with n >= 5\n")
+        assert not out.exists()
 
     def test_every_trial_runs_once_in_order(self, tmp_path):
         # more workers than CPUs; each run appends its index to one log, so
@@ -506,7 +586,7 @@ class TestWorkers:
             return t, os.getpid()
 
         try:
-            out = verify._run_trials(200, trial, 4)
+            out = verify._forked(200, trial, 4)
         finally:
             os.close(log)
         assert [t for t, _ in out] == list(range(200))
@@ -627,15 +707,15 @@ class TestWorkers:
             + _LARGE_N_CODE +
             "a = np.random.default_rng(0).standard_normal((512, 512))\n"
             "a @ a\n"
-            "run, seen = verify._run_trials, []\n"
-            "def traced(count, fn, threads):\n"
+            "run, seen = verify._forked, []\n"
+            "def traced(count, fn, workers):\n"
             "    def one(t):\n"
             "        out = fn(t)\n"
             "        return out, os.getpid(), len(os.listdir('/proc/self/task'))\n"
-            "    rows = run(count, one, threads)\n"
+            "    rows = run(count, one, workers)\n"
             "    seen.extend((pid, tasks) for _, pid, tasks in rows)\n"
             "    return [out for out, _, _ in rows]\n"
-            "verify._run_trials = traced\n"
+            "verify._forked = traced\n"
             "checks = {Check.MR_INEQUALITY, Check.MR_THEOREM, Check.BLOCK_NORM_SUM,\n"
             "          Check.BLOCK_SQ_SUM, Check.TANDORI_BLOCK, Check.RIESZ_RATIO}\n"
             "for cfg in (default_config(1, n_trials=14),\n"
