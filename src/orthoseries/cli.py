@@ -37,7 +37,7 @@ from .errors import BudgetError, ContractError, StructuralError
 from .majorants import dyadic_decomposition, majorant
 from .serialization import SCHEMA_VERSION
 from .systems import SystemKind, SystemSpec, generate
-from .verify import Check, TrialConfig, default_config, run_suite, worker_count
+from .verify import Check, TrialConfig, default_config, run_suite
 
 
 # Characters per write: a text stream encodes each write whole, so writing
@@ -334,11 +334,10 @@ def _cmd_verify(args) -> int:
     _write(report.to_json(), args.out)
     if args.verbose:
         for check, res in sorted(report.results.items(), key=lambda kv: kv[0].value):
-            workers = worker_count(args.threads, res.trials)
             rate = res.n_cases / res.seconds if res.seconds > 0 else math.inf
             sys.stderr.write(f"{check.value}: {'pass' if res.passed else 'FAIL'} "
                              f"(worst ratio {res.worst_ratio:.6g}) in {res.seconds:.3f} s "
-                             f"on {workers} worker{'s' if workers > 1 else ''}, "
+                             f"on {res.workers} worker{'s' if res.workers > 1 else ''}, "
                              f"{rate:.0f} cases/s\n")
     return report.exit_code
 

@@ -34,6 +34,9 @@ DENSE_EIG_LIMIT = math.inf
 
 GRAM_HERMITIAN_TOL = 1e-12
 
+# Entries of a Gram matrix that _hermitian_gram's row-block loop forms at once.
+GRAM_ROW_BUDGET = 1 << 16
+
 
 class Field(Enum):
     REAL = "real"
@@ -271,17 +274,25 @@ class OrthonormalSystem:
 
 
 def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G = (V w) V^H, its Hermitian part and one real n x n scratch array;
-    raises unless G is Hermitian to within GRAM_HERMITIAN_TOL."""
+    """G = (V w) V^H, its Hermitian part H (the only n x n arrays formed) and
+    the row sums sum_{j != i} |H_ij|; raises unless max |G - G^H| <=
+    GRAM_HERMITIAN_TOL (NaN passes).  The sums and the max run a block of
+    rows at a time."""
     # the .conj() method returns a real array itself, where np.conj copies it
     G = (V * w) @ V.conj().T
-    Gh = G.conj().T
-    herm = 0.5 * (G + Gh)
-    scratch = G - Gh
-    scratch = np.abs(scratch, out=None if scratch.dtype.kind == "c" else scratch)
-    if np.max(scratch) > GRAM_HERMITIAN_TOL:
+    herm = np.conj(G.T, order="C")
+    herm += G
+    herm *= 0.5
+    worst, radii = 0.0, np.empty(G.shape[0])
+    step = max(1, GRAM_ROW_BUDGET // G.shape[0])
+    for rows in (slice(lo, lo + step) for lo in range(0, G.shape[0], step)):
+        worst = np.maximum(worst, np.max(np.abs(G[rows] - G[:, rows].conj().T)))
+        block = np.abs(herm[rows])
+        np.fill_diagonal(block[:, rows], 0.0)
+        radii[rows] = block.sum(axis=1)
+    if worst > GRAM_HERMITIAN_TOL:
         raise StructuralError("gram matrix is not Hermitian to within 1e-12")
-    return G, herm, scratch
+    return G, herm, radii
 
 
 def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramReport:
@@ -291,12 +302,12 @@ def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramR
     """
     if not isinstance(system, OrthonormalSystem):
         system = OrthonormalSystem.from_elements(space, fibers, system)
-    G, herm, scratch = _hermitian_gram(system.values, expanded_weights(space, fibers))
+    G, herm, _ = _hermitian_gram(system.values, expanded_weights(space, fibers))
     n = G.shape[0]
     diag = np.real(np.diagonal(G))
     # the entries of |G - diag(G)|: |G| off the diagonal, |G_ii - G_ii| on it
     # (0, or NaN where G_ii is not finite)
-    np.abs(G, out=scratch)
+    scratch = np.abs(G)
     np.fill_diagonal(scratch, np.abs(np.diagonal(G) - np.diagonal(G)))
     max_offdiag = float(np.max(scratch)) if n > 1 else 0.0
     max_diag_dev = float(np.max(np.abs(diag - 1.0)))
@@ -309,11 +320,9 @@ def gershgorin_bounds(system: OrthonormalSystem) -> tuple[float, float]:
     """Gershgorin bounds (min_i H_ii - r_i, max_i H_ii + r_i) on the spectrum of
     the Gram matrix's Hermitian part H, r_i = sum_{j != i} |H_ij| (1 + n 2^-53),
     ends with r_i > 0 rounded outward by one ulp.  O(n^2); NaN in H gives NaN."""
-    herm, radius = _hermitian_gram(system.values, system.expanded_weights)[1:]
+    _, herm, r = _hermitian_gram(system.values, system.expanded_weights)
     diag = np.real(np.diagonal(herm))
-    np.abs(herm, out=radius)
-    np.fill_diagonal(radius, 0.0)
-    r = radius.sum(axis=1) * (1.0 + len(diag) * 2.0 ** -53)
+    r *= 1.0 + len(diag) * 2.0 ** -53
     lower, upper = diag - r, diag + r
     np.nextafter(lower, -np.inf, out=lower, where=r > 0)
     np.nextafter(upper, np.inf, out=upper, where=r > 0)

@@ -90,26 +90,31 @@ def _weighted_l2(weights: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 
 def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
-                 start: np.ndarray, step: int | None = None):
+                 start: np.ndarray, step: int | None = None, restarts=()):
     """Yield ``(lo, rows)`` for lo = 0, step, ...: ``rows[..., 0, :]`` is the
-    running sum ``start + sum_{p<lo} coeffs[order[p]] V[order[p]]``,
-    ``rows[..., 1:, :]`` the sums through positions lo, lo+1, ..., and the
-    next step overwrites them.  The leading axes of ``order`` (..., m) and
-    ``start`` (..., D) index independent orders, which share one buffer of
-    ``step`` rows each (by default about ``PREFIX_BUDGET`` values in all).
-    Adding row by row gives the bits of ``np.cumsum(axis=-2)``, which
-    measured 3x slower.
+    sum through position lo - 1 (``start`` at lo = 0), ``rows[..., 1:, :]``
+    the sums through positions lo, lo+1, ..., and the next step overwrites
+    them.  The row of a position in ``restarts`` adds ``start`` instead of
+    the row before it, so its bits are those of a fresh sweep from there.
+    The leading axes of ``order`` (..., m) and ``start`` (..., D) index
+    independent orders, which share one buffer of ``step`` rows each (by
+    default about ``PREFIX_BUDGET`` values in all).  Adding row by row gives
+    the bits of ``np.cumsum(axis=-2)``, which measured 3x slower.
     """
     batch, m = order.shape[:-1], order.shape[-1]
     step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
+    restarts = set(restarts)
     # step-major: the rows of one position, across the batch, are one
     # contiguous block, so np.take writes the products in place (a strided
     # ``out`` made it allocate a copy of the whole step) and each running-sum
-    # add covers the batch at once
+    # add covers the batch at once.  Both layouts' transpose axes are fixed
+    # per call (np.moveaxis took 10x a transpose's time per step).
+    to_steps = (len(batch),) + tuple(range(len(batch)))
+    to_rows = tuple(range(1, len(batch) + 1)) + (0, len(batch) + 1)
     buf = np.empty((min(step, m) + 1,) + batch + V.shape[1:], dtype=V.dtype)
     buf[0] = start
     for lo in range(0, m, step):
-        idx = np.moveaxis(order[..., lo:lo + step], -1, 0)
+        idx = order[..., lo:lo + step].transpose(to_steps)
         s = idx.shape[0]
         # indices come from a prefix or a validated plan; "clip" skips a copy.
         # Every order's rows run the elementwise operations of a sweep of
@@ -117,28 +122,43 @@ def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
         np.take(V, idx, axis=0, out=buf[1:s + 1], mode="clip")
         np.multiply(coeffs[idx][..., None], buf[1:s + 1], out=buf[1:s + 1])
         for i in range(1, s + 1):
-            buf[i] += buf[i - 1]
-        yield lo, np.moveaxis(buf[:s + 1], 0, -2)
+            buf[i] += start if lo + i - 1 in restarts else buf[i - 1]
+        yield lo, buf[:s + 1].transpose(to_rows)
         buf[0] = buf[s]
 
 
 def _sweep(V: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
-           start: np.ndarray | None = None, first_arg: bool = False):
-    """Per order (the leading axes of ``order``), the per-atom sup (at least
-    0) of the squared fiber norms of the sums ``_prefix_rows`` forms, the
-    first i >= 1 attaining it (None unless ``first_arg``), and the final sum."""
-    batch = order.shape[:-1]
-    sup_sq = np.zeros(batch + (offsets.size - 1,))
-    arg = np.ones(sup_sq.shape, dtype=np.int64) if first_arg else None
-    final = np.zeros(batch + V.shape[1:], dtype=V.dtype) if start is None else start
-    for lo, rows in _prefix_rows(V, coeffs, order, final):
+           edges=None, restart: bool = False, first_arg: bool = False):
+    """Per segment [edges[j], edges[j+1]) of positions (by default one, all
+    of ``order``) and per order (the leading axes of ``order``): the per-atom
+    sup (at least 0) of the squared fiber norms of the sums ``_prefix_rows``
+    forms there, the first prefix length i attaining it (None unless
+    ``first_arg``), and the sum at the segment's end, segment axis first.
+    The sums start from zero and run on across segments, or with ``restart``
+    start again at each segment's first position (an empty segment's sum is
+    then zero).  Each step of the one sweep is reduced into the segments it
+    overlaps."""
+    batch, m = order.shape[:-1], order.shape[-1]
+    edges = (0, m) if edges is None else edges
+    sup_sq = np.zeros((len(edges) - 1,) + batch + (offsets.size - 1,))
+    arg = (np.add.outer(np.add(edges[:-1], 1), np.zeros(sup_sq.shape[1:], np.int64))
+           if first_arg else None)
+    zero = np.zeros(batch + V.shape[1:], dtype=V.dtype)
+    final = np.zeros((len(edges) - 1,) + zero.shape, dtype=V.dtype)
+    for lo, rows in _prefix_rows(V, coeffs, order, zero, restarts=edges[:-1] if restart else ()):
+        end = lo + rows.shape[-2] - 1
         sq = _fiber_sq_norms(rows[..., 1:, :], offsets)
-        peak = sq.max(axis=-2)
-        if first_arg:
-            upd = peak > sup_sq
-            arg[upd] = lo + 1 + sq.argmax(axis=-2)[upd]
-        np.maximum(sup_sq, peak, out=sup_sq)
-        final = rows[..., -1, :]
+        for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            first, stop = max(a, lo), min(b, end)
+            if first < stop:
+                part = sq[..., first - lo:stop - lo, :]
+                peak = part.max(axis=-2)
+                if first_arg:
+                    upd = peak > sup_sq[j]
+                    arg[j][upd] = first + 1 + part.argmax(axis=-2)[upd]
+                np.maximum(sup_sq[j], peak, out=sup_sq[j])
+            if lo < b <= end and not (restart and a == b):
+                final[j] = rows[..., b - lo, :]
     return sup_sq, arg, final
 
 
@@ -215,8 +235,8 @@ def permuted_majorant(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
         raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {n}")
     sup_sq, arg, _ = _sweep(system.values, system.fibers.offsets, a,
                             np.asarray(plan.order) - 1, first_arg=True)
-    return MajorantProfile(values=np.sqrt(sup_sq), argmax_prefix=arg,
-                           l2_norm=float(_weighted_l2(system.space.weights, sup_sq)))
+    return MajorantProfile(values=np.sqrt(sup_sq[0]), argmax_prefix=arg[0],
+                           l2_norm=float(_weighted_l2(system.space.weights, sup_sq[0])))
 
 
 def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
@@ -241,9 +261,7 @@ def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
         block = orders[lo:lo + chunk]
         if not np.all(np.sort(block, axis=1) == np.arange(n)):
             raise ContractError(f"orders must be permutations of 0..{n - 1}")
-        # indexing drops the final sum, a view that would keep this chunk's
-        # prefix buffer alive through the next chunk's sweep
-        l2[lo:lo + chunk] = _weighted_l2(weights, _sweep(V, offsets, a, block)[0])
+        l2[lo:lo + chunk] = _weighted_l2(weights, _sweep(V, offsets, a, block)[0][0])
     return l2
 
 
@@ -366,6 +384,10 @@ class ChainingDiagnostics:
 
 
 def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingDiagnostics:
+    """Two ``_sweep`` passes over positions 0..min(n, N) - 1 (N the system
+    length, coefficients past it zero), cut at the block starts 2^k - 1: a
+    running one gives each block's sup and the running sum at its end, one
+    restarted at each block start the within-block sups and block sums."""
     K = complete_block_form(n)
     n_sys = len(system)
     a = _coeff_array(coeffs, system, min(n, n_sys))
@@ -379,23 +401,15 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingD
     offsets = system.fibers.offsets
     weights = system.space.weights
 
-    running = None
-    best_sq = np.zeros(weights.size)
-    dyad_sq = np.zeros(weights.size)
-    block_norms = np.empty(K + 1)
-    block_coeff_sq = np.empty(K + 1)
-    inner_sup_norms = np.empty(K + 1)
-    for k in range(K + 1):
-        lo, hi = 1 << k, (1 << (k + 1)) - 1
-        # prefixes past n_sys repeat the last one (their terms are zero)
-        order = np.arange(lo - 1, min(hi, n_sys))
-        sup_sq, _, running = _sweep(V, offsets, a, order, running)
-        inner_sq, _, inner = _sweep(V, offsets, a, order)
-        np.maximum(best_sq, sup_sq, out=best_sq)
-        np.maximum(dyad_sq, _fiber_sq_norms(running, offsets), out=dyad_sq)
-        block_norms[k] = _weighted_l2(weights, _fiber_sq_norms(inner, offsets))
-        block_coeff_sq[k] = compensated_sum(np.abs(a[lo - 1:hi]) ** 2)
-        inner_sup_norms[k] = _weighted_l2(weights, inner_sq)
+    order = np.arange(min(n, n_sys))
+    edges = [min((1 << k) - 1, order.size) for k in range(K + 2)]
+    sup_sq, _, running = _sweep(V, offsets, a, order, edges)
+    inner_sq, _, inner = _sweep(V, offsets, a, order, edges, restart=True)
+    dyad_sq = _fiber_sq_norms(running, offsets).max(axis=0, initial=0.0)
+    block_norms = _weighted_l2(weights, _fiber_sq_norms(inner, offsets))
+    block_coeff_sq = np.array([compensated_sum(np.abs(a[(1 << k) - 1:(2 << k) - 1]) ** 2)
+                               for k in range(K + 1)])
+    inner_sup_norms = _weighted_l2(weights, inner_sq)
 
     weyl_mass = compensated_sum(weyl_terms(a[:n]))
     block_norm_sum = compensated_sum(block_norms)
@@ -405,7 +419,7 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingD
         block_norms=block_norms, block_coeff_sq=block_coeff_sq,
         inner_sup_norms=inner_sup_norms,
         dyadic_sup_l2=float(_weighted_l2(weights, dyad_sq)),
-        majorant_l2=float(_weighted_l2(weights, best_sq)),
+        majorant_l2=float(_weighted_l2(weights, sup_sq.max(axis=0))),
         weyl_mass=weyl_mass,
         block_norm_sum=block_norm_sum,
         block_norm_sum_bound=2.0 * math.sqrt(weyl_mass),

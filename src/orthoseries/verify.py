@@ -149,8 +149,8 @@ class CheckResult:
     worst_ratio: float
     worst_case: dict
     details: dict = field(default_factory=dict)
-    # not serialized: the trials run, and their seconds plus run_suite's setup
-    trials: int = field(default=1, compare=False)
+    # not serialized: its pool's processes, and its trials' seconds plus the setup's
+    workers: int = field(default=1, compare=False)
     seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
@@ -244,7 +244,7 @@ def _result(check: Check, records: list[dict], details: dict | None = None,
     worst = _merge_worst(records)
     return CheckResult(check, worst["ok"] and ok,
                        len(records) if n_cases is None else n_cases,
-                       worst["ratio"], worst["case"], details or {}, trials=len(records))
+                       worst["ratio"], worst["case"], details or {})
 
 
 def worker_count(threads: int | None, trials: int) -> int:
@@ -256,7 +256,7 @@ def _run_plans(plans: list[tuple], threads: int | None, setups: list[float]) -> 
     """Each plan ``(count, one, finish)``'s result: all plans' claims ``one(t)``
     run in plan then trial order, timed where they run, on ``worker_count(threads,
     claims)`` processes (one lazily); ``finish`` takes a plan's records in trial
-    order, and its results' ``seconds`` add the setup's."""
+    order, and its results' ``seconds`` add the setup's and ``workers`` is the pool's."""
     claims = [(one, t) for count, one, _ in plans for t in range(count)]
 
     def run(k: int) -> tuple:
@@ -271,7 +271,7 @@ def _run_plans(plans: list[tuple], threads: int | None, setups: list[float]) -> 
         records, times = zip(*itertools.islice(rows, count))
         out.append(done := finish(list(records)))
         for res in (done.values() if isinstance(done, dict) else [done]):
-            res.seconds = setup + sum(times)
+            res.seconds, res.workers = setup + sum(times), workers
     return out
 
 
@@ -715,8 +715,10 @@ def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
     Deterministic given cfg.seed; see the module docstring for ``threads``.
     """
     start = time.perf_counter()
-    # built per call, so the checks are looked up when the suite runs; the largest
-    # claim (orlicz-chain's one trial) first, then largest trial sums on default.json
+    # built per call, so the checks are looked up when the suite runs.  The largest
+    # claim (orlicz-chain's one trial) first, then the largest trial sums on
+    # default.json; the chaining trio's now about equals riesz-ratio's, but the order
+    # stays, as moving a claim moves ru_maxrss (orlicz-chain second to last: +1.2 MiB)
     suite = ((check_orlicz_chain, {Check.ORLICZ_CHAIN}),
              (check_tandori_block, {Check.TANDORI_BLOCK}),
              (_chaining_results, {Check.MR_THEOREM, Check.BLOCK_NORM_SUM, Check.BLOCK_SQ_SUM}),

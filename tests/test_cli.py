@@ -330,7 +330,7 @@ def test_verify_verbose_lines(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
     for line, check, workers in zip(lines, ("mr-inequality", "orlicz-chain"),
-                                    ("2 workers", "1 worker")):
+                                    ("2 workers", "2 workers")):
         assert re.fullmatch(rf"{check}: pass \(worst ratio \S+\) in \d+\.\d{{3}} s "
                             rf"on {workers}, (\d+|inf) cases/s", line), line
     assert "seconds" not in out.read_text()

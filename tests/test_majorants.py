@@ -512,13 +512,15 @@ def sweep_system(request):
     return generate(SWEEP_SPECS[request.param])[2]
 
 
-@pytest.fixture(params=["default", "one-row", "mid-system"])
+@pytest.fixture(params=["default", "one-row", "mid-system", "block-start"])
 def prefix_budget(request, sweep_system, monkeypatch):
-    """PREFIX_BUDGET at its default, at one row per step, and at a value
-    whose steps split the system mid-way."""
+    """PREFIX_BUDGET at its default, at one row per step, at a value whose
+    steps split the system mid-way, and at three rows per unbatched step, so
+    the dyadic blocks starting at positions 3 and 15 start a step too."""
     width = sweep_system.values.shape[1]
     budget = {"default": mj.PREFIX_BUDGET, "one-row": 1,
-              "mid-system": width * (len(sweep_system) // 2) + width // 2}[request.param]
+              "mid-system": width * (len(sweep_system) // 2) + width // 2,
+              "block-start": 3 * width}[request.param]
     monkeypatch.setattr(mj, "PREFIX_BUDGET", budget)
     return budget
 
@@ -549,15 +551,39 @@ class TestPrefixSweep:
     def test_chaining_bitwise_equal_to_per_term_loop(self, sweep_system, prefix_budget):
         system = sweep_system
         n_sys = len(system)
-        # the longest complete prefix inside the system, and one padded past it
+        # the longest complete prefix inside the system, one padded past it,
+        # and one padded by a whole block more, which the system leaves empty
         for n in sorted({(1 << (n_sys + 1).bit_length() - 1) - 1,
-                         mj.complete_block_length(n_sys)}):
+                         mj.complete_block_length(n_sys),
+                         mj.complete_block_length(2 * n_sys + 1)}):
             for b in sweep_coeffs(system):
                 b = np.concatenate([b, np.zeros(max(0, n - n_sys), dtype=b.dtype)])
                 diag = chaining_diagnostics(system, b[:n], n)
                 want = per_term_chaining(system, b, n)
                 for field in dataclasses.fields(diag):
                     assert np.array_equal(getattr(diag, field.name), want[field.name]), field.name
+
+    @pytest.mark.parametrize("budget", [mj.PREFIX_BUDGET, 1], ids=["default", "one-row"])
+    def test_chaining_makes_two_prefix_passes(self, budget, monkeypatch):
+        # a running pass and a restarted one, whatever K and the step count
+        monkeypatch.setattr(mj, "PREFIX_BUDGET", budget)
+        passes = []
+        sweep = mj._prefix_rows
+
+        def counted(*args, **kwargs):
+            passes.append(kwargs.get("restarts", ()))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(mj, "_prefix_rows", counted)
+        system = generate(SystemSpec(SystemKind.HAAR, 64))[2]
+        b = random_coeffs(system, 97)
+        for n in (1, 3, 7, 15, 31, 63, 127, 255):
+            passes.clear()
+            diag = chaining_diagnostics(system, np.concatenate([b, np.zeros(max(0, n - 64))])[:n], n)
+            assert diag.k_max == complete_block_form(n)
+            assert len(passes) == 2
+            assert [list(r) for r in passes] == [
+                [], [min((1 << k) - 1, 64) for k in range(diag.k_max + 1)]]
 
     def test_tandori_delta_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget):
         system = sweep_system
