@@ -45,15 +45,21 @@ from .verify import Check, TrialConfig, default_config, run_suite
 WRITE_SLICE = 1 << 20
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout ending in a newline."""
+def _write(text, path: str | None) -> None:
+    """Write ``text``, a str or an iterable of str pieces, to ``path``, or to
+    stdout ending in a newline."""
+    last = ""
+
     def emit(fh):
-        for start in range(0, len(text), WRITE_SLICE):
-            fh.write(text[start:start + WRITE_SLICE])
+        nonlocal last
+        for piece in [text] if isinstance(text, str) else text:
+            for start in range(0, len(piece), WRITE_SLICE):
+                fh.write(piece[start:start + WRITE_SLICE])
+            last = piece or last
 
     if path in (None, "-"):
         emit(sys.stdout)
-        if not text.endswith("\n"):
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
@@ -131,7 +137,7 @@ def _condition_dict(report) -> dict:
         "classification": report.classification.value,
         "truncation": report.truncation_length,
         "total": report.total,
-        "partial_sums": report.partial_sums.tolist(),
+        "partial_sums": report.partial_sums,
     }
 
 
@@ -205,14 +211,14 @@ def _cmd_gen_ons(args) -> int:
     if args.format == "csv":
         _write(serialization.system_to_csv(system), args.out)
     else:
-        _write(serialization.system_to_json(system), args.out)
+        _write(serialization.system_json_pieces(system), args.out)
     return 0
 
 
 def _cmd_check_condition(args) -> int:
     rep = args.condition(_sequence_from_args(args), args.trunc)
-    _write(serialization.dumps({"schema_version": SCHEMA_VERSION, **_condition_dict(rep)},
-                               sort_keys=True), args.out)
+    _write(serialization.iterdumps({"schema_version": SCHEMA_VERSION, **_condition_dict(rep)}),
+           args.out)
     return 0
 
 
@@ -231,7 +237,7 @@ def _cmd_check_orlicz(args) -> int:
             "classification": red.classification.value,
         },
     }
-    _write(serialization.dumps(payload, sort_keys=True), args.out)
+    _write(serialization.iterdumps(payload), args.out)
     return 0 if red.all_hold else 1
 
 

@@ -18,8 +18,8 @@ weight column repeats each atom's mass on every row.
 
 Floats are written with repr(), so every binary64 value round-trips
 bit-exactly through both formats.  Every JSON file the package writes goes
-through ``dumps`` and is strict JSON: a NaN or an infinity is written as
-``null``.
+through ``dumps`` (or its piecewise form ``iterdumps``) and is strict
+JSON: a NaN or an infinity is written as ``null``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -35,6 +36,10 @@ from .direct_integral import Field, HilbertCollection, MeasureSpace, Orthonormal
 from .errors import StructuralError
 
 SCHEMA_VERSION = 1
+
+# Rows (floats, for a 1-D array) per piece when ``iterdumps`` lists an array:
+# at most this much of it is ever held as Python floats or as text.
+LIST_SLICE = 1 << 16
 
 
 def dumps(payload, **kwargs) -> str:
@@ -47,18 +52,53 @@ def dumps(payload, **kwargs) -> str:
         return json.dumps(nulled, allow_nan=False, **kwargs)
 
 
-def system_to_json(system: OrthonormalSystem) -> str:
+def iterdumps(payload):
+    """The text of ``dumps(payload, sort_keys=True)``, yielded in pieces.
+
+    Dicts are walked key by key.  A numpy array value is listed LIST_SLICE
+    rows at a time and an iterator value one item at a time, so neither is
+    ever held whole as a Python list or as one string.  Every other value is
+    one piece.  All values go through ``dumps``, so the text is strict JSON.
+    """
+    if isinstance(payload, dict):
+        sep = "{"
+        for key in sorted(payload):
+            yield f"{sep}{json.dumps(key)}: "
+            yield from iterdumps(payload[key])
+            sep = ", "
+        yield "{}" if sep == "{" else "}"
+    elif isinstance(payload, (np.ndarray, Iterator)):
+        if isinstance(payload, np.ndarray):
+            pieces = (dumps(payload[lo:lo + LIST_SLICE].tolist())[1:-1]
+                      for lo in range(0, len(payload), LIST_SLICE))
+        else:
+            pieces = (dumps(item, sort_keys=True) for item in payload)
+        sep = "["
+        for piece in pieces:
+            yield sep + piece
+            sep = ", "
+        yield "[]" if sep == "[" else "]"
+    else:
+        yield dumps(payload, sort_keys=True)
+
+
+def system_json_pieces(system: OrthonormalSystem):
+    """``system_to_json``'s text in pieces, one element row at a time."""
     values, off = system.values, system.fibers.offsets.tolist()
     if system.fibers.field is Field.COMPLEX:
         values = values.view(np.float64).reshape(len(system), -1, 2)
-    payload = {
+    return iterdumps({
         "schema_version": SCHEMA_VERSION,
         "field": system.fibers.field.value,
         "weights": system.space.weights.tolist(),
         "dims": system.fibers.dims.tolist(),
-        "elements": [[row[lo:hi] for lo, hi in zip(off, off[1:])] for row in values.tolist()],
-    }
-    return dumps(payload, sort_keys=True)
+        "elements": ([row[lo:hi] for lo, hi in zip(off, off[1:])]
+                     for row in map(np.ndarray.tolist, values)),
+    })
+
+
+def system_to_json(system: OrthonormalSystem) -> str:
+    return "".join(system_json_pieces(system))
 
 
 def _finite_system(space: MeasureSpace, fibers: HilbertCollection,

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orthoseries import cli, serialization
 from orthoseries.cli import _config_from_file, build_parser, main
-from orthoseries.coefficients import SequenceSpec, WeightSpec
+from orthoseries.coefficients import SequenceSpec, WeightSpec, weyl_sum
 from orthoseries.serialization import system_from_json
 from orthoseries.verify import Check, check_orlicz_chain, default_config
 
@@ -91,6 +93,102 @@ def test_output_written_in_slices_is_byte_identical(tmp_path, capsys, monkeypatc
     assert len(whole) > 100 * cli.WRITE_SLICE
     assert (tmp_path / "sliced.json").read_bytes() == whole
     assert capsys.readouterr().out == whole_out == whole.decode() + "\n"
+
+
+def _one_shot(payload):
+    """``dumps(payload, sort_keys=True)`` with every array as a Python list:
+    the text ``iterdumps`` must give piece by piece."""
+    def lists(value):
+        if isinstance(value, dict):
+            return {k: lists(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return serialization.dumps(lists(payload), sort_keys=True)
+
+
+@pytest.mark.parametrize("length", [0, 1, 6, 7, 8, 15])
+@pytest.mark.parametrize("non_finite", [False, True], ids=["finite", "non-finite"])
+def test_listing_in_pieces_equals_one_shot_dumps(tmp_path, capsys, monkeypatch, length,
+                                                 non_finite):
+    monkeypatch.setattr(serialization, "LIST_SLICE", 7)
+    sums = np.cumsum(np.arange(1.0, length + 1) / 3)
+    # on both sides of the first chunk edge and at the end
+    edges = sorted({6, 7, length - 1} & set(range(length))) if non_finite else []
+    sums[edges] = [NAN, INF, -INF][:len(edges)]
+    payload = {"weight_condition": {"partial_sums": sums, "total": 0.25},
+               "all_hold": True, "reduction": {"lhs": 1.5, "rhs": [1, None], "x": {}},
+               "coefficient_condition": {"partial_sums": sums[:0]}, "schema_version": 1}
+    expected = _one_shot(payload)
+    pieces = list(serialization.iterdumps(payload))
+    assert "".join(pieces) == expected
+    # no piece lists more than LIST_SLICE floats
+    assert max(p.count(",") for p in pieces) <= 7
+    parsed = _strict_json(expected)
+    assert parsed["coefficient_condition"]["partial_sums"] == []
+    assert '"partial_sums": []' in expected
+    assert expected.count("null") == 1 + len(edges)
+    cli._write(serialization.iterdumps(payload), str(tmp_path / "pieces.json"))
+    assert (tmp_path / "pieces.json").read_text() == expected
+    cli._write(serialization.iterdumps(payload), None)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("trunc", [1, 6, 7, 8])
+def test_check_mr_listing_in_pieces_is_byte_identical(tmp_path, capsys, monkeypatch, trunc):
+    monkeypatch.setattr(serialization, "LIST_SLICE", 7)
+    rep = weyl_sum(SequenceSpec.power_log(1, 1, 0), trunc)
+    expected = serialization.dumps({
+        "schema_version": 1, "condition": "mr-weyl", "classification": "converges",
+        "truncation": trunc, "total": rep.total, "partial_sums": rep.partial_sums.tolist()},
+        sort_keys=True)
+    args = ["check-mr", "--powerlog", "1,1,0", "--trunc", str(trunc)]
+    assert main(args + ["--out", str(tmp_path / "mr.json")]) == 0
+    assert (tmp_path / "mr.json").read_text() == expected
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_check_orlicz_memory_per_term(tmp_path):
+    # the partial sums are listed in pieces, never as one Python list or one
+    # string: 55 bytes per term at peak, against 162 when listed whole
+    trunc = 262144
+    tracemalloc.start()
+    try:
+        assert main(["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1.5",
+                     "--trunc", str(trunc), "--out", str(tmp_path / "o.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / trunc < 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-mr", "--trunc", "8"],
+    ["check-mr", "--powerlog", "1,1", "--trunc", "8"],
+    ["check-mr", "--powerlog", "1,nan,0", "--trunc", "8"],
+    ["check-mr", "--powerlog", "1,1,0", "--trunc", "0"],
+    ["check-tandori", "--powerlog", "1,1,0", "--trunc", "16777217"],
+    ["check-tandori", "--powerlog", "1e300,-300,0", "--trunc", "8"],
+    ["check-orlicz", "--powerlog", "1,1,2", "--trunc", "8"],
+    ["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1,2,3", "--trunc", "8"],
+    ["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1.5", "--trunc", "2"],
+    ["check-orlicz", "--powerlog", "1,1,2", "--explicit-weights", "WEIGHTS", "--trunc", "8"],
+    ["check-orlicz", "--powerlog", "1,1,2", "--explicit-weights", "DECREASING",
+     "--trunc", "4"],
+], ids=["no-sequence", "powerlog-arity", "powerlog-nan", "trunc-0", "trunc-over-cap",
+        "coefficient-overflow", "no-weights", "logpower-arity", "orlicz-trunc-2",
+        "weights-too-short", "weights-decreasing"])
+def test_condition_exit_2_leaves_no_file(tmp_path, capsys, argv):
+    # every refusal happens before the output file is opened (the overflowing
+    # partial sums are test_overflowing_sums_keep_exit_contract's cases)
+    weights = {"WEIGHTS": "1\n2\n3\n", "DECREASING": "1\n2\n1.5\n3\n"}
+    for name, text in weights.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in weights else a for a in argv]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_check_tandori_explicit_file(tmp_path, capsys):
