@@ -18,7 +18,9 @@ diagnostics run on it too.  On top sit:
 * blocked oscillations of a rearranged series (the quantity controlled by
   the Tandori blocks), exact on every block, for a batch of rearrangements
   at once: their orders inside a block share one prefix sweep and one
-  stack of per-atom diameters, and
+  stack of per-atom diameters, each the maximum over the pairs of those
+  prefixes that neither a bounding-box nor a centroid-ball bound rules out
+  (bitwise the all-pairs maximum), and
 * permutation plans, including two adversarial constructions that depend
   on the coefficients alone: the max-prefix greedy order, which Parseval
   makes the decreasing-|a_n| order on an orthonormal system, and the
@@ -99,7 +101,13 @@ def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
     The leading axes of ``order`` (..., m) and ``start`` (..., D) index
     independent orders, which share one buffer of ``step`` rows each (by
     default about ``PREFIX_BUDGET`` values in all).  Adding row by row gives
-    the bits of ``np.cumsum(axis=-2)``, which measured 3x slower.
+    the bits of ``np.cumsum(axis=-2)``, which wins only on narrow rows: one
+    whole step (take, scale, running sum; timeit, best of 5, one Xeon core)
+    took 36 us with cumsum against the loop's 67 us at (rows, width) =
+    (65, 64) and 780 against 1,130 us at (1025, 64), but 854 against 165 us
+    at (65, 1024) and 722 against 249 us at (103, 640), the wide rows of the
+    larger systems.  A switch on width would be a tuning constant that the
+    stock and the large verify configs pull opposite ways, so the loop stays.
     """
     batch, m = order.shape[:-1], order.shape[-1]
     step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
@@ -467,16 +475,18 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _candidates(x: np.ndarray) -> np.ndarray:
     """The (g, m) mask of the rows of atoms ``x`` (g, d, m) that can end a
-    pair attaining the atom's largest ``_sq_dists`` value.
+    pair attaining the atom's largest ``_sq_dists`` value M.
 
     A row equal to the row before it is dropped: its distances are those of
-    that row (-0.0 and 0.0 give the same squares).  So is a row i whose
-    farthest-box-corner bound U_i = sum_k max(x_ik - lo_k, hi_k - x_ik)^2
-    falls below L, the largest distance from the 2d per-coordinate extreme
-    rows to any row, which is itself a pair distance of the kernel.
+    that row (-0.0 and 0.0 give the same squares).  So is a row i that fails
+    either of two upper bounds on its distances against L, a lower bound on
+    M: the largest distance among the 2d per-coordinate extreme rows, and
+    from the row farthest from the centroid c to every row.  Each of those
+    is a pair distance of the kernel, so L <= M.
 
-    Margin, with u = eps/2 and S = sum_k c_k^2 for the exact corner
-    distances c_k = max(x_ik - lo_k, hi_k - x_ik) >= |x_ik - x_jk|: a
+    Box test: the farthest-box-corner bound U_i = sum_k C_k^2, with the
+    exact corner distances C_k = max(x_ik - lo_k, hi_k - x_ik) >= |x_ik -
+    x_jk|, must reach L.  Margin, with u = eps/2 and S = sum_k C_k^2: a
     rounded difference, or sum of nonnegative terms, is within a factor
     1 +- u of exact, and so is a rounded square up to 2^-1075 absolute where
     it is subnormal.  Hence the kernel's d2_ij <= (1+u)^(d+2) S + d 2^-1075
@@ -487,22 +497,50 @@ def _candidates(x: np.ndarray) -> np.ndarray:
     alone would not move a subnormal U_i).  (Where the sum runs in coordinate
     order, as numpy's does today, monotone rounding alone gives d2_ij <= U_i,
     so no input shows the margin; it keeps the filter exact in any order.)
-    A row attaining the maximum M >= L thus passes both tests (a repeated
-    row's first copy does), and the maximum over the kept rows is bitwise
-    M.  An atom with a non-finite coordinate keeps every row, so NaN still
-    reaches the caller.
+
+    Ball test: ||x_i - x_j|| <= r_i + r_j for the exact distances r_i to c,
+    whatever point c is, so (rho_i + R)^2, rho_i the computed distance to c
+    and R the largest, must reach L.  Margin: rho_i is a rounded sqrt of a
+    sum like U_i's, so rho_i >= (1-u)^((d+4)/2) r_i - t with t = sqrt(d
+    2^-1075), and r_i + r_j <= (rho_i + R + 2t) (1-u)^(-(d+4)/2).  The
+    test's sum, square and product lose at most (1-u)^4.  Where R >= 2^-400,
+    2t and the kernel's subnormal term are below u relative to (rho_i + R)
+    and its square, so d2_ij <= (1+u)^(d+5) (1-u)^(-(d+4)) (rho_i + R)^2, and
+    the test keeps every row with a distance d2_ij >= L once its factor is at
+    least (1+u)^(d+5) (1-u)^(-(d+8)) = 1 + (d + 6.5) eps to first order; the
+    factor 1 + 2 (d+4) eps covers that with room for the higher orders.
+    Below R = 2^-400 (where a square may underflow) only the box test runs.
+
+    A row attaining M >= L thus passes every test (a repeated row's first
+    copy does), and the maximum over the kept rows is bitwise M.  An atom
+    with a non-finite coordinate keeps every row, so NaN still reaches the
+    caller; where the centroid overflows, the ball bound is infinite or NaN
+    and drops nothing.
     """
     d = x.shape[1]
     keep = np.ones((x.shape[0], x.shape[2]), dtype=bool)
     np.any(x[:, :, 1:] != x[:, :, :-1], axis=1, out=keep[:, 1:])
-    lo = x.min(axis=2, keepdims=True)
-    hi = x.max(axis=2, keepdims=True)
-    ext = np.concatenate([x.argmin(axis=2), x.argmax(axis=2)], axis=1)
-    low = _sq_dists(np.take_along_axis(x, ext[:, None, :], axis=2), x).max(axis=(1, 2))
-    far = np.maximum(x - lo, hi - x)
+    ext = np.take_along_axis(x, np.concatenate([x.argmin(axis=2), x.argmax(axis=2)], axis=1)
+                             [:, None, :], axis=2)
+    # coordinate k of the rows extreme in coordinate k: its min and max
+    # (NaN where the coordinate has a NaN, as argmin stops at the first)
+    lo = np.diagonal(ext[:, :, :d], axis1=1, axis2=2)[:, :, None]
+    hi = np.diagonal(ext[:, :, d:], axis1=1, axis2=2)[:, :, None]
+    buf = x - x.mean(axis=2, keepdims=True)
+    buf *= buf
+    rho = np.sqrt(buf.sum(axis=1))
+    top = np.take_along_axis(x, rho.argmax(axis=1)[:, None, None], axis=2)
+    low = np.maximum(_sq_dists(ext, ext).max(axis=(1, 2)), _sq_dists(top, x).max(axis=(1, 2)))
+    far = np.subtract(hi, x, out=buf)
+    np.maximum(np.subtract(x, lo), far, out=far)
     far *= far
-    up = far.sum(axis=1)
-    keep &= up * (1.0 + 2 * (d + 1) * _EPS) + (d + 1) * _TINY >= low[:, None]
+    keep &= far.sum(axis=1) * (1.0 + 2 * (d + 1) * _EPS) + (d + 1) * _TINY >= low[:, None]
+    R = rho.max(axis=1, keepdims=True)
+    rho += R
+    rho *= rho
+    rho *= 1.0 + 2 * (d + 4) * _EPS
+    # "not below" keeps the rows of a NaN bound
+    keep &= ~(rho < low[:, None]) | (R < 2.0 ** -400)
     keep[~np.all(np.isfinite(lo) & np.isfinite(hi), axis=(1, 2))] = True
     return keep
 
@@ -516,7 +554,9 @@ def _candidate_stacks(x: np.ndarray):
     step = max(1, DIAMETER_BUDGET // (2 * d * m))
     keep = np.concatenate([_candidates(x[s:s + step]) for s in range(0, x.shape[0], step)])
     counts = keep.sum(axis=1)
-    kept = np.argsort(~keep, axis=1, kind="stable")
+    # the kept rows atom by atom, ascending in each; an atom's start at first
+    kept = np.nonzero(keep)[1]
+    first = np.cumsum(counts) - counts
     rank = np.argsort(counts, kind="stable")
     start = 0
     while start < rank.size:
@@ -524,10 +564,9 @@ def _candidate_stacks(x: np.ndarray):
         stop = start + max(1, int(np.searchsorted(np.arange(1, c.size + 1) * c * c,
                                                   DIAMETER_BUDGET, side="right")))
         sel = rank[start:stop]
-        width = int(counts[sel[-1]])
-        rows = kept[sel, :width]
-        rows = np.where(np.arange(width) < counts[sel, None], rows, rows[:, :1])
-        yield sel, np.take_along_axis(x[sel], rows[:, None, :], axis=2)
+        pos = np.arange(counts[sel[-1]])
+        rows = kept[first[sel, None] + np.where(pos < counts[sel, None], pos, 0)]
+        yield sel, x[sel[:, None, None], np.arange(d)[:, None], rows[:, None, :]]
         start = stop
 
 

@@ -1,16 +1,18 @@
 """Property tests: the dyadic partition, permutation-plan validity, the
-streaming majorant against its materializing oracle, bit-exact system round
-trips and strict JSON.  The hypothesis profile in conftest.py derandomizes
+streaming majorant against its materializing oracle, the exact diameter
+kernel's candidate filter, bit-exact system round trips and strict JSON.  The hypothesis profile in conftest.py derandomizes
 them."""
 
 import json
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orthoseries import majorants
 from orthoseries import (AdversarialStrategy, Field, HilbertCollection, MeasureSpace,
                          OrthonormalSystem, PermutationPlan, SystemKind, SystemSpec,
                          adversarial_permutation, dyadic_decomposition, generate,
@@ -115,6 +117,40 @@ def test_streaming_majorant_matches_the_oracle(case):
     fast, slow = majorant(system, b, n), oracle_majorant(system, b, n)
     assert np.all(np.abs(fast.values - slow.values) <= 1e-13 * slow.values)
     assert abs(fast.l2_norm - slow.l2_norm) <= 1e-13 * slow.l2_norm
+
+
+# -- the candidate filter of the exact diameter kernel -------------------------
+
+@st.composite
+def point_sets(draw):
+    """Prefix rows (m, T) of atoms of dimension 1-5 and their offsets: a
+    walk, an iid cloud, small integers (many tied rows and distances) or
+    rows on a sphere about a point, scaled by 2^-600 to 2^500."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    m = draw(st.integers(2, 80))
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    P = gen.standard_normal((m, offsets[-1]))
+    kind = draw(st.sampled_from(["walk", "cloud", "ties", "sphere"]))
+    if kind == "walk":
+        P = np.cumsum(P, axis=0)
+    elif kind == "ties":
+        P = np.round(P)
+    elif kind == "sphere":
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            P[:, a:b] /= np.linalg.norm(P[:, a:b], axis=1, keepdims=True)
+            P[:, a:b] += gen.standard_normal(b - a)
+    return np.ldexp(P, draw(st.integers(-600, 500))), offsets
+
+
+@given(point_sets())
+def test_candidate_filter_keeps_the_all_pairs_diameter_bits(case):
+    P, offsets = case
+    with mock.patch.object(majorants, "FILTER_MIN_ROWS", 0):
+        filtered = majorants._pointwise_diameters(P, offsets)
+    with mock.patch.object(majorants, "FILTER_MIN_ROWS", 1 << 30):
+        all_pairs = majorants._pointwise_diameters(P, offsets)
+    assert filtered.tobytes() == all_pairs.tobytes()
 
 
 # -- bit-exact round trips -----------------------------------------------------
