@@ -444,8 +444,10 @@ class BlockOscillation:
     ``values[i]`` is, at atom i, the supremum over segment sums (restricted
     to indices of this block, in rearranged order) of the fiber norm;
     ``doubled_one_sided`` is twice the one-sided prefix supremum, the
-    estimate the proof uses; ``bound`` is
-    8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).
+    estimate the proof uses (the prefixes include the block's start, so
+    doubled_one_sided / 2 <= values <= doubled_one_sided; tandori-block in
+    ``verify`` judges that bracket, this kernel only computes both sides);
+    ``bound`` is 8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).
     """
 
     block_index: int
@@ -622,7 +624,8 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
     through one ``_prefix_rows`` sweep as a (P, m) batch, and their
     (plan, atom) pairs through one diameter stack; each plan's values have
     the bits of a pass over that plan alone.  The bound is the plans' shared
-    8 * sqrt(block_mass).
+    8 * sqrt(block_mass).  Each plan's ``doubled_one_sided`` is returned
+    unjudged, NaN and infinity included; tandori-block judges it.
     """
     a = _coeff_array(coeffs, system, n).copy()
     n = a.size if n is None else n
@@ -655,10 +658,6 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
         _, prefixes = next(_prefix_rows(V, a, src, zero, src.shape[1]))
         values = _pointwise_diameters(prefixes, offsets)
         doubled = 2.0 * np.sqrt(_fiber_sq_norms(prefixes[:, 1:], offsets).max(axis=-2))
-
-    # per (plan, atom); NaN fails this comparison too, so it raises as well
-    if not np.all(values <= doubled + 1e-12 * np.maximum(doubled, 1.0)):
-        raise RuntimeError("oscillation exceeded its doubled one-sided bound")
 
     l2 = _weighted_l2(system.space.weights, values ** 2)
     bound = 8.0 * math.sqrt(block_mass(a, lo, hi))

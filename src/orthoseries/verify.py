@@ -5,9 +5,13 @@ permutation) draws and asserts one of the finite inequalities the
 convergence proofs factor through.  A check passes only if the inequality
 holds on every case with the configured relative slack (default 1e-12,
 measured as lhs <= rhs * (1 + slack) + 1e-300); any NaN or infinity fails
-it.  One rule picks the reported worst case, pass or fail: the largest
-lhs/rhs ratio, NaN above all, ties to the earliest trial, then to plan/block
-or permutation order; its seed path and spec are the reproducer.
+it.  One rule picks the reported worst case, pass or fail: a failed case
+above every passing one, then the largest lhs/rhs ratio, NaN above all, ties
+to the earliest trial, then to plan/block or permutation order; its seed
+path and spec are the reproducer.  A broken invariant of a kernel's output
+is a failed case of its check too, never an exception: tandori-block holds
+each block's diameter to one-sided <= diameter <= 2 x one-sided at every
+atom, by the same slack rule at the default slack.
 riesz-ratio asserts the Menshov-Rademacher bound scaled by an upper Riesz
 bound B of a system mixed by a seeded matrix M with singular values in
 [1, riesz_condition]: ||S_N*||_2 <= sqrt(B) (2 + log2 N) ||b||_2, where
@@ -56,7 +60,7 @@ from .coefficients import (ABSOLUTE_FLOOR, DEFAULT_SLACK, SequenceSpec, WeightSp
                            orlicz_conditions, orlicz_reduction, tandori_blocks)
 from .direct_integral import Field, OrthonormalSystem, gershgorin_bounds, gram_matrix
 from .errors import BudgetError, ContractError
-from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
+from .majorants import (AdversarialStrategy, BlockOscillation, MajorantProfile, PermutationPlan,
                         adversarial_permutation, all_orders_l2, block_oscillations,
                         chaining_diagnostics, complete_block_length,
                         dyadic_pointwise_bound, majorant, permuted_majorant, tandori_delta)
@@ -227,11 +231,12 @@ def _rank(ratio: float) -> float:
 
 
 def _merge_worst(records: list[dict]) -> dict:
-    """The record with the largest ratio (NaN worst of all), ok only if every
-    record is; ties break to the smallest trial index, then to the earliest
-    record (plan/block or permutation order)."""
+    """The worst record, ok only if every record is: a failed record above
+    every passing one, then the largest ratio (NaN worst of all); ties break
+    to the smallest trial index, then to the earliest record (plan/block or
+    permutation order)."""
     def key(rec):
-        return (_rank(rec["ratio"]), -rec["case"].get("trial", 0))
+        return (not rec["ok"], _rank(rec["ratio"]), -rec["case"].get("trial", 0))
 
     return dict(max(records, key=key), ok=all(r["ok"] for r in records))
 
@@ -255,8 +260,8 @@ def worker_count(threads: int | None, trials: int) -> int:
 def _run_plans(plans: list[tuple], threads: int | None, setups: list[float]) -> list:
     """Each plan ``(count, one, finish)``'s result: all plans' claims ``one(t)``
     run in plan then trial order, timed where they run, on ``worker_count(threads,
-    claims)`` processes (one lazily); ``finish`` takes a plan's records in trial
-    order, and its results' ``seconds`` add the setup's and ``workers`` is the pool's."""
+    claims)`` processes; ``finish`` takes a plan's records in trial order, and
+    its results' ``seconds`` add the setup's and ``workers`` is the pool's."""
     claims = [(one, t) for count, one, _ in plans for t in range(count)]
 
     def run(k: int) -> tuple:
@@ -265,7 +270,7 @@ def _run_plans(plans: list[tuple], threads: int | None, setups: list[float]) -> 
         return one(t), time.perf_counter() - began
 
     workers = worker_count(threads, len(claims))
-    rows = iter(_forked(len(claims), run, workers)) if workers > 1 else map(run, range(len(claims)))
+    rows = iter(_forked(len(claims), run, workers))
     out = []
     for (count, _, finish), setup in zip(plans, setups):
         records, times = zip(*itertools.islice(rows, count))
@@ -517,10 +522,22 @@ def tandori_threshold_arithmetic() -> list[dict]:
     return out
 
 
+def _bracket_holds(oscs: list[BlockOscillation]) -> list[bool]:
+    """Per plan of one block: whether doubled_one_sided / 2 <= values <=
+    doubled_one_sided at every atom, both halves by ``leq_with_slack`` at
+    DEFAULT_SLACK (a config's tolerances do not loosen it)."""
+    values = np.array([osc.values for osc in oscs])
+    doubled = np.array([osc.doubled_one_sided for osc in oscs])
+    return np.all(leq_with_slack(values, doubled) & leq_with_slack(0.5 * doubled, values),
+                  axis=1).tolist()
+
+
 def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
                         systems: dict | None = None, pool: list | None = None) -> CheckResult:
     """Blocked oscillation bound ||delta_k||_2 <= 8 (sum_{block} |a_n|^2 log2^2 n)^(1/2)
-    under identity, seeded-shuffle, greedy, and block-reversal plans."""
+    under identity, seeded-shuffle, greedy, and block-reversal plans.  A
+    (plan, block) record fails also where its diameters break the bracket
+    of ``_bracket_holds`` at some atom, and its case then names the bracket."""
     specs = [s for s in cfg.system_specs if s.n_functions >= 5]
     if not specs:
         raise ContractError("tandori block checks need at least one system with n >= 5")
@@ -534,10 +551,14 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
         # every plan of a block at once; the records keep plan-major order
         by_block = [block_oscillations(system, b, plans, k, n)
                     for k in range(tandori_blocks(n).k_max + 1)]
+        held = [_bracket_holds(oscs) for oscs in by_block]
         return _merge_worst([
-            _record(osc.l2, osc.bound, cfg.slack(Check.TANDORI_BLOCK),
-                    dict(case, plan=plan.describe(), block=k))
-            for plan, oscs in zip(plans, zip(*by_block)) for k, osc in enumerate(oscs)])
+            _record(oscs[p].l2, oscs[p].bound, cfg.slack(Check.TANDORI_BLOCK),
+                    dict(case, plan=plan.describe(), block=k,
+                         **({} if held[k][p] else
+                            {"bracket": "one-sided <= diameter <= 2 x one-sided"})),
+                    ok=held[k][p])
+            for p, plan in enumerate(plans) for k, oscs in enumerate(by_block)])
 
     arithmetic = tandori_threshold_arithmetic()
     details = {

@@ -262,6 +262,26 @@ def test_verify_failure_exit_code(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("system", [{"kind": "haar", "n": 16},
+                                    {"kind": "tensor-vector", "n": 16, "fiber_dim": 2}])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_overflowing_terms_fail_with_a_report(tmp_path, capsys, system, threads):
+    # finite coefficients +-1e308 overflow a_n phi_n to +-inf, and inf - inf
+    # is NaN in the prefix sums: a failed tandori-block case with a null
+    # ratio and the bracket named, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "systems": [system], "n_trials": 1, "checks": ["tandori-block"],
+        "coefficients": {"form": "explicit", "values": [(-1) ** i * 1e308 for i in range(16)]}}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg_path), "--threads", threads,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    result = json.loads(out.read_text())["results"]["tandori-block"]
+    assert result["passed"] is False and result["worst_ratio"] is None
+    assert "bracket" in result["worst_case"]
+
+
 def test_verify_check_filter(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--config", str(REPO_ROOT / "default.json"),

@@ -13,13 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orthoseries import direct_integral, verify
+from orthoseries import direct_integral, majorants, verify
 from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
                          SystemKind, SystemSpec, TrialConfig,
                          exhaustive_permutation_check, generate, majorant,
                          oracle_majorant, run_suite)
 from orthoseries.direct_integral import Field, OrthonormalSystem, gram_matrix
-from orthoseries.majorants import all_orders_l2
+from orthoseries.majorants import PermutationPlan, all_orders_l2
 from orthoseries.systems import seeded_rng
 from orthoseries.verify import (check_mr_inequality, check_riesz_ratio,
                                 check_tandori_block, default_config,
@@ -30,6 +30,9 @@ from orthoseries.cli import main as cli_main
 from conftest import rng
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the case entry of a tandori-block record whose diameters broke the bracket
+BRACKET = "one-sided <= diameter <= 2 x one-sided"
 
 
 # the three systems of the benchmark's large-n workload at seed 1
@@ -166,6 +169,55 @@ class TestTandoriBlockCheck:
         assert math.isnan(res.worst_ratio)
         case = res.worst_case
         assert (case["trial"], case["plan"], case["block"]) == (0, "greedy-adversarial", 1)
+
+    # block 1 of n=16 (indices 5..16) has 13 prefix rows, its start included
+    @pytest.mark.parametrize("plans", [slice(None), slice(2, 3)],
+                             ids=["every-plan", "third-plan"])
+    def test_inflated_diameters_fail_the_check(self, monkeypatch, plans):
+        # diameters past twice the one-sided supremum on block 1 fail the
+        # check without an exception, and the worst case names the inflated
+        # plan, the block and the bracket
+        real = majorants._pointwise_diameters
+
+        def inflate(prefixes, offsets):
+            out = real(prefixes, offsets)
+            if prefixes.shape[-2] == 13:
+                out[plans] = 3.0 * out[plans] + 1.0
+            return out
+
+        monkeypatch.setattr(majorants, "_pointwise_diameters", inflate)
+        cfg = small_config(checks={Check.TANDORI_BLOCK}, n_trials=1, system_specs=(
+            SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2),))
+        res = check_tandori_block(cfg)
+        assert not res.passed
+        case = res.worst_case
+        assert (case["block"], case["bracket"]) == (1, BRACKET)
+        if plans == slice(2, 3):
+            path = trial_seed_path(cfg.seed, Check.TANDORI_BLOCK, 0) + (1,)
+            assert case["plan"] == PermutationPlan.seeded_shuffle(16, path).describe()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda osc: replace(osc, doubled_one_sided=0.5 * osc.doubled_one_sided),
+        lambda osc: replace(osc, values=0.5 * osc.values, l2=0.5 * osc.l2),
+    ], ids=["doubling-removed", "diameter-halved"])
+    def test_bracket_mutants_fail_with_a_report(self, monkeypatch, tmp_path, capsys, mutate):
+        # each half of the bracket kills its own mutant on default.json:
+        # exit 1 with a written report, not a traceback
+        real = verify.block_oscillations
+        monkeypatch.setattr(verify, "block_oscillations",
+                            lambda *args: [mutate(osc) for osc in real(*args)])
+        out = tmp_path / "report.json"
+        assert cli_main(["verify", "--config", str(SRC.parent / "default.json"), "--seed", "1",
+                         "--check", "tandori-block", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        result = json.loads(out.read_text())["results"]["tandori-block"]
+        assert not result["passed"]
+        assert result["worst_case"]["bracket"] == BRACKET
+        # the bracket's slack is the default one, whatever the config's tolerance
+        cfg = small_config(checks={Check.TANDORI_BLOCK}, n_trials=2,
+                           tolerances={Check.TANDORI_BLOCK: 1e6})
+        res = check_tandori_block(cfg)
+        assert not res.passed and res.worst_case["bracket"] == BRACKET
 
     def test_arithmetic_values(self):
         rows = tandori_threshold_arithmetic()
@@ -366,6 +418,22 @@ class TestRieszRatio:
         assert not res.passed
         assert res.worst_case["trial"] == 0 and math.isnan(res.worst_case["riesz_lower"])
 
+    def test_failed_lower_bound_is_the_worst_case(self, monkeypatch):
+        # a trial failed only by its lower Riesz bound is the reported case,
+        # above the passing trials of higher ratio
+        cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=4)
+        systems = verify._make_systems(cfg.system_specs, None)
+        honest = check_riesz_ratio(cfg, systems=systems)
+        other = 1 - honest.worst_case["trial"] % 2
+        target = systems[cfg.system_specs[other]]
+        real = verify.gershgorin_bounds
+        monkeypatch.setattr(verify, "gershgorin_bounds", lambda system: (
+            (0.0, real(system)[1]) if system is target else real(system)))
+        res = check_riesz_ratio(cfg, systems=systems)
+        assert not res.passed
+        assert res.worst_case["trial"] % 2 == other and res.worst_case["riesz_lower"] == 0.0
+        assert res.worst_ratio < honest.worst_ratio
+
     def test_check_reports_finite_ratio_and_bounds(self):
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8,
                            riesz_condition=4.0)
@@ -385,6 +453,18 @@ class TestRieszRatio:
         assert res.passed
         assert res.worst_case["riesz_lower"] == pytest.approx(1.0, abs=1e-9)
         assert res.worst_case["riesz_upper"] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestWorstCase:
+    def test_failed_record_outranks_passing_ones(self):
+        passing = {"ratio": 0.9, "ok": True, "case": {"trial": 0}}
+        failed = {"ratio": 0.1, "ok": False, "case": {"trial": 1}}
+        for records in ([passing, failed], [failed, passing]):
+            assert verify._merge_worst(records) == failed
+        nan = {"ratio": math.nan, "ok": False, "case": {"trial": 2}}
+        assert verify._merge_worst([passing, failed, nan])["case"] == {"trial": 2}
+        later = {"ratio": 0.9, "ok": True, "case": {"trial": 3}}
+        assert verify._merge_worst([later, passing]) == dict(passing, ok=True)
 
 
 class TestRunSuite:
