@@ -19,7 +19,11 @@ weight column repeats each atom's mass on every row.
 Floats are written with repr(), so every binary64 value round-trips
 bit-exactly through both formats.  Every JSON file the package writes goes
 through ``dumps`` (or its piecewise form ``iterdumps``) and is strict
-JSON: a NaN or an infinity is written as ``null``.
+JSON: a NaN or an infinity is written as ``null``.  ``iterdumps`` lists a
+float64 array through orjson, whose Ryu digits are repr's (the shortest
+string that round-trips, the closest of those to the value), so the bytes
+are those of repr; where the two notations differ, at a finite nonzero
+magnitude outside [1e-4, 1e16), repr writes the value's token itself.
 """
 
 from __future__ import annotations
@@ -31,14 +35,15 @@ from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .direct_integral import Field, HilbertCollection, MeasureSpace, OrthonormalSystem
 from .errors import StructuralError
 
 SCHEMA_VERSION = 1
 
-# Rows (floats, for a 1-D array) per piece when ``iterdumps`` lists an array:
-# at most this much of it is ever held as Python floats or as text.
+# Floats per piece when ``iterdumps`` lists an array: at most this much of it
+# is ever held as text.
 LIST_SLICE = 1 << 16
 
 
@@ -52,13 +57,30 @@ def dumps(payload, **kwargs) -> str:
         return json.dumps(nulled, allow_nan=False, **kwargs)
 
 
+def _list_floats(a: np.ndarray) -> str:
+    """``dumps(a.tolist())[1:-1]`` for a 1-D float64 array.  orjson writes
+    repr's digits, and NaN and infinities as null; repr writes 1e-05 and
+    1e+16 where orjson writes 0.00001 and 1e16, so those tokens are repr's."""
+    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text.decode()[1:-1]
+    mag = np.abs(a)
+    odd = np.flatnonzero(((0 < mag) & (mag < 1e-4)) | ((1e16 <= mag) & (mag < np.inf)))
+    if not odd.size:
+        return text.replace(",", ", ")
+    tokens = text.split(",")
+    for i, x in zip(odd.tolist(), a[odd].tolist()):
+        tokens[i] = repr(x)
+    return ", ".join(tokens)
+
+
 def iterdumps(payload):
     """The text of ``dumps(payload, sort_keys=True)``, yielded in pieces.
 
-    Dicts are walked key by key.  A numpy array value is listed LIST_SLICE
-    rows at a time and an iterator value one item at a time, so neither is
-    ever held whole as a Python list or as one string.  Every other value is
-    one piece.  All values go through ``dumps``, so the text is strict JSON.
+    Dicts are walked key by key.  A numpy array value, which must be 1-D
+    float64, is listed LIST_SLICE floats at a time by ``_list_floats`` and an
+    iterator value one item at a time, so neither is ever held whole as a
+    Python list or as one string.  Every other value is one piece, through
+    ``dumps``.  The text is strict JSON.
     """
     if isinstance(payload, dict):
         sep = "{"
@@ -69,7 +91,10 @@ def iterdumps(payload):
         yield "{}" if sep == "{" else "}"
     elif isinstance(payload, (np.ndarray, Iterator)):
         if isinstance(payload, np.ndarray):
-            pieces = (dumps(payload[lo:lo + LIST_SLICE].tolist())[1:-1]
+            if payload.dtype != np.float64 or payload.ndim != 1:
+                raise TypeError(f"iterdumps lists 1-D float64 arrays, not a "
+                                f"{payload.ndim}-D {payload.dtype} array")
+            pieces = (_list_floats(payload[lo:lo + LIST_SLICE])
                       for lo in range(0, len(payload), LIST_SLICE))
         else:
             pieces = (dumps(item, sort_keys=True) for item in payload)
@@ -233,9 +258,9 @@ def system_from_csv(text: str) -> OrthonormalSystem:
 
 
 def profile_to_json(profile) -> str:
-    return dumps({
+    return "".join(iterdumps({
         "schema_version": SCHEMA_VERSION,
-        "values": [float(v) for v in profile.values],
+        "values": profile.values,
         "argmax_prefix": [int(j) for j in profile.argmax_prefix],
         "l2_norm": float(profile.l2_norm),
-    }, sort_keys=True)
+    }))

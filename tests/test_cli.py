@@ -147,6 +147,34 @@ def test_check_mr_listing_in_pieces_is_byte_identical(tmp_path, capsys, monkeypa
     assert capsys.readouterr().out == expected + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-mr", "--powerlog", "1,1,0"],
+    ["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1.5"],
+    ["check-mr", "--explicit", "COEFFS"],
+], ids=["check-mr", "check-orlicz", "check-mr-explicit-straddling"])
+def test_listing_at_list_slice_is_byte_identical(tmp_path, monkeypatch, argv):
+    # three pieces at the shipped LIST_SLICE, against the payload listed whole
+    # by the stdlib (repr) path; the explicit coefficients 1e-4 .. 1e8 give
+    # partial sums from 1e-8 past 1e16, whose tokens repr writes itself
+    trunc = 2 * serialization.LIST_SLICE + 3
+    straddling = "COEFFS" in argv
+    if straddling:
+        coeffs = 1e-4 * 10.0 ** (12 * np.arange(trunc) / (trunc - 1))
+        (tmp_path / "COEFFS").write_text("\n".join(map(repr, coeffs.tolist())))
+        argv = argv[:-1] + [str(tmp_path / "COEFFS")]
+    payloads, iterdumps = [], serialization.iterdumps
+    monkeypatch.setattr(serialization, "iterdumps",
+                        lambda payload: payloads.append(payload) or iterdumps(payload))
+    out = tmp_path / "out.json"
+    assert main(argv + ["--trunc", str(trunc), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == _one_shot(payloads[0])
+    if straddling:
+        sums = payloads[0]["partial_sums"]
+        assert sums[0] < 1e-4 and sums[-1] > 1e16
+        assert "e-" in text and "e+" in text
+
+
 def test_check_orlicz_memory_per_term(tmp_path):
     # the partial sums are listed in pieces, never as one Python list or one
     # string: 55 bytes per term at peak, against 162 when listed whole

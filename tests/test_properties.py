@@ -1,7 +1,8 @@
 """Property tests: the dyadic partition, permutation-plan validity, the
 streaming majorant against its materializing oracle, the exact diameter
-kernel's candidate filter, bit-exact system round trips and strict JSON.  The hypothesis profile in conftest.py derandomizes
-them."""
+kernel's candidate filter, bit-exact system round trips, strict JSON and
+float listings with repr's bytes.  The hypothesis profile in conftest.py
+derandomizes them."""
 
 import json
 import math
@@ -9,10 +10,11 @@ from functools import lru_cache
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orthoseries import majorants
+from orthoseries import majorants, serialization
 from orthoseries import (AdversarialStrategy, Field, HilbertCollection, MeasureSpace,
                          OrthonormalSystem, PermutationPlan, SystemKind, SystemSpec,
                          adversarial_permutation, dyadic_decomposition, generate,
@@ -207,3 +209,45 @@ def _nulled(value):
 def test_dumps_is_strict_json_that_nulls_only_non_finite_floats(payload):
     # a finite payload keeps the bytes of json.dumps
     assert dumps(payload, sort_keys=True) == json.dumps(_nulled(payload), sort_keys=True)
+
+
+# -- float listings: orjson's digits are repr's --------------------------------
+
+# repr writes plain decimals for 1e-4 <= |x| < 1e16; these sit on both sides
+# of both ends, with the extremes and the values written as null
+EDGES = [0.0, -0.0, 1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e16, 0)),
+         1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+bit_patterns = st.integers(0, (1 << 64) - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+@given(st.lists(bit_patterns | st.sampled_from(EDGES) | st.sampled_from(EDGES).map(float.__neg__),
+                max_size=12))
+def test_float_listing_is_the_bytes_of_dumps(values):
+    a = np.array(values, dtype=np.float64)
+    # pieces of three floats put the repr tokens on both sides of piece edges
+    with mock.patch.object(serialization, "LIST_SLICE", 3):
+        text = "".join(serialization.iterdumps({"x": a}))
+    assert text == dumps({"x": values}, sort_keys=True)
+
+
+def test_float_listing_of_in_range_bit_patterns_is_repr():
+    # random sign and mantissa bits under every exponent from 2^-14 to 2^53:
+    # each float of the range repr writes in plain decimals is reachable
+    g = np.random.default_rng(20181)
+    n = 250_000
+    bits = (g.integers(0, 1 << 52, n, dtype=np.uint64)
+            | (g.integers(1009, 1077, n, dtype=np.uint64) << np.uint64(52))
+            | (g.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)))
+    a = bits.view(np.float64)
+    a = a[(1e-4 <= np.abs(a)) & (np.abs(a) < 1e16)]
+    assert len(a) > 200_000
+    listed = "".join(serialization.iterdumps({"x": a}))
+    assert listed == '{"x": [' + ", ".join(map(float.__repr__, a.tolist())) + "]}"
+
+
+@pytest.mark.parametrize("a", [np.arange(3), np.ones(3, dtype=np.float32), np.ones((2, 2)),
+                               np.array([True])], ids=["int64", "float32", "2-D", "bool"])
+def test_float_listing_refuses_other_arrays(a):
+    with pytest.raises(TypeError, match="1-D float64"):
+        "".join(serialization.iterdumps({"x": a}))
