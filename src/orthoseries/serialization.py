@@ -19,11 +19,11 @@ weight column repeats each atom's mass on every row.
 Floats are written with repr(), so every binary64 value round-trips
 bit-exactly through both formats.  Every JSON file the package writes goes
 through ``dumps`` (or its piecewise form ``iterdumps``) and is strict
-JSON: a NaN or an infinity is written as ``null``.  ``iterdumps`` lists a
-float64 array through orjson, whose Ryu digits are repr's (the shortest
-string that round-trips, the closest of those to the value), so the bytes
-are those of repr; where the two notations differ, at a finite nonzero
-magnitude outside [1e-4, 1e16), repr writes the value's token itself.
+JSON: a NaN or an infinity is written as ``null``.  Its float arrays (the
+check-* partial sums, profile values, system weights and element rows) are
+listed by ``_list_floats`` through orjson, whose Ryu digits are repr's (the
+shortest string that round-trips, the closest to the value); at |x| outside
+[1e-4, 1e16), where the notations differ, repr writes the token itself.
 """
 
 from __future__ import annotations
@@ -57,30 +57,30 @@ def dumps(payload, **kwargs) -> str:
         return json.dumps(nulled, allow_nan=False, **kwargs)
 
 
-def _list_floats(a: np.ndarray) -> str:
-    """``dumps(a.tolist())[1:-1]`` for a 1-D float64 array.  orjson writes
-    repr's digits, and NaN and infinities as null; repr writes 1e-05 and
-    1e+16 where orjson writes 0.00001 and 1e16, so those tokens are repr's."""
-    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
-    text = text.decode()[1:-1]
-    mag = np.abs(a)
+def _list_floats(a, values: np.ndarray) -> str:
+    """``dumps`` of ``a``, a C-contiguous float64 array or a list of them, as
+    nested lists; ``values`` is the 1-D array of its values in order.  orjson
+    writes repr's digits, NaN and infinities as null, and one number per comma;
+    where repr writes 1e-05 and 1e+16 (orjson 0.00001, 1e16), the token is repr's."""
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    mag = np.abs(values)
     odd = np.flatnonzero(((0 < mag) & (mag < 1e-4)) | ((1e16 <= mag) & (mag < np.inf)))
     if not odd.size:
         return text.replace(",", ", ")
     tokens = text.split(",")
-    for i, x in zip(odd.tolist(), a[odd].tolist()):
-        tokens[i] = repr(x)
+    for i, x in zip(odd.tolist(), values[odd].tolist()):
+        tokens[i] = tokens[i].replace(tokens[i].strip("[]"), repr(x))
     return ", ".join(tokens)
 
 
 def iterdumps(payload):
     """The text of ``dumps(payload, sort_keys=True)``, yielded in pieces.
 
-    Dicts are walked key by key.  A numpy array value, which must be 1-D
-    float64, is listed LIST_SLICE floats at a time by ``_list_floats`` and an
-    iterator value one item at a time, so neither is ever held whole as a
-    Python list or as one string.  Every other value is one piece, through
-    ``dumps``.  The text is strict JSON.
+    Dicts are walked key by key.  A numpy array value, which must be a 1-D
+    C-contiguous float64 array, is listed LIST_SLICE floats at a time by
+    ``_list_floats``, so it is never held whole as a Python list or as one
+    string.  An iterator value's items are JSON text, listed one at a time.
+    Every other value is one piece, through ``dumps``.  The text is strict JSON.
     """
     if isinstance(payload, dict):
         sep = "{"
@@ -94,10 +94,10 @@ def iterdumps(payload):
             if payload.dtype != np.float64 or payload.ndim != 1:
                 raise TypeError(f"iterdumps lists 1-D float64 arrays, not a "
                                 f"{payload.ndim}-D {payload.dtype} array")
-            pieces = (_list_floats(payload[lo:lo + LIST_SLICE])
-                      for lo in range(0, len(payload), LIST_SLICE))
+            pieces = (_list_floats(s, s)[1:-1] for s in
+                      (payload[lo:lo + LIST_SLICE] for lo in range(0, len(payload), LIST_SLICE)))
         else:
-            pieces = (dumps(item, sort_keys=True) for item in payload)
+            pieces = payload
         sep = "["
         for piece in pieces:
             yield sep + piece
@@ -109,16 +109,15 @@ def iterdumps(payload):
 
 def system_json_pieces(system: OrthonormalSystem):
     """``system_to_json``'s text in pieces, one element row at a time."""
-    values, off = system.values, system.fibers.offsets.tolist()
-    if system.fibers.field is Field.COMPLEX:
-        values = values.view(np.float64).reshape(len(system), -1, 2)
+    values, off = system.values.view(np.float64), system.fibers.offsets.tolist()
+    blocks = values.reshape(len(system), -1, 2) if system.fibers.field is Field.COMPLEX else values
     return iterdumps({
         "schema_version": SCHEMA_VERSION,
         "field": system.fibers.field.value,
-        "weights": system.space.weights.tolist(),
+        "weights": system.space.weights,
         "dims": system.fibers.dims.tolist(),
-        "elements": ([row[lo:hi] for lo, hi in zip(off, off[1:])]
-                     for row in map(np.ndarray.tolist, values)),
+        "elements": (_list_floats([b[lo:hi] for lo, hi in zip(off, off[1:])], row)
+                     for b, row in zip(blocks, values)),
     })
 
 
@@ -155,10 +154,10 @@ def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
         values = np.array(rows, dtype=float)
         if values.shape != (len(elements), fibers.total_dim) + ((2,) * is_complex):
             raise ValueError("wrong entry shape")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructuralError(
             "system JSON: 'elements' must hold, per function, one block of dims[i] "
-            f"{'[re, im] pairs' if is_complex else 'numbers'} per atom") from exc
+            f"{'[re, im] pairs' if is_complex else 'numbers'} per atom, in float range") from exc
     return values.view(np.complex128)[..., 0] if is_complex else values
 
 
@@ -234,6 +233,12 @@ def system_from_csv(text: str) -> OrthonormalSystem:
         raise StructuralError("CSV carries no data rows")
     n_elements = max(e for e, _ in rows) + 1
     n_atoms = max(a for _, a in rows) + 1
+    # before anything sized by the largest index is allocated: this scan meets
+    # a missing (element, atom) pair within len(rows) + 1 steps
+    for e in range(n_elements):
+        for atom in range(n_atoms):
+            if (e, atom) not in rows:
+                raise StructuralError(f"element {e} is missing atom {atom}")
     dims = np.zeros(n_atoms, dtype=np.int64)
     for (e, atom), cells in rows.items():
         d = len(cells) // 2 if is_complex else len(cells)
@@ -247,13 +252,8 @@ def system_from_csv(text: str) -> OrthonormalSystem:
 
     space = MeasureSpace(weights=np.array([weights[a] for a in range(n_atoms)]))
     fibers = HilbertCollection(dims=dims, field=Field.COMPLEX if is_complex else Field.REAL)
-    off = ((1 + is_complex) * fibers.offsets).tolist()
-    flat = np.empty((n_elements, off[-1]))
-    for e in range(n_elements):
-        for atom in range(n_atoms):
-            if (e, atom) not in rows:
-                raise StructuralError(f"element {e} is missing atom {atom}")
-            flat[e, off[atom]:off[atom + 1]] = rows[(e, atom)]
+    flat = np.array([list(chain.from_iterable(rows[(e, a)] for a in range(n_atoms)))
+                     for e in range(n_elements)])
     return _finite_system(space, fibers, flat.view(np.complex128) if is_complex else flat)
 
 

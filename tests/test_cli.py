@@ -579,12 +579,18 @@ def test_oversized_system_refused_before_allocating(capsys):
     ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": [[[false]]]}'),
     ("sys.json", '{"field": "complex", "weights": [1.0], "dims": [1],'
                  ' "elements": [[[["0.5", 0.0]]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0, 1.0], "dims": [1, 1],'
+                 f' "elements": [[[{10 ** 400}], [0.0]], [[0.0], [1.0]]]}}'),
     ("sys.csv", "element,atom,weight,v0\n0,-1,1.0,1.0\n"),
     ("sys.csv", "element,atom,weight,v0\n0,0\n"),
+    # one row and no other: sized by its index, the system would be 7 TiB
+    ("sys.csv", "element,atom,weight,v0\n1000000000000,0,1.0,1.0\n"),
+    ("sys.csv", "element,atom,weight,v0\n0,0,1.0,1.0\n0,1000000000000,1.0,1.0\n"),
 ], ids=["elements-5", "dims-null", "top-level-5", "complex-bare-floats", "weights-string",
         "weights-bool", "dims-fractional", "dims-string", "dims-bool", "dims-float",
         "dims-over-int64", "entry-string", "entry-bool", "complex-entry-string",
-        "csv-atom-minus-1", "csv-short-row"])
+        "entry-over-float", "csv-atom-minus-1", "csv-short-row", "csv-huge-element",
+        "csv-huge-atom"])
 def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)

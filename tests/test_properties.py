@@ -1,8 +1,8 @@
 """Property tests: the dyadic partition, permutation-plan validity, the
 streaming majorant against its materializing oracle, the exact diameter
 kernel's candidate filter, bit-exact system round trips, strict JSON and
-float listings with repr's bytes.  The hypothesis profile in conftest.py
-derandomizes them."""
+float listings (arrays and system JSON) with repr's bytes.  The hypothesis
+profile in conftest.py derandomizes them."""
 
 import json
 import math
@@ -158,15 +158,16 @@ def test_candidate_filter_keeps_the_all_pairs_diameter_bits(case):
 # -- bit-exact round trips -----------------------------------------------------
 
 @st.composite
-def hand_built_systems(draw):
-    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+def hand_built_systems(draw, entries=finite | st.sampled_from([0.0, -0.0])):
+    # ragged dims, or one dim on every atom
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                | st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda dm: [dm[0]] * dm[1]))
     weights = draw(st.lists(st.floats(0.0, 1e300), min_size=len(dims), max_size=len(dims)))
     weights[draw(st.integers(0, len(dims) - 1))] = draw(st.floats(1e-300, 1e300))
     field = draw(st.sampled_from(Field))
     rows = draw(st.integers(1, 4))
     width = sum(dims) * (2 if field is Field.COMPLEX else 1)
-    values = np.array(draw(st.lists(finite | st.sampled_from([0.0, -0.0]),
-                                    min_size=rows * width, max_size=rows * width)))
+    values = np.array(draw(st.lists(entries, min_size=rows * width, max_size=rows * width)))
     values = values.reshape(rows, width)
     if field is Field.COMPLEX:
         values = values.view(np.complex128)
@@ -219,10 +220,10 @@ EDGES = [0.0, -0.0, 1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e16,
          1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 bit_patterns = st.integers(0, (1 << 64) - 1).map(
     lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+listed = bit_patterns | st.sampled_from(EDGES) | st.sampled_from(EDGES).map(float.__neg__)
 
 
-@given(st.lists(bit_patterns | st.sampled_from(EDGES) | st.sampled_from(EDGES).map(float.__neg__),
-                max_size=12))
+@given(st.lists(listed, max_size=12))
 def test_float_listing_is_the_bytes_of_dumps(values):
     a = np.array(values, dtype=np.float64)
     # pieces of three floats put the repr tokens on both sides of piece edges
@@ -251,3 +252,33 @@ def test_float_listing_of_in_range_bit_patterns_is_repr():
 def test_float_listing_refuses_other_arrays(a):
     with pytest.raises(TypeError, match="1-D float64"):
         "".join(serialization.iterdumps({"x": a}))
+
+
+def _nested_payload(system):
+    """The system as nested Python lists, one ``tolist()`` per element row: the
+    per-row listing that ``system_json_pieces`` replaced, kept as its reference."""
+    values, off = system.values, system.fibers.offsets.tolist()
+    if system.fibers.field is Field.COMPLEX:
+        values = values.view(np.float64).reshape(len(system), -1, 2)
+    return {"schema_version": 1, "field": system.fibers.field.value,
+            "weights": system.space.weights.tolist(), "dims": system.fibers.dims.tolist(),
+            "elements": [[row[lo:hi] for lo, hi in zip(off, off[1:])] for row in values.tolist()]}
+
+
+@given(hand_built_systems(listed))
+def test_system_json_is_the_bytes_of_dumps(system):
+    text = "".join(serialization.system_json_pieces(system))
+    assert text == dumps(_nested_payload(system), sort_keys=True)
+
+
+def test_system_json_weights_in_pieces_are_the_bytes_of_dumps():
+    weights = np.array([1e-5, 0.25, 3e20, 0.0, 5e-324])
+    fibers = HilbertCollection(dims=np.array([1, 2, 1, 3, 1]), field=Field.COMPLEX)
+    values = np.array(EDGES + [1e-7, 3e20, -2.5e-300, 0.5, 1e16 + 2.0]).view(np.complex128)
+    system = OrthonormalSystem(MeasureSpace(weights=weights), fibers, values.reshape(1, 8))
+    whole = list(serialization.system_json_pieces(system))
+    with mock.patch.object(serialization, "LIST_SLICE", 2):
+        pieces = list(serialization.system_json_pieces(system))
+    # the five weights come out as three pieces, not one
+    assert len(pieces) == len(whole) + 2
+    assert "".join(pieces) == "".join(whole) == dumps(_nested_payload(system), sort_keys=True)
