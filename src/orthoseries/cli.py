@@ -11,16 +11,16 @@ decompose     print the dyadic block decomposition of a prefix length
 verify        run the seeded verification suite
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-malformed or non-finite input, a sum or majorant that overflows float64, a
-system over the generation limit, or a verify worker that died (work
-beyond the resources it was given).  All randomness derives from --seed
-(default 0); wall clocks are never consulted for seeding.
+malformed, too deeply nested or non-finite input, a sum or majorant that
+overflows float64, a system or a decompose r over the generation limit, or
+a verify worker that died (work beyond the resources it was given).  All
+randomness derives from --seed (default 0); wall clocks are never consulted
+for seeding.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -35,7 +35,7 @@ from .coefficients import (SequenceSpec, WeightSpec, orlicz_conditions,
 from .direct_integral import Field
 from .errors import BudgetError, ContractError, StructuralError
 from .majorants import dyadic_decomposition, majorant
-from .serialization import SCHEMA_VERSION
+from .serialization import SCHEMA_VERSION, field, integer, listed, loads, number
 from .systems import SystemKind, SystemSpec, generate
 from .verify import Check, TrialConfig, default_config, run_suite
 
@@ -69,14 +69,6 @@ def _write(text, path: str | None) -> None:
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
-
-
-def _read_json(path: str):
-    try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise StructuralError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
 def _finite(value) -> float:
@@ -141,66 +133,22 @@ def _condition_dict(report) -> dict:
     }
 
 
-_REQUIRED = object()
-
-
-def _field(entry, what: str, key: str, cast, default=_REQUIRED):
-    """``cast(entry[key])``, or ``default`` when the key is absent.
-
-    A non-object entry, a missing required key, or a value that ``cast``
-    refuses (a JSON null, list or string where a number belongs) is a
-    one-line StructuralError naming the key, so the CLI exits 2.  So is
-    an integer beyond the float range, a JSON NaN or an infinity.
-    """
-    if not isinstance(entry, dict):
-        raise StructuralError(f"{what} must be a JSON object, got {json.dumps(entry)}")
-    if key not in entry:
-        if default is _REQUIRED:
-            raise StructuralError(f"{what} is missing '{key}'")
-        return default
-    try:
-        return cast(entry[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructuralError(
-            f"{what}: '{key}' has a malformed value {json.dumps(entry[key])}") from exc
-
-
-def _json_number(value):
-    """A finite JSON number, unchanged; NaN, infinities, null, booleans,
-    strings and lists are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("not a JSON number")
-    _finite(value)
-    return value
-
-
-def _json_list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError("not a JSON list")
-    return value
-
-
-def _json_numbers(value) -> list:
-    return [_json_number(v) for v in _json_list(value)]
-
-
-def _spec_from_dict(entry: dict, default_seed: int) -> SystemSpec:
+def _spec_from_dict(entry, what: str, default_seed: int) -> SystemSpec:
     """A system spec from its JSON form {kind, n, resolution, fiber_dim, seed, field}."""
-    what = f"system entry {json.dumps(entry)}"
     return SystemSpec(
-        kind=_field(entry, what, "kind", SystemKind),
-        n_functions=_field(entry, what, "n", int),
-        resolution=_field(entry, what, "resolution",
-                          lambda v: None if v is None else int(v), None),
-        fiber_dim=_field(entry, what, "fiber_dim", int, 1),
-        seed=_field(entry, what, "seed", int, default_seed),
-        field=_field(entry, what, "field", Field, Field.REAL),
+        kind=field(entry, what, "kind", SystemKind),
+        n_functions=field(entry, what, "n", integer),
+        resolution=field(entry, what, "resolution",
+                         lambda v: None if v is None else integer(v), None),
+        fiber_dim=field(entry, what, "fiber_dim", integer, 1),
+        seed=field(entry, what, "seed", integer, default_seed),
+        field=field(entry, what, "field", Field, Field.REAL),
     )
 
 
 def _cmd_gen_ons(args) -> int:
     if args.spec is not None:
-        spec = _spec_from_dict(_read_json(args.spec), args.seed)
+        spec = _spec_from_dict(loads(_read(args.spec), args.spec), args.spec, args.seed)
     else:
         if args.kind is None or args.n is None:
             raise ContractError("gen-ons needs --kind and --n (or --spec FILE)")
@@ -269,35 +217,46 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _floats(value) -> list:
+    """A JSON list of numbers as floats (numpy holds a list of huge ints as objects)."""
+    return np.asarray(listed(value), dtype=float).tolist()
+
+
 def _sequence_from_config(entry, what: str) -> SequenceSpec:
-    form = _field(entry, what, "form", str)
+    form = field(entry, what, "form", lambda v: v)
     if form == "power-log":
-        return SequenceSpec.power_log(*(_field(entry, what, key, _json_number)
+        return SequenceSpec.power_log(*(field(entry, what, key, number)
                                         for key in ("scale", "alpha", "beta")))
     if form == "explicit":
-        return SequenceSpec.from_values(_field(entry, what, "values", _json_numbers))
-    raise ContractError(f"{what}: unknown 'form' {form!r}")
+        return SequenceSpec.from_values(field(entry, what, "values", _floats))
+    raise ContractError(f"{what}: unknown 'form'")
 
 
 def _weights_from_config(entry, what: str) -> WeightSpec:
-    form = _field(entry, what, "form", str)
+    form = field(entry, what, "form", lambda v: v)
     if form == "log-power":
-        return WeightSpec.log_power(_field(entry, what, "gamma", _json_number),
-                                    _field(entry, what, "shift", _json_number, 0.0))
+        return WeightSpec.log_power(field(entry, what, "gamma", number),
+                                    field(entry, what, "shift", number, 0.0))
     if form == "explicit":
-        return WeightSpec.from_values(_field(entry, what, "values", _json_numbers))
-    raise ContractError(f"{what}: unknown 'form' {form!r}")
+        return WeightSpec.from_values(field(entry, what, "values", _floats))
+    raise ContractError(f"{what}: unknown 'form'")
+
+
+def _tolerances(value) -> dict:
+    if type(value) is not dict:
+        raise TypeError("not a JSON object")
+    return {Check(k): float(number(x)) for k, x in value.items()}
 
 
 def _config_from_file(path: str, overrides: dict) -> TrialConfig:
     """The file's config with the command-line overrides in place of its
     values, validated once, so a file value that is overridden is never read;
     a key the file leaves out (or a null entry) takes TrialConfig's default."""
-    payload = _read_json(path)
+    payload = loads(_read(path), path)
     what = f"{path}: config"
 
     def given(key, cast):
-        return _field(payload, what, key, cast, None)
+        return field(payload, what, key, cast, None)
 
     def optional(key, parse):
         spec = given(key, lambda v: v)
@@ -305,20 +264,19 @@ def _config_from_file(path: str, overrides: dict) -> TrialConfig:
 
     parsers = {
         "system_specs": lambda: tuple(
-            _spec_from_dict(entry, 0)
-            for entry in _field(payload, what, "systems", _json_list)),
+            _spec_from_dict(entry, f"{path}: systems[{i}]", 0) for i, entry in
+            enumerate(field(payload, what, "systems", lambda v: listed(v, (dict,))))),
         "checks": lambda: given("checks",
-                                lambda v: frozenset(Check(c) for c in _json_list(v))),
-        "n_trials": lambda: given("n_trials", int),
-        "seed": lambda: given("seed", int),
+                                lambda v: frozenset(Check(c) for c in listed(v, (str,)))),
+        "n_trials": lambda: given("n_trials", integer),
+        "seed": lambda: given("seed", integer),
         "coeff_spec": lambda: optional("coefficients", _sequence_from_config),
         "weight_spec": lambda: optional("weights", _weights_from_config),
-        "tolerances": lambda: given("tolerances",
-                                    lambda v: {Check(k): _finite(x) for k, x in dict(v).items()}),
-        "truncation": lambda: given("truncation", int),
-        "exhaustive_n": lambda: given("exhaustive_n", int),
-        "shuffle_plans": lambda: given("shuffle_plans", int),
-        "riesz_condition": lambda: given("riesz_condition", _finite),
+        "tolerances": lambda: given("tolerances", _tolerances),
+        "truncation": lambda: given("truncation", integer),
+        "exhaustive_n": lambda: given("exhaustive_n", integer),
+        "shuffle_plans": lambda: given("shuffle_plans", integer),
+        "riesz_condition": lambda: given("riesz_condition", lambda v: float(number(v))),
     }
     values = {name: overrides[name] if name in overrides else parse()
               for name, parse in parsers.items()}

@@ -39,7 +39,7 @@ from .coefficients import block_mass, tandori_blocks, weyl_terms
 from .direct_integral import DirectIntegralElement, Field, OrthonormalSystem
 from .errors import ContractError, StructuralError
 from .summation import compensated_sum
-from .systems import seeded_rng
+from .systems import MAX_SYSTEM_VALUES, seeded_rng
 
 # The exact oscillation kernel forms about DIAMETER_BUDGET squared distances
 # at once (512 KiB of float64).
@@ -296,8 +296,9 @@ class DyadicDecomposition:
 
 
 def dyadic_decomposition(j: int, r: int) -> DyadicDecomposition:
-    if r < 0:
-        raise ContractError("r must be >= 0")
+    # before the (r+1)-tuple of bits is built
+    if not 0 <= r <= MAX_SYSTEM_VALUES:
+        raise ContractError(f"r must be in [0, {MAX_SYSTEM_VALUES}]")
     if not 1 <= j <= (1 << r):
         raise ContractError(f"j={j} outside [1, 2^{r}]")
     bits = tuple((j >> (r - k)) & 1 for k in range(r + 1))

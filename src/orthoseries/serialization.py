@@ -24,6 +24,10 @@ check-* partial sums, profile values, system weights and element rows) are
 listed by ``_list_floats`` through orjson, whose Ryu digits are repr's (the
 shortest string that round-trips, the closest to the value); at |x| outside
 [1e-4, 1e16), where the notations differ, repr writes the token itself.
+
+It also holds the one JSON reader of system files, verify configs and
+``gen-ons --spec`` files: ``loads``, then ``field`` with ``listed``, ``number``
+(finite, not bool) and ``integer`` (no bool, float or str).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections.abc import Iterator
 from itertools import chain
 
@@ -125,6 +130,59 @@ def system_to_json(system: OrthonormalSystem) -> str:
     return "".join(system_json_pieces(system))
 
 
+def loads(text: str, what: str):
+    """``json.loads(text)``; malformed or too deeply nested JSON is a one-line
+    StructuralError naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(
+            f"{what}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise StructuralError(f"{what}: JSON nested too deeply") from exc
+
+
+_REQUIRED = object()
+
+
+def field(entry, what: str, key: str, cast, default=_REQUIRED):
+    """``cast(entry[key])``, or ``default`` when the key is absent; a non-object
+    entry, a missing required key or a value that ``cast`` refuses is a
+    one-line StructuralError that names the key and does not quote the value."""
+    if not isinstance(entry, dict):
+        raise StructuralError(f"{what} must be a JSON object")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise StructuralError(f"{what} is missing '{key}'")
+        return default
+    try:
+        return cast(entry[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"{what}: '{key}' has a malformed value") from exc
+
+
+def listed(value, types=(int, float)) -> list:
+    """``value`` if it is a list whose entries' types are all among ``types``,
+    by one type-set test (bool and str, which numpy would convert, are not)."""
+    if type(value) is not list or not {type(v) for v in value} <= set(types):
+        raise TypeError("not a list of the given types")
+    return value
+
+
+def number(value):
+    """``value`` if it is a finite JSON number (not a bool), else an error."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError("not a finite JSON number")
+    return value
+
+
+def integer(value) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or str), else an error."""
+    if type(value) is not int:
+        raise TypeError("not a JSON integer")
+    return value
+
+
 def _finite_system(space: MeasureSpace, fibers: HilbertCollection,
                    values: np.ndarray) -> OrthonormalSystem:
     system = OrthonormalSystem(space, fibers, values)
@@ -132,12 +190,6 @@ def _finite_system(space: MeasureSpace, fibers: HilbertCollection,
     if bad.size:
         raise StructuralError(f"element {int(bad[0])} has a non-finite value")
     return system
-
-
-def _numbers(values, types=(int, float)) -> bool:
-    """Whether every value is a JSON number of the given Python types (bool
-    and str are neither, though numpy would convert both)."""
-    return {type(v) for v in values} <= set(types)
 
 
 def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
@@ -149,8 +201,7 @@ def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
             raise ValueError("block lengths differ from dims")
         rows = [list(chain.from_iterable(blocks)) for blocks in elements]
         entries = chain.from_iterable(rows)
-        if not _numbers(chain.from_iterable(entries) if is_complex else entries):
-            raise ValueError("entries must be numbers")
+        listed(list(chain.from_iterable(entries) if is_complex else entries))
         values = np.array(rows, dtype=float)
         if values.shape != (len(elements), fibers.total_dim) + ((2,) * is_complex):
             raise ValueError("wrong entry shape")
@@ -162,28 +213,14 @@ def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
 
 
 def system_from_json(text: str) -> OrthonormalSystem:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(payload, dict):
-        raise StructuralError("system JSON must be an object")
-    for key in ("field", "weights", "dims", "elements"):
-        if key not in payload:
-            raise StructuralError(f"system JSON missing key '{key}'")
-    weights, dims = payload["weights"], payload["dims"]
-    if not (isinstance(weights, list) and _numbers(weights)):
-        raise StructuralError("system JSON: 'weights' must list numbers")
-    if not (isinstance(dims, list) and _numbers(dims, (int,))):
-        raise StructuralError("system JSON: 'dims' must list integers")
-    try:
-        weights = np.asarray(weights, dtype=float)
-        dims = np.asarray(dims, dtype=np.int64)
-    except OverflowError as exc:
-        raise StructuralError("system JSON: a weight or dimension is out of range") from exc
-    fibers = HilbertCollection(dims=dims, field=Field(payload["field"]))
-    return _finite_system(MeasureSpace(weights=weights), fibers,
-                          _json_values(payload["elements"], fibers))
+    what = "system JSON"
+    payload = loads(text, what)
+    space = MeasureSpace(weights=field(payload, what, "weights",
+                                       lambda v: np.asarray(listed(v), dtype=float)))
+    fibers = HilbertCollection(field=field(payload, what, "field", Field), dims=field(
+        payload, what, "dims", lambda v: np.asarray(listed(v, (int,)), dtype=np.int64)))
+    return _finite_system(space, fibers,
+                          _json_values(field(payload, what, "elements", lambda v: v), fibers))
 
 
 def system_to_csv(system: OrthonormalSystem) -> str:

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -341,6 +345,20 @@ def test_out_of_range_decompose_exit_2():
     assert main(["decompose", "9", "3"]) == 2
 
 
+def test_decompose_r_over_limit_refused_before_allocating():
+    # its (r+1) bits alone would take gigabytes; in a child process under a
+    # 2 GB address-space limit, so that building them fails there, not here
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 << 10, 2_000_000 << 10))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orthoseries", "decompose", "1", "400000000"],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: r must be in [0, {1 << 24}]\n"
+    assert proc.stdout == ""
+
+
 def test_truncation_over_cap_exit_2(capsys):
     assert main(["check-orlicz", "--powerlog", "1,1,2", "--logpower", "1.5",
                  "--trunc", "16777217"]) == 2
@@ -441,6 +459,21 @@ HAAR8 = {"systems": [{"kind": "haar", "n": 8}], "checks": ["dyadic-pointwise"],
     ({"shuffle_plans": -1}, "shuffle_plans"),
     ({"tolerances": None}, "tolerances"),
     ({"checks": None}, "checks"),
+    # integer fields take JSON integers, numeric fields finite JSON numbers
+    ({"systems": [{"kind": "haar", "n": 16.9}]}, "n"),
+    ({"systems": [{"kind": "haar", "n": True}]}, "n"),
+    ({"systems": [{"kind": "haar", "n": 8, "resolution": 8.0}]}, "resolution"),
+    ({"systems": [{"kind": "random-qr", "n": 4, "fiber_dim": "2"}]}, "fiber_dim"),
+    ({"n_trials": "2"}, "n_trials"),
+    ({"n_trials": 2.5}, "n_trials"),
+    ({"seed": 1.9}, "seed"),
+    ({"truncation": 64.0}, "truncation"),
+    ({"exhaustive_n": True}, "exhaustive_n"),
+    ({"shuffle_plans": 1.5}, "shuffle_plans"),
+    ({"riesz_condition": True}, "riesz_condition"),
+    ({"tolerances": {"mr-inequality": "0.5"}}, "tolerances"),
+    ({"tolerances": [["mr-inequality", 0.5]]}, "tolerances"),
+    ({"coefficients": {"form": "explicit", "values": [1.0, True]}}, "values"),
 ])
 def test_verify_config_malformed_value_exit_2(tmp_path, capsys, extra, key):
     cfg_path = tmp_path / "cfg.json"
@@ -449,13 +482,38 @@ def test_verify_config_malformed_value_exit_2(tmp_path, capsys, extra, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"'{key}'" in err
+    assert not (tmp_path / "r.json").exists()
 
 
-def test_gen_ons_spec_null_number_exit_2(tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"kind": "haar", "n": None}))
-    assert main(["gen-ons", "--spec", str(spec_path)]) == 2
-    assert "'n'" in capsys.readouterr().err
+@pytest.mark.parametrize("spec,key", [
+    ({"kind": "haar", "n": None}, "n"),
+    ({"kind": "haar", "n": 4.5}, "n"),
+    ({"kind": "random-qr", "n": 4, "fiber_dim": True, "seed": "7"}, "fiber_dim"),
+    ({"kind": "random-qr", "n": 4, "seed": "7"}, "seed"),
+])
+def test_gen_ons_spec_malformed_value_exit_2(tmp_path, capsys, spec, key):
+    spec_path, out = tmp_path / "spec.json", tmp_path / "sys.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["gen-ons", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_verify_config_integer_values_past_int64(tmp_path):
+    # numpy holds such an integer list as objects; the config reads it as floats
+    out = tmp_path / "r.json"
+    assert main(_config(tmp_path, {"checks": ["mr-inequality"], "coefficients": {
+        "form": "explicit", "values": [2 ** 64, 1]}}) + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["mr-inequality"]["passed"]
+
+
+def test_integer_riesz_condition_reported_as_float(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(_config(tmp_path, {"checks": ["riesz-ratio"], "riesz_condition": 4})
+                + ["--out", str(out)]) == 0
+    assert '"mix_condition": 4.0' in out.read_text()
 
 
 def test_verify_threads_default_and_range(tmp_path, capsys):
