@@ -24,10 +24,16 @@ check-* partial sums, profile values, system weights and element rows) are
 listed by ``_list_floats`` through orjson, whose Ryu digits are repr's (the
 shortest string that round-trips, the closest to the value); at |x| outside
 [1e-4, 1e16), where the notations differ, repr writes the token itself.
+The CSV writer joins the same tokens, one element row at a time.
 
 It also holds the one JSON reader of system files, verify configs and
 ``gen-ons --spec`` files: ``loads``, then ``field`` with ``listed``, ``number``
-(finite, not bool) and ``integer`` (no bool, float or str).
+(finite, not bool) and ``integer`` (no bool, float or str).  System files
+are parsed by orjson, which refuses NaN, Infinity and numbers past the
+float range as malformed JSON.  Configs and specs are parsed by ``json``:
+orjson reads an integer of 2^64 or more as a float, which ``integer``
+would refuse (a config's ``"seed": 2**70`` runs).  The CSV reader converts
+whole columns at a time and scans row by row only a file at fault.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ import io
 import json
 import math
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, islice, zip_longest
+from operator import itemgetter
 
 import numpy as np
 import orjson
@@ -50,6 +57,10 @@ SCHEMA_VERSION = 1
 # Floats per piece when ``iterdumps`` lists an array: at most this much of it
 # is ever held as text.
 LIST_SLICE = 1 << 16
+
+# Data rows per slice that ``system_from_csv`` converts: at most this many
+# rows are held as csv.reader's lists of str cells.
+CSV_SLICE = 1 << 12
 
 
 def dumps(payload, **kwargs) -> str:
@@ -130,11 +141,12 @@ def system_to_json(system: OrthonormalSystem) -> str:
     return "".join(system_json_pieces(system))
 
 
-def loads(text: str, what: str):
-    """``json.loads(text)``; malformed or too deeply nested JSON is a one-line
-    StructuralError naming ``what``."""
+def loads(text: str, what: str, parse=json.loads):
+    """``parse(text)``, by default ``json.loads``; malformed or too deeply
+    nested JSON is a one-line StructuralError naming ``what``.
+    ``orjson.JSONDecodeError`` subclasses json's."""
     try:
-        return json.loads(text)
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(
             f"{what}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
@@ -147,8 +159,9 @@ _REQUIRED = object()
 
 def field(entry, what: str, key: str, cast, default=_REQUIRED):
     """``cast(entry[key])``, or ``default`` when the key is absent; a non-object
-    entry, a missing required key or a value that ``cast`` refuses is a
-    one-line StructuralError that names the key and does not quote the value."""
+    entry, a missing required key or a value that ``cast`` refuses (or recurses
+    too deeply into: orjson parses any depth) is a one-line StructuralError
+    that names the key and does not quote the value."""
     if not isinstance(entry, dict):
         raise StructuralError(f"{what} must be a JSON object")
     if key not in entry:
@@ -157,7 +170,7 @@ def field(entry, what: str, key: str, cast, default=_REQUIRED):
         return default
     try:
         return cast(entry[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise StructuralError(f"{what}: '{key}' has a malformed value") from exc
 
 
@@ -197,24 +210,25 @@ def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
     per atom, block i holding dims[i] numbers ([re, im] pairs when complex)."""
     is_complex, dims = fibers.field is Field.COMPLEX, fibers.dims.tolist()
     try:
-        if any([len(block) for block in blocks] != dims for blocks in elements):
+        if any(list(map(len, blocks)) != dims for blocks in elements):
             raise ValueError("block lengths differ from dims")
-        rows = [list(chain.from_iterable(blocks)) for blocks in elements]
-        entries = chain.from_iterable(rows)
-        listed(list(chain.from_iterable(entries) if is_complex else entries))
-        values = np.array(rows, dtype=float)
-        if values.shape != (len(elements), fibers.total_dim) + ((2,) * is_complex):
-            raise ValueError("wrong entry shape")
+        entries = list(chain.from_iterable(chain.from_iterable(elements)))
+        if is_complex:
+            if set(map(len, entries)) - {2}:
+                raise ValueError("not an [re, im] pair")
+            entries = list(chain.from_iterable(entries))
+        values = np.array(listed(entries), dtype=float).reshape(
+            (len(elements), fibers.total_dim) + ((2,) * is_complex))
     except (TypeError, ValueError, OverflowError) as exc:
         raise StructuralError(
             "system JSON: 'elements' must hold, per function, one block of dims[i] "
-            f"{'[re, im] pairs' if is_complex else 'numbers'} per atom, in float range") from exc
+            f"{'[re, im] pairs' if is_complex else 'numbers'} per atom") from exc
     return values.view(np.complex128)[..., 0] if is_complex else values
 
 
 def system_from_json(text: str) -> OrthonormalSystem:
     what = "system JSON"
-    payload = loads(text, what)
+    payload = loads(text, what, orjson.loads)
     space = MeasureSpace(weights=field(payload, what, "weights",
                                        lambda v: np.asarray(listed(v), dtype=float)))
     fibers = HilbertCollection(field=field(payload, what, "field", Field), dims=field(
@@ -224,73 +238,134 @@ def system_from_json(text: str) -> OrthonormalSystem:
 
 
 def system_to_csv(system: OrthonormalSystem) -> str:
+    """The system as CSV, one row per (element, atom), as ``csv.writer`` writes
+    it with repr's floats: each element row's tokens come from ``_list_floats``
+    and are joined per atom behind an ``element,atom,weight,`` head."""
     parts = ("re", "im") if system.fibers.field is Field.COMPLEX else ("v",)
-    value_cols = [f"{part}{i}" for i in range(int(system.fibers.dims.max())) for part in parts]
+    width = len(parts) * int(system.fibers.dims.max())
     # complex values as the interleaved sequence re, im, ... at doubled offsets
     off = (len(parts) * system.fibers.offsets).tolist()
-    atoms = [(atom, w, lo, hi, [""] * (len(value_cols) - (hi - lo))) for atom, (w, lo, hi)
+    atoms = [(f",{atom},{w!r},", lo, hi, "," * (width - (hi - lo)) + "\n") for atom, (w, lo, hi)
              in enumerate(zip(system.space.weights.tolist(), off, off[1:]))]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["element", "atom", "weight"] + value_cols)
-    for e, row in enumerate(system.values.view(np.float64).tolist()):
-        writer.writerows([e, atom, w, *row[lo:hi], *pad] for atom, w, lo, hi, pad in atoms)
-    return buf.getvalue()
+    lines = [",".join(["element", "atom", "weight"] + [
+        f"{part}{i}" for i in range(width // len(parts)) for part in parts]) + "\n"]
+    for e, row in enumerate(system.values.view(np.float64)):
+        tokens = _list_floats(row, row)[1:-1].split(", ")
+        for i in np.flatnonzero(~np.isfinite(row)).tolist():
+            tokens[i] = repr(float(row[i]))  # orjson writes null
+        lines.append("".join(f"{e}{head}{','.join(tokens[lo:hi])}{pad}"
+                             for head, lo, hi, pad in atoms))
+    return "".join(lines)
 
 
-def system_from_csv(text: str) -> OrthonormalSystem:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise StructuralError("empty CSV") from None
-    if header[:3] != ["element", "atom", "weight"]:
-        raise StructuralError("CSV header must start with element,atom,weight")
-    is_complex = any(c.startswith("re") for c in header[3:])
-
-    rows: dict[tuple[int, int], list[float]] = {}
+def _csv_fault(text: str) -> StructuralError:
+    """The error of a system CSV known to be at fault: that of its first
+    malformed data row, or of a row whose weight differs from an earlier row
+    of its atom, by its line; else that of its first missing (element, atom)
+    pair."""
     weights: dict[int, float] = {}
-    for lineno, row in enumerate(reader, start=2):
+    pairs = set()
+    rows = csv.reader(io.StringIO(text))
+    next(rows)
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         try:
             e, atom, w, *cells = row
             e, atom, w = int(e), int(atom), float(w)
-            cells = [float(c) for c in cells if c != ""]
+            list(map(float, filter(None, cells)))
             if min(e, atom) < 0:
                 raise ValueError(f"negative index {min(e, atom)}")
         except ValueError as exc:
-            raise StructuralError(f"malformed CSV at line {lineno}: {exc}") from exc
+            return StructuralError(f"malformed CSV at line {lineno}: {exc}")
         if atom in weights and weights[atom] != w:
-            raise StructuralError(f"line {lineno}: atom {atom} weight differs from earlier rows")
+            return StructuralError(f"line {lineno}: atom {atom} weight differs from earlier rows")
         weights[atom] = w
-        rows[(e, atom)] = cells
+        pairs.add((e, atom))
+    # this scan meets a missing pair within len(pairs) + 1 steps
+    n_atoms = max(a for _, a in pairs) + 1
+    return next(StructuralError(f"element {e} is missing atom {a}")
+                for e in range(max(e for e, _ in pairs) + 1)
+                for a in range(n_atoms) if (e, a) not in pairs)
 
-    if not rows:
+
+def _csv_columns(rows: list[list[str]]):
+    """The (element, atom) indices, weights, populated value cell counts and
+    values of nonblank data ``rows``, each column converted by one map.  A
+    malformed cell, a negative index, or one past any count of rows (such a
+    file leaves a pair out) is a ValueError."""
+    elements, atoms, weights = islice(zip_longest(*rows, fillvalue=""), 3)
+    index = list(map(int, chain(elements, atoms)))
+    if min(index) < 0 or max(index) >= 1 << 62:
+        raise ValueError("index out of range")
+    # the row-major value cells, and how many of them each row holds
+    cells = list(chain.from_iterable(map(itemgetter(slice(3, None)), rows)))
+    ends = np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)) - 3)
+    filled = np.cumsum(np.fromiter(map(bool, cells), np.int64, len(cells)))
+    return (np.array(index).reshape(2, -1), np.array(list(map(float, weights))),
+            np.diff(np.concatenate(([0], filled))[np.concatenate(([0], ends))]),
+            np.array(list(map(float, filter(None, cells)))))
+
+
+def system_from_csv(text: str) -> OrthonormalSystem:
+    """The system of a CSV file.  Blank rows are skipped, "" cells are dropped
+    wherever they sit, and of rows for the same (element, atom) the last wins.
+
+    Rows are converted CSV_SLICE at a time, column by column, by
+    ``_csv_columns``; the checks then run on whole arrays.  Only a file at
+    fault is read again row by row, by ``_csv_fault``, to name its fault."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        raise StructuralError("empty CSV")
+    if header[:3] != ["element", "atom", "weight"]:
+        raise StructuralError("CSV header must start with element,atom,weight")
+    is_complex = any(c.startswith("re") for c in header[3:])
+    columns = []
+    try:
+        while rows := list(islice(reader, CSV_SLICE)):
+            if rows := list(filter(None, rows)):
+                columns.append(_csv_columns(rows))
+    except csv.Error as exc:
+        raise StructuralError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    except ValueError:
+        raise _csv_fault(text) from None
+    if not columns:
         raise StructuralError("CSV carries no data rows")
-    n_elements = max(e for e, _ in rows) + 1
-    n_atoms = max(a for _, a in rows) + 1
-    # before anything sized by the largest index is allocated: this scan meets
-    # a missing (element, atom) pair within len(rows) + 1 steps
-    for e in range(n_elements):
-        for atom in range(n_atoms):
-            if (e, atom) not in rows:
-                raise StructuralError(f"element {e} is missing atom {atom}")
-    dims = np.zeros(n_atoms, dtype=np.int64)
-    for (e, atom), cells in rows.items():
-        d = len(cells) // 2 if is_complex else len(cells)
-        if is_complex and len(cells) % 2:
-            raise StructuralError(f"element {e} atom {atom}: odd number of complex cells")
-        if dims[atom] and dims[atom] != d:
-            raise StructuralError(f"atom {atom}: inconsistent dimensions across elements")
-        dims[atom] = d
-    if np.any(dims < 1):
+    (elements, atoms), weights, counts, values = (np.concatenate(c, axis=-1)
+                                                  for c in zip(*columns))
+    n_elements, n_atoms = int(elements.max()) + 1, int(atoms.max()) + 1
+    # a pair is missing when there are fewer rows than pairs: refused before
+    # anything sized by the largest index is allocated
+    if n_elements * n_atoms > len(weights):
+        raise _csv_fault(text)
+    order = np.arange(len(weights))
+    first = np.full(n_atoms, len(weights))
+    np.minimum.at(first, atoms, order)
+    # the last row of each (element, atom) pair in row-major order, -1 if none
+    last = np.full(n_elements * n_atoms, -1)
+    np.maximum.at(last, elements * n_atoms + atoms, order)
+    if np.any((weights != weights[first[atoms]]) & (first[atoms] != order)) or np.any(last < 0):
+        raise _csv_fault(text)
+
+    starts = (np.cumsum(counts) - counts)[last]
+    counts = counts[last]
+    if is_complex and np.any(counts % 2):
+        e, a = divmod(int(np.argmax(counts % 2)), n_atoms)
+        raise StructuralError(f"element {e} atom {a}: odd number of complex cells")
+    per_atom = counts.reshape(n_elements, n_atoms)
+    if np.any(per_atom != per_atom[0]):
+        a = int(np.argmax(np.any(per_atom != per_atom[0], axis=0)))
+        raise StructuralError(f"atom {a}: inconsistent dimensions across elements")
+    if np.any(per_atom[0] < 1):
         raise StructuralError("every atom needs at least one populated value column")
 
-    space = MeasureSpace(weights=np.array([weights[a] for a in range(n_atoms)]))
-    fibers = HilbertCollection(dims=dims, field=Field.COMPLEX if is_complex else Field.REAL)
-    flat = np.array([list(chain.from_iterable(rows[(e, a)] for a in range(n_atoms)))
-                     for e in range(n_elements)])
+    space = MeasureSpace(weights=weights[last.reshape(n_elements, n_atoms).max(axis=0)])
+    fibers = HilbertCollection(dims=per_atom[0] // 2 if is_complex else per_atom[0],
+                               field=Field.COMPLEX if is_complex else Field.REAL)
+    # the kept rows' values, gathered in (element, atom) order
+    flat = values[np.repeat(starts - np.cumsum(counts) + counts, counts)
+                  + np.arange(counts.sum())].reshape(n_elements, -1)
     return _finite_system(space, fibers, flat.view(np.complex128) if is_complex else flat)
 
 

@@ -418,6 +418,31 @@ def test_malformed_coeffs_file_names_line(tmp_path, capsys):
     assert "line 3, column 1" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("text,line", [
+    ("1.0\n\n   \n0.5\nabc\n0.25\n", 5),
+    ("\n1.0\n\n0.5,7\n\t\ninf,1\n", 6),
+])
+def test_coeffs_file_bad_value_names_its_line_past_blank_lines(tmp_path, capsys, text, line):
+    sys_path = tmp_path / "sys.json"
+    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--out", str(sys_path)]) == 0
+    out = tmp_path / "p.json"
+    assert main(["majorant", "--system", str(sys_path), "--coeffs-file", _file(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"line {line}, column 1" in err
+    assert not out.exists()
+
+
+def test_coeffs_file_first_column_past_blank_lines(tmp_path):
+    sys_path, out = tmp_path / "sys.json", tmp_path / "p.json"
+    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--out", str(sys_path)]) == 0
+    argv = ["majorant", "--system", str(sys_path), "--out", str(out)]
+    assert main(argv + ["--coeffs-file", _file(tmp_path, "\n 1.0 ,9\n\n-0.5\n  \n0.25,x\n")]) == 0
+    by_file = out.read_text()
+    assert main(argv + ["--coeffs", "1.0,-0.5,0.25"]) == 0
+    assert out.read_text() == by_file
+
 def test_verify_overrides_replace_invalid_file_values(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"systems": [{"kind": "haar", "n": 8}],
@@ -508,6 +533,15 @@ def test_verify_config_integer_values_past_int64(tmp_path):
         "form": "explicit", "values": [2 ** 64, 1]}}) + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["results"]["mr-inequality"]["passed"]
 
+
+
+def test_verify_config_seed_past_2_to_64_runs(tmp_path):
+    # configs are read by json.loads, which keeps 2**70 an integer (orjson,
+    # which reads system files, would give a float that 'seed' refuses)
+    out = tmp_path / "r.json"
+    assert main(_config(tmp_path, {"checks": ["mr-inequality"], "seed": 2 ** 70})
+                + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["mr-inequality"]["passed"]
 
 def test_integer_riesz_condition_reported_as_float(tmp_path):
     out = tmp_path / "r.json"
@@ -658,6 +692,19 @@ def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                                   str(10 ** 400)])
+def test_system_json_non_finite_token_exit_2(tmp_path, capsys, token):
+    # orjson, which reads system files, refuses these tokens as malformed JSON
+    path, out = tmp_path / "sys.json", tmp_path / "p.json"
+    path.write_text('{"field": "real", "weights": [1.0, 1.0], "dims": [1, 1],'
+                    f' "elements": [[[1.0], [0.0]], [[0.0], [{token}]]]}}')
+    assert main(["majorant", "--system", str(path), "--coeffs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: system JSON: malformed JSON at line 1") and err.count("\n") == 1
+    assert not out.exists()
 
 def _strict_json(text):
     """``json.loads`` that refuses the NaN and Infinity tokens."""

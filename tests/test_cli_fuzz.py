@@ -1,9 +1,9 @@
 """Fuzzed exit-code contract of the JSON and CSV readers.
 
 Valid JSON and CSV systems, a small verify config and ``gen-ons`` specs are
-corrupted by hypothesis (huge integers and indices, NaN tokens, wrong
-nesting, booleans and strings, missing keys, ragged rows, 100,000 nested
-lists) and read by ``majorant``, ``verify`` and ``gen-ons`` through
+corrupted by hypothesis (huge integers and indices, NaN tokens, oversized
+CSV fields, wrong nesting, booleans and strings, missing keys, ragged rows,
+100,000 nested lists) and read by ``majorant``, ``verify`` and ``gen-ons`` through
 ``cli.main`` in-process.  Whatever the file holds, the command exits 0, 1 or
 2 and raises nothing; exit 2 writes one ``error:`` line and no output file,
 exits 0 and 1 write strict JSON.  The hypothesis profile in conftest.py
@@ -54,8 +54,9 @@ CSV_SYSTEMS = [
 # nesting of the wrong depth
 JSON_SUBSTITUTES = [10 ** 400, -10 ** 400, 10 ** 12, 2 ** 63, 2 ** 64, -1, 0, 1.5, float("nan"),
                     float("inf"), True, False, "1.0", "", None, [], {}, [[1.0]], [1.0, 0.0]]
+# a field over csv.reader's 131,072-character limit among them
 CSV_SUBSTITUTES = ["1000000000000", str(10 ** 400), "-1", "0", "1", "1.5", "nan", "NaN", "inf",
-                   "-inf", "1e400", "", "true", "x", "1,0"]
+                   "-inf", "1e400", "", "true", "x", "1,0", "1" * 200_000]
 
 
 MAJORANT = ["majorant", "--coeffs", "1,-1", "--system"]

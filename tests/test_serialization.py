@@ -2,14 +2,18 @@ import csv
 import io
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoseries import (Field, HilbertCollection, MeasureSpace, OrthonormalSystem,
                          StructuralError, SystemKind, SystemSpec, generate)
-from orthoseries.serialization import (dumps, system_from_csv, system_from_json,
-                                       system_to_csv, system_to_json)
+from orthoseries.serialization import (_finite_system, dumps, field, listed, loads,
+                                       system_from_csv, system_from_json, system_to_csv,
+                                       system_to_json)
 
 
 SPECS = [
@@ -146,6 +150,14 @@ def test_writers_match_the_per_element_references(spec):
     assert system_to_csv(system) == element_csv(system)
 
 
+
+def test_csv_writer_lists_non_finite_values_as_repr():
+    # orjson lists NaN and the infinities as null; the CSV holds repr's tokens
+    values = np.array([[np.nan, 1e-300, -np.inf], [np.inf, 1e17, -0.0]])
+    system = OrthonormalSystem(MeasureSpace(weights=np.array([1.0, 1e-5])),
+                               HilbertCollection(dims=[1, 2]), values)
+    assert system_to_csv(system) == element_csv(system)
+
 def test_signed_zeros_roundtrip_in_both_formats():
     space = MeasureSpace(weights=np.array([1.0, 0.5]))
     for field, row in ((Field.REAL, [-0.0, 1.0, -0.0]),
@@ -202,6 +214,46 @@ def test_malformed_csv_rows_raise(rows):
         system_from_csv("element,atom,weight,v0\n" + "\n".join(rows) + "\n")
 
 
+@pytest.mark.parametrize("rows,message", [
+    (["0,0,1.0,1.0", "", "0,1,1.0,x"], "malformed CSV at line 4:"),
+    (["0,0,1.0,1.0", "1,0,2.0,1.0"], "line 3: atom 0 weight differs"),
+    (["0,0,nan,1.0", "1,0,nan,1.0"], "line 3: atom 0 weight differs"),
+    (["0,0,1.0,1.0", "0,1,1.0,1.0", "", "1,1,1.0,1.0"], "element 1 is missing atom 0"),
+    ([f"{2 ** 70},0,1.0,1.0"], "element 0 is missing atom 0"),
+    (["0,0,1.0,,1.0", "1,0,1.0,1.0,,2.0"], "atom 0: inconsistent dimensions"),
+    # an atom whose first row is empty: refused, not left to numpy's ragged array
+    (["0,0,1.0,,", "1,0,1.0,1.0"], "atom 0: inconsistent dimensions"),
+    (["0,0,1.0,,", "1,0,1.0,,"], "every atom needs at least one"),
+    ([], "no data rows"),
+])
+def test_faulty_csv_names_the_fault(rows, message):
+    with pytest.raises(StructuralError, match=message):
+        system_from_csv("element,atom,weight,v0,v1\n" + "\n".join(rows) + "\n")
+
+
+def test_odd_complex_cells_name_the_pair():
+    text = "element,atom,weight,re0,im0\n0,0,1.0,1.0,0.0\n1,0,1.0,1.0\n"
+    with pytest.raises(StructuralError, match="element 1 atom 0: odd number"):
+        system_from_csv(text)
+
+
+def test_csv_field_over_the_csv_limit_names_its_line():
+    # csv.reader refuses a field over 131,072 characters with a csv.Error
+    text = "element,atom,weight,v0\n0,0,1.0,1.0\n1,0,1.0," + "1" * 200_000 + "\n"
+    with pytest.raises(StructuralError, match="malformed CSV at line 3: field larger"):
+        system_from_csv(text)
+
+
+def test_csv_ragged_duplicate_and_blank_rows():
+    # blank rows skipped, "" cells dropped wherever they sit, the last row of
+    # a pair wins, and the weight is the last row's (-0.0 equals 0.0)
+    text = ("element,atom,weight,v0,v1\n\n1,0,-0.0,,3.0\n0,1,1.0,2.0\n0,0,0.0,9.0\n"
+            "\n0,0,0.0,,1.0,\n1,1,1.0,4.0,,\n")
+    system = system_from_csv(text)
+    assert system.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert system.space.weights.tobytes() == np.array([0.0, 1.0]).tobytes()
+
+
 # -- strict JSON ---------------------------------------------------------------
 
 def test_dumps_writes_non_finite_floats_as_null():
@@ -210,3 +262,205 @@ def test_dumps_writes_non_finite_floats_as_null():
                "d": {"k": np.float64("nan"), "n": 3}}
     assert json.loads(dumps(payload, sort_keys=True)) == {
         "r": None, "v": [1.0, None, [None, 2.0]], "d": {"k": None, "n": 3}}
+
+
+# -- the readers against per-row references ------------------------------------
+
+def row_csv(text):
+    """Reference CSV reader: one row at a time, dicts keyed by (element, atom).
+
+    The reader before the column-wise one, with one mend: an atom whose first
+    row has no populated cell was left to numpy's ragged-array ValueError; here
+    it is the inconsistent-dimensions error."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise StructuralError("empty CSV") from None
+    if header[:3] != ["element", "atom", "weight"]:
+        raise StructuralError("CSV header must start with element,atom,weight")
+    is_complex = any(c.startswith("re") for c in header[3:])
+    rows, weights = {}, {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            e, atom, w, *cells = row
+            e, atom, w = int(e), int(atom), float(w)
+            cells = [float(c) for c in cells if c != ""]
+            if min(e, atom) < 0:
+                raise ValueError(f"negative index {min(e, atom)}")
+        except ValueError as exc:
+            raise StructuralError(f"malformed CSV at line {lineno}: {exc}") from exc
+        if atom in weights and weights[atom] != w:
+            raise StructuralError(f"line {lineno}: atom {atom} weight differs from earlier rows")
+        weights[atom] = w
+        rows[(e, atom)] = cells
+    if not rows:
+        raise StructuralError("CSV carries no data rows")
+    n_elements = max(e for e, _ in rows) + 1
+    n_atoms = max(a for _, a in rows) + 1
+    for e in range(n_elements):
+        for atom in range(n_atoms):
+            if (e, atom) not in rows:
+                raise StructuralError(f"element {e} is missing atom {atom}")
+    dims = np.full(n_atoms, -1, dtype=np.int64)
+    for (e, atom), cells in rows.items():
+        d = len(cells) // 2 if is_complex else len(cells)
+        if is_complex and len(cells) % 2:
+            raise StructuralError(f"element {e} atom {atom}: odd number of complex cells")
+        if dims[atom] >= 0 and dims[atom] != d:
+            raise StructuralError(f"atom {atom}: inconsistent dimensions across elements")
+        dims[atom] = d
+    if np.any(dims < 1):
+        raise StructuralError("every atom needs at least one populated value column")
+    space = MeasureSpace(weights=np.array([weights[a] for a in range(n_atoms)]))
+    fibers = HilbertCollection(dims=dims, field=Field.COMPLEX if is_complex else Field.REAL)
+    flat = np.array([list(chain.from_iterable(rows[(e, a)] for a in range(n_atoms)))
+                     for e in range(n_elements)])
+    return _finite_system(space, fibers, flat.view(np.complex128) if is_complex else flat)
+
+
+def json_reference(text):
+    """Reference JSON reader: ``json.loads``, then the elements through one
+    nested list per element row."""
+    what = "system JSON"
+    payload = loads(text, what)
+    space = MeasureSpace(weights=field(payload, what, "weights",
+                                       lambda v: np.asarray(listed(v), dtype=float)))
+    fibers = HilbertCollection(field=field(payload, what, "field", Field), dims=field(
+        payload, what, "dims", lambda v: np.asarray(listed(v, (int,)), dtype=np.int64)))
+    elements = field(payload, what, "elements", lambda v: v)
+    is_complex, dims = fibers.field is Field.COMPLEX, fibers.dims.tolist()
+    try:
+        if any([len(block) for block in blocks] != dims for blocks in elements):
+            raise ValueError("block lengths differ from dims")
+        rows = [list(chain.from_iterable(blocks)) for blocks in elements]
+        entries = chain.from_iterable(rows)
+        listed(list(chain.from_iterable(entries) if is_complex else entries))
+        values = np.array(rows, dtype=float)
+        if values.shape != (len(elements), fibers.total_dim) + ((2,) * is_complex):
+            raise ValueError("wrong entry shape")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructuralError("system JSON: malformed 'elements'") from exc
+    return _finite_system(space, fibers,
+                          values.view(np.complex128)[..., 0] if is_complex else values)
+
+
+def _raw_system(draw):
+    """A system of any finite floats, of drawn dims, not orthonormal."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    is_complex = draw(st.booleans())
+    n = draw(st.integers(2, 4))
+    values = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n * sum(dims) * (1 + is_complex),
+                                    max_size=n * sum(dims) * (1 + is_complex))))
+    weights = draw(st.lists(st.floats(0.0, 1e300), min_size=len(dims), max_size=len(dims)))
+    return OrthonormalSystem(
+        MeasureSpace(weights=np.array(weights) + 1e-300),
+        HilbertCollection(dims=dims, field=Field.COMPLEX if is_complex else Field.REAL),
+        values.view(np.complex128).reshape(n, -1) if is_complex else values.reshape(n, -1))
+
+
+@st.composite
+def systems(draw):
+    """A generated system of every kind and both fields, or a raw one."""
+    kind = draw(st.sampled_from(list(SystemKind) + ["raw"]))
+    if kind == "raw":
+        return _raw_system(draw)
+    return generate(SystemSpec(kind, draw(st.integers(2, 5)), fiber_dim=draw(st.integers(1, 3)),
+                               seed=draw(st.integers(0, 9)),
+                               field=draw(st.sampled_from(list(Field)))))[2]
+
+
+def _same_bytes(a, b):
+    return all(x.tobytes() == y.tobytes() and x.dtype == y.dtype for x, y in (
+        (a.values, b.values), (a.space.weights, b.space.weights), (a.fibers.dims, b.fibers.dims)))
+
+
+def _mutated_csv(text, rnd):
+    """``text`` with its rows shuffled, some repeated, blank lines inserted
+    and some trailing pads stripped: the same system."""
+    header, *rows = text.splitlines()
+    rows += rnd.sample(rows, rnd.randint(0, min(3, len(rows))))
+    rnd.shuffle(rows)
+    rows = [row.rstrip(",") if rnd.random() < 0.5 else row for row in rows]
+    for _ in range(rnd.randint(0, 3)):
+        rows.insert(rnd.randint(0, len(rows)), "")
+    return "\n".join([header] + rows) + rnd.choice(["\n", "", "\n\n"])
+
+
+def _corrupted_csv_rows(text, rnd):
+    """The rows of ``text`` (header first) with one fault that every reader
+    refuses: a malformed or non-finite cell, a negative index, a weight that
+    differs within an atom, a missing pair or a changed count of value cells."""
+    rows = [line.split(",") for line in text.splitlines()]
+    header, data = rows[0], rows[1:]
+    row = rnd.choice(data)
+    n_values = sum(c != "" for c in row[3:])
+    how = rnd.choice(["cell", "index", "weight", "missing", "count", "header"])
+    if how == "cell":
+        row[rnd.randrange(3 + n_values)] = rnd.choice(
+            ["x", "nan", "-inf", "1e400", "1.0.0"])
+    elif how == "index":
+        row[rnd.randrange(2)] = rnd.choice(["-1", "1.5", "", str(10 ** 12), str(2 ** 70)])
+    elif how == "weight":
+        row[2] = repr(float(row[2]) * 2 + 1)
+    elif how == "missing":
+        last = max(int(r[0]) for r in data)
+        pair = rnd.choice([r[:2] for r in data if int(r[0]) < last])
+        data = [r for r in data if r[:2] != pair]
+    elif how == "count":
+        del row[3 + rnd.randrange(n_values)]
+        if header[3] == "re0" and n_values > 2 and rnd.random() < 0.5:
+            del row[3]
+    else:
+        header[rnd.randrange(3)] = "index"
+    return "".join(",".join(r) + "\n" for r in [header] + data)
+
+
+def _corrupted_json(text, rnd):
+    """``text`` with one number of its weights or elements replaced by a token
+    every reader refuses there, or cut short."""
+    if rnd.random() < 0.2:
+        return text[:rnd.randrange(len(text))]
+    payload = json.loads(text)
+    leaves = [(payload["weights"], i) for i in range(len(payload["weights"]))]
+    for row in payload["elements"]:
+        for block in row:
+            for i, entry in enumerate(block):
+                leaves += [(entry, j) for j in range(2)] if type(entry) is list else [(block, i)]
+    parent, key = rnd.choice(leaves)
+    parent[key] = "CORRUPT"
+    token = rnd.choice(["NaN", "Infinity", "-Infinity", "1e400", f"-{10 ** 400}", '"0.5"',
+                        "true", "null", "[0.5]", "{}", "[" * 3000 + "]" * 3000])
+    return json.dumps(payload).replace('"CORRUPT"', token)
+
+
+@settings(max_examples=120)
+@given(systems(), st.randoms(use_true_random=False))
+def test_csv_reader_equals_the_row_reference(system, rnd):
+    text = system_to_csv(system)
+    mutated = _mutated_csv(text, rnd)
+    assert _same_bytes(system_from_csv(mutated), row_csv(mutated))
+    assert _same_bytes(system_from_csv(text), system)
+    corrupted = _mutated_csv(_corrupted_csv_rows(text, rnd), rnd)
+    for reader in (system_from_csv, row_csv):
+        with pytest.raises(StructuralError):
+            reader(corrupted)
+
+
+@settings(max_examples=120)
+@given(systems(), st.randoms(use_true_random=False))
+def test_json_reader_equals_the_json_loads_reference(system, rnd):
+    text = system_to_json(system)
+    # indented, and whole floats written as integers: the same values
+    payload = json.loads(text)
+    reformed = json.dumps(payload, indent=rnd.choice([None, 1, 2])).replace(".0,", ",")
+    for variant in (text, reformed):
+        assert _same_bytes(system_from_json(variant), json_reference(variant))
+    assert _same_bytes(system_from_json(text), system)
+    corrupted = _corrupted_json(text, rnd)
+    for reader in (system_from_json, json_reference):
+        with pytest.raises(StructuralError):
+            reader(corrupted)
