@@ -24,8 +24,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -83,24 +81,18 @@ def _finite(value) -> float:
 
 def _read_column(path: str) -> list[float]:
     """The first comma-separated column of a text file as finite floats,
-    blank lines skipped, converted by one map; only a file at fault is scanned
-    line by line, to name the line of its first bad value."""
-    lines = _read(path).splitlines()
-    try:
-        values = list(map(float, map(itemgetter(0), map(str.partition, filter(
-            str.strip, lines), repeat(",")))))
-        if all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    for lineno, line in enumerate(lines, start=1):
+    blank lines skipped."""
+    values = []
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
         try:
-            if line.strip():
-                _finite(line.partition(",")[0])
+            values.append(_finite(line.split(",")[0]))
         except ValueError as exc:
             raise StructuralError(
                 f"{path}: malformed value at line {lineno}, column 1") from exc
-    raise AssertionError("unreachable: a value above failed")
+    return values
 
 
 def _parse_floats(text: str, expected: int | None = None) -> list[float]:

@@ -267,21 +267,27 @@ def _csv_fault(text: str) -> StructuralError:
     pairs = set()
     rows = csv.reader(io.StringIO(text))
     next(rows)
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        try:
-            e, atom, w, *cells = row
-            e, atom, w = int(e), int(atom), float(w)
-            list(map(float, filter(None, cells)))
-            if min(e, atom) < 0:
-                raise ValueError(f"negative index {min(e, atom)}")
-        except ValueError as exc:
-            return StructuralError(f"malformed CSV at line {lineno}: {exc}")
-        if atom in weights and weights[atom] != w:
-            return StructuralError(f"line {lineno}: atom {atom} weight differs from earlier rows")
-        weights[atom] = w
-        pairs.add((e, atom))
+    try:
+        # an index past 2**62 leaves the first pass before later slices are
+        # read, so this scan can meet a csv.Error that pass did not
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            try:
+                e, atom, w, *cells = row
+                e, atom, w = int(e), int(atom), float(w)
+                list(map(float, filter(None, cells)))
+                if min(e, atom) < 0:
+                    raise ValueError(f"negative index {min(e, atom)}")
+            except ValueError as exc:
+                return StructuralError(f"malformed CSV at line {lineno}: {exc}")
+            if atom in weights and weights[atom] != w:
+                return StructuralError(
+                    f"line {lineno}: atom {atom} weight differs from earlier rows")
+            weights[atom] = w
+            pairs.add((e, atom))
+    except csv.Error as exc:
+        return StructuralError(f"malformed CSV at line {rows.line_num}: {exc}")
     # this scan meets a missing pair within len(pairs) + 1 steps
     n_atoms = max(a for _, a in pairs) + 1
     return next(StructuralError(f"element {e} is missing atom {a}")
@@ -315,21 +321,22 @@ def system_from_csv(text: str) -> OrthonormalSystem:
     ``_csv_columns``; the checks then run on whole arrays.  Only a file at
     fault is read again row by row, by ``_csv_fault``, to name its fault."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    columns = []
+    try:
+        header = next(reader, None)
+        if header is not None and header[:3] == ["element", "atom", "weight"]:
+            while rows := list(islice(reader, CSV_SLICE)):
+                if rows := list(filter(None, rows)):
+                    columns.append(_csv_columns(rows))
+    except csv.Error as exc:
+        raise StructuralError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    except ValueError:
+        raise _csv_fault(text) from None
     if header is None:
         raise StructuralError("empty CSV")
     if header[:3] != ["element", "atom", "weight"]:
         raise StructuralError("CSV header must start with element,atom,weight")
     is_complex = any(c.startswith("re") for c in header[3:])
-    columns = []
-    try:
-        while rows := list(islice(reader, CSV_SLICE)):
-            if rows := list(filter(None, rows)):
-                columns.append(_csv_columns(rows))
-    except csv.Error as exc:
-        raise StructuralError(f"malformed CSV at line {reader.line_num}: {exc}") from None
-    except ValueError:
-        raise _csv_fault(text) from None
     if not columns:
         raise StructuralError("CSV carries no data rows")
     (elements, atoms), weights, counts, values = (np.concatenate(c, axis=-1)

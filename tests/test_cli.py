@@ -409,24 +409,14 @@ def test_gen_ons_spec_missing_kind_exit_2(tmp_path, capsys):
     assert "'kind'" in capsys.readouterr().err
 
 
-def test_malformed_coeffs_file_names_line(tmp_path, capsys):
-    sys_path = tmp_path / "sys.json"
-    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--out", str(sys_path)]) == 0
-    coeffs = tmp_path / "a.csv"
-    coeffs.write_text("1.0\n0.5\nabc\n0.25\n")
-    assert main(["majorant", "--system", str(sys_path), "--coeffs-file", str(coeffs)]) == 2
-    assert "line 3, column 1" in capsys.readouterr().err
-
-
-
 @pytest.mark.parametrize("text,line", [
+    ("1.0\n0.5\nabc\n0.25\n", 3),
     ("1.0\n\n   \n0.5\nabc\n0.25\n", 5),
     ("\n1.0\n\n0.5,7\n\t\ninf,1\n", 6),
 ])
-def test_coeffs_file_bad_value_names_its_line_past_blank_lines(tmp_path, capsys, text, line):
-    sys_path = tmp_path / "sys.json"
+def test_malformed_coeffs_file_names_line(tmp_path, capsys, text, line):
+    sys_path, out = tmp_path / "sys.json", tmp_path / "p.json"
     assert main(["gen-ons", "--kind", "haar", "--n", "4", "--out", str(sys_path)]) == 0
-    out = tmp_path / "p.json"
     assert main(["majorant", "--system", str(sys_path), "--coeffs-file", _file(tmp_path, text),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -442,6 +432,7 @@ def test_coeffs_file_first_column_past_blank_lines(tmp_path):
     by_file = out.read_text()
     assert main(argv + ["--coeffs", "1.0,-0.5,0.25"]) == 0
     assert out.read_text() == by_file
+
 
 def test_verify_overrides_replace_invalid_file_values(tmp_path):
     cfg_path = tmp_path / "cfg.json"
@@ -534,7 +525,6 @@ def test_verify_config_integer_values_past_int64(tmp_path):
     assert json.loads(out.read_text())["results"]["mr-inequality"]["passed"]
 
 
-
 def test_verify_config_seed_past_2_to_64_runs(tmp_path):
     # configs are read by json.loads, which keeps 2**70 an integer (orjson,
     # which reads system files, would give a float that 'seed' refuses)
@@ -542,6 +532,7 @@ def test_verify_config_seed_past_2_to_64_runs(tmp_path):
     assert main(_config(tmp_path, {"checks": ["mr-inequality"], "seed": 2 ** 70})
                 + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["results"]["mr-inequality"]["passed"]
+
 
 def test_integer_riesz_condition_reported_as_float(tmp_path):
     out = tmp_path / "r.json"
@@ -693,7 +684,6 @@ def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
     assert not out.exists()
 
 
-
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
                                    str(10 ** 400)])
 def test_system_json_non_finite_token_exit_2(tmp_path, capsys, token):
@@ -705,6 +695,7 @@ def test_system_json_non_finite_token_exit_2(tmp_path, capsys, token):
     err = capsys.readouterr().err
     assert err.startswith("error: system JSON: malformed JSON at line 1") and err.count("\n") == 1
     assert not out.exists()
+
 
 def _strict_json(text):
     """``json.loads`` that refuses the NaN and Infinity tokens."""

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from orthoseries import (Field, HilbertCollection, MeasureSpace, OrthonormalSystem,
                          StructuralError, SystemKind, SystemSpec, generate)
+from orthoseries import serialization
 from orthoseries.serialization import (_finite_system, dumps, field, listed, loads,
                                        system_from_csv, system_from_json, system_to_csv,
                                        system_to_json)
@@ -237,10 +239,15 @@ def test_odd_complex_cells_name_the_pair():
         system_from_csv(text)
 
 
-def test_csv_field_over_the_csv_limit_names_its_line():
-    # csv.reader refuses a field over 131,072 characters with a csv.Error
-    text = "element,atom,weight,v0\n0,0,1.0,1.0\n1,0,1.0," + "1" * 200_000 + "\n"
-    with pytest.raises(StructuralError, match="malformed CSV at line 3: field larger"):
+@pytest.mark.parametrize("text,line", [
+    ("element,atom,weight,v0\n0,0,1.0,1.0\n1,0,1.0," + "1" * 200_000 + "\n", 3),
+    ("element,atom,weight," + "v" * 200_000 + "\n0,0,1.0,1.0\n", 1),
+    ("element,atom,weight,v0\r,v1\n0,0,1.0,1.0\n", 1),
+])
+def test_csv_module_error_names_its_line(text, line):
+    # csv.reader refuses a field over 131,072 characters, or a stray carriage
+    # return in an unquoted field, with a csv.Error
+    with pytest.raises(StructuralError, match=f"malformed CSV at line {line}: "):
         system_from_csv(text)
 
 
@@ -438,16 +445,28 @@ def _corrupted_json(text, rnd):
 
 
 @settings(max_examples=120)
-@given(systems(), st.randoms(use_true_random=False))
-def test_csv_reader_equals_the_row_reference(system, rnd):
+@given(systems(), st.randoms(use_true_random=False),
+       st.sampled_from([1, 2, 3, serialization.CSV_SLICE]))
+def test_csv_reader_equals_the_row_reference(system, rnd, csv_slice):
+    # at 1-3 rows a slice, pairs, weights and blank runs span the slices
     text = system_to_csv(system)
     mutated = _mutated_csv(text, rnd)
-    assert _same_bytes(system_from_csv(mutated), row_csv(mutated))
-    assert _same_bytes(system_from_csv(text), system)
     corrupted = _mutated_csv(_corrupted_csv_rows(text, rnd), rnd)
-    for reader in (system_from_csv, row_csv):
-        with pytest.raises(StructuralError):
-            reader(corrupted)
+    with mock.patch.object(serialization, "CSV_SLICE", csv_slice):
+        assert _same_bytes(system_from_csv(mutated), row_csv(mutated))
+        assert _same_bytes(system_from_csv(text), system)
+        for reader in (system_from_csv, row_csv):
+            with pytest.raises(StructuralError):
+                reader(corrupted)
+
+
+def test_csv_module_error_past_a_huge_index_in_an_earlier_slice():
+    # the index stops the first pass before the second slice is read; the
+    # scan that names the fault then meets the oversized field
+    text = f"element,atom,weight,v0\n0,{2 ** 63},1.0,1.0\n0,0,1.0,{'1' * 200_000}\n"
+    with mock.patch.object(serialization, "CSV_SLICE", 1):
+        with pytest.raises(StructuralError, match="malformed CSV at line 3: field larger"):
+            system_from_csv(text)
 
 
 @settings(max_examples=120)
