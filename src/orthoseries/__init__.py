@@ -24,8 +24,7 @@ from .majorants import (AdversarialStrategy, BlockOscillation,
                         dyadic_decomposition, dyadic_pointwise_bound, majorant,
                         permuted_majorant, prefix_sum, tandori_delta)
 from .systems import SystemKind, SystemSpec, generate
-from .verify import (Check, CheckResult, TrialConfig, VerifyReport,
-                     check_mr_inequality, check_tandori_block, default_config,
+from .verify import (Check, CheckResult, TrialConfig, VerifyReport, default_config,
                      exhaustive_permutation_check, oracle_majorant, run_suite)
 
 __version__ = "0.1.0"
@@ -40,10 +39,10 @@ __all__ = [
     "ReductionReport", "SequenceSpec", "StructuralError", "SystemKind",
     "SystemSpec", "TandoriBlocks", "TrialConfig", "VerifyReport",
     "WeightSpec", "adversarial_permutation", "block_masses",
-    "chaining_diagnostics", "check_mr_inequality", "check_tandori_block",
-    "condensation_chain", "default_config", "dyadic_decomposition",
-    "dyadic_pointwise_bound", "exhaustive_permutation_check", "generate",
-    "gram_matrix", "inner_product", "majorant", "norm", "oracle_majorant",
+    "chaining_diagnostics", "condensation_chain", "default_config",
+    "dyadic_decomposition", "dyadic_pointwise_bound",
+    "exhaustive_permutation_check", "generate", "gram_matrix",
+    "inner_product", "majorant", "norm", "oracle_majorant",
     "orlicz_conditions", "orlicz_reduction", "permuted_majorant",
     "prefix_sum", "run_suite", "tandori_blocks", "tandori_delta",
     "tandori_sum", "validate_ons", "weyl_sum",

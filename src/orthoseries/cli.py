@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -40,30 +41,16 @@ from .systems import SystemKind, SystemSpec, generate
 from .verify import Check, TrialConfig, default_config, run_suite
 
 
-# Characters per write: a text stream encodes each write whole, so writing
-# the full output at once would hold a second full-size copy of it.
-WRITE_SLICE = 1 << 20
-
-
 def _write(text, path: str | None) -> None:
     """Write ``text``, a str or an iterable of str pieces, to ``path``, or to
     stdout ending in a newline."""
-    last = ""
-
-    def emit(fh):
-        nonlocal last
+    to_stdout, last = path in (None, "-"), ""
+    with nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
         for piece in [text] if isinstance(text, str) else text:
-            for start in range(0, len(piece), WRITE_SLICE):
-                fh.write(piece[start:start + WRITE_SLICE])
+            fh.write(piece)
             last = piece or last
-
-    if path in (None, "-"):
-        emit(sys.stdout)
-        if not last.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            emit(fh)
+        if to_stdout and not last.endswith("\n"):
+            fh.write("\n")
 
 
 def _read(path: str) -> str:
@@ -156,10 +143,9 @@ def _cmd_gen_ons(args) -> int:
                           resolution=args.resolution, fiber_dim=args.fiber_dim,
                           seed=args.seed, field=Field(args.field))
     _, _, system = generate(spec)
-    if args.format == "csv":
-        _write(serialization.system_to_csv(system), args.out)
-    else:
-        _write(serialization.system_json_pieces(system), args.out)
+    pieces = (serialization.system_csv_pieces if args.format == "csv"
+              else serialization.system_json_pieces)
+    _write(pieces(system), args.out)
     return 0
 
 

@@ -12,9 +12,11 @@ JSON schema (version 1):
 
 Complex entries are [re, im] pairs.  CSV files carry one row per
 (element, atom) pair with columns ``element, atom, weight`` followed by the
-block entries; complex data uses paired ``re#/im#`` columns.  Per-atom
-dimensions are recovered from the number of populated value cells, and the
-weight column repeats each atom's mass on every row.
+block entries, ``v0, v1, ...``; complex data uses paired ``re0, im0, ...``
+columns.  Per-atom dimensions are recovered from the number of populated
+value cells, and the weight column repeats each atom's mass on every row.
+The readers refuse a JSON file without ``"schema_version": 1`` and a CSV
+header with any other value-column names.
 
 Floats are written with repr(), so every binary64 value round-trips
 bit-exactly through both formats.  Every JSON file the package writes goes
@@ -229,6 +231,8 @@ def _json_values(elements, fibers: HilbertCollection) -> np.ndarray:
 def system_from_json(text: str) -> OrthonormalSystem:
     what = "system JSON"
     payload = loads(text, what, orjson.loads)
+    if field(payload, what, "schema_version", integer) != SCHEMA_VERSION:
+        raise StructuralError(f"{what}: 'schema_version' must be {SCHEMA_VERSION}")
     space = MeasureSpace(weights=field(payload, what, "weights",
                                        lambda v: np.asarray(listed(v), dtype=float)))
     fibers = HilbertCollection(field=field(payload, what, "field", Field), dims=field(
@@ -237,25 +241,28 @@ def system_from_json(text: str) -> OrthonormalSystem:
                           _json_values(field(payload, what, "elements", lambda v: v), fibers))
 
 
-def system_to_csv(system: OrthonormalSystem) -> str:
+def system_csv_pieces(system: OrthonormalSystem):
     """The system as CSV, one row per (element, atom), as ``csv.writer`` writes
-    it with repr's floats: each element row's tokens come from ``_list_floats``
-    and are joined per atom behind an ``element,atom,weight,`` head."""
+    it with repr's floats, in pieces: the header, then one element's rows at a
+    time, each element row's tokens from ``_list_floats`` joined per atom
+    behind an ``element,atom,weight,`` head."""
     parts = ("re", "im") if system.fibers.field is Field.COMPLEX else ("v",)
     width = len(parts) * int(system.fibers.dims.max())
     # complex values as the interleaved sequence re, im, ... at doubled offsets
     off = (len(parts) * system.fibers.offsets).tolist()
     atoms = [(f",{atom},{w!r},", lo, hi, "," * (width - (hi - lo)) + "\n") for atom, (w, lo, hi)
              in enumerate(zip(system.space.weights.tolist(), off, off[1:]))]
-    lines = [",".join(["element", "atom", "weight"] + [
-        f"{part}{i}" for i in range(width // len(parts)) for part in parts]) + "\n"]
+    yield ",".join(["element", "atom", "weight"] + [
+        f"{part}{i}" for i in range(width // len(parts)) for part in parts]) + "\n"
     for e, row in enumerate(system.values.view(np.float64)):
         tokens = _list_floats(row, row)[1:-1].split(", ")
         for i in np.flatnonzero(~np.isfinite(row)).tolist():
             tokens[i] = repr(float(row[i]))  # orjson writes null
-        lines.append("".join(f"{e}{head}{','.join(tokens[lo:hi])}{pad}"
-                             for head, lo, hi, pad in atoms))
-    return "".join(lines)
+        yield "".join(f"{e}{head}{','.join(tokens[lo:hi])}{pad}" for head, lo, hi, pad in atoms)
+
+
+def system_to_csv(system: OrthonormalSystem) -> str:
+    return "".join(system_csv_pieces(system))
 
 
 def _csv_fault(text: str) -> StructuralError:
@@ -295,6 +302,20 @@ def _csv_fault(text: str) -> StructuralError:
                 for a in range(n_atoms) if (e, a) not in pairs)
 
 
+def _csv_header(header: list[str] | None) -> bool:
+    """Whether a CSV header is that of complex data; any header but the
+    writer's, ``element,atom,weight`` then ``v0,v1,...`` or
+    ``re0,im0,re1,im1,...``, is a StructuralError."""
+    if header is None:
+        raise StructuralError("empty CSV")
+    if header[:3] != ["element", "atom", "weight"]:
+        raise StructuralError("CSV header must start with element,atom,weight")
+    names, parts = header[3:], ("re", "im") if header[3:4] == ["re0"] else ("v",)
+    if names != [f"{p}{i}" for i in range(len(names) // len(parts)) for p in parts]:
+        raise StructuralError("CSV value columns must be v0,v1,... or re0,im0,re1,im1,...")
+    return len(parts) == 2
+
+
 def _csv_columns(rows: list[list[str]]):
     """The (element, atom) indices, weights, populated value cell counts and
     values of nonblank data ``rows``, each column converted by one map.  A
@@ -323,20 +344,16 @@ def system_from_csv(text: str) -> OrthonormalSystem:
     reader = csv.reader(io.StringIO(text))
     columns = []
     try:
-        header = next(reader, None)
-        if header is not None and header[:3] == ["element", "atom", "weight"]:
-            while rows := list(islice(reader, CSV_SLICE)):
-                if rows := list(filter(None, rows)):
-                    columns.append(_csv_columns(rows))
+        is_complex = _csv_header(next(reader, None))
+        while rows := list(islice(reader, CSV_SLICE)):
+            if rows := list(filter(None, rows)):
+                columns.append(_csv_columns(rows))
     except csv.Error as exc:
         raise StructuralError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    except StructuralError:
+        raise
     except ValueError:
         raise _csv_fault(text) from None
-    if header is None:
-        raise StructuralError("empty CSV")
-    if header[:3] != ["element", "atom", "weight"]:
-        raise StructuralError("CSV header must start with element,atom,weight")
-    is_complex = any(c.startswith("re") for c in header[3:])
     if not columns:
         raise StructuralError("CSV carries no data rows")
     (elements, atoms), weights, counts, values = (np.concatenate(c, axis=-1)

@@ -32,9 +32,10 @@ Parallelism: run_suite runs every check's setup (systems, G0's bounds) in
 the calling process, then all checks' (check, trial) claims in one pool of N
 workers, it and N - 1 children made once by os.fork, each taking the next
 unclaimed claim; records come back per check in trial order, so every report
-byte is as with one worker (a check called alone runs the same way).  Fork,
-not spawn: children inherit the run's systems, and the package starts no
-threads of its own (OpenBLAS stops its thread pool at fork).
+byte is as with one worker.  One check runs alone as the suite of that
+check, run_suite(replace(cfg, checks={check})).  Fork, not spawn: children
+inherit the run's systems, and the package starts no threads of its own
+(OpenBLAS stops its thread pool at fork).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -252,16 +252,21 @@ def _result(check: Check, records: list[dict], details: dict | None = None,
                        worst["ratio"], worst["case"], details or {})
 
 
+def _finish(check: Check, **kw) -> Callable[[list[dict]], list[CheckResult]]:
+    """A plan's finish for one check: its result from the records, by ``_result``."""
+    return lambda records: [_result(check, records, **kw)]
+
+
 def worker_count(threads: int | None, trials: int) -> int:
     """Processes that run ``trials`` trials when ``threads`` are allowed."""
     return max(1, min(threads or 1, trials))
 
 
 def _run_plans(plans: list[tuple], threads: int | None, setups: list[float]) -> list:
-    """Each plan ``(count, one, finish)``'s result: all plans' claims ``one(t)``
-    run in plan then trial order, timed where they run, on ``worker_count(threads,
-    claims)`` processes; ``finish`` takes a plan's records in trial order, and
-    its results' ``seconds`` add the setup's and ``workers`` is the pool's."""
+    """The plans' results: all plans' claims ``one(t)`` run in plan then trial
+    order, timed where they run, on ``worker_count(threads, claims)`` processes;
+    ``finish`` takes a plan's records in trial order, and its results' ``seconds``
+    add the setup's and ``workers`` is the pool's."""
     claims = [(one, t) for count, one, _ in plans for t in range(count)]
 
     def run(k: int) -> tuple:
@@ -274,17 +279,10 @@ def _run_plans(plans: list[tuple], threads: int | None, setups: list[float]) -> 
     out = []
     for (count, _, finish), setup in zip(plans, setups):
         records, times = zip(*itertools.islice(rows, count))
-        out.append(done := finish(list(records)))
-        for res in (done.values() if isinstance(done, dict) else [done]):
+        for res in finish(list(records)):
             res.seconds, res.workers = setup + sum(times), workers
+            out.append(res)
     return out
-
-
-def _submit(pool: list | None, threads: int | None, *plan):
-    """A check's result from its plan (count, one, finish), or None once it joins ``pool``."""
-    if pool is None:
-        return _run_plans([plan], threads, [0.0])[0]
-    pool.append(plan)
 
 
 def _claim(token: tuple[int, int], stop: int | None = None) -> int:
@@ -370,10 +368,9 @@ def _forked(count: int, fn: Callable[[int], object], workers: int) -> list:
     return [results[t] for t in range(count)]
 
 
-def _make_systems(specs, systems: dict | None) -> dict:
-    """``systems`` (a new dict when None) with the system of every spec, those
-    it lacks generated here, before the check forks, so its workers inherit them."""
-    systems = {} if systems is None else systems
+def _make_systems(specs, systems: dict) -> dict:
+    """The run's ``systems`` with the system of every spec, those it lacks
+    generated here, before the pool forks, so its workers inherit them."""
     for spec in specs:
         if spec not in systems:
             systems[spec] = generate(spec)[2]
@@ -435,8 +432,7 @@ def _coeff_norm(b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(b) ** 2)))
 
 
-def check_mr_inequality(cfg: TrialConfig, threads: int | None = None,
-                        systems: dict | None = None, pool: list | None = None) -> CheckResult:
+def check_mr_inequality(cfg: TrialConfig, systems: dict) -> tuple:
     """Maximal-inequality ratio ||S_N*||_2 / ((2 + log2 N) ||b||_2) <= 1 per trial."""
     systems = _make_systems(cfg.system_specs, systems)
 
@@ -447,11 +443,10 @@ def check_mr_inequality(cfg: TrialConfig, threads: int | None = None,
                        (2.0 + math.log2(len(system))) * _coeff_norm(b),
                        cfg.slack(Check.MR_INEQUALITY), case)
 
-    return _submit(pool, threads, cfg.n_trials, one, partial(_result, Check.MR_INEQUALITY))
+    return cfg.n_trials, one, _finish(Check.MR_INEQUALITY)
 
 
-def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None,
-                           systems: dict | None = None, pool: list | None = None) -> CheckResult:
+def check_dyadic_pointwise(cfg: TrialConfig, systems: dict) -> tuple:
     """Randomized draws of the single-fiber dyadic chaining bound."""
     def one(t: int) -> dict:
         path = trial_seed_path(cfg.seed, Check.DYADIC_POINTWISE, t)
@@ -466,11 +461,10 @@ def check_dyadic_pointwise(cfg: TrialConfig, threads: int | None = None,
         return _record(lhs, rhs, cfg.slack(Check.DYADIC_POINTWISE),
                        {"trial": t, "seed_path": list(path), "j": j, "r": r, "dim": d})
 
-    return _submit(pool, threads, cfg.n_trials, one, partial(_result, Check.DYADIC_POINTWISE))
+    return cfg.n_trials, one, _finish(Check.DYADIC_POINTWISE)
 
 
-def _chaining_results(cfg: TrialConfig, threads: int | None = None, systems: dict | None = None,
-                      pool: list | None = None) -> dict[Check, CheckResult]:
+def _chaining_results(cfg: TrialConfig, systems: dict) -> tuple:
     """Shared trial loop for the chaining checks (final bound, block-norm
     sum, within-block square sum) plus the Parseval identity."""
     systems = _make_systems(cfg.system_specs, systems)
@@ -495,9 +489,9 @@ def _chaining_results(cfg: TrialConfig, threads: int | None = None, systems: dic
                 _record(diag.inner_sq_sum, diag.inner_sq_bound,
                         cfg.slack(Check.BLOCK_SQ_SUM), case))
 
-    return _submit(pool, threads, cfg.n_trials, one, lambda rows: {
-        check: _result(check, list(records))
-        for check, records in zip(checks, zip(*rows)) if check in cfg.checks})
+    return cfg.n_trials, one, lambda rows: [
+        _result(check, list(records))
+        for check, records in zip(checks, zip(*rows)) if check in cfg.checks]
 
 
 def _trial_plans(cfg: TrialConfig, system: OrthonormalSystem, b: np.ndarray,
@@ -532,8 +526,7 @@ def _bracket_holds(oscs: list[BlockOscillation]) -> list[bool]:
                   axis=1).tolist()
 
 
-def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
-                        systems: dict | None = None, pool: list | None = None) -> CheckResult:
+def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
     """Blocked oscillation bound ||delta_k||_2 <= 8 (sum_{block} |a_n|^2 log2^2 n)^(1/2)
     under identity, seeded-shuffle, greedy, and block-reversal plans.  A
     (plan, block) record fails also where its diameters break the bracket
@@ -567,8 +560,8 @@ def check_tandori_block(cfg: TrialConfig, threads: int | None = None,
                        "the reported worst ratio is a lower bound for the true worst "
                        "rearrangement",
     }
-    return _submit(pool, threads, cfg.n_trials, one, partial(
-        _result, Check.TANDORI_BLOCK, details=details, ok=all(row["ok"] for row in arithmetic)))
+    return cfg.n_trials, one, _finish(Check.TANDORI_BLOCK, details=details,
+                                      ok=all(row["ok"] for row in arithmetic))
 
 
 def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
@@ -600,8 +593,7 @@ def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
         n_cases=len(perms))
 
 
-def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
-                          systems: dict | None = None, pool: list | None = None) -> CheckResult:
+def check_exhaustive_perm(cfg: TrialConfig, systems: dict) -> tuple:
     """Exhaustive rearrangement sweep on capped-size variants of each system kind."""
     n = cfg.exhaustive_n
     specs = [replace(spec, n_functions=n, resolution=None) for spec in cfg.system_specs]
@@ -617,12 +609,11 @@ def check_exhaustive_perm(cfg: TrialConfig, threads: int | None = None,
         return {"ratio": res.worst_ratio, "ok": res.passed, "case": case}
 
     # every system counts its n! permutations as cases
-    return _submit(pool, threads, len(specs), one, partial(
-        _result, Check.EXHAUSTIVE_PERM, n_cases=len(specs) * math.factorial(n)))
+    return len(specs), one, _finish(Check.EXHAUSTIVE_PERM,
+                                    n_cases=len(specs) * math.factorial(n))
 
 
-def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
-                       systems: dict | None = None, pool: list | None = None) -> CheckResult:
+def check_orlicz_chain(cfg: TrialConfig, systems: dict) -> tuple:
     """Cauchy-Schwarz / monotonicity chain from the Orlicz conditions to the
     blocked sum, plus condensation classifier agreement, in one trial.
 
@@ -657,7 +648,7 @@ def check_orlicz_chain(cfg: TrialConfig, threads: int | None = None,
         return _result(Check.ORLICZ_CHAIN,
                        [{"ratio": max(r_cauchy, r_mono), "ok": ok, "case": case}], details)
 
-    return _submit(pool, threads, 1, one, lambda results: results[0])
+    return 1, one, list
 
 
 def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
@@ -684,8 +675,7 @@ def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
     return mixed, s
 
 
-def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
-                      systems: dict | None = None, pool: list | None = None) -> CheckResult:
+def check_riesz_ratio(cfg: TrialConfig, systems: dict) -> tuple:
     """Maximal inequality on systems mixed by a seeded matrix M of
     condition number ``riesz_condition`` (``_conditioned_mix``), at the
     bound in the module docstring; the chaining proof uses orthogonality
@@ -722,16 +712,19 @@ def check_riesz_ratio(cfg: TrialConfig, threads: int | None = None,
             f"(1 + {MIX_MARGIN:.2g}) of the mixed system: s_max its mix's largest singular "
             "value (riesz_condition when N > 1), g_max(G0) >= lambda_max(G0) the upper "
             "Gershgorin bound of the unmixed system's Gram matrix G0")
-    return _submit(pool, threads, cfg.n_trials, one,
-                   partial(_result, Check.RIESZ_RATIO, details={"note": note}))
+    return cfg.n_trials, one, _finish(Check.RIESZ_RATIO, details={"note": note})
 
 
 def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
     """Every requested check's setup, then all their (check, trial) claims in
-    one pool, largest first, and their results; a check's ``seconds`` is its
-    setup plus its trials' time (the chaining checks share theirs).  The
-    setups share one dict of systems: each is generated once, by the first
-    setup that reads it, and in that check's ``seconds``.
+    one pool, largest first, and their results.  A setup ``(cfg, systems)``
+    returns its plan ``(count, one, finish)``: ``one(t)`` is claim t's record
+    and ``finish`` turns the records, in trial order, into its list of
+    results (the chaining setup's: each of its three checks requested).  A
+    check's ``seconds`` is its setup plus its trials' time (the chaining
+    checks share theirs).  The setups share one dict of systems: each is
+    generated once, by the first setup that reads it, and in that check's
+    ``seconds``.
 
     Deterministic given cfg.seed; see the module docstring for ``threads``.
     """
@@ -747,15 +740,13 @@ def run_suite(cfg: TrialConfig, threads: int | None = None) -> VerifyReport:
              (check_mr_inequality, {Check.MR_INEQUALITY}),
              (check_dyadic_pointwise, {Check.DYADIC_POINTWISE}),
              (check_exhaustive_perm, {Check.EXHAUSTIVE_PERM}))
-    pool, setups, systems = [], [], {}
-    for check, checks in suite:
+    plans, setups, systems = [], [], {}
+    for setup, checks in suite:
         if checks & cfg.checks:
             began = time.perf_counter()
-            check(cfg, threads, systems, pool)
+            plans.append(setup(cfg, systems))
             setups.append(time.perf_counter() - began)
-    results = {}
-    for done in _run_plans(pool, threads, setups):
-        results.update(done if isinstance(done, dict) else {done.check: done})
+    results = {res.check: res for res in _run_plans(plans, threads, setups)}
     wall = time.perf_counter() - start
     return VerifyReport(seed=cfg.seed, results=results, wall_time_s=wall,
                         environment=environment_fingerprint())

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,23 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from orthoseries import (Field, HilbertCollection, MeasureSpace,
-                         SystemKind, SystemSpec, generate)
+                         SystemKind, SystemSpec, generate, run_suite, verify)
 
 
 def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def run_check(cfg, check, threads=None):
+    """One check's result, run alone: the suite of ``cfg`` with only ``check``."""
+    return run_suite(replace(cfg, checks={check}), threads=threads).results[check]
+
+
+def run_plan(setup, cfg, systems):
+    """The one result of ``setup``'s plan on the given ``systems`` (which a
+    test may have tampered with), at one worker."""
+    [result] = verify._run_plans([setup(cfg, systems)], 1, [0.0])
+    return result
 
 
 @pytest.fixture

@@ -14,13 +14,11 @@ import pytest
 from orthoseries import (Check, Field, SequenceSpec, SystemKind, SystemSpec,
                          TrialConfig, WeightSpec, condensation_chain,
                          dyadic_decomposition, dyadic_pointwise_bound,
-                         generate, majorant, oracle_majorant, orlicz_reduction)
+                         generate, majorant, oracle_majorant, orlicz_reduction,
+                         run_suite)
 from orthoseries.cli import main as cli_main
-from orthoseries.verify import (_chaining_results, check_dyadic_pointwise,
-                                check_exhaustive_perm, check_mr_inequality,
-                                check_tandori_block)
 
-from conftest import rng
+from conftest import rng, run_check
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,7 +61,7 @@ def test_criterion_1_maximal_inequality():
                       n_trials=1020, seed=2026,
                       tolerances={Check.MR_INEQUALITY: RELATIVE_SLACK})
     start = time.perf_counter()
-    res = check_mr_inequality(cfg)
+    res = run_check(cfg, Check.MR_INEQUALITY)
     elapsed = time.perf_counter() - start
     ok = res.passed and elapsed <= 60.0
     report(1, ok, f"{res.n_cases} trials, worst ratio {res.worst_ratio:.6f}, "
@@ -75,7 +73,7 @@ def test_criterion_2_dyadic_pointwise_bound():
                       checks={Check.DYADIC_POINTWISE},
                       n_trials=10_000, seed=2027,
                       tolerances={Check.DYADIC_POINTWISE: RELATIVE_SLACK})
-    res = check_dyadic_pointwise(cfg)
+    res = run_check(cfg, Check.DYADIC_POINTWISE)
     randomized_ok = res.passed
 
     canonical_ok = True
@@ -109,7 +107,7 @@ def test_criterion_3_chaining_bounds():
                       tolerances={Check.MR_THEOREM: RELATIVE_SLACK,
                                   Check.BLOCK_NORM_SUM: RELATIVE_SLACK,
                                   Check.BLOCK_SQ_SUM: RELATIVE_SLACK})
-    results = _chaining_results(cfg)
+    results = run_suite(cfg).results
     ok = all(r.passed for r in results.values())
     worst = {c.value: f"{r.worst_ratio:.6f}" for c, r in results.items()}
     report(3, ok, f"final bound, block-norm sum, square sum and Parseval "
@@ -129,7 +127,7 @@ def test_criterion_4_blocked_oscillation_bound():
     cfg = TrialConfig(system_specs=specs, checks={Check.TANDORI_BLOCK},
                       n_trials=len(specs), seed=2028, shuffle_plans=20,
                       tolerances={Check.TANDORI_BLOCK: RELATIVE_SLACK})
-    res = check_tandori_block(cfg)
+    res = run_check(cfg, Check.TANDORI_BLOCK)
     arithmetic_ok = all(row["ok"] for row in res.details["threshold_arithmetic"])
     ok = res.passed and arithmetic_ok
     report(4, ok, f"n in {{16, 256, 4096}}, identity + 20 shuffles + greedy + "
@@ -144,7 +142,7 @@ def test_criterion_5_exhaustive_permutations():
                       checks={Check.EXHAUSTIVE_PERM}, n_trials=1, seed=2029,
                       exhaustive_n=7,
                       tolerances={Check.EXHAUSTIVE_PERM: RELATIVE_SLACK})
-    res = check_exhaustive_perm(cfg)
+    res = run_check(cfg, Check.EXHAUSTIVE_PERM)
     elapsed = time.perf_counter() - start
     ok = res.passed and res.n_cases == 2 * 5040 and elapsed <= 30.0
     report(5, ok, f"{res.n_cases} rearrangements on two kinds, worst ratio "

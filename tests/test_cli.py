@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthoseries import cli, serialization
+from orthoseries import SystemKind, SystemSpec, cli, generate, serialization
 from orthoseries.cli import _config_from_file, build_parser, main
 from orthoseries.coefficients import SequenceSpec, WeightSpec, weyl_sum
 from orthoseries.serialization import system_from_json
-from orthoseries.verify import Check, check_orlicz_chain, default_config
+from orthoseries.verify import Check, default_config
+
+from conftest import run_check
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,6 +62,8 @@ def test_gen_ons_csv_format(tmp_path):
     sys_path = tmp_path / "sys.csv"
     assert main(["gen-ons", "--kind", "rademacher", "--n", "2", "--format", "csv",
                  "--out", str(sys_path)]) == 0
+    system = generate(SystemSpec(SystemKind.RADEMACHER, 2))[2]
+    assert sys_path.read_text() == serialization.system_to_csv(system)
     assert main(["majorant", "--system", str(sys_path), "--coeffs", "1,1",
                  "--out", str(tmp_path / "p.json")]) == 0
     payload = json.loads((tmp_path / "p.json").read_text())
@@ -84,19 +88,19 @@ def test_check_mr(capsys):
     assert len(payload["partial_sums"]) == 64
 
 
-def test_output_written_in_slices_is_byte_identical(tmp_path, capsys, monkeypatch):
-    import orthoseries.cli as cli
-    args = ["check-mr", "--powerlog", "1,1,0", "--trunc", "64"]
-    assert main(args + ["--out", str(tmp_path / "whole.json")]) == 0
+@pytest.mark.parametrize("args", [
+    ["check-mr", "--powerlog", "1,1,0", "--trunc", "64"],
+    ["gen-ons", "--kind", "varying-dim", "--n", "16", "--format", "csv"],
+    ["gen-ons", "--kind", "random-qr", "--n", "8", "--resolution", "8", "--field", "complex",
+     "--format", "csv"],
+], ids=["check-mr", "gen-ons-csv", "gen-ons-csv-complex"])
+def test_output_written_in_pieces_is_byte_identical(tmp_path, capsys, args):
+    # the pieces written to a file and to stdout, which alone adds a final
+    # newline where the text has none
+    assert main(args + ["--out", str(tmp_path / "out")]) == 0
     assert main(args) == 0
-    whole_out = capsys.readouterr().out
-    monkeypatch.setattr(cli, "WRITE_SLICE", 7)
-    assert main(args + ["--out", str(tmp_path / "sliced.json")]) == 0
-    assert main(args) == 0
-    whole = (tmp_path / "whole.json").read_bytes()
-    assert len(whole) > 100 * cli.WRITE_SLICE
-    assert (tmp_path / "sliced.json").read_bytes() == whole
-    assert capsys.readouterr().out == whole_out == whole.decode() + "\n"
+    whole = (tmp_path / "out").read_text()
+    assert capsys.readouterr().out == whole + ("" if whole.endswith("\n") else "\n")
 
 
 def _one_shot(payload):
@@ -256,7 +260,7 @@ def test_one_draw_per_orlicz_run(monkeypatch, capsys):
     calls.clear()
     cfg = replace(default_config(1), checks={Check.ORLICZ_CHAIN}, truncation=4096,
                   coeff_spec=SequenceSpec.power_log(1.0, 1.0, 2.0))
-    assert check_orlicz_chain(cfg).passed
+    assert run_check(cfg, Check.ORLICZ_CHAIN).passed
     assert sorted(calls) == ["coefficients", "values"]
 
 
@@ -645,35 +649,50 @@ def test_oversized_system_refused_before_allocating(capsys):
     assert "limit" in captured.err
 
 
+# the head of a system JSON file of this schema
+V1 = '{"schema_version": 1, '
+
+
 @pytest.mark.parametrize("name,text", [
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": 5}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": null, "elements": [[[1.0]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": [1], "elements": 5}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": null, "elements": [[[1.0]]]}'),
     ("sys.json", "5"),
-    ("sys.json", '{"field": "complex", "weights": [1.0], "dims": [1], "elements": [[[1.0]]]}'),
-    ("sys.json", '{"field": "real", "weights": ["1.0"], "dims": [1], "elements": [[[0.5]]]}'),
-    ("sys.json", '{"field": "real", "weights": [true], "dims": [1], "elements": [[[0.5]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1.7], "elements": [[[0.5]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": ["1"], "elements": [[[0.5]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [true], "elements": [[[0.5]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1e30], "elements": [[[0.5]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [100000000000000000000000000000],'
-                 ' "elements": [[[0.5]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": [[["0.5"]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": [[[false]]]}'),
-    ("sys.json", '{"field": "complex", "weights": [1.0], "dims": [1],'
+    ("sys.json", V1 + '"field": "complex", "weights": [1.0], "dims": [1], "elements": [[[1.0]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": ["1.0"], "dims": [1], "elements": [[[0.5]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [true], "dims": [1], "elements": [[[0.5]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": [1.7], "elements": [[[0.5]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": ["1"], "elements": [[[0.5]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": [true], "elements": [[[0.5]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": [1e30], "elements": [[[0.5]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0],'
+                 ' "dims": [100000000000000000000000000000], "elements": [[[0.5]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": [1], "elements": [[["0.5"]]]}'),
+    ("sys.json", V1 + '"field": "real", "weights": [1.0], "dims": [1], "elements": [[[false]]]}'),
+    ("sys.json", V1 + '"field": "complex", "weights": [1.0], "dims": [1],'
                  ' "elements": [[[["0.5", 0.0]]]]}'),
-    ("sys.json", '{"field": "real", "weights": [1.0, 1.0], "dims": [1, 1],'
+    ("sys.json", V1 + '"field": "real", "weights": [1.0, 1.0], "dims": [1, 1],'
                  f' "elements": [[[{10 ** 400}], [0.0]], [[0.0], [1.0]]]}}'),
     ("sys.csv", "element,atom,weight,v0\n0,-1,1.0,1.0\n"),
     ("sys.csv", "element,atom,weight,v0\n0,0\n"),
     # one row and no other: sized by its index, the system would be 7 TiB
     ("sys.csv", "element,atom,weight,v0\n1000000000000,0,1.0,1.0\n"),
     ("sys.csv", "element,atom,weight,v0\n0,0,1.0,1.0\n0,1000000000000,1.0,1.0\n"),
+    # a file of another schema, or of none, and value columns the writer never names
+    ("sys.json", '{"schema_version": 99, "field": "real", "weights": [1.0], "dims": [1],'
+                 ' "elements": [[[1.0]]]}'),
+    ("sys.json", '{"field": "real", "weights": [1.0], "dims": [1], "elements": [[[1.0]]]}'),
+    ("sys.json", '{"schema_version": true, "field": "real", "weights": [1.0], "dims": [1],'
+                 ' "elements": [[[1.0]]]}'),
+    ("sys.csv", "element,atom,weight,zz0\n0,0,1.0,1.0\n"),
+    ("sys.csv", "element,atom,weight,v1\n0,0,1.0,1.0\n"),
+    ("sys.csv", "element,atom,weight,re0,v0\n0,0,1.0,1.0,0.0\n"),
+    ("sys.csv", "element,atom,weight,re0,im0,re1\n0,0,1.0,1.0,0.0\n"),
 ], ids=["elements-5", "dims-null", "top-level-5", "complex-bare-floats", "weights-string",
         "weights-bool", "dims-fractional", "dims-string", "dims-bool", "dims-float",
         "dims-over-int64", "entry-string", "entry-bool", "complex-entry-string",
         "entry-over-float", "csv-atom-minus-1", "csv-short-row", "csv-huge-element",
-        "csv-huge-atom"])
+        "csv-huge-atom", "schema-99", "schema-missing", "schema-true", "csv-zz0", "csv-v1",
+        "csv-re0-v0", "csv-re1-without-im1"])
 def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -689,8 +708,8 @@ def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
 def test_system_json_non_finite_token_exit_2(tmp_path, capsys, token):
     # orjson, which reads system files, refuses these tokens as malformed JSON
     path, out = tmp_path / "sys.json", tmp_path / "p.json"
-    path.write_text('{"field": "real", "weights": [1.0, 1.0], "dims": [1, 1],'
-                    f' "elements": [[[1.0], [0.0]], [[0.0], [{token}]]]}}')
+    path.write_text('{"schema_version": 1, "field": "real", "weights": [1.0, 1.0],'
+                    f' "dims": [1, 1], "elements": [[[1.0], [0.0]], [[0.0], [{token}]]]}}')
     assert main(["majorant", "--system", str(path), "--coeffs", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: system JSON: malformed JSON at line 1") and err.count("\n") == 1

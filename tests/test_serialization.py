@@ -67,14 +67,35 @@ def test_json_error_reports_position():
         system_from_json("{not json")
 
 
+@pytest.mark.parametrize("version", [99, 0, 2, None, "1", 1.0, True, [1]])
+def test_json_other_schema_version_raises(version):
+    with pytest.raises(StructuralError, match="'schema_version'"):
+        system_from_json(system_json(schema_version=version))
+
+
+def test_json_missing_schema_version_raises():
+    payload = json.loads(system_json())
+    del payload["schema_version"]
+    with pytest.raises(StructuralError, match="missing 'schema_version'"):
+        system_from_json(json.dumps(payload))
+
+
 def test_json_missing_key():
     with pytest.raises(StructuralError, match="weights"):
-        system_from_json('{"field": "real", "dims": [1], "elements": []}')
+        system_from_json('{"schema_version": 1, "field": "real", "dims": [1], "elements": []}')
 
 
 def test_csv_bad_header():
     with pytest.raises(StructuralError, match="header"):
         system_from_csv("a,b,c\n1,2,3\n")
+
+
+@pytest.mark.parametrize("header", ["zz0", "V0", "v1", "v0,v2", "v0,v0", "re0", "im0,re0",
+                                    "re0,v0", "re0,im0,re1", "re0,im0,v1"])
+def test_csv_value_columns_other_than_the_writers_raise(header):
+    for reader in (system_from_csv, row_csv):
+        with pytest.raises(StructuralError, match="value columns must be"):
+            reader(f"element,atom,weight,{header}\n0,0,1.0,1.0\n")
 
 
 def test_csv_malformed_cell_names_line():
@@ -150,6 +171,8 @@ def test_writers_match_the_per_element_references(spec):
     system = generate(spec)[2]
     assert system_to_json(system) == element_json(system)
     assert system_to_csv(system) == element_csv(system)
+    # the header, then one piece per element
+    assert len(list(serialization.system_csv_pieces(system))) == 1 + len(system)
 
 
 
@@ -175,7 +198,7 @@ def test_signed_zeros_roundtrip_in_both_formats():
 # -- malformed structure is a StructuralError ---------------------------------
 
 def system_json(**changes):
-    payload = {"field": "real", "weights": [1.0, 1.0], "dims": [1, 2],
+    payload = {"schema_version": 1, "field": "real", "weights": [1.0, 1.0], "dims": [1, 2],
                "elements": [[[1.0], [0.0, 1.0]]]}
     return json.dumps({**payload, **changes})
 
@@ -286,7 +309,11 @@ def row_csv(text):
         raise StructuralError("empty CSV") from None
     if header[:3] != ["element", "atom", "weight"]:
         raise StructuralError("CSV header must start with element,atom,weight")
-    is_complex = any(c.startswith("re") for c in header[3:])
+    is_complex = header[3:4] == ["re0"]
+    width = (len(header) - 3) // 2 if is_complex else len(header) - 3
+    names = [f"re{i},im{i}" if is_complex else f"v{i}" for i in range(width)]
+    if ",".join(header[3:]) != ",".join(names):
+        raise StructuralError("CSV value columns must be v0,v1,... or re0,im0,re1,im1,...")
     rows, weights = {}, {}
     for lineno, row in enumerate(reader, start=2):
         if not row:

@@ -21,13 +21,11 @@ from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
 from orthoseries.direct_integral import Field, OrthonormalSystem, gram_matrix
 from orthoseries.majorants import PermutationPlan, all_orders_l2
 from orthoseries.systems import seeded_rng
-from orthoseries.verify import (check_mr_inequality, check_riesz_ratio,
-                                check_tandori_block, default_config,
-                                tandori_threshold_arithmetic, trial_seed_path)
+from orthoseries.verify import default_config, tandori_threshold_arithmetic, trial_seed_path
 
 from orthoseries.cli import main as cli_main
 
-from conftest import rng
+from conftest import rng, run_check, run_plan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -109,7 +107,7 @@ class TestMrInequalityCheck:
         cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.STANDARD_BASIS, 2),),
                           checks={Check.MR_INEQUALITY}, n_trials=1, seed=0,
                           coeff_spec=SequenceSpec.from_values([3.0, 4.0]))
-        res = check_mr_inequality(cfg)
+        res = run_check(cfg, Check.MR_INEQUALITY)
         assert res.passed
         assert res.worst_ratio == pytest.approx(1.0 / 3.0, rel=1e-15)
 
@@ -117,12 +115,12 @@ class TestMrInequalityCheck:
         cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.STANDARD_BASIS, 1),),
                           checks={Check.MR_INEQUALITY}, n_trials=1, seed=0,
                           coeff_spec=SequenceSpec.from_values([5.0]))
-        res = check_mr_inequality(cfg)
+        res = run_check(cfg, Check.MR_INEQUALITY)
         assert res.worst_ratio == pytest.approx(0.5, rel=1e-15)
 
     def test_many_trials_pass(self):
         cfg = small_config(checks={Check.MR_INEQUALITY}, n_trials=200)
-        res = check_mr_inequality(cfg)
+        res = run_check(cfg, Check.MR_INEQUALITY)
         assert res.passed
         assert res.worst_ratio < 1.0
         assert "seed_path" in res.worst_case
@@ -131,7 +129,7 @@ class TestMrInequalityCheck:
         cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.STANDARD_BASIS, 2),),
                           checks={Check.MR_INEQUALITY}, n_trials=3, seed=1,
                           coeff_spec=SequenceSpec(explicit=(1.0, math.nan)))
-        res = check_mr_inequality(cfg)
+        res = run_check(cfg, Check.MR_INEQUALITY)
         assert not res.passed
         assert math.isnan(res.worst_ratio)
         assert res.worst_case["seed_path"][0] == 1
@@ -139,7 +137,7 @@ class TestMrInequalityCheck:
     def test_injected_negative_slack_fails(self):
         cfg = small_config(checks={Check.MR_INEQUALITY}, n_trials=5,
                            tolerances={Check.MR_INEQUALITY: -0.999999})
-        res = check_mr_inequality(cfg)
+        res = run_check(cfg, Check.MR_INEQUALITY)
         assert not res.passed
         assert res.worst_case["seed_path"] is not None
 
@@ -147,7 +145,7 @@ class TestMrInequalityCheck:
 class TestTandoriBlockCheck:
     def test_passes_and_carries_arithmetic(self):
         cfg = small_config(checks={Check.TANDORI_BLOCK}, n_trials=6, shuffle_plans=3)
-        res = check_tandori_block(cfg)
+        res = run_check(cfg, Check.TANDORI_BLOCK)
         assert res.passed
         rows = res.details["threshold_arithmetic"]
         assert [row["nu"] for row in rows] == [2, 4, 16, 256, 65536, 2 ** 32]
@@ -164,7 +162,7 @@ class TestTandoriBlockCheck:
                     for plan, osc in zip(plans, real(system, coeffs, plans, k, n))]
 
         monkeypatch.setattr(verify, "block_oscillations", nan_on_greedy_block_1)
-        res = check_tandori_block(small_config(checks={Check.TANDORI_BLOCK}, n_trials=4))
+        res = run_check(small_config(checks={Check.TANDORI_BLOCK}, n_trials=4), Check.TANDORI_BLOCK)
         assert not res.passed
         assert math.isnan(res.worst_ratio)
         case = res.worst_case
@@ -188,7 +186,7 @@ class TestTandoriBlockCheck:
         monkeypatch.setattr(majorants, "_pointwise_diameters", inflate)
         cfg = small_config(checks={Check.TANDORI_BLOCK}, n_trials=1, system_specs=(
             SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2),))
-        res = check_tandori_block(cfg)
+        res = run_check(cfg, Check.TANDORI_BLOCK)
         assert not res.passed
         case = res.worst_case
         assert (case["block"], case["bracket"]) == (1, BRACKET)
@@ -216,7 +214,7 @@ class TestTandoriBlockCheck:
         # the bracket's slack is the default one, whatever the config's tolerance
         cfg = small_config(checks={Check.TANDORI_BLOCK}, n_trials=2,
                            tolerances={Check.TANDORI_BLOCK: 1e6})
-        res = check_tandori_block(cfg)
+        res = run_check(cfg, Check.TANDORI_BLOCK)
         assert not res.passed and res.worst_case["bracket"] == BRACKET
 
     def test_arithmetic_values(self):
@@ -311,7 +309,7 @@ class TestRieszRatio:
         # ||S_N*|| / (sqrt(B) (2 + log2 N) ||b||) on the mixed system
         cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.HAAR, 32),),
                           checks={Check.RIESZ_RATIO}, n_trials=1, seed=5)
-        res = check_riesz_ratio(cfg)
+        res = run_check(cfg, Check.RIESZ_RATIO)
         _, _, system = generate(cfg.system_specs[0])
         gen = seeded_rng(trial_seed_path(5, Check.RIESZ_RATIO, 0))
         values, _ = verify._conditioned_mix(gen, system.values, cfg.riesz_condition)
@@ -325,7 +323,7 @@ class TestRieszRatio:
     def test_inflated_majorant_fails(self, monkeypatch):
         # scale every majorant so the worst trial lands at ratio 2
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8)
-        worst = check_riesz_ratio(cfg).worst_ratio
+        worst = run_check(cfg, Check.RIESZ_RATIO).worst_ratio
         real = verify.majorant
 
         def inflated(system, coeffs):
@@ -333,7 +331,7 @@ class TestRieszRatio:
             return replace(prof, l2_norm=prof.l2_norm * 2.0 / worst)
 
         monkeypatch.setattr(verify, "majorant", inflated)
-        res = check_riesz_ratio(cfg)
+        res = run_check(cfg, Check.RIESZ_RATIO)
         assert not res.passed
         assert res.worst_ratio == pytest.approx(2.0, rel=1e-12)
 
@@ -362,7 +360,7 @@ class TestRieszRatio:
         # system's own Gram spectrum (Rademacher stops at n = 8: 2^n atoms)
         cfg = TrialConfig(system_specs=(spec,), checks={Check.RIESZ_RATIO}, n_trials=1,
                           seed=3, riesz_condition=condition)
-        case = check_riesz_ratio(cfg).worst_case
+        case = run_check(cfg, Check.RIESZ_RATIO).worst_case
         _, _, system = generate(spec)
         gen = seeded_rng(trial_seed_path(3, Check.RIESZ_RATIO, 0))
         values, _ = verify._conditioned_mix(gen, system.values, condition)
@@ -376,7 +374,7 @@ class TestRieszRatio:
         # trials; nothing runs an eigensolve, and no trial runs a QR or a Gram
         # product (random-qr systems are generated by QR, so they are made first)
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8)
-        systems = verify._make_systems(cfg.system_specs, None)
+        systems = verify._make_systems(cfg.system_specs, {})
         calls = dict.fromkeys(("gram", "eigvalsh", "eigh", "eigvals", "eig"), 0)
 
         def counted(name, real):
@@ -393,7 +391,7 @@ class TestRieszRatio:
         for name in ("eigvalsh", "eigh", "eigvals", "eig"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np.linalg, "qr", qr)
-        res = check_riesz_ratio(cfg, systems=systems)
+        res = run_plan(verify.check_riesz_ratio, cfg, systems)
         assert res.passed and res.n_cases == 8
         assert calls == {"gram": 2, "eigvalsh": 0, "eigh": 0, "eigvals": 0, "eig": 0}
 
@@ -404,17 +402,17 @@ class TestRieszRatio:
         real = verify.gershgorin_bounds
         monkeypatch.setattr(verify, "gershgorin_bounds",
                             lambda system: (math.nan, real(system)[1]))
-        res = check_riesz_ratio(cfg)
+        res = run_check(cfg, Check.RIESZ_RATIO)
         assert not res.passed and math.isfinite(res.worst_ratio)
         assert math.isnan(res.worst_case["riesz_lower"])
         monkeypatch.undo()
 
-        systems = verify._make_systems(cfg.system_specs, None)
+        systems = verify._make_systems(cfg.system_specs, {})
         haar = systems[cfg.system_specs[0]]
         values = np.array(haar.values)
         values[3, 5] = math.nan
         systems[cfg.system_specs[0]] = OrthonormalSystem(haar.space, haar.fibers, values)
-        res = check_riesz_ratio(cfg, systems=systems)
+        res = run_plan(verify.check_riesz_ratio, cfg, systems)
         assert not res.passed
         assert res.worst_case["trial"] == 0 and math.isnan(res.worst_case["riesz_lower"])
 
@@ -422,14 +420,14 @@ class TestRieszRatio:
         # a trial failed only by its lower Riesz bound is the reported case,
         # above the passing trials of higher ratio
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=4)
-        systems = verify._make_systems(cfg.system_specs, None)
-        honest = check_riesz_ratio(cfg, systems=systems)
+        systems = verify._make_systems(cfg.system_specs, {})
+        honest = run_plan(verify.check_riesz_ratio, cfg, systems)
         other = 1 - honest.worst_case["trial"] % 2
         target = systems[cfg.system_specs[other]]
         real = verify.gershgorin_bounds
         monkeypatch.setattr(verify, "gershgorin_bounds", lambda system: (
             (0.0, real(system)[1]) if system is target else real(system)))
-        res = check_riesz_ratio(cfg, systems=systems)
+        res = run_plan(verify.check_riesz_ratio, cfg, systems)
         assert not res.passed
         assert res.worst_case["trial"] % 2 == other and res.worst_case["riesz_lower"] == 0.0
         assert res.worst_ratio < honest.worst_ratio
@@ -437,7 +435,7 @@ class TestRieszRatio:
     def test_check_reports_finite_ratio_and_bounds(self):
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=8,
                            riesz_condition=4.0)
-        res = check_riesz_ratio(cfg)
+        res = run_check(cfg, Check.RIESZ_RATIO)
         assert res.passed
         assert math.isfinite(res.worst_ratio)
         case = res.worst_case
@@ -449,7 +447,7 @@ class TestRieszRatio:
         # Gram spectrum
         cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=4,
                            riesz_condition=1.0)
-        res = check_riesz_ratio(cfg)
+        res = run_check(cfg, Check.RIESZ_RATIO)
         assert res.passed
         assert res.worst_case["riesz_lower"] == pytest.approx(1.0, abs=1e-9)
         assert res.worst_case["riesz_upper"] == pytest.approx(1.0, abs=1e-9)
@@ -506,6 +504,14 @@ class TestRunSuite:
         par = run_suite(cfg, threads=4).to_json(include_timing=False)
         assert seq == par
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_check_alone_reports_as_in_the_full_suite(self, threads):
+        # no check's result depends on which other checks run beside it
+        cfg = default_config(seed=1, n_trials=8)
+        full = run_suite(cfg, threads=threads).results
+        for check in Check:
+            assert run_check(cfg, check, threads).to_dict() == full[check].to_dict()
+
     def test_failure_sets_exit_code(self):
         cfg = small_config(checks={Check.MR_INEQUALITY},
                            tolerances={Check.MR_INEQUALITY: -0.999999})
@@ -546,10 +552,10 @@ class TestRunSuite:
         gc.collect()
         assert all(ref() is None for _, ref in made)
         # the next run generates every system of its config afresh, before
-        # its first check; a check called alone generates the ones it uses
+        # its first check, also a run of one check
         run_suite(small_config(n_trials=1, checks={Check.MR_INEQUALITY}))
         assert [spec for spec, _ in made[len(specs):]] == list(cfg.system_specs)
-        assert check_mr_inequality(small_config(n_trials=2)).passed
+        assert run_check(small_config(n_trials=2), Check.MR_INEQUALITY).passed
         assert len(made) == len(specs) + 4
 
 
@@ -599,9 +605,6 @@ class TestWorkers:
 
         monkeypatch.setattr(os, "fork", fork)
         assert run_suite(default_config(seed=1, n_trials=8), threads=3).all_passed
-        assert len(forks) == 2
-        forks.clear()
-        assert check_mr_inequality(small_config(n_trials=6), threads=3).passed
         assert len(forks) == 2
 
     def test_earliest_claim_error_wins(self, monkeypatch, tmp_path):
@@ -674,11 +677,12 @@ class TestWorkers:
         assert sorted(map(int, (tmp_path / "log").read_text().split())) == list(range(200))
 
     @pytest.mark.parametrize("check", [
-        verify.check_mr_inequality, verify._chaining_results, verify.check_tandori_block,
-        verify.check_exhaustive_perm, verify.check_riesz_ratio], ids=lambda f: f.__name__)
+        Check.MR_INEQUALITY, Check.MR_THEOREM, Check.TANDORI_BLOCK, Check.EXHAUSTIVE_PERM,
+        Check.RIESZ_RATIO], ids=lambda c: c.value)
     def test_check_alone_makes_its_systems_before_forking(self, check, monkeypatch, tmp_path):
-        # each generate call appends its pid to one log, so a system made in
-        # a forked worker, or made twice, shows there
+        # a run of one check at two workers: each generate call appends its
+        # pid to one log, so a system made in a forked worker, or made twice,
+        # shows there
         log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         real = verify.generate
 
@@ -689,7 +693,7 @@ class TestWorkers:
         monkeypatch.setattr(verify, "generate", logged)
         cfg = small_config(n_trials=6)
         try:
-            check(cfg, threads=2)
+            run_suite(replace(cfg, checks={check}), threads=2)
         finally:
             os.close(log)
         pids = (tmp_path / "log").read_text().split()
