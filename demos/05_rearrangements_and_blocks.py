@@ -12,16 +12,18 @@ import math
 
 import numpy as np
 
-from orthoseries import (AdversarialStrategy, PermutationPlan, SystemKind,
-                         SystemSpec, adversarial_permutation,
-                         exhaustive_permutation_check, generate,
-                         permuted_majorant, tandori_blocks, tandori_delta)
+from orthoseries import (AdversarialStrategy, Check, PermutationPlan,
+                         SequenceSpec, SystemKind, SystemSpec, TrialConfig,
+                         adversarial_permutation, generate, permuted_majorant,
+                         run_suite, tandori_blocks)
+from orthoseries.majorants import block_oscillations
 
 print("=== exhaustive sweep over all 720 rearrangements, n = 6 ===")
-_, _, system = generate(SystemSpec(SystemKind.RADEMACHER, 6))
-coeffs = 1.0 / np.arange(1, 7)
-res = exhaustive_permutation_check(system, coeffs, 6)
-print(f"maximal-inequality bound holds for every plan: {res.passed}")
+cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.RADEMACHER, 6),),
+                  checks={Check.EXHAUSTIVE_PERM}, exhaustive_n=6,
+                  coeff_spec=SequenceSpec.from_values(1.0 / np.arange(1, 7)))
+res = run_suite(cfg).results[Check.EXHAUSTIVE_PERM]
+print(f"maximal-inequality bound holds for every plan: {res.passed} ({res.n_cases} orders)")
 print(f"worst rearrangement: {res.worst_case['worst_permutation']} "
       f"(ratio {res.worst_ratio:.4f})")
 
@@ -42,9 +44,10 @@ for plan in (PermutationPlan.identity(16), PermutationPlan.seeded_shuffle(16, 3)
     l2 = permuted_majorant(system, coeffs, plan).l2_norm
     print(f"  {plan.describe():24s} majorant {l2:.4f} <= bound {rhs:.4f}")
 
-print("\n=== blocked oscillations under the greedy plan ===")
+print("\n=== blocked oscillations under the greedy and block-reversal plans ===")
 blocks = tandori_blocks(16)
 for k in range(blocks.k_max + 1):
-    osc = tandori_delta(system, coeffs, greedy, k)
-    print(f"  block {k} [{osc.lo},{osc.hi}] ({osc.indicator_count} terms): "
-          f"||delta|| = {osc.l2:.4f} <= {osc.bound:.4f}")
+    # one batch: a row per plan
+    osc = block_oscillations(system, coeffs, [greedy, reversal], k)
+    print(f"  block {k} [{osc.lo},{osc.hi}] ({osc.hi - osc.lo + 1} terms): "
+          f"||delta|| = {osc.l2[0]:.4f} greedy, {osc.l2[1]:.4f} reversal <= {osc.bound:.4f}")

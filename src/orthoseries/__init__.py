@@ -25,7 +25,7 @@ from .majorants import (AdversarialStrategy, BlockOscillation,
                         permuted_majorant, prefix_sum, tandori_delta)
 from .systems import SystemKind, SystemSpec, generate
 from .verify import (Check, CheckResult, TrialConfig, VerifyReport, default_config,
-                     exhaustive_permutation_check, oracle_majorant, run_suite)
+                     oracle_majorant, run_suite)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "WeightSpec", "adversarial_permutation", "block_masses",
     "chaining_diagnostics", "condensation_chain", "default_config",
     "dyadic_decomposition", "dyadic_pointwise_bound",
-    "exhaustive_permutation_check", "generate", "gram_matrix",
+    "generate", "gram_matrix",
     "inner_product", "majorant", "norm", "oracle_majorant",
     "orlicz_conditions", "orlicz_reduction", "permuted_majorant",
     "prefix_sum", "run_suite", "tandori_blocks", "tandori_delta",

@@ -10,10 +10,11 @@ majorant      compute a partial-sum majorant profile for a stored system
 decompose     print the dyadic block decomposition of a prefix length
 verify        run the seeded verification suite
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-malformed, too deeply nested or non-finite input, a sum or majorant that
-overflows float64, a system or a decompose r over the generation limit, or
-a verify worker that died (work beyond the resources it was given).  All
+Exit codes: 0 success, 1 a verification check failed, 2 usage error, a
+file that cannot be read or written (any OSError), malformed, too deeply
+nested or non-finite input, a verify config of no checks, a sum or majorant
+that overflows float64, a system or a decompose r over the generation limit,
+or a verify worker that died (work beyond the resources it was given).  All
 randomness derives from --seed (default 0); wall clocks are never consulted
 for seeding.
 """
@@ -366,8 +367,7 @@ def main(argv=None) -> int:
         # 1) explicitly, so numpy's floating-point warnings add only noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except (StructuralError, ContractError, BudgetError, FileNotFoundError,
-            ValueError) as exc:
+    except (StructuralError, ContractError, BudgetError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -30,7 +30,7 @@ diagnostics run on it too.  On top sit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -440,23 +440,23 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingD
 
 @dataclass(frozen=True)
 class BlockOscillation:
-    """Oscillation of one Tandori block of a rearranged series.
+    """Oscillation of one Tandori block [lo, hi] under a batch of P
+    rearrangements, plan axis first.
 
-    ``values[i]`` is, at atom i, the supremum over segment sums (restricted
-    to indices of this block, in rearranged order) of the fiber norm;
+    ``values[p, i]`` is, for plan p at atom i, the supremum over segment
+    sums (restricted to indices of this block, in rearranged order) of the
+    fiber norm, and ``l2[p]`` its measure-weighted L2 norm;
     ``doubled_one_sided`` is twice the one-sided prefix supremum, the
     estimate the proof uses (the prefixes include the block's start, so
     doubled_one_sided / 2 <= values <= doubled_one_sided; tandori-block in
     ``verify`` judges that bracket, this kernel only computes both sides);
-    ``bound`` is 8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).
+    ``bound`` is the plans' shared 8 * sqrt(sum_{n in block} |a_n|^2 log2^2 n).
     """
 
-    block_index: int
     lo: int
     hi: int
-    indicator_count: int
     values: np.ndarray
-    l2: float
+    l2: np.ndarray
     doubled_one_sided: np.ndarray
     bound: float
 
@@ -613,9 +613,9 @@ def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarra
 
 
 def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
-                       n: int | None = None) -> list[BlockOscillation]:
+                       n: int | None = None) -> BlockOscillation:
     """Oscillation diagnostics of block ``k`` for every rearrangement in
-    ``plans``, in plan order, in one pass.
+    ``plans`` in one pass, their arrays in plan order.
 
     Coefficients a_1 and a_2 are treated as zero (the usual normalization;
     the first block starts at index 3).  The exact per-atom diameter of the
@@ -623,9 +623,8 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
     largest direct-difference distance over the rows that can attain it
     (``_pointwise_diameters``).  The P plans' orders inside the block run
     through one ``_prefix_rows`` sweep as a (P, m) batch, and their
-    (plan, atom) pairs through one diameter stack; each plan's values have
-    the bits of a pass over that plan alone.  The bound is the plans' shared
-    8 * sqrt(block_mass).  Each plan's ``doubled_one_sided`` is returned
+    (plan, atom) pairs through one diameter stack; each plan's row has the
+    bits of a pass over that plan alone.  ``doubled_one_sided`` is returned
     unjudged, NaN and infinity included; tandori-block judges it.
     """
     a = _coeff_array(coeffs, system, n).copy()
@@ -660,19 +659,19 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
         values = _pointwise_diameters(prefixes, offsets)
         doubled = 2.0 * np.sqrt(_fiber_sq_norms(prefixes[:, 1:], offsets).max(axis=-2))
 
-    l2 = _weighted_l2(system.space.weights, values ** 2)
-    bound = 8.0 * math.sqrt(block_mass(a, lo, hi))
-    return [BlockOscillation(block_index=k, lo=lo, hi=hi, indicator_count=src.shape[1],
-                             values=values[p], l2=float(l2[p]),
-                             doubled_one_sided=doubled[p], bound=bound)
-            for p in range(len(plans))]
+    return BlockOscillation(lo=lo, hi=hi, values=values,
+                            l2=_weighted_l2(system.space.weights, values ** 2),
+                            doubled_one_sided=doubled,
+                            bound=8.0 * math.sqrt(block_mass(a, lo, hi)))
 
 
 def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
                   k: int, n: int | None = None) -> BlockOscillation:
     """Oscillation diagnostics of block ``k`` for one rearrangement: the
-    one-plan case of ``block_oscillations``."""
-    return block_oscillations(system, coeffs, [plan], k, n)[0]
+    row of ``block_oscillations`` for that plan alone."""
+    osc = block_oscillations(system, coeffs, [plan], k, n)
+    return replace(osc, values=osc.values[0], l2=float(osc.l2[0]),
+                   doubled_one_sided=osc.doubled_one_sided[0])
 
 
 class AdversarialStrategy(Enum):

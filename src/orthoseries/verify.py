@@ -60,7 +60,7 @@ from .coefficients import (ABSOLUTE_FLOOR, DEFAULT_SLACK, SequenceSpec, WeightSp
                            orlicz_conditions, orlicz_reduction, tandori_blocks)
 from .direct_integral import Field, OrthonormalSystem, gershgorin_bounds, gram_matrix
 from .errors import BudgetError, ContractError
-from .majorants import (AdversarialStrategy, BlockOscillation, MajorantProfile, PermutationPlan,
+from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
                         adversarial_permutation, all_orders_l2, block_oscillations,
                         chaining_diagnostics, complete_block_length,
                         dyadic_pointwise_bound, majorant, permuted_majorant, tandori_delta)
@@ -127,6 +127,8 @@ class TrialConfig:
     def __post_init__(self):
         if not self.system_specs:
             raise ContractError("at least one system spec is required")
+        if not self.checks:
+            raise ContractError("at least one check is required")
         if self.n_trials < 1:
             raise ContractError("n_trials must be >= 1")
         if self.seed < 0:
@@ -516,21 +518,13 @@ def tandori_threshold_arithmetic() -> list[dict]:
     return out
 
 
-def _bracket_holds(oscs: list[BlockOscillation]) -> list[bool]:
-    """Per plan of one block: whether doubled_one_sided / 2 <= values <=
-    doubled_one_sided at every atom, both halves by ``leq_with_slack`` at
-    DEFAULT_SLACK (a config's tolerances do not loosen it)."""
-    values = np.array([osc.values for osc in oscs])
-    doubled = np.array([osc.doubled_one_sided for osc in oscs])
-    return np.all(leq_with_slack(values, doubled) & leq_with_slack(0.5 * doubled, values),
-                  axis=1).tolist()
-
-
 def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
     """Blocked oscillation bound ||delta_k||_2 <= 8 (sum_{block} |a_n|^2 log2^2 n)^(1/2)
     under identity, seeded-shuffle, greedy, and block-reversal plans.  A
     (plan, block) record fails also where its diameters break the bracket
-    of ``_bracket_holds`` at some atom, and its case then names the bracket."""
+    one-sided <= diameter <= 2 x one-sided at some atom, both halves by
+    ``leq_with_slack`` at DEFAULT_SLACK (a config's tolerances do not loosen
+    it), and its case then names the bracket."""
     specs = [s for s in cfg.system_specs if s.n_functions >= 5]
     if not specs:
         raise ContractError("tandori block checks need at least one system with n >= 5")
@@ -544,14 +538,16 @@ def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
         # every plan of a block at once; the records keep plan-major order
         by_block = [block_oscillations(system, b, plans, k, n)
                     for k in range(tandori_blocks(n).k_max + 1)]
-        held = [_bracket_holds(oscs) for oscs in by_block]
+        held = [np.all(leq_with_slack(osc.values, osc.doubled_one_sided)
+                       & leq_with_slack(0.5 * osc.doubled_one_sided, osc.values), axis=1).tolist()
+                for osc in by_block]
         return _merge_worst([
-            _record(oscs[p].l2, oscs[p].bound, cfg.slack(Check.TANDORI_BLOCK),
+            _record(float(osc.l2[p]), osc.bound, cfg.slack(Check.TANDORI_BLOCK),
                     dict(case, plan=plan.describe(), block=k,
                          **({} if held[k][p] else
                             {"bracket": "one-sided <= diameter <= 2 x one-sided"})),
                     ok=held[k][p])
-            for p, plan in enumerate(plans) for k, oscs in enumerate(by_block)])
+            for p, plan in enumerate(plans) for k, osc in enumerate(by_block)])
 
     arithmetic = tandori_threshold_arithmetic()
     details = {
@@ -564,49 +560,34 @@ def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
                                       ok=all(row["ok"] for row in arithmetic))
 
 
-def exhaustive_permutation_check(system: OrthonormalSystem, coeffs, n: int,
-                                 slack: float = DEFAULT_SLACK) -> CheckResult:
-    """Assert the maximal inequality under every one of the n! rearrangements.
-
-    Records the permutation with the largest ratio (the empirical worst
-    rearrangement).  Refuses n > 8.  The n! orders, lexicographic, go
-    through ``all_orders_l2`` in chunks of max(1, PREFIX_BUDGET // (n * D))
-    orders, D the flat fiber dimension, so its prefix buffer holds about
-    ``PREFIX_BUDGET`` values at any n.
-    """
-    if n > 8:
-        raise ContractError("exhaustive permutation check limited to n <= 8")
-    b = np.asarray(coeffs)
-    rhs = (2.0 + math.log2(n)) * _coeff_norm(b[:n])
-    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                        dtype=np.int64, count=math.factorial(n) * n).reshape(-1, n)
-    lhs = all_orders_l2(system, b, perms)
-    # _merge_worst's rule over one record per order: highest rank, ties to
-    # the first order; every order shares rhs, so all pass iff the largest
-    # lhs does (np.max propagates NaN, which fails)
-    ranks = [_rank(_ratio(l2, rhs)) for l2 in lhs.tolist()]
-    worst = ranks.index(max(ranks))
-    return _result(Check.EXHAUSTIVE_PERM, [
-        _record(float(lhs[worst]), rhs, slack,
-                {"worst_permutation": (perms[worst] + 1).tolist(), "n": n},
-                ok=leq_with_slack(float(np.max(lhs)), rhs, slack))],
-        n_cases=len(perms))
-
-
 def check_exhaustive_perm(cfg: TrialConfig, systems: dict) -> tuple:
-    """Exhaustive rearrangement sweep on capped-size variants of each system kind."""
+    """Maximal inequality under every one of the n! rearrangements of
+    capped-size variants of each system kind, one trial per system: its
+    record is the order with the largest ratio (the empirical worst
+    rearrangement), and it passes iff every order does.  The n! orders,
+    lexicographic, are built once here; ``all_orders_l2`` sweeps them in
+    chunks whose prefix buffer holds about ``PREFIX_BUDGET`` values at any n."""
     n = cfg.exhaustive_n
     specs = [replace(spec, n_functions=n, resolution=None) for spec in cfg.system_specs]
     systems = _make_systems(specs, systems)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int64, count=math.factorial(n) * n).reshape(-1, n)
+    slack = cfg.slack(Check.EXHAUSTIVE_PERM)
 
     def one(i: int) -> dict:
         system, rng, case = _trial(cfg, Check.EXHAUSTIVE_PERM, i, systems, specs)
         del case["n"]
         b = _draw_coefficients(cfg, rng, n, system.fibers.field)
-        res = exhaustive_permutation_check(system, b, n,
-                                           slack=cfg.slack(Check.EXHAUSTIVE_PERM))
-        case["worst_permutation"] = res.worst_case["worst_permutation"]
-        return {"ratio": res.worst_ratio, "ok": res.passed, "case": case}
+        rhs = (2.0 + math.log2(n)) * _coeff_norm(b)
+        lhs = all_orders_l2(system, b, perms)
+        # _merge_worst's rule over one record per order: highest rank, ties to
+        # the first order; every order shares rhs, so all pass iff the largest
+        # lhs does (np.max propagates NaN, which fails)
+        ranks = [_rank(_ratio(l2, rhs)) for l2 in lhs.tolist()]
+        worst = ranks.index(max(ranks))
+        case["worst_permutation"] = (perms[worst] + 1).tolist()
+        return _record(float(lhs[worst]), rhs, slack, case,
+                       ok=leq_with_slack(float(np.max(lhs)), rhs, slack))
 
     # every system counts its n! permutations as cases
     return len(specs), one, _finish(Check.EXHAUSTIVE_PERM,

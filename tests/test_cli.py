@@ -345,6 +345,31 @@ def test_missing_file_exit_2(tmp_path):
                  "--coeffs", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d: ["verify", "--config", str(d)],
+    lambda d: ["majorant", "--system", str(d), "--coeffs", "1"],
+    lambda d: ["decompose", "5", "3", "--out", str(d)],
+], ids=["verify-config", "majorant-system", "decompose-out"])
+def test_directory_path_exit_2(tmp_path, capsys, argv):
+    # an OSError other than a missing file (a directory given as a file)
+    # exits 2 with one error: line, not a traceback
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: _config(t, {"checks": []}),
+    lambda t: ["verify", "--check", " , "],
+], ids=["config", "flag"])
+def test_verify_no_checks_exit_2(tmp_path, capsys, argv):
+    # a suite of no checks would pass vacuously; it is refused
+    out = tmp_path / "r.json"
+    assert main(argv(tmp_path) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: at least one check is required\n"
+    assert not out.exists()
+
+
 def test_out_of_range_decompose_exit_2():
     assert main(["decompose", "9", "3"]) == 2
 

@@ -613,13 +613,15 @@ class TestPrefixSweep:
                      + [adversarial_permutation(system, b, n, strategy)
                         for strategy in AdversarialStrategy])
             for k in range(tandori_blocks(n).k_max + 1):
-                oscs = mj.block_oscillations(system, b, plans, k, n)
-                assert len(oscs) == 5
-                for plan, osc in zip(plans, oscs):
+                osc = mj.block_oscillations(system, b, plans, k, n)
+                atoms = system.fibers.offsets.size - 1
+                assert osc.values.shape == osc.doubled_one_sided.shape == (5, atoms)
+                assert osc.l2.shape == (5,)
+                for p, plan in enumerate(plans):
                     values, doubled, l2 = per_term_delta(system, b, plan, k, n)
-                    assert np.array_equal(osc.values, values)
-                    assert np.array_equal(osc.doubled_one_sided, doubled)
-                    assert osc.l2 == l2
+                    assert np.array_equal(osc.values[p], values)
+                    assert np.array_equal(osc.doubled_one_sided[p], doubled)
+                    assert osc.l2[p] == l2
 
     @pytest.mark.parametrize("dims,field", [([1] * 12, Field.REAL), ([2, 2, 2], Field.REAL),
                                             ([1] * 4, Field.COMPLEX)],
@@ -765,7 +767,7 @@ class TestTandoriDelta:
         assert osc.l2 == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert osc.bound == pytest.approx(20.415062876129102, rel=1e-14)
         assert osc.l2 <= osc.bound
-        assert osc.indicator_count == 2
+        assert (osc.lo, osc.hi) == (3, 4)
 
     def test_first_coefficients_are_normalized_away(self):
         # a_1, a_2 never enter any block
@@ -831,15 +833,15 @@ class TestTandoriDelta:
         honest = mj.block_oscillations(system, b, plans, 1)
         monkeypatch.setattr(mj, "_pointwise_diameters", inflate_third)
         batch = mj.block_oscillations(system, b, plans, 1)
-        for p, (osc, ref) in enumerate(zip(batch, honest)):
-            np.testing.assert_array_equal(osc.doubled_one_sided, ref.doubled_one_sided)
-            want = 3.0 * ref.values + 1.0 if p == 2 else ref.values
-            np.testing.assert_array_equal(osc.values, want)
-        assert np.all(batch[2].values > batch[2].doubled_one_sided)
+        np.testing.assert_array_equal(batch.doubled_one_sided, honest.doubled_one_sided)
+        want = honest.values.copy()
+        want[2] = 3.0 * want[2] + 1.0
+        np.testing.assert_array_equal(batch.values, want)
+        assert np.all(batch.values[2] > batch.doubled_one_sided[2])
         monkeypatch.setattr(mj, "_pointwise_diameters",
                             lambda prefixes, offsets: 3.0 * real(prefixes, offsets) + 1.0)
         osc = tandori_delta(system, b, plans[0], 1)
-        np.testing.assert_array_equal(osc.values, 3.0 * honest[0].values + 1.0)
+        np.testing.assert_array_equal(osc.values, 3.0 * honest.values[0] + 1.0)
 
 
 def walk(gen, m, dims, step=None):

@@ -15,8 +15,7 @@ import pytest
 
 from orthoseries import direct_integral, majorants, verify
 from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
-                         SystemKind, SystemSpec, TrialConfig,
-                         exhaustive_permutation_check, generate, majorant,
+                         SystemKind, SystemSpec, TrialConfig, generate, majorant,
                          oracle_majorant, run_suite)
 from orthoseries.direct_integral import Field, OrthonormalSystem, gram_matrix
 from orthoseries.majorants import PermutationPlan, all_orders_l2
@@ -157,9 +156,9 @@ class TestTandoriBlockCheck:
         real = verify.block_oscillations
 
         def nan_on_greedy_block_1(system, coeffs, plans, k, n=None):
-            return [replace(osc, l2=math.nan)
-                    if plan.describe() == "greedy-adversarial" and k == 1 else osc
-                    for plan, osc in zip(plans, real(system, coeffs, plans, k, n))]
+            osc = real(system, coeffs, plans, k, n)
+            greedy = [plan.describe() == "greedy-adversarial" and k == 1 for plan in plans]
+            return replace(osc, l2=np.where(greedy, math.nan, osc.l2))
 
         monkeypatch.setattr(verify, "block_oscillations", nan_on_greedy_block_1)
         res = run_check(small_config(checks={Check.TANDORI_BLOCK}, n_trials=4), Check.TANDORI_BLOCK)
@@ -202,8 +201,7 @@ class TestTandoriBlockCheck:
         # each half of the bracket kills its own mutant on default.json:
         # exit 1 with a written report, not a traceback
         real = verify.block_oscillations
-        monkeypatch.setattr(verify, "block_oscillations",
-                            lambda *args: [mutate(osc) for osc in real(*args)])
+        monkeypatch.setattr(verify, "block_oscillations", lambda *args: mutate(real(*args)))
         out = tmp_path / "report.json"
         assert cli_main(["verify", "--config", str(SRC.parent / "default.json"), "--seed", "1",
                          "--check", "tandori-block", "--out", str(out)]) == 1
@@ -224,49 +222,70 @@ class TestTandoriBlockCheck:
         assert k1["rhs"] == 16.0
 
 
+def exhaustive(spec, b=None, **kw):
+    """exhaustive-perm's result on the one system ``spec``, over every order
+    of its n functions, its coefficients pinned to ``b`` (by default drawn)."""
+    cfg = TrialConfig(system_specs=(spec,), checks={Check.EXHAUSTIVE_PERM},
+                      exhaustive_n=spec.n_functions,
+                      coeff_spec=None if b is None else SequenceSpec.from_values(b), **kw)
+    return run_plan(verify.check_exhaustive_perm, cfg, {})
+
+
 class TestExhaustivePermutations:
     def test_two_function_example(self):
-        _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 2))
-        res = exhaustive_permutation_check(system, np.array([3.0, 4.0]), 2)
+        res = exhaustive(SystemSpec(SystemKind.STANDARD_BASIS, 2), [3.0, 4.0])
         assert res.passed
         assert res.n_cases == 2
         assert res.worst_ratio == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_single_function(self):
-        _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 1))
-        res = exhaustive_permutation_check(system, np.array([2.0]), 1)
+        res = exhaustive(SystemSpec(SystemKind.STANDARD_BASIS, 1), [2.0])
         assert res.passed
         assert res.n_cases == 1
 
     def test_six_function_rademacher(self):
-        _, _, system = generate(SystemSpec(SystemKind.RADEMACHER, 6))
-        b = 1.0 / np.arange(1, 7)
-        res = exhaustive_permutation_check(system, b, 6)
+        res = exhaustive(SystemSpec(SystemKind.RADEMACHER, 6), 1.0 / np.arange(1, 7))
         assert res.passed
         assert res.n_cases == 720
         assert len(res.worst_case["worst_permutation"]) == 6
 
     def test_eight_function_haar(self):
         # n = 8, the largest exhaustive size: 40,320 orders in one batched sweep
-        _, _, system = generate(SystemSpec(SystemKind.HAAR, 8))
-        res = exhaustive_permutation_check(system, 1.0 / np.arange(1, 9), 8)
+        res = exhaustive(SystemSpec(SystemKind.HAAR, 8), 1.0 / np.arange(1, 9))
         assert res.passed
         assert res.n_cases == 40320
         assert sorted(res.worst_case["worst_permutation"]) == list(range(1, 9))
         assert 0 < res.worst_ratio < 1
 
-    def test_nan_coefficients_fail(self):
-        _, _, system = generate(SystemSpec(SystemKind.HAAR, 6))
-        res = exhaustive_permutation_check(system, np.full(6, np.nan), 6)
+    def test_nan_sweep_fails(self, monkeypatch):
+        # a config refuses NaN coefficients, so the sweep itself returns NaN:
+        # the trial fails with a NaN ratio at the first order
+        monkeypatch.setattr(verify, "all_orders_l2",
+                            lambda system, coeffs, orders: np.full(len(orders), np.nan))
+        res = exhaustive(SystemSpec(SystemKind.HAAR, 6), np.ones(6))
         assert not res.passed
         assert math.isnan(res.worst_ratio)
         assert res.n_cases == 720
         assert res.worst_case["worst_permutation"] == [1, 2, 3, 4, 5, 6]
 
     def test_size_cap(self):
-        _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 9))
         with pytest.raises(ContractError):
-            exhaustive_permutation_check(system, np.ones(9), 9)
+            exhaustive(SystemSpec(SystemKind.STANDARD_BASIS, 9), np.ones(9))
+
+    def test_orders_built_once_per_setup(self, monkeypatch):
+        # every trial sweeps the one lexicographic order array of the setup
+        real, seen = verify.all_orders_l2, []
+
+        def sweep(system, coeffs, orders):
+            seen.append(orders)
+            return real(system, coeffs, orders)
+
+        monkeypatch.setattr(verify, "all_orders_l2", sweep)
+        cfg = small_config(checks={Check.EXHAUSTIVE_PERM}, exhaustive_n=4)
+        res = run_plan(verify.check_exhaustive_perm, cfg, {})
+        assert res.passed and res.n_cases == 2 * 24
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].tolist() == [list(p) for p in itertools.permutations(range(4))]
 
     @pytest.mark.parametrize("spec", [
         SystemSpec(SystemKind.HAAR, 6),
@@ -275,27 +294,38 @@ class TestExhaustivePermutations:
     ], ids=lambda spec: spec.describe())
     @pytest.mark.parametrize("coeffs", [
         "nan", "zero", "tied", "1e-160", "1e308", "one-nan", "drawn"])
-    def test_matches_per_record_loop(self, spec, coeffs):
-        # the check picks its worst order from arrays; the reference builds
-        # one record per order and merges them by the suite's rule
-        _, _, system = generate(spec)
-        n = len(system)
-        b = {"nan": np.full(n, np.nan), "zero": np.zeros(n), "tied": np.ones(n),
-             "1e-160": np.full(n, 1e-160), "1e308": np.full(n, 1e308),
-             "one-nan": np.r_[np.ones(n - 1), np.nan],
-             "drawn": rng(n).standard_normal(n)}[coeffs]
+    def test_matches_per_record_loop(self, spec, coeffs, monkeypatch):
+        # the claim picks its worst order from arrays; the reference builds
+        # one record per order of the same sweep and merges them by the
+        # suite's rule.  A config refuses NaN coefficients, so "nan" and
+        # "one-nan" put NaN into the sweep's output instead: every order's,
+        # or that of the orders starting with the last index
+        n = spec.n_functions
+        b = {"zero": np.zeros(n), "tied": np.ones(n), "1e-160": np.full(n, 1e-160),
+             "1e308": np.full(n, 1e308), "drawn": rng(n).standard_normal(n)}.get(coeffs, np.ones(n))
+        real, seen = verify.all_orders_l2, []
+
+        def sweep(system, coeffs_, orders):
+            lhs = real(system, coeffs_, orders)
+            if coeffs == "nan":
+                lhs[:] = np.nan
+            elif coeffs == "one-nan":
+                lhs[orders[:, 0] == n - 1] = np.nan
+            seen.append((orders, lhs))
+            return lhs
+
+        monkeypatch.setattr(verify, "all_orders_l2", sweep)
         slack = 1e-12
-        perms = list(itertools.permutations(range(1, n + 1)))
         with np.errstate(all="ignore"):
+            res = exhaustive(spec, b, tolerances={Check.EXHAUSTIVE_PERM: slack})
             rhs = (2.0 + math.log2(n)) * math.sqrt(float(np.sum(np.abs(b) ** 2)))
-            lhs = all_orders_l2(system, b, np.array(perms) - 1)
-            res = exhaustive_permutation_check(system, b, n, slack=slack)
+        [(orders, lhs)] = seen
         worst = verify._merge_worst([
-            verify._record(l2, rhs, slack, {"worst_permutation": list(perm), "n": n})
-            for perm, l2 in zip(perms, lhs.tolist())])
+            verify._record(l2, rhs, slack, {"worst_permutation": (order + 1).tolist()})
+            for order, l2 in zip(orders, lhs.tolist())])
         assert res.passed == worst["ok"]
-        assert res.n_cases == len(perms)
-        assert res.worst_case == worst["case"]
+        assert res.n_cases == len(orders) == math.factorial(n)
+        assert res.worst_case["worst_permutation"] == worst["case"]["worst_permutation"]
         assert (math.isnan(res.worst_ratio) and math.isnan(worst["ratio"])
                 or res.worst_ratio == worst["ratio"])
         if coeffs == "zero" or coeffs == "tied" and spec.kind is SystemKind.STANDARD_BASIS:
@@ -466,12 +496,10 @@ class TestWorstCase:
 
 
 class TestRunSuite:
-    def test_empty_checks_pass(self):
-        cfg = small_config(checks=frozenset())
-        rep = run_suite(cfg)
-        assert rep.all_passed
-        assert rep.results == {}
-        assert rep.exit_code == 0
+    def test_empty_checks_refused(self):
+        # a suite of no checks would pass vacuously
+        with pytest.raises(ContractError, match="at least one check"):
+            small_config(checks=frozenset())
 
     @pytest.mark.parametrize("cfg", [
         default_config(seed=1),
