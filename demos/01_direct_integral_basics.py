@@ -9,8 +9,8 @@ Gram matrix with its spectral (Riesz) bounds.
 import numpy as np
 
 from orthoseries import (DirectIntegralElement, Field, HilbertCollection,
-                         MeasureSpace, gram_matrix, inner_product, norm,
-                         validate_ons)
+                         MeasureSpace, OrthonormalSystem, gram_matrix,
+                         inner_product, norm, validate_ons)
 
 print("=== a three-atom space with fibers R^1, R^2, R^3 ===")
 space = MeasureSpace(weights=np.array([2.0, 0.5, 1.0]))
@@ -31,11 +31,14 @@ space2 = MeasureSpace(weights=np.ones(2))
 fibers2 = HilbertCollection(dims=np.ones(2, dtype=int))
 phi1 = DirectIntegralElement.from_blocks([[1.0], [0.0]])
 phi2 = DirectIntegralElement.from_blocks([[c], [c]])
-report = gram_matrix([phi1, phi2], space2, fibers2)
+# a system carries its own space and fibers, so the Gram matrix and the
+# orthonormality test read the measure from it
+pair = OrthonormalSystem.from_elements(space2, fibers2, [phi1, phi2])
+report = gram_matrix(pair)
 print("gram:\n", report.gram)
 print("riesz bounds:", (report.riesz_lower, report.riesz_upper),
       " (unit vectors, but not orthogonal)")
-ok, _ = validate_ons([phi1, phi2], space2, fibers2, tol=1e-10)
+ok, _ = validate_ons(pair, tol=1e-10)
 print("orthonormal at tol 1e-10?", ok)
 
 print("\n=== complex fibers conjugate in the second slot ===")

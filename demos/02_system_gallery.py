@@ -8,7 +8,7 @@ the seeded kind).
 
 import numpy as np
 
-from orthoseries import Field, SystemKind, SystemSpec, generate
+from orthoseries import Field, SystemKind, SystemSpec, generate, validate_ons
 
 SPECS = [
     SystemSpec(SystemKind.STANDARD_BASIS, 6),
@@ -23,7 +23,7 @@ SPECS = [
 
 for spec in SPECS:
     space, fibers, system = generate(spec)
-    ok, report = system.validate(1e-10)
+    ok, report = validate_ons(system, 1e-10)
     dims = sorted(set(int(d) for d in fibers.dims))
     print(f"{spec.describe():42s} atoms={space.n_atoms:4d} fiber dims={dims} "
           f"orthonormal={ok} max|G-I|={max(report.max_offdiag_abs, report.max_diag_dev):.2e}")

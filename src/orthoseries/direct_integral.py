@@ -216,16 +216,16 @@ def inner_product(f: DirectIntegralElement, g: DirectIntegralElement,
 def norm(f: DirectIntegralElement, space: MeasureSpace, fibers: HilbertCollection) -> float:
     f.conform(space, fibers)
     w = expanded_weights(space, fibers)
-    sq = np.sum(w * np.abs(f.values) ** 2)
-    return float(np.sqrt(sq.real if np.iscomplexobj(sq) else sq))
+    return float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
 
 
 class OrthonormalSystem:
     """An ordered finite system of direct-integral elements, stored as a matrix.
 
     Row ``n`` holds the flat coordinates of the n-th function.  The class
-    does not assume orthonormality; ``validate`` checks it against the
-    Gram matrix.  Systems are immutable after construction.
+    does not assume orthonormality; ``validate_ons`` checks it against the
+    Gram matrix under the system's own space and fibers.  Systems are
+    immutable after construction.
     """
 
     def __init__(self, space: MeasureSpace, fibers: HilbertCollection, values: np.ndarray):
@@ -244,7 +244,6 @@ class OrthonormalSystem:
         self.space = space
         self.fibers = fibers
         self.values = _readonly(values.astype(fibers.field.dtype, copy=False))
-        self._wflat = _readonly(expanded_weights(space, fibers))
 
     @classmethod
     def from_elements(cls, space: MeasureSpace, fibers: HilbertCollection,
@@ -261,16 +260,6 @@ class OrthonormalSystem:
 
     def __getitem__(self, n: int) -> DirectIntegralElement:
         return DirectIntegralElement(values=self.values[n], offsets=self.fibers.offsets)
-
-    @property
-    def expanded_weights(self) -> np.ndarray:
-        return self._wflat
-
-    def gram(self) -> GramReport:
-        return gram_matrix(self, self.space, self.fibers)
-
-    def validate(self, tol: float = 1e-10) -> tuple[bool, GramReport]:
-        return validate_ons(self, self.space, self.fibers, tol)
 
 
 def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,14 +284,10 @@ def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return G, herm, radii
 
 
-def gram_matrix(system, space: MeasureSpace, fibers: HilbertCollection) -> GramReport:
-    """Gram matrix G[m, n] = <phi_m, phi_n> with its extreme eigenvalues (eigvalsh's).
-
-    ``system`` is an OrthonormalSystem or any iterable of elements.
-    """
-    if not isinstance(system, OrthonormalSystem):
-        system = OrthonormalSystem.from_elements(space, fibers, system)
-    G, herm, _ = _hermitian_gram(system.values, expanded_weights(space, fibers))
+def gram_matrix(system: OrthonormalSystem) -> GramReport:
+    """Gram matrix G[m, n] = <phi_m, phi_n> under the system's own space and
+    fibers, with its extreme eigenvalues (eigvalsh's)."""
+    G, herm, _ = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
     n = G.shape[0]
     diag = np.real(np.diagonal(G))
     # the entries of |G - diag(G)|: |G| off the diagonal, |G_ii - G_ii| on it
@@ -320,7 +305,7 @@ def gershgorin_bounds(system: OrthonormalSystem) -> tuple[float, float]:
     """Gershgorin bounds (min_i H_ii - r_i, max_i H_ii + r_i) on the spectrum of
     the Gram matrix's Hermitian part H, r_i = sum_{j != i} |H_ij| (1 + n 2^-53),
     ends with r_i > 0 rounded outward by one ulp.  O(n^2); NaN in H gives NaN."""
-    _, herm, r = _hermitian_gram(system.values, system.expanded_weights)
+    _, herm, r = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
     diag = np.real(np.diagonal(herm))
     r *= 1.0 + len(diag) * 2.0 ** -53
     lower, upper = diag - r, diag + r
@@ -329,11 +314,10 @@ def gershgorin_bounds(system: OrthonormalSystem) -> tuple[float, float]:
     return float(np.min(lower)), float(np.max(upper))
 
 
-def validate_ons(system, space: MeasureSpace, fibers: HilbertCollection,
-                 tol: float) -> tuple[bool, GramReport]:
+def validate_ons(system: OrthonormalSystem, tol: float = 1e-10) -> tuple[bool, GramReport]:
     """True iff max |G - I| <= tol; the report is returned either way."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    report = gram_matrix(system, space, fibers)
+    report = gram_matrix(system)
     ok = max(report.max_offdiag_abs, report.max_diag_dev) <= tol
     return ok, report

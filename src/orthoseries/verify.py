@@ -11,7 +11,8 @@ to the earliest trial, then to plan/block or permutation order; its seed
 path and spec are the reproducer.  A broken invariant of a kernel's output
 is a failed case of its check too, never an exception: tandori-block holds
 each block's diameter to one-sided <= diameter <= 2 x one-sided at every
-atom, by the same slack rule at the default slack.
+atom, by the same slack rule at the default slack, and riesz-ratio fails
+every trial on a system whose Gram matrix G0 is not Hermitian.
 riesz-ratio asserts the Menshov-Rademacher bound scaled by an upper Riesz
 bound B of a system mixed by a seeded matrix M with singular values in
 [1, riesz_condition]: ||S_N*||_2 <= sqrt(B) (2 + log2 N) ||b||_2, where
@@ -58,8 +59,9 @@ import numpy as np
 from .coefficients import (ABSOLUTE_FLOOR, DEFAULT_SLACK, SequenceSpec, WeightSpec,
                            condensation_chain, leq_with_slack,
                            orlicz_conditions, orlicz_reduction, tandori_blocks)
-from .direct_integral import Field, OrthonormalSystem, gershgorin_bounds, gram_matrix
-from .errors import BudgetError, ContractError
+from .direct_integral import (GRAM_HERMITIAN_TOL, Field, OrthonormalSystem, gershgorin_bounds,
+                              gram_matrix)
+from .errors import BudgetError, ContractError, StructuralError
 from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
                         adversarial_permutation, all_orders_l2, block_oscillations,
                         chaining_diagnostics, complete_block_length,
@@ -667,15 +669,24 @@ def check_riesz_ratio(cfg: TrialConfig, systems: dict) -> tuple:
     reported Riesz bounds are those ends, G0's eigenvalues bounded by
     ``gershgorin_bounds`` once per system before the trials, widened by
     MIX_MARGIN.  A lower Riesz bound <= 1e-6 or NaN (a numerically singular
-    mix, or discs of G0 that reach 0) fails the trial."""
+    mix, or discs of G0 that reach 0) fails the trial.  verify generated
+    every system itself, so a G0 that is not Hermitian is a kernel defect,
+    not malformed input: each trial on that system is a failed case (NaN
+    ratio) that names the invariant."""
     systems = _make_systems(cfg.system_specs, systems)
     bounds = {}
     for spec in cfg.system_specs[:cfg.n_trials]:
         if (system := systems[spec]) not in bounds:
-            bounds[system] = gershgorin_bounds(system)
+            try:
+                bounds[system] = gershgorin_bounds(system)
+            except StructuralError:
+                bounds[system] = None
 
     def one(t: int) -> dict:
         system, rng, case = _trial(cfg, Check.RIESZ_RATIO, t, systems)
+        if bounds[system] is None:
+            case["invariant"] = f"G0 Hermitian to {GRAM_HERMITIAN_TOL:g}"
+            return _record(math.nan, math.nan, 0.0, case, ok=False)
         n = len(system)
         values, s = _conditioned_mix(rng, system.values, cfg.riesz_condition)
         mixed = OrthonormalSystem(system.space, system.fibers, values)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from orthoseries import (Field, HilbertCollection, MeasureSpace,
+from orthoseries import (Field, HilbertCollection, MeasureSpace, OrthonormalSystem,
                          SystemKind, SystemSpec, generate, run_suite, verify)
 
 
@@ -31,6 +31,16 @@ def run_plan(setup, cfg, systems):
 def std3():
     """Standard basis on 3 atoms, counting measure."""
     return generate(SystemSpec(SystemKind.STANDARD_BASIS, 3))
+
+
+def non_hermitian_gram_system():
+    """Two functions on one atom of mass 0.3 whose Gram matrix is not
+    Hermitian to 1e-12: G[0, 1] = (a w) b and G[1, 0] = (b w) a round 1.9e-6
+    apart for a = 1e6/3, b = 1e6/7 (one product per entry, so no summation
+    order enters)."""
+    return OrthonormalSystem(MeasureSpace(weights=np.array([0.3])),
+                             HilbertCollection(dims=np.array([1])),
+                             np.array([[1e6 / 3], [1e6 / 7]]))
 
 
 def random_space(gen, max_atoms=6, max_dim=3, complex_field=False):

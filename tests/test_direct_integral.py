@@ -11,10 +11,10 @@ from orthoseries import (DirectIntegralElement, Field, HilbertCollection,
                          MeasureSpace, OrthonormalSystem, StructuralError,
                          SystemKind, SystemSpec, generate, gram_matrix,
                          inner_product, norm, validate_ons)
-from orthoseries.direct_integral import gershgorin_bounds
+from orthoseries.direct_integral import expanded_weights, gershgorin_bounds
 from orthoseries.verify import _conditioned_mix, default_config
 
-from conftest import random_element, random_space, rng
+from conftest import non_hermitian_gram_system, random_element, random_space, rng
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -131,15 +131,15 @@ class TestNorm:
 
 class TestGram:
     def test_standard_basis_identity(self, std3):
-        space, fibers, system = std3
-        rep = gram_matrix(system, space, fibers)
+        _, _, system = std3
+        rep = gram_matrix(system)
         assert np.array_equal(rep.gram, np.eye(3))
         assert rep.riesz_lower == pytest.approx(1.0, abs=1e-12)
         assert rep.riesz_upper == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_single_vector(self):
         space, fibers = pair([1.0], [1])
-        rep = gram_matrix([element([[2.0]])], space, fibers)
+        rep = gram_matrix(OrthonormalSystem.from_elements(space, fibers, [element([[2.0]])]))
         assert rep.gram[0][0] == 4.0
         assert rep.riesz_lower == pytest.approx(4.0, abs=1e-12)
         assert rep.riesz_upper == pytest.approx(4.0, abs=1e-12)
@@ -150,7 +150,7 @@ class TestGram:
         c = 1.0 / math.sqrt(2.0)
         phi1 = element([[1.0], [0.0]])
         phi2 = element([[c], [c]])
-        rep = gram_matrix([phi1, phi2], space, fibers)
+        rep = gram_matrix(OrthonormalSystem.from_elements(space, fibers, [phi1, phi2]))
         assert rep.gram[0][1] == pytest.approx(c, rel=1e-15)
         assert rep.riesz_lower == pytest.approx(1.0 - c, rel=1e-12)
         assert rep.riesz_upper == pytest.approx(1.0 + c, rel=1e-12)
@@ -158,13 +158,13 @@ class TestGram:
     def test_empty_system_rejected(self):
         space, fibers = pair([1.0], [1])
         with pytest.raises(StructuralError):
-            gram_matrix([], space, fibers)
+            OrthonormalSystem.from_elements(space, fibers, [])
 
     def test_large_system_bounds_reproducible(self):
         # the dense eigendecomposition runs at every size, including n = 600
         spec = SystemSpec(SystemKind.STANDARD_BASIS, 600)
         space, fibers, system = generate(spec)
-        rep = gram_matrix(system, space, fibers)
+        rep = gram_matrix(system)
         assert rep.riesz_lower == pytest.approx(1.0, abs=1e-9)
         assert rep.riesz_upper == pytest.approx(1.0, abs=1e-9)
         # a mixed system with singular values in [1, 4] has Gram spectrum in
@@ -172,7 +172,7 @@ class TestGram:
         space, fibers, system = generate(SystemSpec(SystemKind.VARYING_DIM, 600))
         values, _ = _conditioned_mix(rng(600), system.values, 4.0)
         mixed = OrthonormalSystem(space, fibers, values)
-        first, second = (gram_matrix(mixed, space, fibers) for _ in range(2))
+        first, second = (gram_matrix(mixed) for _ in range(2))
         assert first.riesz_lower == second.riesz_lower
         assert first.riesz_upper == second.riesz_upper
         assert first.riesz_lower == pytest.approx(1.0, abs=1e-9)
@@ -187,10 +187,10 @@ class TestGram:
                                   _conditioned_mix(rng(601), system.values, 4.0)[0])
         for ons in (system, mixed):
             V = ons.values
-            G = (V * ons.expanded_weights) @ V.conj().T
+            G = (V * expanded_weights(space, fibers)) @ V.conj().T
             eig = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
             off = G - np.diag(np.diagonal(G))
-            rep = gram_matrix(ons, space, fibers)
+            rep = gram_matrix(ons)
             assert np.array_equal(rep.gram, G)
             assert rep.max_offdiag_abs == (float(np.max(np.abs(off))) if len(ons) > 1 else 0.0)
             assert rep.max_diag_dev == float(np.max(np.abs(np.real(np.diagonal(G)) - 1.0)))
@@ -201,7 +201,7 @@ class TestGram:
         code = ("import sys\n"
                 "from orthoseries import SystemKind, SystemSpec, generate, gram_matrix\n"
                 "space, fibers, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 600))\n"
-                "gram_matrix(system, space, fibers)\n"
+                "gram_matrix(system)\n"
                 "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -223,7 +223,7 @@ class TestGershgorinBounds:
         mixed = OrthonormalSystem(space, fibers,
                                   _conditioned_mix(rng(602), system.values, 4.0)[0])
         for ons in (system, mixed):
-            G = gram_matrix(ons, space, fibers).gram
+            G = gram_matrix(ons).gram
             shifted = np.linalg.eigvalsh(0.5 * (G + G.conj().T) - np.eye(len(ons)))
             lower, upper = gershgorin_bounds(ons)
             assert lower - 1.0 <= shifted[0] and shifted[-1] <= upper - 1.0
@@ -248,32 +248,53 @@ class TestGershgorinBounds:
             lower, upper = gershgorin_bounds(ons)
         assert math.isnan(lower) and math.isnan(upper)
 
+    def test_non_hermitian_gram_raises(self):
+        # a direct caller's system is input: both Gram paths refuse it
+        system = non_hermitian_gram_system()
+        for gram in (gram_matrix, gershgorin_bounds):
+            with pytest.raises(StructuralError, match="not Hermitian"):
+                gram(system)
+
 
 class TestValidateOns:
     def test_exact_basis(self, std3):
-        space, fibers, system = std3
-        ok, rep = validate_ons(system, space, fibers, tol=1e-12)
+        _, _, system = std3
+        ok, rep = validate_ons(system, tol=1e-12)
         assert ok
         assert rep.max_offdiag_abs == 0.0
 
     def test_oblique_pair_fails(self):
         space, fibers = pair([1.0, 1.0], [1, 1])
         c = 1.0 / math.sqrt(2.0)
-        ok, rep = validate_ons([element([[1.0], [0.0]]), element([[c], [c]])],
-                               space, fibers, tol=1e-12)
+        system = OrthonormalSystem.from_elements(
+            space, fibers, [element([[1.0], [0.0]]), element([[c], [c]])])
+        ok, rep = validate_ons(system, tol=1e-12)
         assert not ok
         assert rep.max_offdiag_abs == pytest.approx(c, rel=1e-15)
 
     def test_random_qr_system(self):
-        space, fibers, system = generate(
+        _, _, system = generate(
             SystemSpec(SystemKind.RANDOM_QR, 8, resolution=16, fiber_dim=2, seed=42))
-        ok, _ = validate_ons(system, space, fibers, tol=1e-10)
+        ok, _ = validate_ons(system, tol=1e-10)
         assert ok
 
+    def test_reads_the_systems_own_measure(self):
+        # Haar n=4 is orthonormal under its own uniform weights; the same rows
+        # under the weights (1, 0, 0, 0) are not, and their Gram matrix is
+        # that measure's
+        space, fibers, system = generate(SystemSpec(SystemKind.HAAR, 4))
+        assert validate_ons(system)[0]
+        point = OrthonormalSystem(MeasureSpace(weights=np.array([1.0, 0.0, 0.0, 0.0])),
+                                  fibers, system.values)
+        ok, rep = validate_ons(point)
+        assert not ok
+        first = system.values[:, 0]
+        assert np.array_equal(rep.gram, np.outer(first, first))
+
     def test_bad_tolerance(self, std3):
-        space, fibers, system = std3
+        _, _, system = std3
         with pytest.raises(ValueError):
-            validate_ons(system, space, fibers, tol=0.0)
+            validate_ons(system, tol=0.0)
 
 
 class TestParseval:
@@ -301,8 +322,8 @@ class TestRieszBoundsOfValidatedSystems:
         for trial in range(10):
             spec = SystemSpec(SystemKind.RANDOM_QR, 12, resolution=6,
                               fiber_dim=3, seed=trial)
-            space, fibers, system = generate(spec)
-            ok, rep = validate_ons(system, space, fibers, tol=1e-10)
+            _, _, system = generate(spec)
+            ok, rep = validate_ons(system, tol=1e-10)
             assert ok
             assert abs(rep.riesz_lower - 1.0) <= 1e-9
             assert abs(rep.riesz_upper - 1.0) <= 1e-9

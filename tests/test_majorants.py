@@ -15,7 +15,8 @@ from orthoseries import (AdversarialStrategy, ContractError, Field,
                          chaining_diagnostics, dyadic_decomposition,
                          dyadic_pointwise_bound, generate, majorant,
                          permuted_majorant, prefix_sum, tandori_blocks,
-                         tandori_delta)
+                         tandori_delta, validate_ons)
+from orthoseries.direct_integral import expanded_weights
 from orthoseries.majorants import complete_block_form
 from orthoseries.summation import compensated_sum
 from orthoseries.verify import default_config
@@ -115,7 +116,7 @@ def per_step_greedy(system, coeffs, n):
     a = np.asarray(coeffs, dtype=system.values.dtype)
     V = system.values[:n]
     Vc = np.conj(V) if V.dtype.kind == "c" else V
-    w = system.expanded_weights
+    w = expanded_weights(system.space, system.fibers)
     fn_sq = np.real(np.sum(w * np.abs(V) ** 2, axis=1))
     mask = np.ones(n, dtype=bool)
     v = np.zeros(V.shape[1], dtype=V.dtype)
@@ -336,7 +337,7 @@ class TestMajorant:
         space = MeasureSpace(weights=np.array([1.0, 0.0]))
         fibers = HilbertCollection(dims=np.array([1, 1]))
         system = OrthonormalSystem(space, fibers, np.array([[1.0, 5.0]]))
-        assert system.validate(1e-12)[0]
+        assert validate_ons(system, 1e-12)[0]
         prof = majorant(system, [2.0])
         assert list(prof.values) == [2.0, 10.0]
         assert prof.l2_norm == 2.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orthoseries import (ContractError, Field, SystemKind, SystemSpec,
-                         generate, validate_ons)
+                         generate, gram_matrix, validate_ons)
 
 
 ALL_KINDS = list(SystemKind)
@@ -21,7 +21,7 @@ def spec_for(kind, n, **kw):
 def test_standard_basis_is_identity():
     space, fibers, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 3))
     assert space.n_atoms == 3
-    assert np.array_equal(system.gram().gram, np.eye(3))
+    assert np.array_equal(gram_matrix(system).gram, np.eye(3))
 
 
 def test_rademacher_sign_patterns():
@@ -31,13 +31,13 @@ def test_rademacher_sign_patterns():
     assert np.allclose(space.weights, 0.25)
     assert np.array_equal(system.values[0], [1, 1, -1, -1])
     assert np.array_equal(system.values[1], [1, -1, 1, -1])
-    assert np.array_equal(system.gram().gram, np.eye(2))
+    assert np.array_equal(gram_matrix(system).gram, np.eye(2))
 
 
 def test_random_qr_spec_example():
     spec = SystemSpec(SystemKind.RANDOM_QR, 8, resolution=16, fiber_dim=2, seed=42)
     space, fibers, system = generate(spec)
-    ok, _ = validate_ons(system, space, fibers, tol=1e-10)
+    ok, _ = validate_ons(system, tol=1e-10)
     assert ok
     assert space.n_atoms == 16
     assert np.all(fibers.dims == 2)
@@ -47,7 +47,7 @@ def test_random_qr_spec_example():
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
 def test_every_kind_validates(kind, n):
     space, fibers, system = generate(spec_for(kind, n))
-    ok, report = validate_ons(system, space, fibers, tol=1e-10)
+    ok, report = validate_ons(system, tol=1e-10)
     assert ok, f"{kind} n={n}: offdiag {report.max_offdiag_abs}"
     assert len(system) == n
 
@@ -85,7 +85,7 @@ def test_complex_random_qr():
     space, fibers, system = generate(spec)
     assert system.values.dtype.kind == "c"
     assert np.abs(system.values.imag).max() > 0
-    ok, _ = validate_ons(system, space, fibers, tol=1e-10)
+    ok, _ = validate_ons(system, tol=1e-10)
     assert ok
 
 
@@ -94,7 +94,7 @@ def test_complex_embedding_of_real_kinds():
         SystemSpec(SystemKind.HAAR, 4, field=Field.COMPLEX))
     assert system.values.dtype.kind == "c"
     assert np.all(system.values.imag == 0)
-    assert validate_ons(system, space, fibers, tol=1e-10)[0]
+    assert validate_ons(system, tol=1e-10)[0]
 
 
 def test_haar_default_resolution_is_smallest_power_of_two():
@@ -117,7 +117,7 @@ def test_rademacher_resolution_rules():
         generate(SystemSpec(SystemKind.RADEMACHER, 2, resolution=6))
     space, _, system = generate(SystemSpec(SystemKind.RADEMACHER, 2, resolution=16))
     assert space.n_atoms == 16
-    assert validate_ons(system, system.space, system.fibers, 1e-12)[0]
+    assert validate_ons(system, 1e-12)[0]
 
 
 def test_random_qr_capacity():

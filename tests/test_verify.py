@@ -24,7 +24,7 @@ from orthoseries.verify import default_config, tandori_threshold_arithmetic, tri
 
 from orthoseries.cli import main as cli_main
 
-from conftest import rng, run_check, run_plan
+from conftest import non_hermitian_gram_system, rng, run_check, run_plan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -394,8 +394,7 @@ class TestRieszRatio:
         _, _, system = generate(spec)
         gen = seeded_rng(trial_seed_path(3, Check.RIESZ_RATIO, 0))
         values, _ = verify._conditioned_mix(gen, system.values, condition)
-        exact = gram_matrix(OrthonormalSystem(system.space, system.fibers, values),
-                            system.space, system.fibers)
+        exact = gram_matrix(OrthonormalSystem(system.space, system.fibers, values))
         assert exact.riesz_upper <= case["riesz_upper"] <= exact.riesz_upper * (1 + 1e-13)
         assert case["riesz_lower"] <= exact.riesz_lower
 
@@ -445,6 +444,19 @@ class TestRieszRatio:
         res = run_plan(verify.check_riesz_ratio, cfg, systems)
         assert not res.passed
         assert res.worst_case["trial"] == 0 and math.isnan(res.worst_case["riesz_lower"])
+
+    def test_non_hermitian_g0_fails_each_trial_on_its_system(self):
+        # verify made the system, so a G0 that is not Hermitian is a kernel
+        # defect: every trial on it is a failed case of NaN ratio that names
+        # the invariant, not a StructuralError (exit 2, malformed input)
+        cfg = small_config(checks={Check.RIESZ_RATIO}, n_trials=4)
+        systems = verify._make_systems(cfg.system_specs, {})
+        systems[cfg.system_specs[1]] = non_hermitian_gram_system()
+        res = run_plan(verify.check_riesz_ratio, cfg, systems)
+        assert not res.passed and res.n_cases == 4
+        assert math.isnan(res.worst_ratio)
+        assert res.worst_case["trial"] == 1
+        assert res.worst_case["invariant"] == "G0 Hermitian to 1e-12"
 
     def test_failed_lower_bound_is_the_worst_case(self, monkeypatch):
         # a trial failed only by its lower Riesz bound is the reported case,
