@@ -111,49 +111,45 @@ class HilbertCollection:
                 f"fiber collection has {self.n_atoms} atoms, measure space has {space.n_atoms}"
             )
 
+    def fit(self, values, ndim: int) -> np.ndarray:
+        """``values`` as read-only ``ndim``-d rows of ``total_dim`` coordinates in
+        the field's dtype; complex values need a complex field."""
+        v = np.asarray(values)
+        if v.ndim != ndim or v.shape[-1] != self.total_dim:
+            raise StructuralError(
+                f"values of shape {v.shape} are not {ndim}-d rows of {self.total_dim} coordinates"
+            )
+        if self.field is Field.REAL and v.dtype.kind == "c":
+            raise StructuralError("complex values with a real fiber collection")
+        return _readonly(v.astype(self.field.dtype, copy=False))
+
 
 @dataclass(frozen=True)
 class DirectIntegralElement:
-    """One fiber vector per atom, stored flat with block offsets."""
+    """A section of a fiber collection: one fiber vector per atom, stored flat."""
 
     values: np.ndarray
-    offsets: np.ndarray
+    fibers: HilbertCollection
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.dtype.kind == "c":
-            v = v.astype(np.complex128, copy=False)
-        else:
-            v = v.astype(np.float64, copy=False)
-        off = np.asarray(self.offsets, dtype=np.int64)
-        if off.ndim != 1 or off.size < 2 or off[0] != 0 or np.any(np.diff(off) < 1):
-            raise StructuralError("offsets must start at 0 and strictly increase")
-        if v.ndim != 1 or v.size != off[-1]:
-            raise StructuralError(
-                f"flat values have length {v.size}, offsets expect {int(off[-1])}"
-            )
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "offsets", _readonly(off))
+        object.__setattr__(self, "values", self.fibers.fit(self.values, 1))
 
     @classmethod
     def from_blocks(cls, blocks: Sequence, field: Field = Field.REAL) -> "DirectIntegralElement":
         blocks = [np.atleast_1d(np.asarray(b)) for b in blocks]
-        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-        np.cumsum([b.size for b in blocks], out=offsets[1:])
-        flat = np.concatenate(blocks) if blocks else np.zeros(0)
-        return cls(values=flat.astype(field.dtype), offsets=offsets)
+        fibers = HilbertCollection(dims=[b.size for b in blocks], field=field)
+        return cls(values=np.concatenate(blocks), fibers=fibers)
 
     @classmethod
     def zero(cls, fibers: HilbertCollection) -> "DirectIntegralElement":
-        return cls(values=np.zeros(fibers.total_dim, dtype=fibers.field.dtype),
-                   offsets=fibers.offsets)
+        return cls(values=np.zeros(fibers.total_dim), fibers=fibers)
 
     @property
     def n_atoms(self) -> int:
-        return self.offsets.size - 1
+        return self.fibers.n_atoms
 
     def block(self, i: int) -> np.ndarray:
-        return self.values[self.offsets[i]:self.offsets[i + 1]]
+        return self.values[self.fibers.offsets[i]:self.fibers.offsets[i + 1]]
 
     @property
     def blocks(self) -> list[np.ndarray]:
@@ -165,7 +161,7 @@ class DirectIntegralElement:
             raise StructuralError(
                 f"element has {self.n_atoms} atoms, collection has {fibers.n_atoms}"
             )
-        mine = np.diff(self.offsets)
+        mine = self.fibers.dims
         if not np.array_equal(mine, fibers.dims):
             bad = int(np.argmax(mine != fibers.dims))
             raise StructuralError(
@@ -230,20 +226,12 @@ class OrthonormalSystem:
 
     def __init__(self, space: MeasureSpace, fibers: HilbertCollection, values: np.ndarray):
         fibers.matches(space)
-        values = np.asarray(values)
-        if values.ndim != 2:
-            raise StructuralError("system values must be a 2-d (n_functions, total_dim) array")
-        if values.shape[1] != fibers.total_dim:
-            raise StructuralError(
-                f"system rows have length {values.shape[1]}, layout expects {fibers.total_dim}"
-            )
+        values = fibers.fit(values, 2)
         if values.shape[0] == 0:
             raise StructuralError("empty system")
-        if fibers.field is Field.REAL and values.dtype.kind == "c":
-            raise StructuralError("complex system values with a real fiber collection")
         self.space = space
         self.fibers = fibers
-        self.values = _readonly(values.astype(fibers.field.dtype, copy=False))
+        self.values = values
 
     @classmethod
     def from_elements(cls, space: MeasureSpace, fibers: HilbertCollection,
@@ -259,7 +247,7 @@ class OrthonormalSystem:
         return self.values.shape[0]
 
     def __getitem__(self, n: int) -> DirectIntegralElement:
-        return DirectIntegralElement(values=self.values[n], offsets=self.fibers.offsets)
+        return DirectIntegralElement(values=self.values[n], fibers=self.fibers)
 
 
 def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -188,7 +188,7 @@ def prefix_sum(system: OrthonormalSystem, coeffs, j: int) -> DirectIntegralEleme
     """The element sum_{n<=j} a_n phi_n."""
     a = _coeff_array(coeffs, system, j)
     flat = a[:j] @ system.values[:j]
-    return DirectIntegralElement(values=flat, offsets=system.fibers.offsets)
+    return DirectIntegralElement(values=flat, fibers=system.fibers)
 
 
 class PlanProvenance(Enum):

@@ -55,11 +55,16 @@ class SystemSpec:
     """Parameters of one generated system.
 
     ``resolution`` is the grid/atom-count parameter (power of two where the
-    kind requires it; defaults to the smallest admissible value).
-    ``fiber_dim`` applies to RANDOM_QR and TENSOR_VECTOR.  ``seed`` applies
-    to RANDOM_QR.  ``field`` selects real or complex scalars; only
-    RANDOM_QR draws genuinely complex values, the deterministic kinds embed
-    their real values.
+    kind requires it; defaults to the smallest admissible value).  Every kind
+    reads ``n_functions`` and ``field``; beyond those, a kind reads only
+
+        rademacher, haar   resolution
+        random-qr          resolution, fiber_dim, seed
+        tensor-vector      resolution, fiber_dim
+
+    and refuses a ``fiber_dim`` other than 1 or a ``resolution`` it does not
+    read (any kind takes a ``seed``).  Only RANDOM_QR draws genuinely complex
+    values; the deterministic kinds embed their real values.
     """
 
     kind: SystemKind
@@ -74,6 +79,11 @@ class SystemSpec:
             raise ContractError("n_functions must be >= 1")
         if self.fiber_dim < 1:
             raise ContractError("fiber_dim must be >= 1")
+        if self.fiber_dim > 1 and self.kind not in (SystemKind.RANDOM_QR, SystemKind.TENSOR_VECTOR):
+            raise ContractError(f"{self.kind.value} reads no 'fiber_dim' (got {self.fiber_dim})")
+        if self.resolution is not None and self.kind in (SystemKind.STANDARD_BASIS,
+                                                         SystemKind.VARYING_DIM):
+            raise ContractError(f"{self.kind.value} reads no 'resolution' (got {self.resolution})")
 
     def describe(self) -> str:
         parts = [f"{self.kind.value}", f"n={self.n_functions}"]

@@ -58,8 +58,7 @@ def random_element(gen, fibers):
     if fibers.field is Field.COMPLEX:
         flat = flat + 1j * gen.standard_normal(fibers.total_dim)
     from orthoseries import DirectIntegralElement
-    return DirectIntegralElement(values=flat.astype(fibers.field.dtype),
-                                 offsets=fibers.offsets)
+    return DirectIntegralElement(values=flat, fibers=fibers)
 
 
 # one derandomized hypothesis profile: every run draws the same examples and

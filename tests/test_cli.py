@@ -519,6 +519,10 @@ HAAR8 = {"systems": [{"kind": "haar", "n": 8}], "checks": ["dyadic-pointwise"],
     ({"tolerances": {"mr-inequality": "0.5"}}, "tolerances"),
     ({"tolerances": [["mr-inequality", 0.5]]}, "tolerances"),
     ({"coefficients": {"form": "explicit", "values": [1.0, True]}}, "values"),
+    # a spec field its kind does not read
+    ({"systems": [{"kind": "standard-basis", "n": 8, "fiber_dim": 3, "resolution": 99}]},
+     "fiber_dim"),
+    ({"systems": [{"kind": "varying-dim", "n": 8, "resolution": 8}]}, "resolution"),
 ])
 def test_verify_config_malformed_value_exit_2(tmp_path, capsys, extra, key):
     cfg_path = tmp_path / "cfg.json"
@@ -535,6 +539,7 @@ def test_verify_config_malformed_value_exit_2(tmp_path, capsys, extra, key):
     ({"kind": "haar", "n": 4.5}, "n"),
     ({"kind": "random-qr", "n": 4, "fiber_dim": True, "seed": "7"}, "fiber_dim"),
     ({"kind": "random-qr", "n": 4, "seed": "7"}, "seed"),
+    ({"kind": "haar", "n": 4, "fiber_dim": 3}, "fiber_dim"),
 ])
 def test_gen_ons_spec_malformed_value_exit_2(tmp_path, capsys, spec, key):
     spec_path, out = tmp_path / "spec.json", tmp_path / "sys.json"
@@ -543,6 +548,15 @@ def test_gen_ons_spec_malformed_value_exit_2(tmp_path, capsys, spec, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_gen_ons_flag_the_kind_does_not_read_exit_2(tmp_path, capsys):
+    out = tmp_path / "sys.json"
+    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--fiber-dim", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: haar reads no 'fiber_dim' (got 3)\n"
     assert not out.exists()
 
 

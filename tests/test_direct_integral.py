@@ -309,7 +309,7 @@ class TestParseval:
             if fibers.field is Field.COMPLEX:
                 b = b + 1j * gen.standard_normal(len(system))
             combo = b.astype(system.values.dtype) @ system.values
-            el = DirectIntegralElement(values=combo, offsets=fibers.offsets)
+            el = DirectIntegralElement(values=combo, fibers=fibers)
             lhs = norm(el, space, fibers) ** 2
             rhs = float(np.sum(np.abs(b) ** 2))
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -347,6 +347,35 @@ class TestInvariantsOfTypes:
         f = element([[1.0 + 1j]], field=Field.COMPLEX)
         with pytest.raises(StructuralError):
             f.conform(space, fibers)
+
+    @pytest.mark.parametrize("field", [None, Field.REAL])
+    def test_complex_blocks_in_a_real_collection_are_refused(self, field):
+        kw = {} if field is None else {"field": field}
+        with pytest.raises(StructuralError, match="complex values with a real fiber collection"):
+            DirectIntegralElement.from_blocks([[1 + 1j]], **kw)
+
+    def test_complex_element_of_a_real_collection_is_refused_when_built(self):
+        with pytest.raises(StructuralError, match="complex values with a real fiber collection"):
+            DirectIntegralElement(np.array([1j]), HilbertCollection(dims=[1]))
+
+    def test_element_values_must_fit_the_layout(self):
+        fibers = HilbertCollection(dims=[1, 2])
+        for values in (np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(StructuralError, match="are not 1-d rows of 3 coordinates"):
+                DirectIntegralElement(values, fibers)
+
+    def test_from_blocks_builds_its_collection(self):
+        f = element([[1], [2.0, 3.0]], field=Field.COMPLEX)
+        assert f.fibers.dims.tolist() == [1, 2] and f.fibers.field is Field.COMPLEX
+        assert f.values.dtype == np.complex128 and not f.values.flags.writeable
+        with pytest.raises(StructuralError, match="atom 1: fiber dimension 0"):
+            element([[1.0], []])
+
+    def test_system_rows_carry_the_systems_collection(self, std3):
+        _, fibers, system = std3
+        for n in range(len(system)):
+            assert system[n].fibers is system.fibers is fibers
+            assert np.array_equal(system[n].values, system.values[n])
 
     def test_arrays_are_readonly(self, std3):
         space, fibers, system = std3

@@ -402,7 +402,10 @@ def systems(draw):
     kind = draw(st.sampled_from(list(SystemKind) + ["raw"]))
     if kind == "raw":
         return _raw_system(draw)
-    return generate(SystemSpec(kind, draw(st.integers(2, 5)), fiber_dim=draw(st.integers(1, 3)),
+    # fiber_dim only for the kinds that read it
+    vector = kind in (SystemKind.RANDOM_QR, SystemKind.TENSOR_VECTOR)
+    return generate(SystemSpec(kind, draw(st.integers(2, 5)),
+                               fiber_dim=draw(st.integers(1, 3)) if vector else 1,
                                seed=draw(st.integers(0, 9)),
                                field=draw(st.sampled_from(list(Field)))))[2]
 

@@ -132,6 +132,21 @@ def test_bad_spec_values():
         SystemSpec(SystemKind.RANDOM_QR, 4, fiber_dim=0)
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    (SystemKind.STANDARD_BASIS, "fiber_dim", 3),
+    (SystemKind.RADEMACHER, "fiber_dim", 2),
+    (SystemKind.HAAR, "fiber_dim", 3),
+    (SystemKind.VARYING_DIM, "fiber_dim", 2),
+    (SystemKind.STANDARD_BASIS, "resolution", 99),
+    (SystemKind.VARYING_DIM, "resolution", 8),
+], ids=lambda v: v.value if isinstance(v, SystemKind) else str(v))
+def test_a_field_the_kind_does_not_read_is_refused(kind, key, value):
+    with pytest.raises(ContractError, match=f"{kind.value} reads no '{key}' \\(got {value}\\)"):
+        SystemSpec(kind, 8, **{key: value})
+    # the same kind takes the field at its default
+    SystemSpec(kind, 8, **{key: 1 if key == "fiber_dim" else None})
+
+
 @pytest.mark.parametrize("kind,fits,over", [
     (SystemKind.STANDARD_BASIS, {"n_functions": 8}, {"n_functions": 9}),
     (SystemKind.HAAR, {"n_functions": 8}, {"n_functions": 9}),
