@@ -78,15 +78,17 @@ class MeasureSpace:
         return float(np.sum(self.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertCollection:
-    """Per-atom fiber dimensions and the common scalar field."""
+    """Per-atom fiber dimensions and the common scalar field.  Equality and
+    hashing are by identity (compare layouts with ``np.array_equal`` on
+    ``dims``)."""
 
     dims: np.ndarray
     # derived from dims once: each atom's block start in the flat layout, then
     # the total.  Declared above ``field``, which shadows dataclasses.field.
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    total_dim: int = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    total_dim: int = field(init=False, repr=False)
     field: Field = Field.REAL
 
     def __post_init__(self):
@@ -124,9 +126,10 @@ class HilbertCollection:
         return _readonly(v.astype(self.field.dtype, copy=False))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectIntegralElement:
-    """A section of a fiber collection: one fiber vector per atom, stored flat."""
+    """A section of a fiber collection: one fiber vector per atom, stored
+    flat.  Equality and hashing are by identity, as for the collection."""
 
     values: np.ndarray
     fibers: HilbertCollection
@@ -250,32 +253,39 @@ class OrthonormalSystem:
         return DirectIntegralElement(values=self.values[n], fibers=self.fibers)
 
 
+def _hermitian_rows(G: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the Hermitian part H = (G^H + G) / 2, C-ordered."""
+    herm = np.conj(G[:, rows].T, order="C")
+    herm += G[rows]
+    herm *= 0.5
+    return herm
+
+
 def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G = (V w) V^H, its Hermitian part H (the only n x n arrays formed) and
-    the row sums sum_{j != i} |H_ij|; raises unless max |G - G^H| <=
-    GRAM_HERMITIAN_TOL (NaN passes).  The sums and the max run a block of
-    rows at a time."""
+    """G = (V w) V^H (the only n x n array formed), the diagonal of its
+    Hermitian part H and the row sums sum_{j != i} |H_ij|; raises unless
+    max |G - G^H| <= GRAM_HERMITIAN_TOL (NaN passes).  H, the sums and the
+    max run a block of rows at a time."""
     # the .conj() method returns a real array itself, where np.conj copies it
     G = (V * w) @ V.conj().T
-    herm = np.conj(G.T, order="C")
-    herm += G
-    herm *= 0.5
-    worst, radii = 0.0, np.empty(G.shape[0])
+    worst, diag, radii = 0.0, np.empty(G.shape[0]), np.empty(G.shape[0])
     step = max(1, GRAM_ROW_BUDGET // G.shape[0])
     for rows in (slice(lo, lo + step) for lo in range(0, G.shape[0], step)):
         worst = np.maximum(worst, np.max(np.abs(G[rows] - G[:, rows].conj().T)))
-        block = np.abs(herm[rows])
+        herm = _hermitian_rows(G, rows)
+        diag[rows] = np.real(np.diagonal(herm[:, rows]))
+        block = np.abs(herm)
         np.fill_diagonal(block[:, rows], 0.0)
         radii[rows] = block.sum(axis=1)
     if worst > GRAM_HERMITIAN_TOL:
         raise StructuralError("gram matrix is not Hermitian to within 1e-12")
-    return G, herm, radii
+    return G, diag, radii
 
 
 def gram_matrix(system: OrthonormalSystem) -> GramReport:
     """Gram matrix G[m, n] = <phi_m, phi_n> under the system's own space and
     fibers, with its extreme eigenvalues (eigvalsh's)."""
-    G, herm, _ = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
+    G, _, _ = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
     n = G.shape[0]
     diag = np.real(np.diagonal(G))
     # the entries of |G - diag(G)|: |G| off the diagonal, |G_ii - G_ii| on it
@@ -284,7 +294,7 @@ def gram_matrix(system: OrthonormalSystem) -> GramReport:
     np.fill_diagonal(scratch, np.abs(np.diagonal(G) - np.diagonal(G)))
     max_offdiag = float(np.max(scratch)) if n > 1 else 0.0
     max_diag_dev = float(np.max(np.abs(diag - 1.0)))
-    eig = np.linalg.eigvalsh(herm)
+    eig = np.linalg.eigvalsh(_hermitian_rows(G))
     return GramReport(gram=G, max_offdiag_abs=max_offdiag, max_diag_dev=max_diag_dev,
                       riesz_lower=float(eig[0]), riesz_upper=float(eig[-1]))
 
@@ -293,8 +303,7 @@ def gershgorin_bounds(system: OrthonormalSystem) -> tuple[float, float]:
     """Gershgorin bounds (min_i H_ii - r_i, max_i H_ii + r_i) on the spectrum of
     the Gram matrix's Hermitian part H, r_i = sum_{j != i} |H_ij| (1 + n 2^-53),
     ends with r_i > 0 rounded outward by one ulp.  O(n^2); NaN in H gives NaN."""
-    _, herm, r = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
-    diag = np.real(np.diagonal(herm))
+    _, diag, r = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
     r *= 1.0 + len(diag) * 2.0 ** -53
     lower, upper = diag - r, diag + r
     np.nextafter(lower, -np.inf, out=lower, where=r > 0)

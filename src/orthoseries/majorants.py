@@ -17,10 +17,12 @@ diagnostics run on it too.  On top sit:
   final majorant bound with constant 4),
 * blocked oscillations of a rearranged series (the quantity controlled by
   the Tandori blocks), exact on every block, for a batch of rearrangements
-  at once: their orders inside a block share one prefix sweep and one
+  at once: their orders inside a block share each prefix sweep and each
   stack of per-atom diameters, each the maximum over the pairs of those
   prefixes that neither a bounding-box nor a centroid-ball bound rules out
-  (bitwise the all-pairs maximum), and
+  (bitwise the all-pairs maximum).  On vector fibers a block's atoms go
+  in chunks of about 4 * ``PREFIX_BUDGET`` prefix values, one sweep each,
+  so the kernel's memory is bounded whatever the fiber dimension, and
 * permutation plans, including two adversarial constructions that depend
   on the coefficients alone: the max-prefix greedy order, which Parseval
   makes the decreasing-|a_n| order on an orthonormal system, and the
@@ -548,6 +550,16 @@ def _candidates(x: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _filtered(m: int, d: int) -> bool:
+    """Whether the diameters of m rows of d real coordinates per atom go
+    through ``_candidates``: from ``FILTER_MIN_ROWS`` rows on, unless 2d >= m.
+    There its lower bound over the 2d extreme rows alone costs (2d)^2 d per
+    atom, more than all m^2 d pairs (tandori-block, 3 trials of random-qr
+    n = 64 on 8 atoms, all pairs in place of the filter: 0.32 -> 0.06-0.07 s
+    at d = 64, 2.3-2.4 -> 0.10-0.12 s at d = 128)."""
+    return m >= FILTER_MIN_ROWS and 2 * d < m
+
+
 def _candidate_stacks(x: np.ndarray):
     """Yield ``(sel, pts)``: atoms ``sel`` of ``x`` (g, d, m) and their
     ``_candidates`` rows (g', d, c), stacked in order of candidate count about
@@ -578,11 +590,11 @@ def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarra
     holds m rows per leading index, the result is (..., atoms).
 
     The exact maximum over all pairs of rows of the ``_sq_dists`` distance,
-    on real coordinates (a complex fiber as its (re, im) pairs).  Blocks of
-    at least ``FILTER_MIN_ROWS`` rows first drop, per atom, the rows that
-    ``_candidates`` shows cannot attain it.  Since a distance's bits depend
-    on its two rows alone, the maximum over the kept rows is bitwise the
-    all-pairs one.  The (leading index, atom) pairs of one dimension are
+    on real coordinates (a complex fiber as its (re, im) pairs).  Where
+    ``_filtered`` says so (from ``FILTER_MIN_ROWS`` rows, while 2d < m), the
+    rows first drop, per atom, those that ``_candidates`` shows cannot
+    attain it.  Since a distance's bits depend on its two rows alone, the
+    maximum over the kept rows is bitwise the all-pairs one.  The (leading index, atom) pairs of one dimension are
     stacked, and each stack's rows go against its candidates about
     ``DIAMETER_BUDGET`` pairs at a time.
     """
@@ -597,7 +609,7 @@ def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarra
         g, atoms = np.nonzero(active & (dims == d))
         cols = offsets[atoms, None] + np.arange(d)
         x = np.ascontiguousarray(flat[g[:, None], :, cols])
-        if m < FILTER_MIN_ROWS:
+        if not _filtered(m, d):
             step = max(1, DIAMETER_BUDGET // (m * m))
             stacks = ((slice(s, s + step), x[s:s + step]) for s in range(0, atoms.size, step))
         else:
@@ -624,8 +636,15 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
     (``_pointwise_diameters``).  The P plans' orders inside the block run
     through one ``_prefix_rows`` sweep as a (P, m) batch, and their
     (plan, atom) pairs through one diameter stack; each plan's row has the
-    bits of a pass over that plan alone.  ``doubled_one_sided`` is returned
-    unjudged, NaN and infinity included; tandori-block judges it.
+    bits of a pass over that plan alone.  Off the scalar real case, the
+    block's atoms go a chunk of whole fibers at a time: the sweep of the
+    block's rows restricted to a chunk's columns, about 4 * PREFIX_BUDGET
+    prefix values (at least one atom), its diameters and one-sided sups,
+    and then the next chunk.  A column's sums do not depend on the other
+    columns, so every array keeps its bits, and a block that fits one chunk
+    (every block of the stock configs) is one sweep as before.
+    ``doubled_one_sided`` is returned unjudged, NaN and infinity included;
+    tandori-block judges it.
     """
     a = _coeff_array(coeffs, system, n).copy()
     n = a.size if n is None else n
@@ -655,9 +674,26 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
         values = top - bottom
         doubled = 2.0 * np.maximum(top, np.abs(bottom))
     else:
-        _, prefixes = next(_prefix_rows(V, a, src, zero, src.shape[1]))
-        values = _pointwise_diameters(prefixes, offsets)
-        doubled = 2.0 * np.sqrt(_fiber_sq_norms(prefixes[:, 1:], offsets).max(axis=-2))
+        # 4 budgets a chunk: at 1, large-n's blocks ran about 25 % slower on
+        # the per-chunk overhead (19 chunks in random-qr n = 640's last block).
+        # Rows are sliced before columns, as np.take copies a strided V whole.
+        values = np.empty((len(plans), offsets.size - 1))
+        doubled = np.empty_like(values)
+        rows, coeffs, src = V[lo - 1:hi], a[lo - 1:hi], src - (lo - 1)
+        width = 4 * PREFIX_BUDGET // (len(plans) * (src.shape[1] + 1))
+        first = 0
+        while first < values.shape[1]:
+            stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + width,
+                                                      side="right")) - 1)
+            c0, c1 = offsets[first], offsets[stop]
+            part = offsets[first:stop + 1] - c0
+            _, prefixes = next(_prefix_rows(rows[:, c0:c1], coeffs, src, zero[:, c0:c1],
+                                            src.shape[1]))
+            values[:, first:stop] = _pointwise_diameters(prefixes, part)
+            doubled[:, first:stop] = 2.0 * np.sqrt(
+                _fiber_sq_norms(prefixes[:, 1:], part).max(axis=-2))
+            del prefixes
+            first = stop
 
     return BlockOscillation(lo=lo, hi=hi, values=values,
                             l2=_weighted_l2(system.space.weights, values ** 2),

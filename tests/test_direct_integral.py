@@ -11,6 +11,7 @@ from orthoseries import (DirectIntegralElement, Field, HilbertCollection,
                          MeasureSpace, OrthonormalSystem, StructuralError,
                          SystemKind, SystemSpec, generate, gram_matrix,
                          inner_product, norm, validate_ons)
+import orthoseries.direct_integral as di
 from orthoseries.direct_integral import expanded_weights, gershgorin_bounds
 from orthoseries.verify import _conditioned_mix, default_config
 
@@ -228,6 +229,31 @@ class TestGershgorinBounds:
             lower, upper = gershgorin_bounds(ons)
             assert lower - 1.0 <= shifted[0] and shifted[-1] <= upper - 1.0
 
+    @pytest.mark.parametrize("budget", ["default", 1])
+    def test_row_blocks_keep_the_bits_of_the_whole_hermitian_part(self, budget, monkeypatch):
+        # H, its diagonal and its radii formed a block of rows at a time (one
+        # row at budget 1) against the whole H formed at once
+        if budget != "default":
+            monkeypatch.setattr(di, "GRAM_ROW_BUDGET", budget)
+        specs = [SystemSpec(SystemKind.RANDOM_QR, 48, resolution=48, seed=603,
+                            field=Field.COMPLEX), SystemSpec(SystemKind.VARYING_DIM, 40)]
+        for spec in specs:
+            space, fibers, system = generate(spec)
+            mixed = OrthonormalSystem(space, fibers,
+                                      _conditioned_mix(rng(604), system.values, 4.0)[0])
+            for ons in (system, mixed):
+                G = gram_matrix(ons).gram
+                H = np.conj(G.T, order="C")
+                H += G
+                H *= 0.5
+                r = np.abs(H)
+                np.fill_diagonal(r, 0.0)
+                r = r.sum(axis=1) * (1.0 + len(ons) * 2.0 ** -53)
+                d = np.real(np.diagonal(H))
+                want = (float(np.min(np.where(r > 0, np.nextafter(d - r, -np.inf), d - r))),
+                        float(np.max(np.where(r > 0, np.nextafter(d + r, np.inf), d + r))))
+                assert gershgorin_bounds(ons) == want
+
     def test_exact_identity_keeps_its_bits(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 64))
         assert gershgorin_bounds(system) == (1.0, 1.0)
@@ -383,6 +409,15 @@ class TestInvariantsOfTypes:
             system.values[0, 0] = 5.0
         with pytest.raises(ValueError):
             space.weights[0] = 2.0
+
+    def test_collections_and_elements_compare_by_identity(self):
+        # generated __eq__/__hash__ over their arrays raised ValueError and
+        # TypeError; equal layouts are compared with np.array_equal instead
+        twins = [(HilbertCollection(dims=[1, 2]), HilbertCollection(dims=[1, 2])),
+                 (element([[1.0], [2.0, 3.0]]), element([[1.0], [2.0, 3.0]]))]
+        for a, b in twins:
+            assert a == a and a != b and not a == b
+            assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_blocks_roundtrip(self):
         f = element([[1.0], [2.0, 3.0]])

@@ -600,12 +600,13 @@ class TestPrefixSweep:
                 assert np.array_equal(osc.doubled_one_sided, doubled)
                 assert osc.l2 == l2
 
-    @pytest.mark.parametrize("filter_rows", [0, mj.FILTER_MIN_ROWS], ids=["filter", "default"])
+    @pytest.mark.parametrize("route", ["filter", "default"])
     def test_block_oscillations_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget,
-                                                                 filter_rows, monkeypatch):
+                                                                 route, monkeypatch):
         # the five plans of a verify trial in one batch, each against a loop
-        # over that plan alone
-        monkeypatch.setattr(mj, "FILTER_MIN_ROWS", filter_rows)
+        # over that plan alone; PREFIX_BUDGET = 1 gives each atom its own chunk
+        if route == "filter":
+            monkeypatch.setattr(mj, "_filtered", lambda m, d: True)
         system = sweep_system
         n = len(system)
         for b in sweep_coeffs(system):
@@ -623,6 +624,59 @@ class TestPrefixSweep:
                     assert np.array_equal(osc.values[p], values)
                     assert np.array_equal(osc.doubled_one_sided[p], doubled)
                     assert osc.l2[p] == l2
+
+    def test_block_oscillations_one_atom_per_chunk(self, sweep_system, monkeypatch):
+        # PREFIX_BUDGET = 1 streams the vector branch one atom at a time:
+        # every array keeps the bits of the one-chunk default, NaN included
+        system = sweep_system
+        n = len(system)
+        nan = random_coeffs(system, 98)
+        nan[n // 2] = np.nan
+        plans = [PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 99),
+                 adversarial_permutation(system, np.ones(n), n, AdversarialStrategy.BLOCK_REVERSAL)]
+        cases = list(itertools.product(range(4), range(tandori_blocks(n).k_max + 1)))
+
+        def run():
+            coeffs = sweep_coeffs(system) + [nan]
+            with np.errstate(invalid="ignore"):
+                return [mj.block_oscillations(system, coeffs[c], plans, k, n) for c, k in cases]
+
+        default = run()
+        monkeypatch.setattr(mj, "PREFIX_BUDGET", 1)
+        sweeps = []
+        real_rows = mj._prefix_rows
+        monkeypatch.setattr(mj, "_prefix_rows",
+                            lambda V, *args, **kw: sweeps.append(V.shape) or real_rows(V, *args, **kw))
+        for want, got in zip(default, run()):
+            for name in ("values", "l2", "doubled_one_sided"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.bound == want.bound or math.isnan(got.bound) and math.isnan(want.bound)
+        if system.values.dtype.kind == "c" or np.any(system.fibers.dims > 1):
+            # one sweep per atom, over the block's rows and that atom's columns
+            assert len(sweeps) == len(cases) * system.fibers.n_atoms
+            assert {width for _, width in sweeps} == set(system.fibers.dims.tolist())
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_vector_memory_bounded_by_the_prefix_budget(self, n):
+        # tensor-vector d = 4 has 2048 coordinates at n = 2048, where holding
+        # the last block's prefixes of two plans at once took 56 MiB; a chunk
+        # holds about 4 * PREFIX_BUDGET prefix values
+        system = generate(SystemSpec(SystemKind.TENSOR_VECTOR, n, fiber_dim=4))[2]
+        b = 1.0 / np.arange(1, n + 1)
+        plans = [PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 100)]
+        chunk = 4 * mj.PREFIX_BUDGET * system.values.itemsize
+        for k in range(2, tandori_blocks(n).k_max + 1):
+            tracemalloc.start()
+            try:
+                osc = mj.block_oscillations(system, b, plans, k, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(osc.values)) and np.any(osc.values > 0)
+            # a chunk's prefixes, the diameter kernel's gathered copy and
+            # the bounds on it: measured 2.3-2.6 chunks at both n (4.5-63
+            # with the block's prefixes formed whole)
+            assert peak <= 4 * chunk, (k, peak / chunk)
 
     @pytest.mark.parametrize("dims,field", [([1] * 12, Field.REAL), ([2, 2, 2], Field.REAL),
                                             ([1] * 4, Field.COMPLEX)],
@@ -954,6 +1008,12 @@ class TestPointwiseDiameters:
         "radius-above-2^-400": at_radius(2.0 ** -400 * (1 + 2.0 ** -20)),
         "radius-below-2^-400": at_radius(2.0 ** -400 * (1 - 2.0 ** -20)),
         "radius-1e150": at_radius(1e150),
+        # d >> m, where the default takes all pairs rather than filter
+        "d64-m9": lambda gen: walk(gen, 9, [64, 64, 1]),
+        "d128-m17": lambda gen: walk(gen, 17, [128, 3]),
+        "complex-d40-m33": lambda gen: walk(gen, 33, [40],
+                                            lambda g, shape: g.standard_normal(shape)
+                                            + 1j * g.standard_normal(shape)),
     }
 
     @staticmethod
@@ -977,13 +1037,13 @@ class TestPointwiseDiameters:
                 P[:, offsets[atom]:offsets[atom + 1]] = 0
         return P, offsets
 
-    @pytest.mark.parametrize("filter_rows", [0, 1 << 30], ids=["filter", "all-pairs"])
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "all-pairs"])
     @pytest.mark.parametrize("budget", [mj.DIAMETER_BUDGET, 1])
     @pytest.mark.parametrize("case", sorted(SYSTEMS) + sorted(CRAFTED))
-    def test_bitwise_equal_to_per_atom_loop(self, case, budget, filter_rows, monkeypatch):
+    def test_bitwise_equal_to_per_atom_loop(self, case, budget, filtered, monkeypatch):
         # budget 1 stacks one atom and one row per product, the default many
         monkeypatch.setattr(mj, "DIAMETER_BUDGET", budget)
-        monkeypatch.setattr(mj, "FILTER_MIN_ROWS", filter_rows)
+        monkeypatch.setattr(mj, "_filtered", lambda m, d: filtered)
         P, offsets = self.case(case)
         got = mj._pointwise_diameters(P, offsets)
         want = per_atom_diameters(P, offsets)
@@ -996,7 +1056,7 @@ class TestPointwiseDiameters:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_atom_keeps_every_row(self, bad, monkeypatch):
-        monkeypatch.setattr(mj, "FILTER_MIN_ROWS", 0)
+        monkeypatch.setattr(mj, "_filtered", lambda m, d: True)
         P, offsets = walk(rng(72), 100, [2, 2, 1])
         P[40, 1] = bad
         with np.errstate(invalid="ignore"):
@@ -1028,6 +1088,27 @@ class TestPointwiseDiameters:
                 tol = Fraction((len(cols) + 2) * np.finfo(float).eps)
                 g = Fraction(float(got[i]))
                 assert (g / (1 + tol)) ** 2 <= exact_sq <= (g / (1 - tol)) ** 2
+
+    @pytest.mark.parametrize("m,dims,filtered", [
+        (mj.FILTER_MIN_ROWS - 1, [1, 2], False),
+        (40, [1, 2, 19], True),
+        (40, [20], False),
+        (9, [64], False),
+        # complex coordinates count twice: d = 20 real
+        (40, [10], False),
+    ])
+    def test_filter_runs_from_the_row_floor_while_2d_below_m(self, m, dims, filtered,
+                                                              monkeypatch):
+        calls = []
+        real = mj._candidates
+        monkeypatch.setattr(mj, "_candidates", lambda x: calls.append(x.shape[1]) or real(x))
+        step = (lambda g, shape: g.standard_normal(shape)
+                + 1j * g.standard_normal(shape)) if dims == [10] else None
+        P, offsets = walk(rng(76), m, dims, step)
+        got = mj._pointwise_diameters(P, offsets)
+        assert np.array_equal(got, per_atom_diameters(P, offsets))
+        assert bool(calls) == filtered
+        assert all(2 * d < m for d in calls)
 
     @staticmethod
     def kept_share(P, offsets):

@@ -36,8 +36,8 @@ KILLED = [
      "doubled = 1.0 * np.maximum(top, np.abs(bottom))",
      {"tandori-block"}),
     ("vector-diameters-halved", "majorants.py",
-     "values = _pointwise_diameters(prefixes, offsets)",
-     "values = 0.5 * _pointwise_diameters(prefixes, offsets)",
+     "values[:, first:stop] = _pointwise_diameters(prefixes, part)",
+     "values[:, first:stop] = 0.5 * _pointwise_diameters(prefixes, part)",
      {"tandori-block"}),
     ("riesz-rhs-without-log-and-scale", "verify.py",
      "rhs = math.sqrt(upper) * (2.0 + math.log2(n)) * _coeff_norm(b)",

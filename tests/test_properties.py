@@ -125,10 +125,12 @@ def test_streaming_majorant_matches_the_oracle(case):
 
 @st.composite
 def point_sets(draw):
-    """Prefix rows (m, T) of atoms of dimension 1-5 and their offsets: a
-    walk, an iid cloud, small integers (many tied rows and distances) or
-    rows on a sphere about a point, scaled by 2^-600 to 2^500."""
-    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    """Prefix rows (m, T) of atoms of dimension 1-5, or 16-48 (d >> m for
+    few rows), and their offsets: a walk, an iid cloud, small integers (many
+    tied rows and distances) or rows on a sphere about a point, scaled by
+    2^-600 to 2^500."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)
+                | st.lists(st.integers(16, 48), min_size=1, max_size=2))
     m = draw(st.integers(2, 80))
     offsets = np.concatenate([[0], np.cumsum(dims)])
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
@@ -148,9 +150,9 @@ def point_sets(draw):
 @given(point_sets())
 def test_candidate_filter_keeps_the_all_pairs_diameter_bits(case):
     P, offsets = case
-    with mock.patch.object(majorants, "FILTER_MIN_ROWS", 0):
+    with mock.patch.object(majorants, "_filtered", lambda m, d: True):
         filtered = majorants._pointwise_diameters(P, offsets)
-    with mock.patch.object(majorants, "FILTER_MIN_ROWS", 1 << 30):
+    with mock.patch.object(majorants, "_filtered", lambda m, d: False):
         all_pairs = majorants._pointwise_diameters(P, offsets)
     assert filtered.tobytes() == all_pairs.tobytes()
 

@@ -121,3 +121,26 @@ def test_compensated_sum_overflow_is_the_plain_sum():
     assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
     assert compensated_sum(np.full(4, -1e308)) == -math.inf
     assert compensated_sum([1e308, 1e-300, -1e308]) == 1e-300
+
+
+@pytest.mark.parametrize("case", ["random", "mixed-magnitude", "strided-2d", "scalar", "overflow"])
+def test_compensated_sum_is_fsum_of_the_listed_floats(case):
+    # fsum reads the array through a memoryview: the same floats as a list
+    # of them, so the same sum, or the same OverflowError and the np.sum
+    # fallback
+    gen = rng(81)
+    terms = {
+        "random": gen.standard_normal(1 << 12),
+        "mixed-magnitude": gen.standard_normal(1 << 12) * 10.0 ** gen.integers(-300, 300, 1 << 12),
+        "strided-2d": gen.standard_normal((64, 96))[::3, ::-2],
+        "scalar": np.float64(0.1),
+        "overflow": np.concatenate([np.full(8, 1e308), gen.standard_normal(64), [-1e308]]),
+    }[case]
+    listed = np.asarray(terms, dtype=float).ravel().tolist()
+    if case == "overflow":
+        with pytest.raises(OverflowError):
+            math.fsum(listed)
+        with np.errstate(over="ignore"):
+            assert compensated_sum(terms) == float(np.sum(terms)) == math.inf
+    else:
+        assert compensated_sum(terms) == math.fsum(listed)
