@@ -121,10 +121,19 @@ def _condition_dict(report) -> dict:
     }
 
 
+def _known(entry: dict, what: str, *keys: str) -> None:
+    """Refuse a key of the JSON object ``entry`` outside ``keys``: nothing would read it."""
+    for key in entry:
+        if key not in keys:
+            raise StructuralError(f"{what}: unknown key {key!r}")
+
+
 def _spec_from_dict(entry, what: str, default_seed: int) -> SystemSpec:
     """A system spec from its JSON form {kind, n, resolution, fiber_dim, seed, field}."""
+    kind = field(entry, what, "kind", SystemKind)
+    _known(entry, what, "kind", "n", "resolution", "fiber_dim", "seed", "field")
     return SystemSpec(
-        kind=field(entry, what, "kind", SystemKind),
+        kind=kind,
         n_functions=field(entry, what, "n", integer),
         resolution=field(entry, what, "resolution",
                          lambda v: None if v is None else integer(v), None),
@@ -212,9 +221,11 @@ def _floats(value) -> list:
 def _sequence_from_config(entry, what: str) -> SequenceSpec:
     form = field(entry, what, "form", lambda v: v)
     if form == "power-log":
+        _known(entry, what, "form", "scale", "alpha", "beta")
         return SequenceSpec.power_log(*(field(entry, what, key, number)
                                         for key in ("scale", "alpha", "beta")))
     if form == "explicit":
+        _known(entry, what, "form", "values")
         return SequenceSpec.from_values(field(entry, what, "values", _floats))
     raise ContractError(f"{what}: unknown 'form'")
 
@@ -222,23 +233,19 @@ def _sequence_from_config(entry, what: str) -> SequenceSpec:
 def _weights_from_config(entry, what: str) -> WeightSpec:
     form = field(entry, what, "form", lambda v: v)
     if form == "log-power":
+        _known(entry, what, "form", "gamma", "shift")
         return WeightSpec.log_power(field(entry, what, "gamma", number),
                                     field(entry, what, "shift", number, 0.0))
     if form == "explicit":
+        _known(entry, what, "form", "values")
         return WeightSpec.from_values(field(entry, what, "values", _floats))
     raise ContractError(f"{what}: unknown 'form'")
 
 
-def _tolerances(value) -> dict:
-    if type(value) is not dict:
-        raise TypeError("not a JSON object")
-    return {Check(k): float(number(x)) for k, x in value.items()}
-
-
 def _config_from_file(path: str, overrides: dict) -> TrialConfig:
     """The file's config with the command-line overrides in place of its
-    values, validated once, so a file value that is overridden is never read;
-    a key the file leaves out (or a null entry) takes TrialConfig's default."""
+    values, validated once (an overridden file value is never read); a key
+    left out (or null) takes TrialConfig's default, an unread one is refused."""
     payload = loads(_read(path), path)
     what = f"{path}: config"
 
@@ -250,24 +257,25 @@ def _config_from_file(path: str, overrides: dict) -> TrialConfig:
         return None if spec is None else parse(spec, f"{what} '{key}' entry")
 
     parsers = {
-        "system_specs": lambda: tuple(
+        "systems": lambda: tuple(
             _spec_from_dict(entry, f"{path}: systems[{i}]", 0) for i, entry in
             enumerate(field(payload, what, "systems", lambda v: listed(v, (dict,))))),
         "checks": lambda: given("checks",
                                 lambda v: frozenset(Check(c) for c in listed(v, (str,)))),
         "n_trials": lambda: given("n_trials", integer),
         "seed": lambda: given("seed", integer),
-        "coeff_spec": lambda: optional("coefficients", _sequence_from_config),
-        "weight_spec": lambda: optional("weights", _weights_from_config),
-        "tolerances": lambda: given("tolerances", _tolerances),
+        "coefficients": lambda: optional("coefficients", _sequence_from_config),
+        "weights": lambda: optional("weights", _weights_from_config),
         "truncation": lambda: given("truncation", integer),
         "exhaustive_n": lambda: given("exhaustive_n", integer),
         "shuffle_plans": lambda: given("shuffle_plans", integer),
         "riesz_condition": lambda: given("riesz_condition", lambda v: float(number(v))),
     }
-    values = {name: overrides[name] if name in overrides else parse()
-              for name, parse in parsers.items()}
-    return TrialConfig(**{name: v for name, v in values.items() if v is not None})
+    values = {key: overrides[key] if key in overrides else parse()
+              for key, parse in parsers.items()}
+    _known(payload, what, "schema_version", *parsers)
+    names = {"systems": "system_specs", "coefficients": "coeff_spec", "weights": "weight_spec"}
+    return TrialConfig(**{names.get(key, key): v for key, v in values.items() if v is not None})
 
 
 def _cmd_verify(args) -> int:

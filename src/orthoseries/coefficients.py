@@ -465,14 +465,14 @@ DEFAULT_SLACK = 1e-12
 ABSOLUTE_FLOOR = 1e-300
 
 
-def leq_with_slack(lhs, rhs, slack: float = DEFAULT_SLACK):
-    """lhs <= rhs (1 + slack) + ABSOLUTE_FLOOR; false on any NaN or infinity.
-    Two floats give a bool, two arrays a bool array, entry by entry."""
+def leq_with_slack(lhs, rhs):
+    """lhs <= rhs (1 + DEFAULT_SLACK) + ABSOLUTE_FLOOR; false on any NaN or
+    infinity.  Two floats give a bool, two arrays a bool array, entry by entry."""
     if isinstance(lhs, np.ndarray):
         finite = np.isfinite(lhs) & np.isfinite(rhs)
     else:
         finite = math.isfinite(lhs) and math.isfinite(rhs)
-    return finite & (lhs <= rhs * (1.0 + slack) + ABSOLUTE_FLOOR)
+    return finite & (lhs <= rhs * (1.0 + DEFAULT_SLACK) + ABSOLUTE_FLOOR)
 
 
 def orlicz_reduction(a: SequenceSpec, w: WeightSpec, truncation: int) -> ReductionReport:

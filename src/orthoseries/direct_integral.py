@@ -53,9 +53,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSpace:
-    """A finite atomic measure space: atoms 0..M-1 with nonnegative masses."""
+    """A finite atomic measure space: atoms 0..M-1 with nonnegative masses.
+    Equality and hashing are by identity, as for the fiber collection."""
 
     weights: np.ndarray
 

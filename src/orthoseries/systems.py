@@ -125,7 +125,7 @@ def generate(spec: SystemSpec) -> tuple[MeasureSpace, HilbertCollection, Orthono
     Returns the measure space, the fiber collection, and the system; the
     system also carries references to both.  Every kind passes
     ``validate_ons`` at tolerance 1e-10 (exactly orthonormal kinds pass at
-    much tighter tolerances).
+    much tighter ones).
     """
     builder = {
         SystemKind.STANDARD_BASIS: _standard_basis,

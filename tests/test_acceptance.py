@@ -58,8 +58,7 @@ def ensemble_specs() -> tuple[SystemSpec, ...]:
 def test_criterion_1_maximal_inequality():
     cfg = TrialConfig(system_specs=ensemble_specs(),
                       checks={Check.MR_INEQUALITY},
-                      n_trials=1020, seed=2026,
-                      tolerances={Check.MR_INEQUALITY: RELATIVE_SLACK})
+                      n_trials=1020, seed=2026)
     start = time.perf_counter()
     res = run_check(cfg, Check.MR_INEQUALITY)
     elapsed = time.perf_counter() - start
@@ -71,8 +70,7 @@ def test_criterion_1_maximal_inequality():
 def test_criterion_2_dyadic_pointwise_bound():
     cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.HAAR, 4),),
                       checks={Check.DYADIC_POINTWISE},
-                      n_trials=10_000, seed=2027,
-                      tolerances={Check.DYADIC_POINTWISE: RELATIVE_SLACK})
+                      n_trials=10_000, seed=2027)
     res = run_check(cfg, Check.DYADIC_POINTWISE)
     randomized_ok = res.passed
 
@@ -103,10 +101,7 @@ def test_criterion_3_chaining_bounds():
     cfg = TrialConfig(system_specs=ensemble_specs(),
                       checks={Check.MR_THEOREM, Check.BLOCK_NORM_SUM,
                               Check.BLOCK_SQ_SUM},
-                      n_trials=1020, seed=2026,
-                      tolerances={Check.MR_THEOREM: RELATIVE_SLACK,
-                                  Check.BLOCK_NORM_SUM: RELATIVE_SLACK,
-                                  Check.BLOCK_SQ_SUM: RELATIVE_SLACK})
+                      n_trials=1020, seed=2026)
     results = run_suite(cfg).results
     ok = all(r.passed for r in results.values())
     worst = {c.value: f"{r.worst_ratio:.6f}" for c, r in results.items()}
@@ -125,8 +120,7 @@ def test_criterion_4_blocked_oscillation_bound():
         SystemSpec(SystemKind.HAAR, 4096),
     )
     cfg = TrialConfig(system_specs=specs, checks={Check.TANDORI_BLOCK},
-                      n_trials=len(specs), seed=2028, shuffle_plans=20,
-                      tolerances={Check.TANDORI_BLOCK: RELATIVE_SLACK})
+                      n_trials=len(specs), seed=2028, shuffle_plans=20)
     res = run_check(cfg, Check.TANDORI_BLOCK)
     arithmetic_ok = all(row["ok"] for row in res.details["threshold_arithmetic"])
     ok = res.passed and arithmetic_ok
@@ -140,8 +134,7 @@ def test_criterion_5_exhaustive_permutations():
     cfg = TrialConfig(system_specs=(SystemSpec(SystemKind.RADEMACHER, 7),
                                     SystemSpec(SystemKind.STANDARD_BASIS, 7)),
                       checks={Check.EXHAUSTIVE_PERM}, n_trials=1, seed=2029,
-                      exhaustive_n=7,
-                      tolerances={Check.EXHAUSTIVE_PERM: RELATIVE_SLACK})
+                      exhaustive_n=7)
     res = run_check(cfg, Check.EXHAUSTIVE_PERM)
     elapsed = time.perf_counter() - start
     ok = res.passed and res.n_cases == 2 * 5040 and elapsed <= 30.0

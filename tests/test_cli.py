@@ -285,12 +285,13 @@ def test_verify_small_config(tmp_path):
 
 
 def test_verify_failure_exit_code(tmp_path):
+    # finite coefficients +-1e308 overflow the majorant: a failed check, not a refusal
     cfg = {
         "seed": 5,
         "n_trials": 3,
         "checks": ["mr-inequality"],
         "systems": [{"kind": "haar", "n": 8}],
-        "tolerances": {"mr-inequality": -0.999999},
+        "coefficients": {"form": "explicit", "values": [(-1) ** i * 1e308 for i in range(8)]},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -502,7 +503,6 @@ HAAR8 = {"systems": [{"kind": "haar", "n": 8}], "checks": ["dyadic-pointwise"],
     ({"riesz_condition": -4}, "riesz_condition"),
     ({"riesz_condition": 0}, "riesz_condition"),
     ({"shuffle_plans": -1}, "shuffle_plans"),
-    ({"tolerances": None}, "tolerances"),
     ({"checks": None}, "checks"),
     # integer fields take JSON integers, numeric fields finite JSON numbers
     ({"systems": [{"kind": "haar", "n": 16.9}]}, "n"),
@@ -516,8 +516,6 @@ HAAR8 = {"systems": [{"kind": "haar", "n": 8}], "checks": ["dyadic-pointwise"],
     ({"exhaustive_n": True}, "exhaustive_n"),
     ({"shuffle_plans": 1.5}, "shuffle_plans"),
     ({"riesz_condition": True}, "riesz_condition"),
-    ({"tolerances": {"mr-inequality": "0.5"}}, "tolerances"),
-    ({"tolerances": [["mr-inequality", 0.5]]}, "tolerances"),
     ({"coefficients": {"form": "explicit", "values": [1.0, True]}}, "values"),
     # a spec field its kind does not read
     ({"systems": [{"kind": "standard-basis", "n": 8, "fiber_dim": 3, "resolution": 99}]},
@@ -534,12 +532,41 @@ def test_verify_config_malformed_value_exit_2(tmp_path, capsys, extra, key):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("extra,key", [
+    # the per-check slack option is gone: a config asking for any slack is
+    # refused, as it would otherwise get the fixed one without a word
+    ({"tolerances": {"mr-inequality": 1e-15}}, "tolerances"),
+    ({"tolerances": None}, "tolerances"),
+    ({"tolerance": 1e-9}, "tolerance"),
+    ({"n_trial": 2}, "n_trial"),
+    ({"bogus_key": 1}, "bogus_key"),
+    ({"line\nbreak": 1}, "line\\nbreak"),
+    ({"systems": [{"kind": "haar", "n": 8, "fiberdim": 2}]}, "fiberdim"),
+    ({"coefficients": {"form": "power-log", "scale": 1, "alpha": 1, "beta": 2, "shift": 0}},
+     "shift"),
+    ({"coefficients": {"form": "explicit", "values": [1.0], "scale": 1}}, "scale"),
+    ({"weights": {"form": "log-power", "gamma": 1.5, "values": [1.0]}}, "values"),
+    ({"weights": {"form": "explicit", "values": [1.0, 2.0], "gamma": 1.5}}, "gamma"),
+])
+def test_verify_config_unknown_key_exit_2(tmp_path, capsys, extra, key):
+    # a key that nothing reads is refused at every level, never ignored
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**HAAR8, **extra}))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"unknown key '{key}'" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("spec,key", [
     ({"kind": "haar", "n": None}, "n"),
     ({"kind": "haar", "n": 4.5}, "n"),
     ({"kind": "random-qr", "n": 4, "fiber_dim": True, "seed": "7"}, "fiber_dim"),
     ({"kind": "random-qr", "n": 4, "seed": "7"}, "seed"),
     ({"kind": "haar", "n": 4, "fiber_dim": 3}, "fiber_dim"),
+    ({"kind": "random-qr", "n": 4, "fiberdim": 2}, "fiberdim"),
+    ({"kind": "haar", "n": 4, "schema_version": 1}, "schema_version"),
 ])
 def test_gen_ons_spec_malformed_value_exit_2(tmp_path, capsys, spec, key):
     spec_path, out = tmp_path / "spec.json", tmp_path / "sys.json"
@@ -651,7 +678,6 @@ NAN, INF = float("nan"), float("inf")
     lambda t: _config(t, {"weights": {"form": "log-power", "gamma": NAN}}),
     lambda t: _config(t, {"coefficients": {"form": "explicit", "values": [1.0, INF]}}),
     lambda t: _config(t, {"riesz_condition": NAN}),
-    lambda t: _config(t, {"tolerances": {"dyadic-pointwise": INF}}),
     lambda t: _config(t, {"systems": [{"kind": "haar", "n": INF}]}),
     # finite parameters whose values overflow float64
     lambda t: ["check-mr", "--powerlog", "1,-1000,0", "--trunc", "8"],
@@ -665,8 +691,7 @@ NAN, INF = float("nan"), float("inf")
     lambda t: ["majorant", "--system", _system_file(t, "json", 1.0),
                "--coeffs", "1e308,1e308,1e308,1e308"],
 ], ids=["powerlog", "logpower", "explicit-file", "coeffs", "coeffs-file", "system-json",
-        "system-csv", "config-gamma", "config-values", "config-riesz", "config-tolerance",
-        "config-n", "mr-overflow", "tandori-overflow", "orlicz-coeff-overflow",
+        "system-csv", "config-gamma", "config-values", "config-riesz", "config-n", "mr-overflow", "tandori-overflow", "orlicz-coeff-overflow",
         "orlicz-weight-overflow", "config-weight-overflow", "config-coeff-overflow",
         "majorant-overflow"])
 def test_non_finite_input_exit_2(tmp_path, capsys, case):

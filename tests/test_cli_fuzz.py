@@ -35,8 +35,7 @@ CONFIG = {"systems": [{"kind": "haar", "n": 8, "resolution": 8, "fiber_dim": 1, 
           "n_trials": 1, "seed": 1, "checks": ["mr-inequality", "tandori-block", "orlicz-chain"],
           "coefficients": {"form": "explicit", "values": [1.0, -0.5, 0.25]},
           "weights": {"form": "log-power", "gamma": 1.5, "shift": 0.0},
-          "tolerances": {"mr-inequality": 1e-9}, "truncation": 64, "exhaustive_n": 4,
-          "shuffle_plans": 1, "riesz_condition": 4.0}
+          "truncation": 64, "exhaustive_n": 4, "shuffle_plans": 1, "riesz_condition": 4.0}
 SPECS = [{"kind": "haar", "n": 4, "resolution": 4, "fiber_dim": 1, "seed": 7, "field": "real"},
          {"kind": "random-qr", "n": 3, "resolution": 4, "fiber_dim": 2, "seed": 7,
           "field": "complex"}]

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -229,6 +230,22 @@ class TestGershgorinBounds:
             lower, upper = gershgorin_bounds(ons)
             assert lower - 1.0 <= shifted[0] and shifted[-1] <= upper - 1.0
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["upper-end-tight", "lower-end-tight"])
+    def test_tight_discs_contain_the_50_digit_spectrum(self, sign):
+        # G = (1 - sign c) I + sign c 11^T, as Cholesky rows on n atoms of
+        # weight 1, has the eigenvalue 1 + sign (n - 1) c at an end of every
+        # disc, so a bound narrower than Gershgorin's misses it.  The reference
+        # is mpmath's 50-digit spectrum of the same computed Hermitian part
+        n, c = 6, 0.15
+        gram = (1.0 - sign * c) * np.eye(n) + sign * c * np.ones((n, n))
+        space, fibers = pair([1.0] * n, [1] * n)
+        ons = OrthonormalSystem(space, fibers, np.linalg.cholesky(gram))
+        H = di._hermitian_rows(gram_matrix(ons).gram)
+        lower, upper = gershgorin_bounds(ons)
+        with mpmath.workdps(50):
+            eig = mpmath.eigsy(mpmath.matrix(H.tolist()), eigvals_only=True)
+            assert lower <= min(eig) and max(eig) <= upper
+
     @pytest.mark.parametrize("budget", ["default", 1])
     def test_row_blocks_keep_the_bits_of_the_whole_hermitian_part(self, budget, monkeypatch):
         # H, its diagonal and its radii formed a block of rows at a time (one
@@ -418,6 +435,13 @@ class TestInvariantsOfTypes:
         for a, b in twins:
             assert a == a and a != b and not a == b
             assert hash(a) == hash(a) and len({a, b}) == 2
+
+    def test_measure_spaces_compare_by_identity(self):
+        # as for the collections: a generated __eq__ over the weights raised
+        # ValueError, and __hash__ TypeError
+        a, b = MeasureSpace(weights=[1.0, 2.0]), MeasureSpace(weights=[1.0, 2.0])
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_blocks_roundtrip(self):
         f = element([[1.0], [2.0, 3.0]])
