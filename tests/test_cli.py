@@ -691,7 +691,8 @@ NAN, INF = float("nan"), float("inf")
     lambda t: ["majorant", "--system", _system_file(t, "json", 1.0),
                "--coeffs", "1e308,1e308,1e308,1e308"],
 ], ids=["powerlog", "logpower", "explicit-file", "coeffs", "coeffs-file", "system-json",
-        "system-csv", "config-gamma", "config-values", "config-riesz", "config-n", "mr-overflow", "tandori-overflow", "orlicz-coeff-overflow",
+        "system-csv", "config-gamma", "config-values", "config-riesz", "config-n",
+        "mr-overflow", "tandori-overflow", "orlicz-coeff-overflow",
         "orlicz-weight-overflow", "config-weight-overflow", "config-coeff-overflow",
         "majorant-overflow"])
 def test_non_finite_input_exit_2(tmp_path, capsys, case):

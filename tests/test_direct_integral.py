@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -231,20 +230,19 @@ class TestGershgorinBounds:
             assert lower - 1.0 <= shifted[0] and shifted[-1] <= upper - 1.0
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["upper-end-tight", "lower-end-tight"])
-    def test_tight_discs_contain_the_50_digit_spectrum(self, sign):
+    def test_tight_discs_contain_the_exact_spectrum(self, sign):
         # G = (1 - sign c) I + sign c 11^T, as Cholesky rows on n atoms of
-        # weight 1, has the eigenvalue 1 + sign (n - 1) c at an end of every
-        # disc, so a bound narrower than Gershgorin's misses it.  The reference
-        # is mpmath's 50-digit spectrum of the same computed Hermitian part
+        # weight 1, has the exact eigenvalues 1 + sign (n - 1) c (once) and
+        # 1 - sign c, and 1 + sign (n - 1) c lies at an end of every disc, so
+        # a bound narrower than Gershgorin's misses it (a halved radius by
+        # 0.375).  The 1e-12 margin covers the rounding of the computed G
         n, c = 6, 0.15
         gram = (1.0 - sign * c) * np.eye(n) + sign * c * np.ones((n, n))
         space, fibers = pair([1.0] * n, [1] * n)
         ons = OrthonormalSystem(space, fibers, np.linalg.cholesky(gram))
-        H = di._hermitian_rows(gram_matrix(ons).gram)
         lower, upper = gershgorin_bounds(ons)
-        with mpmath.workdps(50):
-            eig = mpmath.eigsy(mpmath.matrix(H.tolist()), eigvals_only=True)
-            assert lower <= min(eig) and max(eig) <= upper
+        eig = (1.0 + sign * (n - 1) * c, 1.0 - sign * c)
+        assert lower <= min(eig) + 1e-12 and max(eig) - 1e-12 <= upper
 
     @pytest.mark.parametrize("budget", ["default", 1])
     def test_row_blocks_keep_the_bits_of_the_whole_hermitian_part(self, budget, monkeypatch):

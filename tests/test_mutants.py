@@ -84,8 +84,8 @@ SURVIVORS = [
      "r *= 1.0 + len(diag) * 2.0 ** -53", "r *= 0.5",
      "G0 of a stock system is near the identity, so riesz-ratio's bounds move "
      "little (riesz-ratio 0.189) and stay far above its 1e-6 lower-bound test; "
-     "tests/test_direct_integral.py holds the bounds against a 50-digit spectrum "
-     "of Gram matrices whose discs are tight, which fails it"),
+     "tests/test_direct_integral.py holds the bounds against the exact extreme "
+     "eigenvalue of Gram matrices whose discs are tight, which fails it"),
     ("scalar-diameter-one-sided", "majorants.py",
      "values = top - bottom", "values = np.maximum(top, -bottom)",
      "the one-sided sup under-reports the real-line diameter by at most 2x, and "
