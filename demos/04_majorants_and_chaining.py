@@ -39,7 +39,7 @@ print("\n=== chaining diagnostics on a seeded system, n = 127 ===")
 _, _, system = generate(SystemSpec(SystemKind.RANDOM_QR, 127, resolution=127,
                                    fiber_dim=1, seed=7))
 coeffs = 1.0 / np.arange(1, 128)
-diag = chaining_diagnostics(system, coeffs, 127)
+diag = chaining_diagnostics(system, coeffs)
 print(f"log-squared mass L = {diag.weyl_mass:.6f}")
 print(f"block norms        : {np.round(diag.block_norms, 4)}")
 print(f"sum of block norms = {diag.block_norm_sum:.4f} <= 2 sqrt(L) = "

@@ -5,7 +5,9 @@ Every rearrangement of a short series is enumerated to find the worst one;
 adversarial plans are built for a longer series (greedy prefix growth,
 which on an orthonormal system is the decreasing-|a_n| order, and block
 reversal); and the blocked oscillation of each double-exponential
-block is compared with its 8 sqrt(block mass) bound.
+block is compared with its 8 sqrt(block mass) bound, for both adversarial
+plans in one call: block_oscillations takes a batch of rearrangements as
+one (P, n) array of 0-based orders, the array all_orders_l2 takes too.
 """
 
 import math
@@ -46,8 +48,9 @@ for plan in (PermutationPlan.identity(16), PermutationPlan.seeded_shuffle(16, 3)
 
 print("\n=== blocked oscillations under the greedy and block-reversal plans ===")
 blocks = tandori_blocks(16)
+# one batch: a row of 0-based indices per plan
+orders = np.array([greedy.order, reversal.order]) - 1
 for k in range(blocks.k_max + 1):
-    # one batch: a row per plan
-    osc = block_oscillations(system, coeffs, [greedy, reversal], k)
+    osc = block_oscillations(system, coeffs, orders, k)
     print(f"  block {k} [{osc.lo},{osc.hi}] ({osc.hi - osc.lo + 1} terms): "
           f"||delta|| = {osc.l2[0]:.4f} greedy, {osc.l2[1]:.4f} reversal <= {osc.bound:.4f}")

@@ -37,7 +37,7 @@ from .coefficients import (SequenceSpec, WeightSpec, orlicz_conditions,
 from .direct_integral import Field
 from .errors import BudgetError, ContractError, StructuralError
 from .majorants import dyadic_decomposition, majorant
-from .serialization import SCHEMA_VERSION, field, integer, listed, loads, number
+from .serialization import SCHEMA_VERSION, field, integer, known, listed, loads, number
 from .systems import SystemKind, SystemSpec, generate
 from .verify import Check, TrialConfig, default_config, run_suite
 
@@ -121,17 +121,10 @@ def _condition_dict(report) -> dict:
     }
 
 
-def _known(entry: dict, what: str, *keys: str) -> None:
-    """Refuse a key of the JSON object ``entry`` outside ``keys``: nothing would read it."""
-    for key in entry:
-        if key not in keys:
-            raise StructuralError(f"{what}: unknown key {key!r}")
-
-
 def _spec_from_dict(entry, what: str, default_seed: int) -> SystemSpec:
     """A system spec from its JSON form {kind, n, resolution, fiber_dim, seed, field}."""
     kind = field(entry, what, "kind", SystemKind)
-    _known(entry, what, "kind", "n", "resolution", "fiber_dim", "seed", "field")
+    known(entry, what, "kind", "n", "resolution", "fiber_dim", "seed", "field")
     return SystemSpec(
         kind=kind,
         n_functions=field(entry, what, "n", integer),
@@ -200,7 +193,9 @@ def _cmd_majorant(args) -> int:
         coeffs = np.asarray(_read_column(args.coeffs_file))
     else:
         raise ContractError("provide --coeffs LIST or --coeffs-file FILE")
-    profile = majorant(system, coeffs, args.n)
+    if args.n is not None and not 1 <= args.n <= coeffs.size:
+        raise ContractError(f"--n {args.n} outside [1, {coeffs.size}], the coefficients given")
+    profile = majorant(system, coeffs[:args.n])
     if not (np.all(np.isfinite(profile.values)) and math.isfinite(profile.l2_norm)):
         raise ContractError("the majorant overflows float64")
     _write(serialization.profile_to_json(profile), args.out)
@@ -221,11 +216,11 @@ def _floats(value) -> list:
 def _sequence_from_config(entry, what: str) -> SequenceSpec:
     form = field(entry, what, "form", lambda v: v)
     if form == "power-log":
-        _known(entry, what, "form", "scale", "alpha", "beta")
+        known(entry, what, "form", "scale", "alpha", "beta")
         return SequenceSpec.power_log(*(field(entry, what, key, number)
                                         for key in ("scale", "alpha", "beta")))
     if form == "explicit":
-        _known(entry, what, "form", "values")
+        known(entry, what, "form", "values")
         return SequenceSpec.from_values(field(entry, what, "values", _floats))
     raise ContractError(f"{what}: unknown 'form'")
 
@@ -233,11 +228,11 @@ def _sequence_from_config(entry, what: str) -> SequenceSpec:
 def _weights_from_config(entry, what: str) -> WeightSpec:
     form = field(entry, what, "form", lambda v: v)
     if form == "log-power":
-        _known(entry, what, "form", "gamma", "shift")
+        known(entry, what, "form", "gamma", "shift")
         return WeightSpec.log_power(field(entry, what, "gamma", number),
                                     field(entry, what, "shift", number, 0.0))
     if form == "explicit":
-        _known(entry, what, "form", "values")
+        known(entry, what, "form", "values")
         return WeightSpec.from_values(field(entry, what, "values", _floats))
     raise ContractError(f"{what}: unknown 'form'")
 
@@ -273,7 +268,7 @@ def _config_from_file(path: str, overrides: dict) -> TrialConfig:
     }
     values = {key: overrides[key] if key in overrides else parse()
               for key, parse in parsers.items()}
-    _known(payload, what, "schema_version", *parsers)
+    known(payload, what, "schema_version", *parsers)
     names = {"systems": "system_specs", "coefficients": "coeff_spec", "weights": "weight_spec"}
     return TrialConfig(**{names.get(key, key): v for key, v in values.items() if v is not None})
 
@@ -344,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--format", choices=["json", "csv"], default=None)
     m.add_argument("--coeffs", default=None, metavar="V1,V2,...")
     m.add_argument("--coeffs-file", default=None, dest="coeffs_file")
-    m.add_argument("--n", type=int, default=None)
+    m.add_argument("--n", type=int, default=None, help="sweep only the first N coefficients")
     m.add_argument("--out", default=None)
     m.set_defaults(fn=_cmd_majorant)
 

@@ -8,7 +8,8 @@ The central object is the finite majorant of partial sums
 computed by one running-sum sweep that holds about ``PREFIX_BUDGET`` prefix
 values at once, for one order or a batch of them (an independent
 materializing oracle lives in ``verify``); the chaining and oscillation
-diagnostics run on it too.  On top sit:
+diagnostics run on it too.  Each kernel sweeps exactly the coefficients
+given, and the batched ones take a (P, n) array of 0-based orders.  On top sit:
 
 * the binary-representation decomposition of a prefix length into at most
   r+1 dyadic blocks, and the pointwise bound it yields,
@@ -21,7 +22,7 @@ diagnostics run on it too.  On top sit:
   stack of per-atom diameters, each the maximum over the pairs of those
   prefixes that neither a bounding-box nor a centroid-ball bound rules out
   (bitwise the all-pairs maximum).  On vector fibers a block's atoms go
-  in chunks of about 4 * ``PREFIX_BUDGET`` prefix values, one sweep each,
+  in chunks of about 4 * ``PREFIX_BUDGET`` prefix values, one cumsum each,
   so the kernel's memory is bounded whatever the fiber dimension, and
 * permutation plans, including two adversarial constructions that depend
   on the coefficients alone: the max-prefix greedy order, which Parseval
@@ -63,19 +64,28 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def _coeff_array(coeffs, system: OrthonormalSystem, n: int | None = None) -> np.ndarray:
+def _coeff_array(coeffs, system: OrthonormalSystem) -> np.ndarray:
     a = np.asarray(coeffs)
     if a.ndim != 1:
         raise StructuralError("coefficients must be one-dimensional")
     if a.dtype.kind == "c" and system.fibers.field is Field.REAL:
         raise StructuralError("complex coefficients with a real system")
-    if n is None:
-        n = a.size
-    if n < 1 or n > len(system):
-        raise ContractError(f"prefix length {n} outside [1, {len(system)}]")
-    if a.size < n:
-        raise StructuralError(f"need {n} coefficients, got {a.size}")
+    if not 1 <= a.size <= len(system):
+        raise ContractError(f"prefix length {a.size} outside [1, {len(system)}]")
     return a.astype(system.fibers.field.dtype, copy=False)
+
+
+def _order_array(orders, n: int) -> np.ndarray:
+    """``orders`` if it is a (P, n) integer array whose rows are permutations
+    of 0..n-1, sorted about ``PREFIX_BUDGET`` entries at a time to check."""
+    orders = np.asarray(orders)
+    if orders.ndim != 2 or orders.dtype.kind not in "iu":
+        raise StructuralError("orders must be a two-dimensional integer array")
+    step = max(1, PREFIX_BUDGET // n)
+    if orders.shape[1] != n or any(np.any(np.sort(orders[lo:lo + step], axis=1) != np.arange(n))
+                                   for lo in range(0, len(orders), step)):
+        raise ContractError(f"orders must be permutations of 0..{n - 1}")
+    return orders
 
 
 def _fiber_sq_norms(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -94,25 +104,25 @@ def _weighted_l2(weights: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 
 def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
-                 start: np.ndarray, step: int | None = None, restarts=()):
+                 start: np.ndarray, restarts=()):
     """Yield ``(lo, rows)`` for lo = 0, step, ...: ``rows[..., 0, :]`` is the
     sum through position lo - 1 (``start`` at lo = 0), ``rows[..., 1:, :]``
     the sums through positions lo, lo+1, ..., and the next step overwrites
     them.  The row of a position in ``restarts`` adds ``start`` instead of
     the row before it, so its bits are those of a fresh sweep from there.
     The leading axes of ``order`` (..., m) and ``start`` (..., D) index
-    independent orders, which share one buffer of ``step`` rows each (by
-    default about ``PREFIX_BUDGET`` values in all).  Adding row by row gives
-    the bits of ``np.cumsum(axis=-2)``, which wins only on narrow rows: one
-    whole step (take, scale, running sum; timeit, best of 5, one Xeon core)
-    took 36 us with cumsum against the loop's 67 us at (rows, width) =
-    (65, 64) and 780 against 1,130 us at (1025, 64), but 854 against 165 us
-    at (65, 1024) and 722 against 249 us at (103, 640), the wide rows of the
-    larger systems.  A switch on width would be a tuning constant that the
-    stock and the large verify configs pull opposite ways, so the loop stays.
+    independent orders, which share one buffer of ``step`` rows each, about
+    ``PREFIX_BUDGET`` values in all.  Adding row by row gives the bits of
+    ``np.cumsum(axis=-2)``, which wins only on narrow rows: one whole step
+    (take, scale, running sum; timeit, best of 5, one Xeon core) took 36 us
+    with cumsum against the loop's 67 us at (rows, width) = (65, 64) and 780
+    against 1,130 us at (1025, 64), but 854 against 165 us at (65, 1024) and
+    722 against 249 us at (103, 640), the wide rows of the larger systems.
+    The stock and large configs pull a switch on width opposite ways, so the
+    loop stays (``block_oscillations`` forms each vector chunk by cumsum).
     """
     batch, m = order.shape[:-1], order.shape[-1]
-    step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
+    step = max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
     restarts = set(restarts)
     # step-major: the rows of one position, across the batch, are one
     # contiguous block, so np.take writes the products in place (a strided
@@ -186,10 +196,10 @@ class MajorantProfile:
     l2_norm: float
 
 
-def prefix_sum(system: OrthonormalSystem, coeffs, j: int) -> DirectIntegralElement:
-    """The element sum_{n<=j} a_n phi_n."""
-    a = _coeff_array(coeffs, system, j)
-    flat = a[:j] @ system.values[:j]
+def prefix_sum(system: OrthonormalSystem, coeffs) -> DirectIntegralElement:
+    """The element sum_n a_n phi_n over the coefficients given."""
+    a = _coeff_array(coeffs, system)
+    flat = a @ system.values[:a.size]
     return DirectIntegralElement(values=flat, fibers=system.fibers)
 
 
@@ -233,16 +243,15 @@ class PermutationPlan:
         return tag
 
 
-def permuted_majorant(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
-                      n: int | None = None) -> MajorantProfile:
+def permuted_majorant(system: OrthonormalSystem, coeffs,
+                      plan: PermutationPlan) -> MajorantProfile:
     """Majorant of the rearranged series sum a_{sigma(n)} phi_{sigma(n)}.
 
     With the identity plan this is bitwise identical to ``majorant``.
     """
-    a = _coeff_array(coeffs, system, n)
-    n = a.size if n is None else n
-    if len(plan) != n:
-        raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {n}")
+    a = _coeff_array(coeffs, system)
+    if len(plan) != a.size:
+        raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {a.size}")
     sup_sq, arg, _ = _sweep(system.values, system.fibers.offsets, a,
                             np.asarray(plan.order) - 1, first_arg=True)
     return MajorantProfile(values=np.sqrt(sup_sq[0]), argmax_prefix=arg[0],
@@ -251,35 +260,29 @@ def permuted_majorant(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
 
 def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
     """``permuted_majorant(...).l2_norm`` for every row of ``orders``, a
-    (P, n) array of 0-based permutations of the first n indices, bit for bit.
+    (P, n) array of 0-based permutations of 0..n-1 (n = len(coeffs)), bitwise.
 
     The orders run through one sweep in chunks of
     max(1, PREFIX_BUDGET // (n * D)) rows, D the flat fiber dimension, so a
     chunk's prefix buffer holds about ``PREFIX_BUDGET`` values whatever P is.
     """
-    orders = np.asarray(orders)
-    if orders.ndim != 2 or orders.dtype.kind not in "iu":
-        raise StructuralError("orders must be a two-dimensional integer array")
-    n = orders.shape[1]
-    a = _coeff_array(coeffs, system, n)
+    a = _coeff_array(coeffs, system)
+    orders = _order_array(orders, a.size)
     V = system.values
     offsets = system.fibers.offsets
     weights = system.space.weights
-    chunk = max(1, PREFIX_BUDGET // (n * V.shape[1]))
+    chunk = max(1, PREFIX_BUDGET // (a.size * V.shape[1]))
     l2 = np.empty(orders.shape[0])
     for lo in range(0, orders.shape[0], chunk):
-        block = orders[lo:lo + chunk]
-        if not np.all(np.sort(block, axis=1) == np.arange(n)):
-            raise ContractError(f"orders must be permutations of 0..{n - 1}")
-        l2[lo:lo + chunk] = _weighted_l2(weights, _sweep(V, offsets, a, block)[0][0])
+        sup_sq = _sweep(V, offsets, a, orders[lo:lo + chunk])[0][0]
+        l2[lo:lo + chunk] = _weighted_l2(weights, sup_sq)
     return l2
 
 
-def majorant(system: OrthonormalSystem, coeffs, n: int | None = None) -> MajorantProfile:
-    """Streaming majorant over the first ``n`` prefixes (default: all coefficients)."""
-    a = _coeff_array(coeffs, system, n)
-    n = a.size if n is None else n
-    return permuted_majorant(system, a, PermutationPlan.identity(n), n)
+def majorant(system: OrthonormalSystem, coeffs) -> MajorantProfile:
+    """Streaming majorant over the prefixes of the coefficients given."""
+    a = _coeff_array(coeffs, system)
+    return permuted_majorant(system, a, PermutationPlan.identity(a.size))
 
 
 @dataclass(frozen=True)
@@ -394,17 +397,16 @@ class ChainingDiagnostics:
     majorant_bound: float
 
 
-def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingDiagnostics:
-    """Two ``_sweep`` passes over positions 0..min(n, N) - 1 (N the system
-    length, coefficients past it zero), cut at the block starts 2^k - 1: a
-    running one gives each block's sup and the running sum at its end, one
-    restarted at each block start the within-block sups and block sums."""
-    K = complete_block_form(n)
-    n_sys = len(system)
-    a = _coeff_array(coeffs, system, min(n, n_sys))
-    if a.size < n:
-        raise StructuralError(f"need {n} coefficients, got {a.size}")
-    if n > n_sys and np.any(a[n_sys:n] != 0):
+def chaining_diagnostics(system: OrthonormalSystem, coeffs) -> ChainingDiagnostics:
+    """Two ``_sweep`` passes over positions 0..min(n, N) - 1 (n = len(coeffs),
+    N the system length, coefficients past it zero), cut at the block starts
+    2^k - 1: a running one gives each block's sup and the running sum at its
+    end, one restarted at each block start the within-block sups and sums."""
+    n_sys, a = len(system), np.asarray(coeffs)
+    head = _coeff_array(a[:n_sys] if a.ndim == 1 else a, system)
+    a = a.astype(head.dtype, copy=False)
+    K = complete_block_form(a.size)
+    if np.any(a[n_sys:] != 0):
         # padding to a complete dyadic block must not invent new terms
         raise ContractError(
             f"coefficients beyond the system length {n_sys} must be zero")
@@ -412,7 +414,7 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingD
     offsets = system.fibers.offsets
     weights = system.space.weights
 
-    order = np.arange(min(n, n_sys))
+    order = np.arange(head.size)
     edges = [min((1 << k) - 1, order.size) for k in range(K + 2)]
     sup_sq, _, running = _sweep(V, offsets, a, order, edges)
     inner_sq, _, inner = _sweep(V, offsets, a, order, edges, restart=True)
@@ -422,11 +424,11 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs, n: int) -> ChainingD
                                for k in range(K + 1)])
     inner_sup_norms = _weighted_l2(weights, inner_sq)
 
-    weyl_mass = compensated_sum(weyl_terms(a[:n]))
+    weyl_mass = compensated_sum(weyl_terms(a))
     block_norm_sum = compensated_sum(block_norms)
     inner_sq_sum = compensated_sum(inner_sup_norms ** 2)
     return ChainingDiagnostics(
-        n=n, k_max=K,
+        n=a.size, k_max=K,
         block_norms=block_norms, block_coeff_sq=block_coeff_sq,
         inner_sup_norms=inner_sup_norms,
         dyadic_sup_l2=float(_weighted_l2(weights, dyad_sq)),
@@ -624,49 +626,42 @@ def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarra
     return out.reshape(batch + (dims.size,))
 
 
-def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
-                       n: int | None = None) -> BlockOscillation:
+def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> BlockOscillation:
     """Oscillation diagnostics of block ``k`` for every rearrangement in
-    ``plans`` in one pass, their arrays in plan order.
+    ``orders`` (as ``all_orders_l2`` takes them) in one pass, in row order.
 
     Coefficients a_1 and a_2 are treated as zero (the usual normalization;
     the first block starts at index 3).  The exact per-atom diameter of the
     block's prefix sums: max - min on scalar real fibers, otherwise the
     largest direct-difference distance over the rows that can attain it
-    (``_pointwise_diameters``).  The P plans' orders inside the block run
-    through one ``_prefix_rows`` sweep as a (P, m) batch, and their
-    (plan, atom) pairs through one diameter stack; each plan's row has the
-    bits of a pass over that plan alone.  Off the scalar real case, the
-    block's atoms go a chunk of whole fibers at a time: the sweep of the
-    block's rows restricted to a chunk's columns, about 4 * PREFIX_BUDGET
-    prefix values (at least one atom), its diameters and one-sided sups,
-    and then the next chunk.  A column's sums do not depend on the other
-    columns, so every array keeps its bits, and a block that fits one chunk
-    (every block of the stock configs) is one sweep as before.
-    ``doubled_one_sided`` is returned unjudged, NaN and infinity included;
-    tandori-block judges it.
+    (``_pointwise_diameters``).  The P orders form their prefix sums as one
+    (P, m) batch and go through one diameter stack; each order's row has the
+    bits of a pass over that order alone.  Off the scalar real case, the
+    block's atoms go a chunk of whole fibers at a time: the block's prefix
+    rows restricted to a chunk's columns, about 4 * PREFIX_BUDGET prefix
+    values (at least one atom) summed by one ``np.cumsum`` from a zero row
+    (the bits of ``_prefix_rows``' loop), its diameters and one-sided sups,
+    then the next chunk.  A column's sums do not depend on the other
+    columns, so every array keeps its bits.  ``doubled_one_sided`` is
+    returned unjudged, NaN and infinity included; tandori-block judges it.
     """
-    a = _coeff_array(coeffs, system, n).copy()
-    n = a.size if n is None else n
-    for plan in plans:
-        if len(plan) != n:
-            raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {n}")
-    a[:min(2, n)] = 0
-    blocks = tandori_blocks(n)
+    a = _coeff_array(coeffs, system).copy()
+    orders = _order_array(orders, a.size)
+    a[:2] = 0
+    blocks = tandori_blocks(a.size)
     if not 0 <= k <= blocks.k_max:
-        raise ContractError(f"block {k} outside the {blocks.k_max + 1} blocks of n={n}")
+        raise ContractError(f"block {k} outside the {blocks.k_max + 1} blocks of n={a.size}")
     lo, hi = blocks.ranges[k]
 
-    orders = np.array([plan.order for plan in plans])
-    # every plan holds each index of the block once, so each row keeps hi - lo + 1
-    src = orders[(orders >= lo) & (orders <= hi)].reshape(len(plans), -1) - 1
+    # every order holds each index of the block once, so each row keeps hi - lo + 1
+    src = orders[(orders >= lo - 1) & (orders < hi)].reshape(len(orders), -1)
 
     V = system.values
     offsets = system.fibers.offsets
-    zero = np.zeros((len(plans), V.shape[1]), dtype=V.dtype)
     if V.dtype.kind != "c" and np.all(system.fibers.dims == 1):
         # on a real line the diameter is max - min, taken a budget of rows at
         # a time; |x| keeps the bits that sqrt(x^2) would lose to underflow
+        zero = np.zeros((len(orders), V.shape[1]))
         top, bottom = zero.copy(), zero.copy()
         for _, rows in _prefix_rows(V, a, src, zero):
             np.maximum(top, rows.max(axis=-2), out=top)
@@ -675,20 +670,20 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
         doubled = 2.0 * np.maximum(top, np.abs(bottom))
     else:
         # 4 budgets a chunk: at 1, large-n's blocks ran about 25 % slower on
-        # the per-chunk overhead (19 chunks in random-qr n = 640's last block).
-        # Rows are sliced before columns, as np.take copies a strided V whole.
-        values = np.empty((len(plans), offsets.size - 1))
+        # the per-chunk overhead (19 chunks in random-qr n = 640's last block)
+        values = np.empty((len(orders), offsets.size - 1))
         doubled = np.empty_like(values)
-        rows, coeffs, src = V[lo - 1:hi], a[lo - 1:hi], src - (lo - 1)
-        width = 4 * PREFIX_BUDGET // (len(plans) * (src.shape[1] + 1))
+        scale = a[src][..., None]
+        width = 4 * PREFIX_BUDGET // (len(orders) * (src.shape[1] + 1))
         first = 0
         while first < values.shape[1]:
             stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + width,
                                                       side="right")) - 1)
             c0, c1 = offsets[first], offsets[stop]
             part = offsets[first:stop + 1] - c0
-            _, prefixes = next(_prefix_rows(rows[:, c0:c1], coeffs, src, zero[:, c0:c1],
-                                            src.shape[1]))
+            prefixes = np.zeros((len(orders), src.shape[1] + 1, c1 - c0), dtype=V.dtype)
+            np.multiply(scale, V[src, c0:c1], out=prefixes[:, 1:])
+            np.cumsum(prefixes, axis=1, out=prefixes)
             values[:, first:stop] = _pointwise_diameters(prefixes, part)
             doubled[:, first:stop] = 2.0 * np.sqrt(
                 _fiber_sq_norms(prefixes[:, 1:], part).max(axis=-2))
@@ -702,10 +697,10 @@ def block_oscillations(system: OrthonormalSystem, coeffs, plans, k: int,
 
 
 def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
-                  k: int, n: int | None = None) -> BlockOscillation:
+                  k: int) -> BlockOscillation:
     """Oscillation diagnostics of block ``k`` for one rearrangement: the
     row of ``block_oscillations`` for that plan alone."""
-    osc = block_oscillations(system, coeffs, [plan], k, n)
+    osc = block_oscillations(system, coeffs, np.array([plan.order]) - 1, k)
     return replace(osc, values=osc.values[0], l2=float(osc.l2[0]),
                    doubled_one_sided=osc.doubled_one_sided[0])
 
@@ -728,9 +723,9 @@ def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
     reverses each Tandori block.  Both strategies are functions of
     (coefficients, n) alone.
     """
-    if n < 2:
-        raise ContractError("adversarial permutations need n >= 2")
-    a = _coeff_array(coeffs, system, n)
+    a = _coeff_array(coeffs, system)
+    if not 2 <= n <= a.size:
+        raise ContractError(f"adversarial permutations need 2 <= n <= {a.size}, got n={n}")
     if strategy is AdversarialStrategy.BLOCK_REVERSAL:
         order = list(range(1, n + 1))
         if n >= 3:

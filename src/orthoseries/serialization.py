@@ -30,7 +30,8 @@ The CSV writer joins the same tokens, one element row at a time.
 
 It also holds the one JSON reader of system files, verify configs and
 ``gen-ons --spec`` files: ``loads``, then ``field`` with ``listed``, ``number``
-(finite, not bool) and ``integer`` (no bool, float or str).  System files
+(finite, not bool) and ``integer`` (no bool, float or str), and ``known``,
+which refuses a key that nothing reads.  System files
 are parsed by orjson, which refuses NaN, Infinity and numbers past the
 float range as malformed JSON.  Configs and specs are parsed by ``json``:
 orjson reads an integer of 2^64 or more as a float, which ``integer``
@@ -176,6 +177,13 @@ def field(entry, what: str, key: str, cast, default=_REQUIRED):
         raise StructuralError(f"{what}: '{key}' has a malformed value") from exc
 
 
+def known(entry: dict, what: str, *keys: str) -> None:
+    """Refuse a key of the JSON object ``entry`` outside ``keys``: nothing would read it."""
+    for key in entry:
+        if key not in keys:
+            raise StructuralError(f"{what}: unknown key {key!r}")
+
+
 def listed(value, types=(int, float)) -> list:
     """``value`` if it is a list whose entries' types are all among ``types``,
     by one type-set test (bool and str, which numpy would convert, are not)."""
@@ -233,6 +241,7 @@ def system_from_json(text: str) -> OrthonormalSystem:
     payload = loads(text, what, orjson.loads)
     if field(payload, what, "schema_version", integer) != SCHEMA_VERSION:
         raise StructuralError(f"{what}: 'schema_version' must be {SCHEMA_VERSION}")
+    known(payload, what, "schema_version", "field", "weights", "dims", "elements")
     space = MeasureSpace(weights=field(payload, what, "weights",
                                        lambda v: np.asarray(listed(v), dtype=float)))
     fibers = HilbertCollection(field=field(payload, what, "field", Field), dims=field(

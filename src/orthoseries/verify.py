@@ -388,34 +388,45 @@ def _trial(cfg: TrialConfig, check: Check, t: int, systems: dict,
     return system, seeded_rng(path), case
 
 
+def _lifted(b: np.ndarray) -> np.ndarray:
+    """``b`` times the exact power of two that lifts max |b_n| into [1/2, 1)
+    where it lies in (0, 1/2), else ``b``: every ratio and bracket a check
+    judges is homogeneous in b, and tiny coefficients' squares underflow."""
+    top = float(np.max(np.abs(b), initial=0.0))
+    if 0.0 < top < 0.5:
+        return np.ldexp(b.view(np.float64), -math.frexp(top)[1]).view(b.dtype)
+    return b
+
+
 def _draw_coefficients(cfg: TrialConfig, rng: np.random.Generator,
                        n: int, scalar_field: Field) -> np.ndarray:
-    """Default draw: standard normal scaled by n^-1 (complex for complex fibers)."""
+    """Default draw: standard normal scaled by n^-1 (complex for complex
+    fibers); either draw ``_lifted``."""
     if cfg.coeff_spec is not None:
         vals = cfg.coeff_spec.coefficients(n)
         if scalar_field is Field.COMPLEX:
             vals = vals.astype(np.complex128)
-        return vals
+        return _lifted(vals)
     x = rng.standard_normal(n)
     if scalar_field is Field.COMPLEX:
         x = (x + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    return x / np.arange(1, n + 1)
+    return _lifted(x / np.arange(1, n + 1))
 
 
-def oracle_majorant(system: OrthonormalSystem, coeffs, n: int | None = None) -> MajorantProfile:
-    """Materializing majorant oracle: builds all n prefix elements explicitly.
+def oracle_majorant(system: OrthonormalSystem, coeffs) -> MajorantProfile:
+    """Materializing majorant oracle: builds all len(coeffs) prefix elements.
 
     Semantically identical to the streaming ``majorants.majorant``; kept
     deliberately independent of it (cumulative matrix, then per-atom maxima
     over rows).  Refuses inputs past the n * total_dim <= 1e7 budget.
     """
     a = np.asarray(coeffs)
-    n = a.size if n is None else n
+    n = a.size
     total = system.fibers.total_dim
     if n * total > ORACLE_BUDGET:
         raise BudgetError(f"materializing {n} prefixes of dimension {total} exceeds the budget")
     a = a.astype(system.fibers.field.dtype, copy=False)
-    prefixes = np.cumsum(a[:n, None] * system.values[:n], axis=0)
+    prefixes = np.cumsum(a[:, None] * system.values[:n], axis=0)
     mag = np.abs(prefixes) ** 2
     per_atom = np.add.reduceat(mag, system.fibers.offsets[:-1], axis=1)
     best = per_atom.max(axis=0)
@@ -471,7 +482,7 @@ def _chaining_results(cfg: TrialConfig, systems: dict) -> tuple:
         n_pad = complete_block_length(n_sys)
         b = _draw_coefficients(cfg, rng, n_sys, system.fibers.field)
         b_pad = np.concatenate([b, np.zeros(n_pad - n_sys, dtype=b.dtype)])
-        diag = chaining_diagnostics(system, b_pad, n_pad)
+        diag = chaining_diagnostics(system, b_pad)
         parseval_dev = float(np.max(np.abs(diag.block_norms ** 2 - diag.block_coeff_sq)
                                     / np.maximum(diag.block_coeff_sq, ABSOLUTE_FLOOR),
                                     initial=0.0))
@@ -514,9 +525,8 @@ def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
     under identity, seeded-shuffle, greedy, and block-reversal plans.  A
     (plan, block) record fails also where its diameters break the bracket
     one-sided <= diameter <= 2 x one-sided at some atom, both halves by
-    ``leq_with_slack``, and its case then names the bracket.  Coefficients
-    below 1/2 are first scaled up by an exact power of two, as their squares
-    underflowed (every ratio and bracket is homogeneous in b)."""
+    ``leq_with_slack``, and its case then names the bracket.  No block reads
+    b_1 and b_2, so they are set to 0 before b is ``_lifted`` again."""
     specs = [s for s in cfg.system_specs if s.n_functions >= 5]
     if not specs:
         raise ContractError("tandori block checks need at least one system with n >= 5")
@@ -526,14 +536,11 @@ def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
         system, rng, case = _trial(cfg, Check.TANDORI_BLOCK, t, systems, specs)
         n = len(system)
         b = _draw_coefficients(cfg, rng, n, system.fibers.field)
-        # lift max |b_n| (n >= 3) into [1/2, 1); no block reads b_1 and b_2
-        top = float(np.max(np.abs(b[2:]), initial=0.0))
-        if 0.0 < top < 0.5:
-            b = np.ldexp(np.concatenate([np.zeros(2, b.dtype), b[2:]]).view(np.float64),
-                         -math.frexp(top)[1]).view(b.dtype)
+        b = _lifted(np.concatenate([np.zeros(2, b.dtype), b[2:]]))
         plans = _trial_plans(cfg, system, b, n, tuple(case["seed_path"]))
         # every plan of a block at once; the records keep plan-major order
-        by_block = [block_oscillations(system, b, plans, k, n)
+        orders = np.array([plan.order for plan in plans]) - 1
+        by_block = [block_oscillations(system, b, orders, k)
                     for k in range(tandori_blocks(n).k_max + 1)]
         held = [np.all(leq_with_slack(osc.values, osc.doubled_one_sided)
                        & leq_with_slack(0.5 * osc.doubled_one_sided, osc.values), axis=1).tolist()

@@ -58,6 +58,29 @@ def test_gen_ons_then_majorant_roundtrip(tmp_path, capsys):
     assert payload["values"] == [float(v) for v in want.values]
 
 
+def test_majorant_n_sweeps_the_first_n_coefficients(tmp_path):
+    sys_path, out = tmp_path / "sys.json", tmp_path / "p.json"
+    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--out", str(sys_path)]) == 0
+    assert main(["majorant", "--system", str(sys_path), "--coeffs", "1,0.5,0.25,0.125",
+                 "--n", "2", "--out", str(out)]) == 0
+    from orthoseries import majorant
+    want = majorant(system_from_json(sys_path.read_text()), np.array([1.0, 0.5]))
+    assert json.loads(out.read_text())["l2_norm"] == want.l2_norm
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "5"], ids=["zero", "negative", "past-the-coefficients"])
+def test_majorant_n_out_of_range_exit_2(tmp_path, capsys, n):
+    # --n picks a prefix of the four coefficients given, 1 to 4 of them
+    sys_path, out = tmp_path / "sys.json", tmp_path / "p.json"
+    assert main(["gen-ons", "--kind", "haar", "--n", "8", "--out", str(sys_path)]) == 0
+    capsys.readouterr()
+    assert main(["majorant", "--system", str(sys_path), "--coeffs", "1,1,1,1", "--n", n,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gen_ons_csv_format(tmp_path):
     sys_path = tmp_path / "sys.csv"
     assert main(["gen-ons", "--kind", "rademacher", "--n", "2", "--format", "csv",
@@ -765,6 +788,18 @@ def test_malformed_system_file_exit_2(tmp_path, capsys, name, text):
     assert main(["majorant", "--system", str(path), "--coeffs", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_system_json_unknown_key_exit_2(tmp_path, capsys):
+    # a key that the reader does not read is refused, as in configs and specs
+    path, out = tmp_path / "sys.json", tmp_path / "p.json"
+    assert main(["gen-ons", "--kind", "haar", "--n", "4", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "dimz": [1, 1, 1, 1], "bogus": 0}))
+    capsys.readouterr()
+    assert main(["majorant", "--system", str(path), "--coeffs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: system JSON: unknown key 'dimz'\n"
     assert not out.exists()
 
 

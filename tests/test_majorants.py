@@ -244,23 +244,23 @@ def random_coeffs(system, seed):
 class TestPrefixSum:
     def test_single_zero_coefficient(self, std3):
         _, _, system = std3
-        el = prefix_sum(system, [0.0, 1.0, 1.0], 1)
+        el = prefix_sum(system, [0.0])
         assert np.all(el.values == 0)
 
     def test_standard_basis_expansion(self, std3):
         _, _, system = std3
-        el = prefix_sum(system, [3.0, 4.0, 9.0], 2)
+        el = prefix_sum(system, [3.0, 4.0])
         assert list(el.values) == [3.0, 4.0, 0.0]
 
     def test_rademacher_sign_addition(self):
         _, _, system = generate(SystemSpec(SystemKind.RADEMACHER, 2))
-        el = prefix_sum(system, [1.0, 1.0], 2)
+        el = prefix_sum(system, [1.0, 1.0])
         assert list(el.values) == [2.0, 0.0, 0.0, -2.0]
 
     def test_out_of_range(self, std3):
         _, _, system = std3
         with pytest.raises(ContractError):
-            prefix_sum(system, [1.0, 1.0, 1.0], 4)
+            prefix_sum(system, [1.0, 1.0, 1.0, 1.0])
 
 
 class TestMajorant:
@@ -306,7 +306,7 @@ class TestMajorant:
         for _ in range(20):
             b = gen.standard_normal(8)
             prof = majorant(system, b)
-            first = np.abs(prefix_sum(system, b, 1).values)
+            first = np.abs(prefix_sum(system, b[:1]).values)
             per_atom_first = np.sqrt(np.add.reduceat(first ** 2,
                                                      system.fibers.offsets[:-1]))
             assert np.all(prof.values >= per_atom_first - 1e-15)
@@ -322,7 +322,7 @@ class TestMajorant:
         _, _, system = generate(
             SystemSpec(SystemKind.RANDOM_QR, 16, resolution=8, fiber_dim=2, seed=5))
         b = gen.standard_normal(16)
-        norms = [majorant(system, b, n).l2_norm for n in range(1, 17)]
+        norms = [majorant(system, b[:n]).l2_norm for n in range(1, 17)]
         assert np.all(np.diff(norms) >= 0)
 
     def test_complex_coefficients_on_real_system_rejected(self, std3):
@@ -426,14 +426,14 @@ class TestDyadicPointwiseBound:
 class TestChaining:
     def test_zero_coefficients(self, std3):
         _, _, system = std3
-        diag = chaining_diagnostics(system, np.zeros(3), 3)
+        diag = chaining_diagnostics(system, np.zeros(3))
         assert diag.majorant_l2 == 0.0
         assert diag.block_norm_sum == 0.0
         assert diag.inner_sq_sum == 0.0
 
     def test_standard_basis_three(self, std3):
         _, _, system = std3
-        diag = chaining_diagnostics(system, [1.0, 0.5, 0.5], 3)
+        diag = chaining_diagnostics(system, [1.0, 0.5, 0.5])
         assert diag.block_norms == pytest.approx([1.0, math.sqrt(0.5)], rel=1e-15)
         assert diag.block_norm_sum == pytest.approx(1.0 + math.sqrt(0.5), rel=1e-15)
         assert diag.weyl_mass == pytest.approx(2.628026532173065, rel=1e-15)
@@ -448,7 +448,7 @@ class TestChaining:
         _, _, system = generate(
             SystemSpec(SystemKind.RANDOM_QR, 31, resolution=64, fiber_dim=1, seed=7))
         b = 1.0 / np.arange(1, 32)
-        diag = chaining_diagnostics(system, b, 31)
+        diag = chaining_diagnostics(system, b)
         assert diag.block_norm_sum <= diag.block_norm_sum_bound * (1 + 1e-12)
         assert diag.inner_sq_sum <= diag.inner_sq_bound * (1 + 1e-12)
         assert diag.majorant_l2 <= diag.majorant_bound * (1 + 1e-12)
@@ -458,7 +458,7 @@ class TestChaining:
         _, _, system = generate(
             SystemSpec(SystemKind.RANDOM_QR, 15, resolution=5, fiber_dim=3, seed=11))
         b = gen.standard_normal(15)
-        diag = chaining_diagnostics(system, b, 15)
+        diag = chaining_diagnostics(system, b)
         assert diag.block_norms ** 2 == pytest.approx(diag.block_coeff_sq, rel=1e-10)
 
     def test_triangle_step_and_dyadic_sup(self):
@@ -467,7 +467,7 @@ class TestChaining:
             _, _, system = generate(
                 SystemSpec(SystemKind.RANDOM_QR, 31, resolution=31, seed=trial))
             b = gen.standard_normal(31)
-            diag = chaining_diagnostics(system, b, 31)
+            diag = chaining_diagnostics(system, b)
             # sup over complete-block prefixes is dominated by the block-norm
             # sum, and the full majorant by the triangle decomposition
             assert diag.dyadic_sup_l2 <= diag.block_norm_sum * (1 + 1e-12)
@@ -478,17 +478,17 @@ class TestChaining:
     def test_incomplete_length_message(self, std3):
         _, _, system = std3
         with pytest.raises(ContractError, match="zero-pad"):
-            chaining_diagnostics(system, [1.0, 1.0], 2)
+            chaining_diagnostics(system, [1.0, 1.0])
 
     def test_zero_padding_beyond_system(self, std3):
         _, _, system = std3
         b = np.array([1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
-        diag = chaining_diagnostics(system, b, 7)
-        short = chaining_diagnostics(system, b[:3], 3)
+        diag = chaining_diagnostics(system, b)
+        short = chaining_diagnostics(system, b[:3])
         assert diag.majorant_l2 == short.majorant_l2
         assert diag.weyl_mass == short.weyl_mass
         with pytest.raises(ContractError):
-            chaining_diagnostics(system, np.array([1, 0.5, 0.5, 0.1, 0, 0, 0.0]), 7)
+            chaining_diagnostics(system, np.array([1, 0.5, 0.5, 0.1, 0, 0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +541,7 @@ class TestPrefixSweep:
         for n in (len(system), len(system) - 2):
             for b in sweep_coeffs(system):
                 plan = PermutationPlan.seeded_shuffle(n, 91)
-                for prof, order in ((majorant(system, b, n), range(n)),
+                for prof, order in ((majorant(system, b[:n]), range(n)),
                                     (permuted_majorant(system, b[:n], plan),
                                      [s - 1 for s in plan.order])):
                     values, arg, l2 = per_term_profile(system, b, order)
@@ -559,7 +559,7 @@ class TestPrefixSweep:
                          mj.complete_block_length(2 * n_sys + 1)}):
             for b in sweep_coeffs(system):
                 b = np.concatenate([b, np.zeros(max(0, n - n_sys), dtype=b.dtype)])
-                diag = chaining_diagnostics(system, b[:n], n)
+                diag = chaining_diagnostics(system, b[:n])
                 want = per_term_chaining(system, b, n)
                 for field in dataclasses.fields(diag):
                     assert np.array_equal(getattr(diag, field.name), want[field.name]), field.name
@@ -580,7 +580,7 @@ class TestPrefixSweep:
         b = random_coeffs(system, 97)
         for n in (1, 3, 7, 15, 31, 63, 127, 255):
             passes.clear()
-            diag = chaining_diagnostics(system, np.concatenate([b, np.zeros(max(0, n - 64))])[:n], n)
+            diag = chaining_diagnostics(system, np.concatenate([b, np.zeros(max(0, n - 64))])[:n])
             assert diag.k_max == complete_block_form(n)
             assert len(passes) == 2
             assert [list(r) for r in passes] == [
@@ -594,7 +594,7 @@ class TestPrefixSweep:
                                              AdversarialStrategy.BLOCK_REVERSAL))
             for b, plan, k in itertools.product(sweep_coeffs(system), plans,
                                                 range(tandori_blocks(n).k_max + 1)):
-                osc = tandori_delta(system, b, plan, k, n)
+                osc = tandori_delta(system, b[:n], plan, k)
                 values, doubled, l2 = per_term_delta(system, b, plan, k, n)
                 assert np.array_equal(osc.values, values)
                 assert np.array_equal(osc.doubled_one_sided, doubled)
@@ -614,8 +614,9 @@ class TestPrefixSweep:
                      + [PermutationPlan.seeded_shuffle(n, s) for s in (95, 96)]
                      + [adversarial_permutation(system, b, n, strategy)
                         for strategy in AdversarialStrategy])
+            orders = np.array([plan.order for plan in plans]) - 1
             for k in range(tandori_blocks(n).k_max + 1):
-                osc = mj.block_oscillations(system, b, plans, k, n)
+                osc = mj.block_oscillations(system, b, orders, k)
                 atoms = system.fibers.offsets.size - 1
                 assert osc.values.shape == osc.doubled_one_sided.shape == (5, atoms)
                 assert osc.l2.shape == (5,)
@@ -634,27 +635,35 @@ class TestPrefixSweep:
         nan[n // 2] = np.nan
         plans = [PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 99),
                  adversarial_permutation(system, np.ones(n), n, AdversarialStrategy.BLOCK_REVERSAL)]
+        orders = np.array([plan.order for plan in plans]) - 1
         cases = list(itertools.product(range(4), range(tandori_blocks(n).k_max + 1)))
 
         def run():
             coeffs = sweep_coeffs(system) + [nan]
             with np.errstate(invalid="ignore"):
-                return [mj.block_oscillations(system, coeffs[c], plans, k, n) for c, k in cases]
+                return [mj.block_oscillations(system, coeffs[c], orders, k) for c, k in cases]
 
         default = run()
         monkeypatch.setattr(mj, "PREFIX_BUDGET", 1)
-        sweeps = []
-        real_rows = mj._prefix_rows
-        monkeypatch.setattr(mj, "_prefix_rows",
-                            lambda V, *args, **kw: sweeps.append(V.shape) or real_rows(V, *args, **kw))
+        chunks = []
+        real = mj._pointwise_diameters
+
+        def counted(prefixes, part):
+            chunks.append(prefixes.shape)
+            return real(prefixes, part)
+
+        monkeypatch.setattr(mj, "_pointwise_diameters", counted)
         for want, got in zip(default, run()):
             for name in ("values", "l2", "doubled_one_sided"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.bound == want.bound or math.isnan(got.bound) and math.isnan(want.bound)
         if system.values.dtype.kind == "c" or np.any(system.fibers.dims > 1):
-            # one sweep per atom, over the block's rows and that atom's columns
-            assert len(sweeps) == len(cases) * system.fibers.n_atoms
-            assert {width for _, width in sweeps} == set(system.fibers.dims.tolist())
+            # one chunk per atom: every plan's prefix rows of the block,
+            # start included, over that atom's columns
+            assert len(chunks) == len(cases) * system.fibers.n_atoms
+            assert {width for *_, width in chunks} == set(system.fibers.dims.tolist())
+            assert {shape[:2] for shape in chunks} == {
+                (3, hi - lo + 2) for lo, hi in tandori_blocks(n).ranges}
 
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_vector_memory_bounded_by_the_prefix_budget(self, n):
@@ -664,11 +673,12 @@ class TestPrefixSweep:
         system = generate(SystemSpec(SystemKind.TENSOR_VECTOR, n, fiber_dim=4))[2]
         b = 1.0 / np.arange(1, n + 1)
         plans = [PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 100)]
+        orders = np.array([plan.order for plan in plans]) - 1
         chunk = 4 * mj.PREFIX_BUDGET * system.values.itemsize
         for k in range(2, tandori_blocks(n).k_max + 1):
             tracemalloc.start()
             try:
-                osc = mj.block_oscillations(system, b, plans, k, n)
+                osc = mj.block_oscillations(system, b, orders, k)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -695,7 +705,7 @@ class TestPrefixSweep:
         b = gen.standard_normal(n) / np.arange(1, n + 1)
         assert tandori_blocks(n).ranges[-1] == (257, 4400)
         for plan in (PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 94)):
-            osc = tandori_delta(system, b, plan, 3, n)
+            osc = tandori_delta(system, b, plan, 3)
             values, doubled, l2 = per_term_delta(system, b, plan, 3, n)
             assert np.array_equal(osc.values, values)
             assert np.array_equal(osc.doubled_one_sided, doubled)
@@ -708,9 +718,8 @@ class TestPrefixSweep:
 
 def per_order_l2(system, coeffs, orders):
     """The loop all_orders_l2 replaced: one permuted_majorant per order."""
-    n = orders.shape[1]
     return np.array([permuted_majorant(system, coeffs,
-                                       PermutationPlan(tuple(int(i) + 1 for i in row)), n).l2_norm
+                                       PermutationPlan(tuple(int(i) + 1 for i in row))).l2_norm
                      for row in orders])
 
 
@@ -753,17 +762,24 @@ class TestAllOrders:
         # measured 3.4 budgets (5.6 with a strided np.take out)
         assert peak <= 4 * mj.PREFIX_BUDGET * system.values.itemsize
 
-    def test_refusals(self):
+    # both batched kernels take the same (P, len(coeffs)) order array
+    @pytest.mark.parametrize("kernel", [
+        mj.all_orders_l2,
+        lambda system, b, orders: mj.block_oscillations(system, b, orders, 0),
+    ], ids=["all-orders-l2", "block-oscillations"])
+    def test_refusals(self, kernel):
         system = generate(SystemSpec(SystemKind.HAAR, 4))[2]
         b = np.ones(4)
+        # a 1-D array and a float array
         for bad in (np.arange(4), np.array([[0.0, 1.0, 2.0, 3.0]])):
             with pytest.raises(StructuralError):
-                mj.all_orders_l2(system, b, bad)
-        for bad in ([[0, 1, 2, 2]], [[1, 2, 3, 4]], [[0, 1, 2, -1]]):
-            with pytest.raises(ContractError, match="permutations"):
-                mj.all_orders_l2(system, b, np.array(bad))
-        with pytest.raises(ContractError):
-            mj.all_orders_l2(system, b, np.zeros((1, 5), dtype=int))
+                kernel(system, b, bad)
+        # rows that are not permutations, and permutations of a width other
+        # than len(coeffs)
+        for bad in ([[0, 1, 2, 2]], [[1, 2, 3, 4]], [[0, 1, 2, -1]], [[0, 1, 2]],
+                    [[0, 1, 2, 3, 4]], np.zeros((1, 5), dtype=int)):
+            with pytest.raises(ContractError, match="permutations of 0..3"):
+                kernel(system, b, np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +807,7 @@ class TestPermutationPlans:
         _, _, system = generate(SystemSpec(SystemKind.RADEMACHER, 2))
         a = [1.0, 1.0]
         swapped = permuted_majorant(system, a, PermutationPlan(order=(2, 1)))
-        final = prefix_sum(system, a, 2)
+        final = prefix_sum(system, a)
         per_atom_final = np.abs(final.values)
         assert np.all(swapped.values >= per_atom_final - 1e-15)
 
@@ -885,9 +901,10 @@ class TestTandoriDelta:
         _, _, system = generate(SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2))
         b = rng(47).standard_normal(16)
         plans = [PermutationPlan.seeded_shuffle(16, s) for s in range(4)]
-        honest = mj.block_oscillations(system, b, plans, 1)
+        orders = np.array([plan.order for plan in plans]) - 1
+        honest = mj.block_oscillations(system, b, orders, 1)
         monkeypatch.setattr(mj, "_pointwise_diameters", inflate_third)
-        batch = mj.block_oscillations(system, b, plans, 1)
+        batch = mj.block_oscillations(system, b, orders, 1)
         np.testing.assert_array_equal(batch.doubled_one_sided, honest.doubled_one_sided)
         want = honest.values.copy()
         want[2] = 3.0 * want[2] + 1.0

@@ -116,7 +116,7 @@ def systems_and_coefficients(draw):
 @given(systems_and_coefficients())
 def test_streaming_majorant_matches_the_oracle(case):
     system, b, n = case
-    fast, slow = majorant(system, b, n), oracle_majorant(system, b, n)
+    fast, slow = majorant(system, b[:n]), oracle_majorant(system, b[:n])
     assert np.all(np.abs(fast.values - slow.values) <= 1e-13 * slow.values)
     assert abs(fast.l2_norm - slow.l2_norm) <= 1e-13 * slow.l2_norm
 

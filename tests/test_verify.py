@@ -166,9 +166,10 @@ class TestTandoriBlockCheck:
         # NaN record is the worst case, whatever finite ratios surround it
         real = verify.block_oscillations
 
-        def nan_on_greedy_block_1(system, coeffs, plans, k, n=None):
-            osc = real(system, coeffs, plans, k, n)
-            greedy = [plan.describe() == "greedy-adversarial" and k == 1 for plan in plans]
+        def nan_on_greedy_block_1(system, coeffs, orders, k):
+            osc = real(system, coeffs, orders, k)
+            # the orders are identity, two shuffles, greedy, block reversal
+            greedy = (np.arange(len(orders)) == 3) & (k == 1)
             return replace(osc, l2=np.where(greedy, math.nan, osc.l2))
 
         monkeypatch.setattr(verify, "block_oscillations", nan_on_greedy_block_1)
@@ -221,29 +222,39 @@ class TestTandoriBlockCheck:
         assert not result["passed"]
         assert result["worst_case"]["bracket"] == BRACKET
 
-    @pytest.mark.parametrize("spec", [
-        SystemSpec(SystemKind.VARYING_DIM, 64),
-        SystemSpec(SystemKind.TENSOR_VECTOR, 64, fiber_dim=4),
-        SystemSpec(SystemKind.HAAR, 64),
-    ], ids=lambda spec: spec.describe())
-    def test_tiny_coefficients_report_as_the_draw_they_scale(self, spec):
-        # every ratio and bracket is homogeneous in b, so 2^-e times a draw
-        # reports as the draw does; unlifted, the squares underflowed: at
-        # 2^-531 (about 1e-160 / n) varying-dim broke the bracket, and
-        # further down every ratio read 0
-        b = rng(11).standard_normal(64) / np.arange(1, 65)
-        results = [run_check(TrialConfig(
-            system_specs=(spec,), checks={Check.TANDORI_BLOCK}, n_trials=1, seed=1,
-            coeff_spec=SequenceSpec.from_values(np.ldexp(b, -e))), Check.TANDORI_BLOCK).to_dict()
-            for e in (0, 531, 700, 1000)]
-        assert results[0]["passed"] and results[0]["worst_ratio"] > 0
-        assert all(result == results[0] for result in results)
-
     def test_arithmetic_values(self):
         rows = tandori_threshold_arithmetic()
         k1 = rows[1]
         assert k1["lhs"] == pytest.approx(11.169925001442312, rel=1e-15)
         assert k1["rhs"] == 16.0
+
+
+class TestLiftedDraws:
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(SystemKind.VARYING_DIM, 64),
+        SystemSpec(SystemKind.TENSOR_VECTOR, 64, fiber_dim=4),
+        SystemSpec(SystemKind.HAAR, 64),
+    ], ids=lambda spec: spec.describe())
+    @pytest.mark.parametrize("check", sorted(set(Check) - {Check.DYADIC_POINTWISE,
+                                                         Check.ORLICZ_CHAIN},
+                                             key=lambda c: c.value),
+                             ids=lambda check: check.value)
+    def test_tiny_coefficients_report_as_the_draw_they_scale(self, spec, check, monkeypatch):
+        # every system check draws b, and every ratio and bracket is
+        # homogeneous in b, so 2^-e times a draw reports as the draw does,
+        # here with verify's majorant inflated 100x, which mr-inequality and
+        # riesz-ratio must fail at every scale.  Unlifted, the squares
+        # underflowed: at 2^-531 (about 1e-160 / n) varying-dim broke the
+        # bracket, and further down every ratio read 0 and the defect passed
+        inflate_majorant(monkeypatch)
+        b = rng(11).standard_normal(64) / np.arange(1, 65)
+        results = [run_check(TrialConfig(
+            system_specs=(spec,), checks={check}, n_trials=1, seed=1,
+            coeff_spec=SequenceSpec.from_values(np.ldexp(b, -e))), check).to_dict()
+            for e in (0, 531, 700, 1000)]
+        assert results[0]["worst_ratio"] > 0
+        assert results[0]["passed"] is (check not in {Check.MR_INEQUALITY, Check.RIESZ_RATIO})
+        assert all(result == results[0] for result in results)
 
 
 def exhaustive(spec, b=None, **kw):
@@ -341,7 +352,9 @@ class TestExhaustivePermutations:
         monkeypatch.setattr(verify, "all_orders_l2", sweep)
         with np.errstate(all="ignore"):
             res = exhaustive(spec, b)
-            rhs = (2.0 + math.log2(n)) * math.sqrt(float(np.sum(np.abs(b) ** 2)))
+            # the check sweeps the draw lifted into [1/2, 1), as every system check does
+            lifted = verify._lifted(b)
+            rhs = (2.0 + math.log2(n)) * math.sqrt(float(np.sum(np.abs(lifted) ** 2)))
         [(orders, lhs)] = seen
         worst = verify._merge_worst([
             verify._record(l2, rhs, {"worst_permutation": (order + 1).tolist()})
