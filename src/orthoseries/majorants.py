@@ -22,7 +22,7 @@ given, and the batched ones take a (P, n) array of 0-based orders.  On top sit:
   stack of per-atom diameters, each the maximum over the pairs of those
   prefixes that neither a bounding-box nor a centroid-ball bound rules out
   (bitwise the all-pairs maximum).  On vector fibers a block's atoms go
-  in chunks of about 4 * ``PREFIX_BUDGET`` prefix values, one cumsum each,
+  in chunks of about 4 * ``PREFIX_BUDGET`` prefix values, one sweep each,
   so the kernel's memory is bounded whatever the fiber dimension, and
 * permutation plans, including two adversarial constructions that depend
   on the coefficients alone: the max-prefix greedy order, which Parseval
@@ -81,10 +81,12 @@ def _order_array(orders, n: int) -> np.ndarray:
     orders = np.asarray(orders)
     if orders.ndim != 2 or orders.dtype.kind not in "iu":
         raise StructuralError("orders must be a two-dimensional integer array")
-    step = max(1, PREFIX_BUDGET // n)
-    if orders.shape[1] != n or any(np.any(np.sort(orders[lo:lo + step], axis=1) != np.arange(n))
-                                   for lo in range(0, len(orders), step)):
+    if orders.shape[1] != n:
         raise ContractError(f"orders must be permutations of 0..{n - 1}")
+    step = max(1, PREFIX_BUDGET // n)
+    for lo in range(0, len(orders), step):
+        if np.any(np.sort(orders[lo:lo + step], axis=1) != np.arange(n)):
+            raise ContractError(f"orders must be permutations of 0..{n - 1}")
     return orders
 
 
@@ -104,25 +106,25 @@ def _weighted_l2(weights: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 
 def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
-                 start: np.ndarray, restarts=()):
+                 start: np.ndarray, step: int | None = None, restarts=()):
     """Yield ``(lo, rows)`` for lo = 0, step, ...: ``rows[..., 0, :]`` is the
     sum through position lo - 1 (``start`` at lo = 0), ``rows[..., 1:, :]``
     the sums through positions lo, lo+1, ..., and the next step overwrites
     them.  The row of a position in ``restarts`` adds ``start`` instead of
     the row before it, so its bits are those of a fresh sweep from there.
     The leading axes of ``order`` (..., m) and ``start`` (..., D) index
-    independent orders, which share one buffer of ``step`` rows each, about
-    ``PREFIX_BUDGET`` values in all.  Adding row by row gives the bits of
-    ``np.cumsum(axis=-2)``, which wins only on narrow rows: one whole step
-    (take, scale, running sum; timeit, best of 5, one Xeon core) took 36 us
-    with cumsum against the loop's 67 us at (rows, width) = (65, 64) and 780
-    against 1,130 us at (1025, 64), but 854 against 165 us at (65, 1024) and
-    722 against 249 us at (103, 640), the wide rows of the larger systems.
-    The stock and large configs pull a switch on width opposite ways, so the
-    loop stays (``block_oscillations`` forms each vector chunk by cumsum).
+    independent orders, which share one buffer of ``step`` rows each (by
+    default about ``PREFIX_BUDGET`` values in all).  Adding row by row gives
+    the bits of ``np.cumsum(axis=-2)``, which wins only on narrow rows: one
+    whole step (take, scale, running sum; timeit, best of 5, one Xeon core)
+    took 36 us with cumsum against the loop's 67 us at (rows, width) =
+    (65, 64) and 780 against 1,130 us at (1025, 64), but 854 against 165 us
+    at (65, 1024) and 722 against 249 us at (103, 640), the wide rows of the
+    larger systems.  A switch on width would be a tuning constant that the
+    stock and the large verify configs pull opposite ways, so the loop stays.
     """
     batch, m = order.shape[:-1], order.shape[-1]
-    step = max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
+    step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
     restarts = set(restarts)
     # step-major: the rows of one position, across the batch, are one
     # contiguous block, so np.take writes the products in place (a strided
@@ -402,8 +404,11 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs) -> ChainingDiagnosti
     N the system length, coefficients past it zero), cut at the block starts
     2^k - 1: a running one gives each block's sup and the running sum at its
     end, one restarted at each block start the within-block sups and sums."""
-    n_sys, a = len(system), np.asarray(coeffs)
-    head = _coeff_array(a[:n_sys] if a.ndim == 1 else a, system)
+    n_sys = len(system)
+    a = np.asarray(coeffs)
+    if a.ndim != 1:
+        raise StructuralError("coefficients must be one-dimensional")
+    head = _coeff_array(a[:n_sys], system)
     a = a.astype(head.dtype, copy=False)
     K = complete_block_form(a.size)
     if np.any(a[n_sys:] != 0):
@@ -634,16 +639,18 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
     the first block starts at index 3).  The exact per-atom diameter of the
     block's prefix sums: max - min on scalar real fibers, otherwise the
     largest direct-difference distance over the rows that can attain it
-    (``_pointwise_diameters``).  The P orders form their prefix sums as one
-    (P, m) batch and go through one diameter stack; each order's row has the
-    bits of a pass over that order alone.  Off the scalar real case, the
-    block's atoms go a chunk of whole fibers at a time: the block's prefix
-    rows restricted to a chunk's columns, about 4 * PREFIX_BUDGET prefix
-    values (at least one atom) summed by one ``np.cumsum`` from a zero row
-    (the bits of ``_prefix_rows``' loop), its diameters and one-sided sups,
-    then the next chunk.  A column's sums do not depend on the other
-    columns, so every array keeps its bits.  ``doubled_one_sided`` is
-    returned unjudged, NaN and infinity included; tandori-block judges it.
+    (``_pointwise_diameters``).  The P orders inside the block run through
+    one ``_prefix_rows`` sweep as a (P, m) batch, and their (order, atom)
+    pairs through one diameter stack; each order's row has the bits of a
+    pass over that order alone.  Off the scalar real case, the
+    block's atoms go a chunk of whole fibers at a time: the sweep of the
+    block's rows restricted to a chunk's columns, about 4 * PREFIX_BUDGET
+    prefix values (at least one atom), its diameters and one-sided sups,
+    and then the next chunk.  A column's sums do not depend on the other
+    columns, so every array keeps its bits, and a block that fits one chunk
+    (every block of the stock configs) is one sweep as before.
+    ``doubled_one_sided`` is returned unjudged, NaN and infinity included;
+    tandori-block judges it.
     """
     a = _coeff_array(coeffs, system).copy()
     orders = _order_array(orders, a.size)
@@ -658,10 +665,10 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
 
     V = system.values
     offsets = system.fibers.offsets
+    zero = np.zeros((len(orders), V.shape[1]), dtype=V.dtype)
     if V.dtype.kind != "c" and np.all(system.fibers.dims == 1):
         # on a real line the diameter is max - min, taken a budget of rows at
         # a time; |x| keeps the bits that sqrt(x^2) would lose to underflow
-        zero = np.zeros((len(orders), V.shape[1]))
         top, bottom = zero.copy(), zero.copy()
         for _, rows in _prefix_rows(V, a, src, zero):
             np.maximum(top, rows.max(axis=-2), out=top)
@@ -670,10 +677,11 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
         doubled = 2.0 * np.maximum(top, np.abs(bottom))
     else:
         # 4 budgets a chunk: at 1, large-n's blocks ran about 25 % slower on
-        # the per-chunk overhead (19 chunks in random-qr n = 640's last block)
+        # the per-chunk overhead (19 chunks in random-qr n = 640's last block).
+        # Rows are sliced before columns, as np.take copies a strided V whole.
         values = np.empty((len(orders), offsets.size - 1))
         doubled = np.empty_like(values)
-        scale = a[src][..., None]
+        rows, coeffs, src = V[lo - 1:hi], a[lo - 1:hi], src - (lo - 1)
         width = 4 * PREFIX_BUDGET // (len(orders) * (src.shape[1] + 1))
         first = 0
         while first < values.shape[1]:
@@ -681,9 +689,8 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
                                                       side="right")) - 1)
             c0, c1 = offsets[first], offsets[stop]
             part = offsets[first:stop + 1] - c0
-            prefixes = np.zeros((len(orders), src.shape[1] + 1, c1 - c0), dtype=V.dtype)
-            np.multiply(scale, V[src, c0:c1], out=prefixes[:, 1:])
-            np.cumsum(prefixes, axis=1, out=prefixes)
+            _, prefixes = next(_prefix_rows(rows[:, c0:c1], coeffs, src, zero[:, c0:c1],
+                                            src.shape[1]))
             values[:, first:stop] = _pointwise_diameters(prefixes, part)
             doubled[:, first:stop] = 2.0 * np.sqrt(
                 _fiber_sq_norms(prefixes[:, 1:], part).max(axis=-2))
