@@ -19,8 +19,7 @@ from .direct_integral import (DirectIntegralElement, Field, GramReport,
 from .errors import BudgetError, ContractError, StructuralError
 from .majorants import (AdversarialStrategy, BlockOscillation,
                         ChainingDiagnostics, DyadicDecomposition,
-                        MajorantProfile, PermutationPlan, PlanProvenance,
-                        adversarial_permutation, chaining_diagnostics,
+                        MajorantProfile, adversarial_permutation, chaining_diagnostics,
                         dyadic_decomposition, dyadic_pointwise_bound, majorant,
                         permuted_majorant, prefix_sum, tandori_delta)
 from .systems import SystemKind, SystemSpec, generate
@@ -35,8 +34,7 @@ __all__ = [
     "ConditionId", "ConditionReport", "ContractError",
     "DirectIntegralElement", "DyadicDecomposition", "Field", "GramReport",
     "HilbertCollection", "MajorantProfile", "MeasureSpace",
-    "OrthonormalSystem", "PermutationPlan", "PlanProvenance",
-    "ReductionReport", "SequenceSpec", "StructuralError", "SystemKind",
+    "OrthonormalSystem", "ReductionReport", "SequenceSpec", "StructuralError", "SystemKind",
     "SystemSpec", "TandoriBlocks", "TrialConfig", "VerifyReport",
     "WeightSpec", "adversarial_permutation", "block_masses",
     "chaining_diagnostics", "condensation_chain", "default_config",

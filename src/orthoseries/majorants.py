@@ -9,7 +9,9 @@ computed by one running-sum sweep that holds about ``PREFIX_BUDGET`` prefix
 values at once, for one order or a batch of them (an independent
 materializing oracle lives in ``verify``); the chaining and oscillation
 diagnostics run on it too.  Each kernel sweeps exactly the coefficients
-given, and the batched ones take a (P, n) array of 0-based orders.  On top sit:
+given.  A rearrangement is a 0-based order of 0..n-1, one row of a (P, n)
+array for the batched kernels, and every kernel checks it by one rule
+(``_order_array``).  On top sit:
 
 * the binary-representation decomposition of a prefix length into at most
   r+1 dyadic blocks, and the pointwise bound it yields,
@@ -24,10 +26,10 @@ given, and the batched ones take a (P, n) array of 0-based orders.  On top sit:
   (bitwise the all-pairs maximum).  On vector fibers a block's atoms go
   in chunks of about 4 * ``PREFIX_BUDGET`` prefix values, one sweep each,
   so the kernel's memory is bounded whatever the fiber dimension, and
-* permutation plans, including two adversarial constructions that depend
-  on the coefficients alone: the max-prefix greedy order, which Parseval
-  makes the decreasing-|a_n| order on an orthonormal system, and the
-  reversal of every Tandori block.
+* two adversarial rearrangement orders that depend on the coefficients
+  alone: the max-prefix greedy order, which Parseval makes the
+  decreasing-|a_n| order on an orthonormal system, and the reversal of every
+  Tandori block.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .coefficients import block_mass, tandori_blocks, weyl_terms
 from .direct_integral import DirectIntegralElement, Field, OrthonormalSystem
 from .errors import ContractError, StructuralError
 from .summation import compensated_sum
-from .systems import MAX_SYSTEM_VALUES, seeded_rng
+from .systems import MAX_SYSTEM_VALUES
 
 # The exact oscillation kernel forms about DIAMETER_BUDGET squared distances
 # at once (512 KiB of float64).
@@ -77,10 +79,11 @@ def _coeff_array(coeffs, system: OrthonormalSystem) -> np.ndarray:
 
 def _order_array(orders, n: int) -> np.ndarray:
     """``orders`` if it is a (P, n) integer array whose rows are permutations
-    of 0..n-1, sorted about ``PREFIX_BUDGET`` entries at a time to check."""
+    of 0..n-1, sorted about ``PREFIX_BUDGET`` entries at a time to check.
+    The one-order kernels pass ``[order]``, so a 2-D order is refused too."""
     orders = np.asarray(orders)
     if orders.ndim != 2 or orders.dtype.kind not in "iu":
-        raise StructuralError("orders must be a two-dimensional integer array")
+        raise StructuralError("an order must be a 1-D integer array, a batch of them 2-D")
     if orders.shape[1] != n:
         raise ContractError(f"orders must be permutations of 0..{n - 1}")
     step = max(1, PREFIX_BUDGET // n)
@@ -138,7 +141,7 @@ def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
     for lo in range(0, m, step):
         idx = order[..., lo:lo + step].transpose(to_steps)
         s = idx.shape[0]
-        # indices come from a prefix or a validated plan; "clip" skips a copy.
+        # indices come from a prefix or a validated order; "clip" skips a copy.
         # Every order's rows run the elementwise operations of a sweep of
         # that order alone, so an order's bits do not depend on its batch.
         np.take(V, idx, axis=0, out=buf[1:s + 1], mode="clip")
@@ -205,57 +208,16 @@ def prefix_sum(system: OrthonormalSystem, coeffs) -> DirectIntegralElement:
     return DirectIntegralElement(values=flat, fibers=system.fibers)
 
 
-class PlanProvenance(Enum):
-    IDENTITY = "identity"
-    EXPLICIT = "explicit"
-    SEEDED_SHUFFLE = "seeded-shuffle"
-    GREEDY_ADVERSARIAL = "greedy-adversarial"
-    BLOCK_REVERSAL = "block-reversal"
+def permuted_majorant(system: OrthonormalSystem, coeffs, order) -> MajorantProfile:
+    """Majorant of the rearranged series sum a_{sigma(n)} phi_{sigma(n)}, for
+    ``order`` the 0-based permutation (sigma(1) - 1, ..., sigma(n) - 1) of
+    0..n-1 (n = len(coeffs)).
 
-
-@dataclass(frozen=True)
-class PermutationPlan:
-    """A bijection on {1..N}, stored as the image tuple (sigma(1), ..., sigma(N))."""
-
-    order: tuple[int, ...]
-    provenance: PlanProvenance = PlanProvenance.EXPLICIT
-    seed: object = None
-
-    def __post_init__(self):
-        n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ContractError("order is not a permutation of 1..N")
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    @classmethod
-    def identity(cls, n: int) -> "PermutationPlan":
-        return cls(order=tuple(range(1, n + 1)), provenance=PlanProvenance.IDENTITY)
-
-    @classmethod
-    def seeded_shuffle(cls, n: int, seed) -> "PermutationPlan":
-        order = tuple(int(v) + 1 for v in seeded_rng(seed).permutation(n))
-        return cls(order=order, provenance=PlanProvenance.SEEDED_SHUFFLE, seed=seed)
-
-    def describe(self) -> str:
-        tag = self.provenance.value
-        if self.seed is not None:
-            tag += f"({self.seed})"
-        return tag
-
-
-def permuted_majorant(system: OrthonormalSystem, coeffs,
-                      plan: PermutationPlan) -> MajorantProfile:
-    """Majorant of the rearranged series sum a_{sigma(n)} phi_{sigma(n)}.
-
-    With the identity plan this is bitwise identical to ``majorant``.
+    With ``np.arange(n)`` this is bitwise identical to ``majorant``.
     """
     a = _coeff_array(coeffs, system)
-    if len(plan) != a.size:
-        raise ContractError(f"plan permutes {len(plan)} indices, prefix length is {a.size}")
     sup_sq, arg, _ = _sweep(system.values, system.fibers.offsets, a,
-                            np.asarray(plan.order) - 1, first_arg=True)
+                            _order_array([order], a.size)[0], first_arg=True)
     return MajorantProfile(values=np.sqrt(sup_sq[0]), argmax_prefix=arg[0],
                            l2_norm=float(_weighted_l2(system.space.weights, sup_sq[0])))
 
@@ -284,7 +246,7 @@ def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
 def majorant(system: OrthonormalSystem, coeffs) -> MajorantProfile:
     """Streaming majorant over the prefixes of the coefficients given."""
     a = _coeff_array(coeffs, system)
-    return permuted_majorant(system, a, PermutationPlan.identity(a.size))
+    return permuted_majorant(system, a, np.arange(a.size))
 
 
 @dataclass(frozen=True)
@@ -703,11 +665,11 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
                             bound=8.0 * math.sqrt(block_mass(a, lo, hi)))
 
 
-def tandori_delta(system: OrthonormalSystem, coeffs, plan: PermutationPlan,
-                  k: int) -> BlockOscillation:
-    """Oscillation diagnostics of block ``k`` for one rearrangement: the
-    row of ``block_oscillations`` for that plan alone."""
-    osc = block_oscillations(system, coeffs, np.array([plan.order]) - 1, k)
+def tandori_delta(system: OrthonormalSystem, coeffs, order, k: int) -> BlockOscillation:
+    """Oscillation diagnostics of block ``k`` for one rearrangement, a 0-based
+    order as ``permuted_majorant`` takes it: the row of
+    ``block_oscillations`` for that order alone."""
+    osc = block_oscillations(system, coeffs, [order], k)
     return replace(osc, values=osc.values[0], l2=float(osc.l2[0]),
                    doubled_one_sided=osc.doubled_one_sided[0])
 
@@ -718,28 +680,24 @@ class AdversarialStrategy(Enum):
 
 
 def adversarial_permutation(system: OrthonormalSystem, coeffs, n: int,
-                            strategy: AdversarialStrategy) -> PermutationPlan:
-    """Deterministic stress rearrangements.
+                            strategy: AdversarialStrategy) -> np.ndarray:
+    """Deterministic stress rearrangements, as 0-based orders of 0..n-1.
 
     GREEDY_MAX_PREFIX picks, at each step, the unused index that maximizes
     the L2 norm of the resulting running prefix, ties breaking to the
     smallest index.  On an orthonormal system (every generated one is, to
     1e-10) Parseval makes that norm the sum of |a_n|^2 over the picks, so
-    each step takes the largest remaining |a_n|: the plan is the stable
-    decreasing-|a_n| order.  BLOCK_REVERSAL keeps indices 1, 2 fixed and
-    reverses each Tandori block.  Both strategies are functions of
+    each step takes the largest remaining |a_n|: the order is the stable
+    decreasing-|a_n| order.  BLOCK_REVERSAL keeps the first two positions
+    fixed and reverses each Tandori block.  Both strategies are functions of
     (coefficients, n) alone.
     """
     a = _coeff_array(coeffs, system)
     if not 2 <= n <= a.size:
         raise ContractError(f"adversarial permutations need 2 <= n <= {a.size}, got n={n}")
     if strategy is AdversarialStrategy.BLOCK_REVERSAL:
-        order = list(range(1, n + 1))
-        if n >= 3:
-            for lo, hi in tandori_blocks(n).ranges:
-                order[lo - 1:hi] = order[lo - 1:hi][::-1]
-        return PermutationPlan(order=tuple(order), provenance=PlanProvenance.BLOCK_REVERSAL)
-
-    order = np.argsort(-np.abs(a[:n]), kind="stable") + 1
-    return PermutationPlan(order=tuple(order.tolist()),
-                           provenance=PlanProvenance.GREEDY_ADVERSARIAL)
+        order = np.arange(n)
+        for lo, hi in tandori_blocks(n).ranges if n >= 3 else ():
+            order[lo - 1:hi] = order[lo - 1:hi][::-1]
+        return order
+    return np.argsort(-np.abs(a[:n]), kind="stable")

@@ -61,10 +61,10 @@ from .coefficients import (ABSOLUTE_FLOOR, SequenceSpec, WeightSpec, condensatio
 from .direct_integral import (GRAM_HERMITIAN_TOL, Field, OrthonormalSystem, gershgorin_bounds,
                               gram_matrix)
 from .errors import BudgetError, ContractError, StructuralError
-from .majorants import (AdversarialStrategy, MajorantProfile, PermutationPlan,
-                        adversarial_permutation, all_orders_l2, block_oscillations,
-                        chaining_diagnostics, complete_block_length,
-                        dyadic_pointwise_bound, majorant, permuted_majorant, tandori_delta)
+from .majorants import (AdversarialStrategy, MajorantProfile, adversarial_permutation,
+                        all_orders_l2, block_oscillations, chaining_diagnostics,
+                        complete_block_length, dyadic_pointwise_bound, majorant,
+                        permuted_majorant, tandori_delta)
 from .serialization import SCHEMA_VERSION, dumps
 from .systems import SystemKind, SystemSpec, generate, seeded_rng
 
@@ -499,11 +499,17 @@ def _chaining_results(cfg: TrialConfig, systems: dict) -> tuple:
 
 
 def _trial_plans(cfg: TrialConfig, system: OrthonormalSystem, b: np.ndarray,
-                 n: int, path: tuple) -> list[PermutationPlan]:
-    return ([PermutationPlan.identity(n)]
-            + [PermutationPlan.seeded_shuffle(n, path + (i,)) for i in range(cfg.shuffle_plans)]
-            + [adversarial_permutation(system, b, n, strategy) for strategy in
-               (AdversarialStrategy.GREEDY_MAX_PREFIX, AdversarialStrategy.BLOCK_REVERSAL)])
+                 n: int, path: tuple) -> tuple[list[str], np.ndarray]:
+    """A tandori-block trial's plan labels and their (P, n) 0-based orders:
+    identity, ``cfg.shuffle_plans`` seeded shuffles, greedy, block reversal."""
+    paths = [path + (i,) for i in range(cfg.shuffle_plans)]
+    labels = (["identity"] + [f"seeded-shuffle({p})" for p in paths]
+              + ["greedy-adversarial", "block-reversal"])
+    orders = np.stack([np.arange(n)] + [seeded_rng(p).permutation(n) for p in paths]
+                      + [adversarial_permutation(system, b, n, strategy) for strategy in
+                         (AdversarialStrategy.GREEDY_MAX_PREFIX,
+                          AdversarialStrategy.BLOCK_REVERSAL)])
+    return labels, orders
 
 
 def tandori_threshold_arithmetic() -> list[dict]:
@@ -537,9 +543,8 @@ def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
         n = len(system)
         b = _draw_coefficients(cfg, rng, n, system.fibers.field)
         b = _lifted(np.concatenate([np.zeros(2, b.dtype), b[2:]]))
-        plans = _trial_plans(cfg, system, b, n, tuple(case["seed_path"]))
+        labels, orders = _trial_plans(cfg, system, b, n, tuple(case["seed_path"]))
         # every plan of a block at once; the records keep plan-major order
-        orders = np.array([plan.order for plan in plans]) - 1
         by_block = [block_oscillations(system, b, orders, k)
                     for k in range(tandori_blocks(n).k_max + 1)]
         held = [np.all(leq_with_slack(osc.values, osc.doubled_one_sided)
@@ -547,11 +552,11 @@ def check_tandori_block(cfg: TrialConfig, systems: dict) -> tuple:
                 for osc in by_block]
         return _merge_worst([
             _record(float(osc.l2[p]), osc.bound,
-                    dict(case, plan=plan.describe(), block=k,
+                    dict(case, plan=label, block=k,
                          **({} if held[k][p] else
                             {"bracket": "one-sided <= diameter <= 2 x one-sided"})),
                     ok=held[k][p])
-            for p, plan in enumerate(plans) for k, osc in enumerate(by_block)])
+            for p, label in enumerate(labels) for k, osc in enumerate(by_block)])
 
     arithmetic = tandori_threshold_arithmetic()
     details = {

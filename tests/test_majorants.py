@@ -10,8 +10,7 @@ import pytest
 import orthoseries.majorants as mj
 from orthoseries import (AdversarialStrategy, ContractError, Field,
                          HilbertCollection, MeasureSpace, OrthonormalSystem,
-                         PermutationPlan, PlanProvenance, StructuralError,
-                         SystemKind, SystemSpec, adversarial_permutation,
+                         StructuralError, SystemKind, SystemSpec, adversarial_permutation,
                          chaining_diagnostics, dyadic_decomposition,
                          dyadic_pointwise_bound, generate, majorant,
                          permuted_majorant, prefix_sum, tandori_blocks,
@@ -19,6 +18,7 @@ from orthoseries import (AdversarialStrategy, ContractError, Field,
 from orthoseries.direct_integral import expanded_weights
 from orthoseries.majorants import complete_block_form
 from orthoseries.summation import compensated_sum
+from orthoseries.systems import seeded_rng
 from orthoseries.verify import default_config
 
 from conftest import rng
@@ -67,16 +67,15 @@ def brute_dyadic_rhs(h, r):
     return (r + 1) * total
 
 
-def brute_delta(system, coeffs, plan, k, n):
+def brute_delta(system, coeffs, order, k, n):
     """All-pairs oscillation over the block-filtered permuted series."""
     lo, hi = tandori_blocks(n).ranges[k]
     a = np.array(coeffs, dtype=system.values.dtype)
     a[:2] = 0
     prefixes = [np.zeros(system.values.shape[1], dtype=system.values.dtype)]
-    for p in range(n):
-        src = plan.order[p]
-        if lo <= src <= hi:
-            prefixes.append(prefixes[-1] + a[src - 1] * system.values[src - 1])
+    for src in order[:n]:
+        if lo - 1 <= src < hi:
+            prefixes.append(prefixes[-1] + a[src] * system.values[src])
     offsets = system.fibers.offsets
     m = system.space.n_atoms
     out = np.zeros(m)
@@ -111,8 +110,9 @@ def per_atom_diameters(prefixes, offsets):
 
 def per_step_greedy(system, coeffs, n):
     """The greedy adversary by its definition, recomputing <v, phi_j> from V
-    at every step: on untied draws, the reference that the decreasing-|a_n|
-    sort of ``adversarial_permutation`` reproduces by Parseval."""
+    at every step, as a 0-based list: on untied draws, the reference that the
+    decreasing-|a_n| sort of ``adversarial_permutation`` reproduces by
+    Parseval."""
     a = np.asarray(coeffs, dtype=system.values.dtype)
     V = system.values[:n]
     Vc = np.conj(V) if V.dtype.kind == "c" else V
@@ -128,10 +128,10 @@ def per_step_greedy(system, coeffs, n):
         scores[~mask] = -np.inf
         pick = int(np.argmax(scores))
         mask[pick] = False
-        order.append(pick + 1)
+        order.append(pick)
         v = v + a[pick] * V[pick]
         v_sq = float(np.real(np.sum(w * np.abs(v) ** 2)))
-    return tuple(order)
+    return order
 
 
 # The per-term loops the prefix sweep replaced.  Their bits are the
@@ -203,13 +203,13 @@ def per_term_chaining(system, coeffs, n):
         inner_sq_bound=4.0 * weyl_mass, majorant_bound=4.0 * math.sqrt(weyl_mass))
 
 
-def per_term_delta(system, coeffs, plan, k, n):
+def per_term_delta(system, coeffs, order, k, n):
     """(values, doubled_one_sided, l2) of block k: the scalar-real envelope
     loop and the cumsum vector branch."""
     a = np.array(coeffs, dtype=system.values.dtype)
     a[:2] = 0
     lo, hi = tandori_blocks(n).ranges[k]
-    src = [s - 1 for s in plan.order[:n] if lo <= s <= hi]
+    src = [s for s in order[:n] if lo - 1 <= s < hi]
     V = system.values
     offsets = system.fibers.offsets
     m = system.space.n_atoms
@@ -540,10 +540,9 @@ class TestPrefixSweep:
         # the whole system and a prefix shorter than it
         for n in (len(system), len(system) - 2):
             for b in sweep_coeffs(system):
-                plan = PermutationPlan.seeded_shuffle(n, 91)
+                shuffle = seeded_rng(91).permutation(n)
                 for prof, order in ((majorant(system, b[:n]), range(n)),
-                                    (permuted_majorant(system, b[:n], plan),
-                                     [s - 1 for s in plan.order])):
+                                    (permuted_majorant(system, b[:n], shuffle), shuffle)):
                     values, arg, l2 = per_term_profile(system, b, order)
                     assert np.array_equal(prof.values, values)
                     assert np.array_equal(prof.argmax_prefix, arg)
@@ -589,13 +588,13 @@ class TestPrefixSweep:
     def test_tandori_delta_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget):
         system = sweep_system
         for n in (len(system), len(system) - 2):
-            plans = (PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 92),
-                     adversarial_permutation(system, np.ones(n), n,
-                                             AdversarialStrategy.BLOCK_REVERSAL))
-            for b, plan, k in itertools.product(sweep_coeffs(system), plans,
-                                                range(tandori_blocks(n).k_max + 1)):
-                osc = tandori_delta(system, b[:n], plan, k)
-                values, doubled, l2 = per_term_delta(system, b, plan, k, n)
+            orders = (np.arange(n), seeded_rng(92).permutation(n),
+                      adversarial_permutation(system, np.ones(n), n,
+                                              AdversarialStrategy.BLOCK_REVERSAL))
+            for b, order, k in itertools.product(sweep_coeffs(system), orders,
+                                                 range(tandori_blocks(n).k_max + 1)):
+                osc = tandori_delta(system, b[:n], order, k)
+                values, doubled, l2 = per_term_delta(system, b, order, k, n)
                 assert np.array_equal(osc.values, values)
                 assert np.array_equal(osc.doubled_one_sided, doubled)
                 assert osc.l2 == l2
@@ -610,18 +609,17 @@ class TestPrefixSweep:
         system = sweep_system
         n = len(system)
         for b in sweep_coeffs(system):
-            plans = ([PermutationPlan.identity(n)]
-                     + [PermutationPlan.seeded_shuffle(n, s) for s in (95, 96)]
-                     + [adversarial_permutation(system, b, n, strategy)
-                        for strategy in AdversarialStrategy])
-            orders = np.array([plan.order for plan in plans]) - 1
+            orders = np.stack([np.arange(n)]
+                              + [seeded_rng(s).permutation(n) for s in (95, 96)]
+                              + [adversarial_permutation(system, b, n, strategy)
+                                 for strategy in AdversarialStrategy])
             for k in range(tandori_blocks(n).k_max + 1):
                 osc = mj.block_oscillations(system, b, orders, k)
                 atoms = system.fibers.offsets.size - 1
                 assert osc.values.shape == osc.doubled_one_sided.shape == (5, atoms)
                 assert osc.l2.shape == (5,)
-                for p, plan in enumerate(plans):
-                    values, doubled, l2 = per_term_delta(system, b, plan, k, n)
+                for p, order in enumerate(orders):
+                    values, doubled, l2 = per_term_delta(system, b, order, k, n)
                     assert np.array_equal(osc.values[p], values)
                     assert np.array_equal(osc.doubled_one_sided[p], doubled)
                     assert osc.l2[p] == l2
@@ -633,9 +631,9 @@ class TestPrefixSweep:
         n = len(system)
         nan = random_coeffs(system, 98)
         nan[n // 2] = np.nan
-        plans = [PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 99),
-                 adversarial_permutation(system, np.ones(n), n, AdversarialStrategy.BLOCK_REVERSAL)]
-        orders = np.array([plan.order for plan in plans]) - 1
+        orders = np.stack([np.arange(n), seeded_rng(99).permutation(n),
+                           adversarial_permutation(system, np.ones(n), n,
+                                                   AdversarialStrategy.BLOCK_REVERSAL)])
         cases = list(itertools.product(range(4), range(tandori_blocks(n).k_max + 1)))
 
         def run():
@@ -665,8 +663,7 @@ class TestPrefixSweep:
         # holds about 4 * PREFIX_BUDGET prefix values
         system = generate(SystemSpec(SystemKind.TENSOR_VECTOR, n, fiber_dim=4))[2]
         b = 1.0 / np.arange(1, n + 1)
-        plans = [PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 100)]
-        orders = np.array([plan.order for plan in plans]) - 1
+        orders = np.stack([np.arange(n), seeded_rng(100).permutation(n)])
         chunk = 4 * mj.PREFIX_BUDGET * system.values.itemsize
         for k in range(2, tandori_blocks(n).k_max + 1):
             tracemalloc.start()
@@ -697,9 +694,9 @@ class TestPrefixSweep:
         system = OrthonormalSystem(space, fibers, values)
         b = gen.standard_normal(n) / np.arange(1, n + 1)
         assert tandori_blocks(n).ranges[-1] == (257, 4400)
-        for plan in (PermutationPlan.identity(n), PermutationPlan.seeded_shuffle(n, 94)):
-            osc = tandori_delta(system, b, plan, 3)
-            values, doubled, l2 = per_term_delta(system, b, plan, 3, n)
+        for order in (np.arange(n), seeded_rng(94).permutation(n)):
+            osc = tandori_delta(system, b, order, 3)
+            values, doubled, l2 = per_term_delta(system, b, order, 3, n)
             assert np.array_equal(osc.values, values)
             assert np.array_equal(osc.doubled_one_sided, doubled)
             assert osc.l2 == l2
@@ -711,9 +708,7 @@ class TestPrefixSweep:
 
 def per_order_l2(system, coeffs, orders):
     """The loop all_orders_l2 replaced: one permuted_majorant per order."""
-    return np.array([permuted_majorant(system, coeffs,
-                                       PermutationPlan(tuple(int(i) + 1 for i in row))).l2_norm
-                     for row in orders])
+    return np.array([permuted_majorant(system, coeffs, row).l2_norm for row in orders])
 
 
 def all_orders(n):
@@ -755,16 +750,20 @@ class TestAllOrders:
         # measured 3.4 budgets (5.6 with a strided np.take out)
         assert peak <= 4 * mj.PREFIX_BUDGET * system.values.itemsize
 
-    # both batched kernels take the same (P, len(coeffs)) order array
+    # the batched kernels take a (P, len(coeffs)) order array and the
+    # one-order kernels one row of it, each checked by the one rule
     @pytest.mark.parametrize("kernel", [
         mj.all_orders_l2,
         lambda system, b, orders: mj.block_oscillations(system, b, orders, 0),
-    ], ids=["all-orders-l2", "block-oscillations"])
+        lambda system, b, orders: permuted_majorant(system, b, orders[0]),
+        lambda system, b, orders: tandori_delta(system, b, orders[0], 0),
+    ], ids=["all-orders-l2", "block-oscillations", "permuted-majorant", "tandori-delta"])
     def test_refusals(self, kernel):
         system = generate(SystemSpec(SystemKind.HAAR, 4))[2]
         b = np.ones(4)
-        # a 1-D array and a float array
-        for bad in (np.arange(4), np.array([[0.0, 1.0, 2.0, 3.0]])):
+        # one rank too few or too many (a 0-D or a 2-D order for the one-order
+        # kernels) and a float array
+        for bad in (np.arange(4), np.arange(4)[None, None], np.array([[0.0, 1.0, 2.0, 3.0]])):
             with pytest.raises(StructuralError):
                 kernel(system, b, bad)
         # rows that are not permutations, and permutations of a width other
@@ -776,57 +775,45 @@ class TestAllOrders:
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# rearrangement orders
 
 
-class TestPermutationPlans:
+class TestRearrangementOrders:
     def test_identity_is_bitwise_identical(self):
         gen = rng(70)
         _, _, system = generate(SystemSpec(SystemKind.HAAR, 8))
         b = gen.standard_normal(8)
         direct = majorant(system, b)
-        via_plan = permuted_majorant(system, b, PermutationPlan.identity(8))
-        assert np.array_equal(direct.values, via_plan.values)
-        assert np.array_equal(direct.argmax_prefix, via_plan.argmax_prefix)
-        assert direct.l2_norm == via_plan.l2_norm
+        via_order = permuted_majorant(system, b, np.arange(8))
+        assert np.array_equal(direct.values, via_order.values)
+        assert np.array_equal(direct.argmax_prefix, via_order.argmax_prefix)
+        assert direct.l2_norm == via_order.l2_norm
 
     def test_disjoint_support_swap(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 2))
-        prof = permuted_majorant(system, [3.0, 4.0], PermutationPlan(order=(2, 1)))
+        prof = permuted_majorant(system, [3.0, 4.0], [1, 0])
         assert list(prof.values) == [3.0, 4.0]
         assert prof.l2_norm == 5.0
 
     def test_rademacher_swap_keeps_final_sum(self):
         _, _, system = generate(SystemSpec(SystemKind.RADEMACHER, 2))
         a = [1.0, 1.0]
-        swapped = permuted_majorant(system, a, PermutationPlan(order=(2, 1)))
+        swapped = permuted_majorant(system, a, [1, 0])
         final = prefix_sum(system, a)
         per_atom_final = np.abs(final.values)
         assert np.all(swapped.values >= per_atom_final - 1e-15)
-
-    def test_invalid_plan(self):
-        with pytest.raises(ContractError):
-            PermutationPlan(order=(1, 1, 3))
-
-    def test_seeded_shuffle_reproducible(self):
-        p1 = PermutationPlan.seeded_shuffle(10, 5)
-        p2 = PermutationPlan.seeded_shuffle(10, 5)
-        assert p1.order == p2.order
-        assert p1.provenance is PlanProvenance.SEEDED_SHUFFLE
 
 
 class TestTandoriDelta:
     def test_zero_block(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 4))
-        osc = tandori_delta(system, [0.0, 0.0, 0.0, 0.0],
-                            PermutationPlan.identity(4), 0)
+        osc = tandori_delta(system, [0.0, 0.0, 0.0, 0.0], np.arange(4), 0)
         assert np.all(osc.values == 0)
         assert osc.l2 == 0.0
 
     def test_standard_basis_spike_example(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 4))
-        osc = tandori_delta(system, [0.0, 0.0, 1.0, 1.0],
-                            PermutationPlan.identity(4), 0)
+        osc = tandori_delta(system, [0.0, 0.0, 1.0, 1.0], np.arange(4), 0)
         assert list(osc.values) == [0.0, 0.0, 1.0, 1.0]
         assert osc.l2 == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert osc.bound == pytest.approx(20.415062876129102, rel=1e-14)
@@ -836,8 +823,7 @@ class TestTandoriDelta:
     def test_first_coefficients_are_normalized_away(self):
         # a_1, a_2 never enter any block
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 6))
-        osc = tandori_delta(system, [9.0, 9.0, 0.0, 0.0, 0.0, 0.0],
-                            PermutationPlan.identity(6), 0)
+        osc = tandori_delta(system, [9.0, 9.0, 0.0, 0.0, 0.0, 0.0], np.arange(6), 0)
         assert np.all(osc.values == 0)
 
     def test_shuffled_blocks_respect_bound(self):
@@ -847,8 +833,7 @@ class TestTandoriDelta:
         b = gen.standard_normal(16)
         for k in (0, 1):
             for seed in range(5):
-                plan = PermutationPlan.seeded_shuffle(16, seed)
-                osc = tandori_delta(system, b, plan, k)
+                osc = tandori_delta(system, b, seeded_rng(seed).permutation(16), k)
                 assert osc.l2 <= osc.bound * (1 + 1e-12)
                 assert np.all(osc.values <= osc.doubled_one_sided + 1e-12)
 
@@ -868,16 +853,15 @@ class TestTandoriDelta:
         if system.fibers.field is Field.COMPLEX:
             b = b + 1j * gen.standard_normal(n)
         for k in (0, 1):
-            for plan in (PermutationPlan.identity(n),
-                         PermutationPlan.seeded_shuffle(n, 8)):
-                osc = tandori_delta(system, b, plan, k)
-                want = brute_delta(system, b, plan, k, n)
+            for order in (np.arange(n), seeded_rng(8).permutation(n)):
+                osc = tandori_delta(system, b, order, k)
+                want = brute_delta(system, b, order, k, n)
                 assert osc.values == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_block_out_of_range(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 4))
         with pytest.raises(ContractError):
-            tandori_delta(system, np.ones(4), PermutationPlan.identity(4), 3)
+            tandori_delta(system, np.ones(4), np.arange(4), 3)
 
     def test_inflated_oscillation_is_returned_unjudged(self, monkeypatch):
         # the kernel computes both sides of the bracket and judges neither:
@@ -893,8 +877,7 @@ class TestTandoriDelta:
 
         _, _, system = generate(SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2))
         b = rng(47).standard_normal(16)
-        plans = [PermutationPlan.seeded_shuffle(16, s) for s in range(4)]
-        orders = np.array([plan.order for plan in plans]) - 1
+        orders = np.stack([seeded_rng(s).permutation(16) for s in range(4)])
         honest = mj.block_oscillations(system, b, orders, 1)
         monkeypatch.setattr(mj, "_pointwise_diameters", inflate_third)
         batch = mj.block_oscillations(system, b, orders, 1)
@@ -905,7 +888,7 @@ class TestTandoriDelta:
         assert np.all(batch.values[2] > batch.doubled_one_sided[2])
         monkeypatch.setattr(mj, "_pointwise_diameters",
                             lambda prefixes, offsets: 3.0 * real(prefixes, offsets) + 1.0)
-        osc = tandori_delta(system, b, plans[0], 1)
+        osc = tandori_delta(system, b, orders[0], 1)
         np.testing.assert_array_equal(osc.values, 3.0 * honest.values[0] + 1.0)
 
 
@@ -1168,16 +1151,16 @@ class TestAdversarial:
         n = len(system)
         for seed in (80, 81):
             b = random_coeffs(system, seed)
-            plan = adversarial_permutation(system, b, n,
-                                           AdversarialStrategy.GREEDY_MAX_PREFIX)
-            assert plan.order == per_step_greedy(system, b, n)
+            order = adversarial_permutation(system, b, n,
+                                            AdversarialStrategy.GREEDY_MAX_PREFIX)
+            assert order.tolist() == per_step_greedy(system, b, n)
 
     def test_greedy_exact_ties_match_per_step_recompute(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 16))
         b = np.array([1.0, -1.0] * 8)
-        plan = adversarial_permutation(system, b, 16,
-                                       AdversarialStrategy.GREEDY_MAX_PREFIX)
-        assert plan.order == per_step_greedy(system, b, 16)
+        order = adversarial_permutation(system, b, 16,
+                                        AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert order.tolist() == per_step_greedy(system, b, 16)
 
     @pytest.mark.parametrize("spec, pattern", [
         (SystemSpec(SystemKind.HAAR, 64), [1.0, -1.0, 0.5, 0.5, 0.0, 2.0]),
@@ -1189,57 +1172,52 @@ class TestAdversarial:
         _, _, system = generate(spec)
         n = len(system)
         b = np.resize(np.array(pattern), n)
-        plan = adversarial_permutation(system, b, n, AdversarialStrategy.GREEDY_MAX_PREFIX)
-        assert plan.order == tuple(sorted(range(1, n + 1), key=lambda i: -abs(b[i - 1])))
+        order = adversarial_permutation(system, b, n, AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert order.tolist() == sorted(range(n), key=lambda i: -abs(b[i]))
 
     def test_greedy_orders_magnitudes_whose_squares_underflow(self):
         _, _, system = generate(SystemSpec(SystemKind.HAAR, 16))
         b = 1e-170 * np.arange(1, 17)
         assert np.all(b ** 2 == 0.0)
         # the float greedy sees sixteen zero scores and falls back to index order
-        assert per_step_greedy(system, b, 16) == tuple(range(1, 17))
-        plan = adversarial_permutation(system, b, 16, AdversarialStrategy.GREEDY_MAX_PREFIX)
-        assert plan.order == tuple(range(16, 0, -1))
+        assert per_step_greedy(system, b, 16) == list(range(16))
+        order = adversarial_permutation(system, b, 16, AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert order.tolist() == list(range(15, -1, -1))
 
     def test_greedy_two_case(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 2))
-        plan = adversarial_permutation(system, [1.0, 2.0], 2,
-                                       AdversarialStrategy.GREEDY_MAX_PREFIX)
-        assert plan.order == (2, 1)
-        assert plan.provenance is PlanProvenance.GREEDY_ADVERSARIAL
+        order = adversarial_permutation(system, [1.0, 2.0], 2,
+                                        AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert order.tolist() == [1, 0]
 
     def test_greedy_tie_breaking_gives_identity(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 5))
-        plan = adversarial_permutation(system, [0.5] * 5, 5,
-                                       AdversarialStrategy.GREEDY_MAX_PREFIX)
-        assert plan.order == (1, 2, 3, 4, 5)
+        order = adversarial_permutation(system, [0.5] * 5, 5,
+                                        AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert order.tolist() == [0, 1, 2, 3, 4]
 
     def test_block_reversal_sixteen(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 16))
-        plan = adversarial_permutation(system, np.ones(16), 16,
-                                       AdversarialStrategy.BLOCK_REVERSAL)
-        want = (1, 2, 4, 3) + tuple(range(16, 4, -1))
-        assert plan.order == want
+        order = adversarial_permutation(system, np.ones(16), 16,
+                                        AdversarialStrategy.BLOCK_REVERSAL)
+        assert order.tolist() == [0, 1, 3, 2] + list(range(15, 3, -1))
 
     def test_deterministic(self):
         gen = rng(1)
         _, _, system = generate(
             SystemSpec(SystemKind.RANDOM_QR, 8, resolution=8, seed=4))
         b = gen.standard_normal(8)
-        p1 = adversarial_permutation(system, b, 8, AdversarialStrategy.GREEDY_MAX_PREFIX)
-        p2 = adversarial_permutation(system, b, 8, AdversarialStrategy.GREEDY_MAX_PREFIX)
-        assert p1.order == p2.order
+        o1 = adversarial_permutation(system, b, 8, AdversarialStrategy.GREEDY_MAX_PREFIX)
+        o2 = adversarial_permutation(system, b, 8, AdversarialStrategy.GREEDY_MAX_PREFIX)
+        assert np.array_equal(o1, o2)
 
     def test_lemma_bound_under_every_plan(self):
         gen = rng(90)
         _, _, system = generate(SystemSpec(SystemKind.HAAR, 16))
         b = gen.standard_normal(16)
         rhs = (2 + math.log2(16)) * math.sqrt(float(np.sum(b ** 2)))
-        plans = [PermutationPlan.identity(16),
-                 PermutationPlan.seeded_shuffle(16, 1),
-                 adversarial_permutation(system, b, 16,
-                                         AdversarialStrategy.GREEDY_MAX_PREFIX),
-                 adversarial_permutation(system, b, 16,
-                                         AdversarialStrategy.BLOCK_REVERSAL)]
-        for plan in plans:
-            assert permuted_majorant(system, b, plan).l2_norm <= rhs * (1 + 1e-12)
+        orders = [np.arange(16), seeded_rng(1).permutation(16),
+                  adversarial_permutation(system, b, 16, AdversarialStrategy.GREEDY_MAX_PREFIX),
+                  adversarial_permutation(system, b, 16, AdversarialStrategy.BLOCK_REVERSAL)]
+        for order in orders:
+            assert permuted_majorant(system, b, order).l2_norm <= rhs * (1 + 1e-12)

@@ -18,7 +18,7 @@ from orthoseries import (BudgetError, Check, ContractError, SequenceSpec,
                          SystemKind, SystemSpec, TrialConfig, generate, majorant,
                          oracle_majorant, run_suite)
 from orthoseries.direct_integral import Field, OrthonormalSystem, gram_matrix
-from orthoseries.majorants import PermutationPlan, all_orders_l2
+from orthoseries.majorants import all_orders_l2
 from orthoseries.systems import seeded_rng
 from orthoseries.verify import default_config, tandori_threshold_arithmetic, trial_seed_path
 
@@ -179,13 +179,22 @@ class TestTandoriBlockCheck:
         case = res.worst_case
         assert (case["trial"], case["plan"], case["block"]) == (0, "greedy-adversarial", 1)
 
-    # block 1 of n=16 (indices 5..16) has 13 prefix rows, its start included
-    @pytest.mark.parametrize("plans", [slice(None), slice(2, 3)],
-                             ids=["every-plan", "third-plan"])
-    def test_inflated_diameters_fail_the_check(self, monkeypatch, plans):
+    # block 1 of n=16 (indices 5..16) has 13 prefix rows, its start included;
+    # the five plans of a trial under seed 7, whose tandori-block trial 0
+    # has the seed path (7, 5, 0)
+    @pytest.mark.parametrize("plans,label", [
+        (slice(None), None),
+        (slice(0, 1), "identity"),
+        (slice(1, 2), "seeded-shuffle((7, 5, 0, 0))"),
+        (slice(2, 3), "seeded-shuffle((7, 5, 0, 1))"),
+        (slice(3, 4), "greedy-adversarial"),
+        (slice(4, 5), "block-reversal"),
+    ], ids=["every-plan", "identity", "first-shuffle", "second-shuffle", "greedy",
+            "block-reversal"])
+    def test_inflated_diameters_fail_the_check(self, monkeypatch, plans, label):
         # diameters past twice the one-sided supremum on block 1 fail the
         # check without an exception, and the worst case names the inflated
-        # plan, the block and the bracket
+        # plan by its label, the block and the bracket
         real = majorants._pointwise_diameters
 
         def inflate(prefixes, offsets):
@@ -195,15 +204,15 @@ class TestTandoriBlockCheck:
             return out
 
         monkeypatch.setattr(majorants, "_pointwise_diameters", inflate)
-        cfg = small_config(checks={Check.TANDORI_BLOCK}, n_trials=1, system_specs=(
-            SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2),))
+        cfg = small_config(checks={Check.TANDORI_BLOCK}, n_trials=1, shuffle_plans=2,
+                           system_specs=(SystemSpec(SystemKind.TENSOR_VECTOR, 16, fiber_dim=2),))
+        assert trial_seed_path(cfg.seed, Check.TANDORI_BLOCK, 0) == (7, 5, 0)
         res = run_check(cfg, Check.TANDORI_BLOCK)
         assert not res.passed
         case = res.worst_case
         assert (case["block"], case["bracket"]) == (1, BRACKET)
-        if plans == slice(2, 3):
-            path = trial_seed_path(cfg.seed, Check.TANDORI_BLOCK, 0) + (1,)
-            assert case["plan"] == PermutationPlan.seeded_shuffle(16, path).describe()
+        if label is not None:
+            assert case["plan"] == label
 
     @pytest.mark.parametrize("mutate", [
         lambda osc: replace(osc, doubled_one_sided=0.5 * osc.doubled_one_sided),
