@@ -159,21 +159,6 @@ class DirectIntegralElement:
     def blocks(self) -> list[np.ndarray]:
         return [self.block(i) for i in range(self.n_atoms)]
 
-    def conform(self, space: MeasureSpace, fibers: HilbertCollection) -> None:
-        fibers.matches(space)
-        if self.n_atoms != fibers.n_atoms:
-            raise StructuralError(
-                f"element has {self.n_atoms} atoms, collection has {fibers.n_atoms}"
-            )
-        mine = self.fibers.dims
-        if not np.array_equal(mine, fibers.dims):
-            bad = int(np.argmax(mine != fibers.dims))
-            raise StructuralError(
-                f"atom {bad}: block length {int(mine[bad])} != fiber dim {int(fibers.dims[bad])}"
-            )
-        if fibers.field is Field.REAL and self.values.dtype.kind == "c":
-            raise StructuralError("complex element used with a real fiber collection")
-
 
 @dataclass(frozen=True)
 class GramReport:
@@ -196,11 +181,25 @@ def expanded_weights(space: MeasureSpace, fibers: HilbertCollection) -> np.ndarr
     return np.repeat(space.weights, fibers.dims)
 
 
-def inner_product(f: DirectIntegralElement, g: DirectIntegralElement,
-                  space: MeasureSpace, fibers: HilbertCollection):
+def _shared_fibers(space: MeasureSpace, elements) -> HilbertCollection:
+    """The layout all ``elements`` carry: an atom per atom of ``space``, one
+    field, one fiber dimension per atom (the first atom that differs named)."""
+    fibers = elements[0].fibers
+    for el in elements:
+        el.fibers.matches(space)
+        if el.fibers.field is not fibers.field:
+            raise StructuralError(
+                f"{fibers.field.value} and {el.fibers.field.value} elements used together")
+        if not np.array_equal(el.fibers.dims, fibers.dims):
+            bad = int(np.argmax(el.fibers.dims != fibers.dims))
+            raise StructuralError(f"atom {bad}: fiber dims {int(fibers.dims[bad])} "
+                                  f"and {int(el.fibers.dims[bad])} differ")
+    return fibers
+
+
+def inner_product(f: DirectIntegralElement, g: DirectIntegralElement, space: MeasureSpace):
     """<f, g> = sum_i mu_i <f_i, g_i>, conjugate-linear in g."""
-    f.conform(space, fibers)
-    g.conform(space, fibers)
+    fibers = _shared_fibers(space, (f, g))
     w = expanded_weights(space, fibers)
     if fibers.field is Field.REAL:
         return float(np.sum(f.values * g.values * w))
@@ -213,9 +212,8 @@ def inner_product(f: DirectIntegralElement, g: DirectIntegralElement,
     return complex(re, im)
 
 
-def norm(f: DirectIntegralElement, space: MeasureSpace, fibers: HilbertCollection) -> float:
-    f.conform(space, fibers)
-    w = expanded_weights(space, fibers)
+def norm(f: DirectIntegralElement, space: MeasureSpace) -> float:
+    w = expanded_weights(space, f.fibers)
     return float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
 
 
@@ -238,14 +236,13 @@ class OrthonormalSystem:
         self.values = values
 
     @classmethod
-    def from_elements(cls, space: MeasureSpace, fibers: HilbertCollection,
+    def from_elements(cls, space: MeasureSpace,
                       elements: Iterable[DirectIntegralElement]) -> "OrthonormalSystem":
+        """The system of ``elements`` in order, on the fiber collection they carry."""
         elements = list(elements)
         if not elements:
             raise StructuralError("empty system")
-        for el in elements:
-            el.conform(space, fibers)
-        return cls(space, fibers, np.stack([el.values for el in elements]))
+        return cls(space, _shared_fibers(space, elements), np.stack([el.values for el in elements]))
 
     def __len__(self) -> int:
         return self.values.shape[0]

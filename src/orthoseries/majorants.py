@@ -318,21 +318,12 @@ def complete_block_length(n: int) -> int:
     return (1 << n.bit_length()) - 1
 
 
-def complete_block_form(n: int) -> int:
-    """The exponent K with n = 2^(K+1) - 1, or raise with padding advice."""
-    if n < 1 or complete_block_length(n) != n:
-        raise ContractError(
-            f"n={n} does not end on a complete dyadic block; zero-pad the "
-            f"coefficients to n={complete_block_length(max(n, 1))}"
-        )
-    return (n + 1).bit_length() - 2
-
-
 @dataclass(frozen=True)
 class ChainingDiagnostics:
     """Everything the dyadic chaining argument measures for one prefix range.
 
-    Block k covers indices [2^k, 2^(k+1) - 1].  ``block_norms`` are the L2
+    Block k covers indices [2^k, 2^(k+1) - 1], and ``n`` = 2^(K+1) - 1 is the
+    length the coefficients were zero-padded to.  ``block_norms`` are the L2
     norms of the block sums; ``inner_sup_norms`` the L2 norms of the
     within-block majorants max_{j in block} ||sum_{n=2^k..j} a_n phi_n(x)||
     (k = 0 included so the finite chain is self-contained);
@@ -362,21 +353,15 @@ class ChainingDiagnostics:
 
 
 def chaining_diagnostics(system: OrthonormalSystem, coeffs) -> ChainingDiagnostics:
-    """Two ``_sweep`` passes over positions 0..min(n, N) - 1 (n = len(coeffs),
-    N the system length, coefficients past it zero), cut at the block starts
-    2^k - 1: a running one gives each block's sup and the running sum at its
-    end, one restarted at each block start the within-block sups and sums."""
-    n_sys = len(system)
-    a = np.asarray(coeffs)
-    if a.ndim != 1:
-        raise StructuralError("coefficients must be one-dimensional")
-    head = _coeff_array(a[:n_sys], system)
-    a = a.astype(head.dtype, copy=False)
-    K = complete_block_form(a.size)
-    if np.any(a[n_sys:] != 0):
-        # padding to a complete dyadic block must not invent new terms
-        raise ContractError(
-            f"coefficients beyond the system length {n_sys} must be zero")
+    """Two ``_sweep`` passes over the n = len(coeffs) positions given, cut at
+    the block starts 2^k - 1, with the coefficients zero-padded to the
+    complete block length 2^(K+1) - 1 >= n: a running one gives each block's
+    sup and the running sum at its end, one restarted at each block start
+    the within-block sups and sums."""
+    head = _coeff_array(coeffs, system)
+    a = np.zeros(complete_block_length(head.size), dtype=head.dtype)
+    a[:head.size] = head
+    K = head.size.bit_length() - 1
     V = system.values
     offsets = system.fibers.offsets
     weights = system.space.weights
@@ -597,10 +582,10 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
     """Oscillation diagnostics of block ``k`` for every rearrangement in
     ``orders`` (as ``all_orders_l2`` takes them) in one pass, in row order.
 
-    Coefficients a_1 and a_2 are treated as zero (the usual normalization;
-    the first block starts at index 3).  The exact per-atom diameter of the
-    block's prefix sums: max - min on scalar real fibers, otherwise the
-    largest direct-difference distance over the rows that can attain it
+    Coefficients a_1 and a_2 are never read (the first block starts at
+    index 3).  The exact per-atom diameter of the block's prefix sums:
+    max - min on scalar real fibers, otherwise the largest
+    direct-difference distance over the rows that can attain it
     (``_pointwise_diameters``).  The P orders inside the block run through
     one ``_prefix_rows`` sweep as a (P, m) batch, and their (order, atom)
     pairs through one diameter stack; each order's row has the bits of a
@@ -614,9 +599,8 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
     ``doubled_one_sided`` is returned unjudged, NaN and infinity included;
     tandori-block judges it.
     """
-    a = _coeff_array(coeffs, system).copy()
+    a = _coeff_array(coeffs, system)
     orders = _order_array(orders, a.size)
-    a[:2] = 0
     blocks = tandori_blocks(a.size)
     if not 0 <= k <= blocks.k_max:
         raise ContractError(f"block {k} outside the {blocks.k_max + 1} blocks of n={a.size}")

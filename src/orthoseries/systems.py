@@ -63,8 +63,9 @@ class SystemSpec:
         tensor-vector      resolution, fiber_dim
 
     and refuses a ``fiber_dim`` other than 1 or a ``resolution`` it does not
-    read (any kind takes a ``seed``).  Only RANDOM_QR draws genuinely complex
-    values; the deterministic kinds embed their real values.
+    read (any kind takes a ``seed``, which must be >= 0).  Only RANDOM_QR
+    draws genuinely complex values; the deterministic kinds embed their real
+    values.
     """
 
     kind: SystemKind
@@ -79,6 +80,8 @@ class SystemSpec:
             raise ContractError("n_functions must be >= 1")
         if self.fiber_dim < 1:
             raise ContractError("fiber_dim must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"{self.kind.value} seed must be >= 0 (got {self.seed})")
         if self.fiber_dim > 1 and self.kind not in (SystemKind.RANDOM_QR, SystemKind.TENSOR_VECTOR):
             raise ContractError(f"{self.kind.value} reads no 'fiber_dim' (got {self.fiber_dim})")
         if self.resolution is not None and self.kind in (SystemKind.STANDARD_BASIS,
@@ -172,16 +175,23 @@ def _rademacher(spec: SystemSpec):
     return space, fibers, rows
 
 
-def _haar(spec: SystemSpec):
-    n = spec.n_functions
-    min_res = _next_pow2(n)
+def _haar_resolution(spec: SystemSpec, n_scalar: int) -> int:
+    """The spec's resolution, by default the least power of two that holds
+    ``n_scalar`` Haar functions, refused in the spec's own terms otherwise."""
+    min_res = _next_pow2(n_scalar)
     res = spec.resolution if spec.resolution is not None else min_res
     if not _is_pow2(res):
-        raise ContractError(f"haar resolution {res} is not a power of two")
+        raise ContractError(f"{spec.kind.value} resolution {res} is not a power of two")
     if res < min_res:
-        raise ContractError(
-            f"haar needs a power-of-two resolution >= {min_res} for {n} functions"
-        )
+        fibers = f" of fiber dimension {spec.fiber_dim}" if spec.fiber_dim > 1 else ""
+        raise ContractError(f"{spec.kind.value} needs a power-of-two resolution >= {min_res} "
+                            f"for {spec.n_functions} functions{fibers}")
+    return res
+
+
+def _haar(spec: SystemSpec):
+    n = spec.n_functions
+    res = _haar_resolution(spec, n)
     _check_size(spec, res)
     rows = np.zeros((n, res))
     rows[0] = 1.0
@@ -227,7 +237,7 @@ def _random_qr(spec: SystemSpec):
 def _tensor_vector(spec: SystemSpec):
     n, d = spec.n_functions, spec.fiber_dim
     n_scalar = -(-n // d)
-    res = spec.resolution if spec.resolution is not None else _next_pow2(n_scalar)
+    res = _haar_resolution(spec, n_scalar)
     _check_size(spec, res * d)
     base_spec = SystemSpec(kind=SystemKind.HAAR, n_functions=n_scalar, resolution=res)
     space, _, base_rows = _haar(base_spec)

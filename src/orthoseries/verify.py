@@ -63,8 +63,7 @@ from .direct_integral import (GRAM_HERMITIAN_TOL, Field, OrthonormalSystem, gers
 from .errors import BudgetError, ContractError, StructuralError
 from .majorants import (AdversarialStrategy, MajorantProfile, adversarial_permutation,
                         all_orders_l2, block_oscillations, chaining_diagnostics,
-                        complete_block_length, dyadic_pointwise_bound, majorant,
-                        permuted_majorant, tandori_delta)
+                        dyadic_pointwise_bound, majorant, permuted_majorant, tandori_delta)
 from .serialization import SCHEMA_VERSION, dumps
 from .systems import SystemKind, SystemSpec, generate, seeded_rng
 
@@ -478,15 +477,12 @@ def _chaining_results(cfg: TrialConfig, systems: dict) -> tuple:
 
     def one(t: int) -> tuple[dict, dict, dict]:
         system, rng, case = _trial(cfg, Check.MR_THEOREM, t, systems)
-        n_sys = len(system)
-        n_pad = complete_block_length(n_sys)
-        b = _draw_coefficients(cfg, rng, n_sys, system.fibers.field)
-        b_pad = np.concatenate([b, np.zeros(n_pad - n_sys, dtype=b.dtype)])
-        diag = chaining_diagnostics(system, b_pad)
+        b = _draw_coefficients(cfg, rng, len(system), system.fibers.field)
+        diag = chaining_diagnostics(system, b)
         parseval_dev = float(np.max(np.abs(diag.block_norms ** 2 - diag.block_coeff_sq)
                                     / np.maximum(diag.block_coeff_sq, ABSOLUTE_FLOOR),
                                     initial=0.0))
-        case["n_padded"] = n_pad
+        case["n_padded"] = diag.n
         return (_record(diag.majorant_l2, diag.majorant_bound,
                         dict(case, parseval_rel_dev=parseval_dev),
                         ok=parseval_dev <= PARSEVAL_SLACK),

@@ -610,6 +610,50 @@ def test_gen_ons_flag_the_kind_does_not_read_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,err", [
+    (["--n", "4", "--resolution", "3"], "tensor-vector resolution 3 is not a power of two"),
+    (["--n", "8", "--fiber-dim", "2", "--resolution", "2"],
+     "tensor-vector needs a power-of-two resolution >= 4 for 8 functions of fiber dimension 2"),
+])
+def test_gen_ons_tensor_vector_resolution_names_tensor_vector_exit_2(tmp_path, capsys,
+                                                                     args, err):
+    out = tmp_path / "sys.json"
+    assert main(["gen-ons", "--kind", "tensor-vector", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["random-qr", "varying-dim"])
+def test_gen_ons_negative_seed_flag_exit_2(tmp_path, capsys, kind):
+    # random-qr gave numpy's message, naming no key; varying-dim exited 0
+    out = tmp_path / "sys.json"
+    assert main(["gen-ons", "--kind", kind, "--n", "4", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {kind} seed must be >= 0 (got -1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec,seed_args", [
+    ({"kind": "haar", "n": 4, "seed": -1}, []),
+    ({"kind": "random-qr", "n": 4}, ["--seed", "-2"]),
+], ids=["in-file", "flag-default"])
+def test_gen_ons_spec_negative_seed_exit_2(tmp_path, capsys, spec, seed_args):
+    spec_path, out = tmp_path / "spec.json", tmp_path / "sys.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["gen-ons", "--spec", str(spec_path), *seed_args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec['kind']} seed must be >= 0 (got -") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_config_system_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    systems = [{"kind": "haar", "n": 8}, {"kind": "standard-basis", "n": 4, "seed": -3}]
+    assert main(_config(tmp_path, {"systems": systems}) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: standard-basis seed must be >= 0 (got -3)\n"
+    assert not out.exists()
+
+
 def test_verify_config_integer_values_past_int64(tmp_path):
     # numpy holds such an integer list as objects; the config reads it as floats
     out = tmp_path / "r.json"

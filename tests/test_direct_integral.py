@@ -39,8 +39,12 @@ def element(blocks, field=Field.REAL):
     return DirectIntegralElement.from_blocks(blocks, field=field)
 
 
+def measure(weights):
+    return MeasureSpace(weights=np.asarray(weights, dtype=float))
+
+
 def pair(weights, dims, field=Field.REAL):
-    return (MeasureSpace(weights=np.asarray(weights, dtype=float)),
+    return (measure(weights),
             HilbertCollection(dims=np.asarray(dims, dtype=np.int64), field=field))
 
 
@@ -48,20 +52,20 @@ class TestInnerProduct:
     def test_zero_element(self):
         space, fibers = pair([1.0, 1.0], [1, 1])
         z = DirectIntegralElement.zero(fibers)
-        assert inner_product(z, z, space, fibers) == 0.0
+        assert inner_product(z, z, space) == 0.0
 
     def test_disjoint_supports(self):
-        space, fibers = pair([1.0, 1.0], [1, 1])
+        space = measure([1.0, 1.0])
         f = element([[3.0], [0.0]])
         g = element([[0.0], [4.0]])
-        assert inner_product(f, g, space, fibers) == 0.0
+        assert inner_product(f, g, space) == 0.0
 
     def test_weighted_mixed_dims(self):
         # by hand: 2*(1*1) + 0.5*(2*0 + 0*2) = 2
-        space, fibers = pair([2.0, 0.5], [1, 2])
+        space = measure([2.0, 0.5])
         f = element([[1.0], [2.0, 0.0]])
         g = element([[1.0], [0.0, 2.0]])
-        assert inner_product(f, g, space, fibers) == 2.0
+        assert inner_product(f, g, space) == 2.0
 
     def test_matches_oracle_on_random_pairs(self):
         gen = rng(101)
@@ -69,7 +73,7 @@ class TestInnerProduct:
             space, fibers = random_space(gen, complex_field=bool(trial % 2))
             f = random_element(gen, fibers)
             g = random_element(gen, fibers)
-            got = inner_product(f, g, space, fibers)
+            got = inner_product(f, g, space)
             want = oracle_inner(space.weights, f.blocks, g.blocks)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
@@ -79,23 +83,42 @@ class TestInnerProduct:
             space, fibers = random_space(gen, complex_field=True)
             f = random_element(gen, fibers)
             g = random_element(gen, fibers)
-            assert inner_product(f, g, space, fibers) == pytest.approx(
-                np.conj(inner_product(g, f, space, fibers)), rel=1e-13, abs=1e-15)
+            assert inner_product(f, g, space) == pytest.approx(
+                np.conj(inner_product(g, f, space)), rel=1e-13, abs=1e-15)
 
     def test_self_inner_product_real_nonnegative(self):
         gen = rng(8)
         for _ in range(50):
             space, fibers = random_space(gen, complex_field=True)
             f = random_element(gen, fibers)
-            val = inner_product(f, f, space, fibers)
+            val = inner_product(f, f, space)
             assert val.imag == 0.0
             assert val.real >= 0.0
 
     def test_shape_mismatch_names_atom(self):
-        space, fibers = pair([1.0, 1.0], [1, 2])
-        f = element([[1.0], [1.0]])  # atom 1 has length 1, needs 2
-        with pytest.raises(StructuralError, match="atom 1"):
-            inner_product(f, f, space, fibers)
+        space = measure([1.0, 1.0, 1.0])
+        f = element([[1.0], [1.0], [1.0]])
+        g = element([[1.0], [1.0, 0.0], [1.0]])  # atom 1 is 2-dimensional in g only
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(StructuralError, match="atom 1: fiber dims"):
+                inner_product(a, b, space)
+
+    def test_atom_count_must_match_the_space(self):
+        f = element([[1.0], [2.0]])
+        for space in (measure([1.0]), measure([1.0, 1.0, 1.0])):
+            with pytest.raises(StructuralError, match="fiber collection has 2 atoms"):
+                inner_product(f, f, space)
+            with pytest.raises(StructuralError, match="fiber collection has 2 atoms"):
+                norm(f, space)
+
+    def test_reads_the_elements_own_collection(self):
+        # elements built on separate but equal collections share one layout
+        space = measure([2.0, 0.5])
+        f = element([[1.0], [2.0, 0.0]])
+        g = DirectIntegralElement(np.array([1.0, 0.0, 2.0]),
+                                  HilbertCollection(dims=np.array([1, 2])))
+        assert f.fibers is not g.fibers
+        assert inner_product(f, g, space) == 2.0
 
     def test_cauchy_schwarz(self):
         gen = rng(55)
@@ -103,31 +126,31 @@ class TestInnerProduct:
             space, fibers = random_space(gen, complex_field=bool(trial % 3 == 0))
             f = random_element(gen, fibers)
             g = random_element(gen, fibers)
-            lhs = abs(inner_product(f, g, space, fibers))
-            rhs = norm(f, space, fibers) * norm(g, space, fibers)
+            lhs = abs(inner_product(f, g, space))
+            rhs = norm(f, space) * norm(g, space)
             assert lhs <= rhs * (1 + 1e-12) + 1e-300
 
 
 class TestNorm:
     def test_zero(self):
         space, fibers = pair([1.0], [2])
-        assert norm(DirectIntegralElement.zero(fibers), space, fibers) == 0.0
+        assert norm(DirectIntegralElement.zero(fibers), space) == 0.0
 
     def test_three_four_five(self):
-        space, fibers = pair([1.0, 1.0], [1, 1])
-        assert norm(element([[3.0], [4.0]]), space, fibers) == 5.0
+        space = measure([1.0, 1.0])
+        assert norm(element([[3.0], [4.0]]), space) == 5.0
 
     def test_weighted(self):
-        space, fibers = pair([4.0], [1])
-        assert norm(element([[1.0]]), space, fibers) == 2.0
+        space = measure([4.0])
+        assert norm(element([[1.0]]), space) == 2.0
 
     def test_zero_weight_atoms_are_ignored(self):
         # mass sits only on atom 0; a nonzero block on the null atom is invisible
-        space, fibers = pair([1.0, 0.0], [1, 1])
+        space = measure([1.0, 0.0])
         f = element([[3.0], [7.0]])
-        assert norm(f, space, fibers) == 3.0
+        assert norm(f, space) == 3.0
         zero_on_support = element([[0.0], [9.0]])
-        assert norm(zero_on_support, space, fibers) == 0.0
+        assert norm(zero_on_support, space) == 0.0
 
 
 class TestGram:
@@ -139,27 +162,42 @@ class TestGram:
         assert rep.riesz_upper == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_single_vector(self):
-        space, fibers = pair([1.0], [1])
-        rep = gram_matrix(OrthonormalSystem.from_elements(space, fibers, [element([[2.0]])]))
+        space = measure([1.0])
+        rep = gram_matrix(OrthonormalSystem.from_elements(space, [element([[2.0]])]))
         assert rep.gram[0][0] == 4.0
         assert rep.riesz_lower == pytest.approx(4.0, abs=1e-12)
         assert rep.riesz_upper == pytest.approx(4.0, abs=1e-12)
 
     def test_two_by_two_hand_eigenvalues(self):
         # gram [[1, c], [c, 1]] has eigenvalues 1 -+ c with c = 1/sqrt(2)
-        space, fibers = pair([1.0, 1.0], [1, 1])
+        space = measure([1.0, 1.0])
         c = 1.0 / math.sqrt(2.0)
         phi1 = element([[1.0], [0.0]])
         phi2 = element([[c], [c]])
-        rep = gram_matrix(OrthonormalSystem.from_elements(space, fibers, [phi1, phi2]))
+        rep = gram_matrix(OrthonormalSystem.from_elements(space, [phi1, phi2]))
         assert rep.gram[0][1] == pytest.approx(c, rel=1e-15)
         assert rep.riesz_lower == pytest.approx(1.0 - c, rel=1e-12)
         assert rep.riesz_upper == pytest.approx(1.0 + c, rel=1e-12)
 
     def test_empty_system_rejected(self):
-        space, fibers = pair([1.0], [1])
+        space = measure([1.0])
         with pytest.raises(StructuralError):
-            OrthonormalSystem.from_elements(space, fibers, [])
+            OrthonormalSystem.from_elements(space, [])
+
+    def test_from_elements_reads_their_collection(self):
+        space = measure([1.0, 1.0])
+        fibers = HilbertCollection(dims=np.array([1, 2]), field=Field.COMPLEX)
+        phi = DirectIntegralElement(np.array([1.0, 0.0, 0.0]), fibers)
+        system = OrthonormalSystem.from_elements(space, [phi])
+        assert system.fibers is fibers
+        assert system.values.dtype == np.complex128
+
+    def test_from_elements_names_the_atom_whose_layouts_differ(self):
+        space = measure([1.0, 1.0, 1.0])
+        first = element([[1.0], [0.0], [0.0]])
+        other = element([[0.0], [1.0], [0.0, 0.0]])
+        with pytest.raises(StructuralError, match="atom 2: fiber dims 1 and 2 differ"):
+            OrthonormalSystem.from_elements(space, [first, first, other])
 
     def test_large_system_bounds_reproducible(self):
         # the dense eigendecomposition runs at every size, including n = 600
@@ -305,10 +343,10 @@ class TestValidateOns:
         assert rep.max_offdiag_abs == 0.0
 
     def test_oblique_pair_fails(self):
-        space, fibers = pair([1.0, 1.0], [1, 1])
+        space = measure([1.0, 1.0])
         c = 1.0 / math.sqrt(2.0)
         system = OrthonormalSystem.from_elements(
-            space, fibers, [element([[1.0], [0.0]]), element([[c], [c]])])
+            space, [element([[1.0], [0.0]]), element([[c], [c]])])
         ok, rep = validate_ons(system, tol=1e-12)
         assert not ok
         assert rep.max_offdiag_abs == pytest.approx(c, rel=1e-15)
@@ -351,7 +389,7 @@ class TestParseval:
                 b = b + 1j * gen.standard_normal(len(system))
             combo = b.astype(system.values.dtype) @ system.values
             el = DirectIntegralElement(values=combo, fibers=fibers)
-            lhs = norm(el, space, fibers) ** 2
+            lhs = norm(el, space) ** 2
             rhs = float(np.sum(np.abs(b) ** 2))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -384,10 +422,15 @@ class TestInvariantsOfTypes:
             HilbertCollection(dims=np.array([1, 0]))
 
     def test_complex_element_in_real_collection(self):
-        space, fibers = pair([1.0], [1])
+        # a complex element and a real one have no common collection
+        space = measure([1.0])
         f = element([[1.0 + 1j]], field=Field.COMPLEX)
-        with pytest.raises(StructuralError):
-            f.conform(space, fibers)
+        g = element([[1.0]])
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(StructuralError, match="elements used together"):
+                inner_product(a, b, space)
+        with pytest.raises(StructuralError, match="complex and real elements used together"):
+            OrthonormalSystem.from_elements(space, [f, g])
 
     @pytest.mark.parametrize("field", [None, Field.REAL])
     def test_complex_blocks_in_a_real_collection_are_refused(self, field):

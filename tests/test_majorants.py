@@ -16,7 +16,6 @@ from orthoseries import (AdversarialStrategy, ContractError, Field,
                          permuted_majorant, prefix_sum, tandori_blocks,
                          tandori_delta, validate_ons)
 from orthoseries.direct_integral import expanded_weights
-from orthoseries.majorants import complete_block_form
 from orthoseries.summation import compensated_sum
 from orthoseries.systems import seeded_rng
 from orthoseries.verify import default_config
@@ -165,12 +164,18 @@ def per_term_profile(system, coeffs, order):
     return np.sqrt(best), arg, weighted_l2(system, best)
 
 
-def per_term_chaining(system, coeffs, n):
+def per_term_chaining(system, coeffs):
     """Every ChainingDiagnostics field, from a running and a within-block sum
-    advanced a term at a time."""
-    K = complete_block_form(n)
-    n_sys = len(system)
-    a = np.asarray(coeffs, dtype=system.values.dtype)
+    advanced a term at a time over the m coefficients given, zero-padded to
+    the first length n = 2^(K+1) - 1 >= m; the terms go on to the end of the
+    block or of the system, whichever comes first."""
+    m_given = len(coeffs)
+    K = 0
+    while (1 << (K + 1)) - 1 < m_given:
+        K += 1
+    n = (1 << (K + 1)) - 1
+    a = np.zeros(n, dtype=system.values.dtype)
+    a[:m_given] = coeffs
     V = system.values
     offsets = system.fibers.offsets
     m = system.space.n_atoms
@@ -181,7 +186,7 @@ def per_term_chaining(system, coeffs, n):
         lo, hi = 1 << k, (1 << (k + 1)) - 1
         inner = np.zeros_like(running)
         inner_sq = np.zeros(m)
-        for j in range(lo, min(hi, n_sys) + 1):
+        for j in range(lo, min(hi, len(system)) + 1):
             term = a[j - 1] * V[j - 1]
             running += term
             inner += term
@@ -475,20 +480,37 @@ class TestChaining:
                                         math.sqrt(diag.inner_sq_sum)) * (1 + 1e-12)
             assert diag.dyadic_sup_l2 <= diag.majorant_l2 * (1 + 1e-12)
 
-    def test_incomplete_length_message(self, std3):
-        _, _, system = std3
-        with pytest.raises(ContractError, match="zero-pad"):
-            chaining_diagnostics(system, [1.0, 1.0])
-
-    def test_zero_padding_beyond_system(self, std3):
-        _, _, system = std3
-        b = np.array([1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
+    @pytest.mark.parametrize("spec", [SystemSpec(SystemKind.HAAR, 8),
+                                      SystemSpec(SystemKind.RADEMACHER, 5)],
+                             ids=lambda spec: spec.describe())
+    def test_pads_an_incomplete_length_itself(self, spec):
+        # five coefficients give the chain of their explicit zero-padding to 7
+        system = generate(spec)[2]
+        b = random_coeffs(system, 98)[:5]
+        padded = np.concatenate([b, np.zeros(2)])
         diag = chaining_diagnostics(system, b)
-        short = chaining_diagnostics(system, b[:3])
-        assert diag.majorant_l2 == short.majorant_l2
-        assert diag.weyl_mass == short.weyl_mass
-        with pytest.raises(ContractError):
-            chaining_diagnostics(system, np.array([1, 0.5, 0.5, 0.1, 0, 0, 0.0]))
+        want = per_term_chaining(system, padded)
+        assert (diag.n, diag.k_max) == (7, 2)
+        for field in dataclasses.fields(diag):
+            assert np.array_equal(getattr(diag, field.name), want[field.name]), field.name
+        if len(system) >= 7:
+            explicit = chaining_diagnostics(system, padded)
+            for field in dataclasses.fields(diag):
+                assert np.array_equal(getattr(diag, field.name),
+                                      getattr(explicit, field.name)), field.name
+
+    def test_coefficients_past_the_system_are_refused(self, std3):
+        # as by every other kernel, zero or not
+        _, _, system = std3
+        for b in ([1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.5, 0.1]):
+            with pytest.raises(ContractError, match=r"prefix length \d outside \[1, 3\]"):
+                majorant(system, b)
+            with pytest.raises(ContractError, match=r"prefix length \d outside \[1, 3\]"):
+                chaining_diagnostics(system, b)
+        with pytest.raises(ContractError, match=r"prefix length 0 outside"):
+            chaining_diagnostics(system, [])
+        with pytest.raises(StructuralError, match="one-dimensional"):
+            chaining_diagnostics(system, np.ones((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +573,12 @@ class TestPrefixSweep:
     def test_chaining_bitwise_equal_to_per_term_loop(self, sweep_system, prefix_budget):
         system = sweep_system
         n_sys = len(system)
-        # the longest complete prefix inside the system, one padded past it,
-        # and one padded by a whole block more, which the system leaves empty
-        for n in sorted({(1 << (n_sys + 1).bit_length() - 1) - 1,
-                         mj.complete_block_length(n_sys),
-                         mj.complete_block_length(2 * n_sys + 1)}):
+        # the longest complete prefix inside the system, the whole system
+        # (padded past it unless complete) and a prefix two short of it
+        for m in sorted({(1 << (n_sys + 1).bit_length() - 1) - 1, n_sys, n_sys - 2}):
             for b in sweep_coeffs(system):
-                b = np.concatenate([b, np.zeros(max(0, n - n_sys), dtype=b.dtype)])
-                diag = chaining_diagnostics(system, b[:n])
-                want = per_term_chaining(system, b, n)
+                diag = chaining_diagnostics(system, b[:m])
+                want = per_term_chaining(system, b[:m])
                 for field in dataclasses.fields(diag):
                     assert np.array_equal(getattr(diag, field.name), want[field.name]), field.name
 
@@ -577,13 +596,13 @@ class TestPrefixSweep:
         monkeypatch.setattr(mj, "_prefix_rows", counted)
         system = generate(SystemSpec(SystemKind.HAAR, 64))[2]
         b = random_coeffs(system, 97)
-        for n in (1, 3, 7, 15, 31, 63, 127, 255):
+        for m in (1, 2, 3, 5, 7, 15, 31, 33, 63, 64):
             passes.clear()
-            diag = chaining_diagnostics(system, np.concatenate([b, np.zeros(max(0, n - 64))])[:n])
-            assert diag.k_max == complete_block_form(n)
+            diag = chaining_diagnostics(system, b[:m])
+            assert (diag.n, diag.k_max) == ((2 << diag.k_max) - 1, m.bit_length() - 1)
             assert len(passes) == 2
             assert [list(r) for r in passes] == [
-                [], [min((1 << k) - 1, 64) for k in range(diag.k_max + 1)]]
+                [], [min((1 << k) - 1, m) for k in range(diag.k_max + 1)]]
 
     def test_tandori_delta_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget):
         system = sweep_system

@@ -110,6 +110,20 @@ def test_haar_rejects_too_small_or_non_pow2_resolution():
         generate(SystemSpec(SystemKind.HAAR, 5, resolution=12))
 
 
+@pytest.mark.parametrize("n,fiber_dim,resolution,message", [
+    (4, 1, 3, "tensor-vector resolution 3 is not a power of two"),
+    (8, 2, 2, "tensor-vector needs a power-of-two resolution >= 4 "
+              "for 8 functions of fiber dimension 2"),
+    (5, 1, 4, "tensor-vector needs a power-of-two resolution >= 8 for 5 functions"),
+])
+def test_tensor_vector_resolution_errors_name_its_own_spec(n, fiber_dim, resolution, message):
+    # not the Haar base system it is built on, nor that system's function count
+    spec = SystemSpec(SystemKind.TENSOR_VECTOR, n, resolution=resolution, fiber_dim=fiber_dim)
+    with pytest.raises(ContractError) as info:
+        generate(spec)
+    assert str(info.value) == message
+
+
 def test_rademacher_resolution_rules():
     with pytest.raises(ContractError):
         generate(SystemSpec(SystemKind.RADEMACHER, 3, resolution=4))
@@ -145,6 +159,14 @@ def test_a_field_the_kind_does_not_read_is_refused(kind, key, value):
         SystemSpec(kind, 8, **{key: value})
     # the same kind takes the field at its default
     SystemSpec(kind, 8, **{key: 1 if key == "fiber_dim" else None})
+
+
+@pytest.mark.parametrize("kind", list(SystemKind), ids=lambda kind: kind.value)
+def test_a_negative_seed_is_refused_by_every_kind(kind):
+    # random-qr would hand it to numpy, and the other kinds ignored it
+    with pytest.raises(ContractError, match=f"^{kind.value} seed must be >= 0 \\(got -1\\)$"):
+        SystemSpec(kind, 4, seed=-1)
+    SystemSpec(kind, 4, seed=0)
 
 
 @pytest.mark.parametrize("kind,fits,over", [
