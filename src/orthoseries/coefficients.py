@@ -111,7 +111,9 @@ class WeightSpec:
     b_n = max(log2(n + shift), 1).  The inner clamp keeps the base away
     from log(1) = 0, the outer clamp keeps the sequence nondecreasing even
     for gamma < 0 (where it degenerates to the constant w_1).  With
-    shift = 0 and gamma = 2 this is exactly max(1, log2 n)^2.
+    shift = 0 and gamma = 2 this is exactly max(1, log2 n)^2.  ``values``
+    and ``value_at`` run the same numpy operations, so they agree bit for
+    bit at every n below 2^1024.
     """
 
     explicit: tuple | None = None
@@ -138,7 +140,8 @@ class WeightSpec:
         return self.explicit is not None
 
     def value_at(self, n: int) -> float:
-        """w_n for a single (possibly astronomically large) integer index."""
+        """w_n for a single (possibly astronomically large) integer index:
+        ``values(T)[n - 1]`` bit for bit wherever float(n) is finite."""
         if n < 1:
             raise ContractError("weight index must be >= 1")
         if self.is_explicit:
@@ -147,31 +150,22 @@ class WeightSpec:
                     f"explicit weight of length {len(self.explicit)} has no index {n}"
                 )
             return self.explicit[n - 1]
-        if self.shift == 0 or float(self.shift).is_integer():
-            base = math.log2(n + int(self.shift))
-        else:
-            # math.log2 takes exact big ints; fold a fractional shift in as
-            # log2(n) + log2(1 + shift/n)
-            base = math.log2(n) + math.log1p(self.shift / n) / math.log(2)
-        return max(self._power(max(base, 1.0)), self._first_value())
-
-    def _first_value(self) -> float:
-        if self.is_explicit:
-            return self.explicit[0]
-        if self.shift == 0 or float(self.shift).is_integer():
-            b1 = math.log2(1 + int(self.shift))
-        else:
-            b1 = math.log2(1.0 + self.shift)
-        return self._power(max(b1, 1.0))
-
-    def _power(self, base):
-        """base ** gamma, for a float or an array base; overflow is a ContractError."""
         try:
-            with np.errstate(over="ignore"):
-                out = base ** self.gamma
+            logs = np.log2(np.array([1.0, float(n)]) + self.shift)
         except OverflowError:
-            out = math.inf
-        return _finite(out, self)
+            # n >= 2^1024: log2 of the exact integer; the fraction of shift
+            # moves log2 n by under 2^-1000, far below an ulp of log2 n >= 1024
+            logs = np.append(np.log2(np.array([1.0]) + self.shift),
+                             math.log2(n + int(self.shift)))
+        return float(self._log_power(logs)[-1])
+
+    def _log_power(self, logs: np.ndarray) -> np.ndarray:
+        """max(b^gamma, w_1) with b = max(logs, 1), for logs = log2(n + shift)
+        at n = 1, ...; the floor w_1 is the first entry's power.  A power that
+        overflows is a ContractError."""
+        with np.errstate(over="ignore"):
+            powers = _finite(np.maximum(logs, 1.0) ** self.gamma, self)
+        return np.maximum(powers, powers[0])
 
     def values(self, truncation: int) -> np.ndarray:
         """w_1 .. w_truncation."""
@@ -182,9 +176,7 @@ class WeightSpec:
                     f"explicit weight of length {len(self.explicit)} cannot cover truncation {truncation}"
                 )
             return np.asarray(self.explicit[:truncation], dtype=float)
-        n = np.arange(1, truncation + 1, dtype=float)
-        base = np.maximum(np.log2(n + self.shift), 1.0)
-        return np.maximum(self._power(base), self._first_value())
+        return self._log_power(np.log2(np.arange(1, truncation + 1, dtype=float) + self.shift))
 
     def describe(self) -> str:
         if self.is_explicit:

@@ -283,9 +283,9 @@ def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def gram_matrix(system: OrthonormalSystem) -> GramReport:
     """Gram matrix G[m, n] = <phi_m, phi_n> under the system's own space and
     fibers, with its extreme eigenvalues (eigvalsh's)."""
-    G, _, _ = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
+    # Re H_ii = (Re G_ii + Re G_ii) / 2 = Re G_ii, short of overflow
+    G, diag, _ = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
     n = G.shape[0]
-    diag = np.real(np.diagonal(G))
     # the entries of |G - diag(G)|: |G| off the diagonal, |G_ii - G_ii| on it
     # (0, or NaN where G_ii is not finite)
     scratch = np.abs(G)

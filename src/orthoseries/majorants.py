@@ -313,17 +313,13 @@ def dyadic_pointwise_bound(h, r: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def complete_block_length(n: int) -> int:
-    """The least length 2^(K+1) - 1 >= n that ends on a complete dyadic block."""
-    return (1 << n.bit_length()) - 1
-
-
 @dataclass(frozen=True)
 class ChainingDiagnostics:
     """Everything the dyadic chaining argument measures for one prefix range.
 
     Block k covers indices [2^k, 2^(k+1) - 1], and ``n`` = 2^(K+1) - 1 is the
-    length the coefficients were zero-padded to.  ``block_norms`` are the L2
+    end of the last block, K = floor(log2 len(coeffs)); the coefficients past
+    len(coeffs) are zeros, which add nothing.  ``block_norms`` are the L2
     norms of the block sums; ``inner_sup_norms`` the L2 norms of the
     within-block majorants max_{j in block} ||sum_{n=2^k..j} a_n phi_n(x)||
     (k = 0 included so the finite chain is self-contained);
@@ -353,21 +349,18 @@ class ChainingDiagnostics:
 
 
 def chaining_diagnostics(system: OrthonormalSystem, coeffs) -> ChainingDiagnostics:
-    """Two ``_sweep`` passes over the n = len(coeffs) positions given, cut at
-    the block starts 2^k - 1, with the coefficients zero-padded to the
-    complete block length 2^(K+1) - 1 >= n: a running one gives each block's
-    sup and the running sum at its end, one restarted at each block start
-    the within-block sups and sums."""
-    head = _coeff_array(coeffs, system)
-    a = np.zeros(complete_block_length(head.size), dtype=head.dtype)
-    a[:head.size] = head
-    K = head.size.bit_length() - 1
+    """Two ``_sweep`` passes over the len(coeffs) positions given, cut at the
+    block starts 2^k - 1: a running one gives each block's sup and the
+    running sum at its end, one restarted at each block start the
+    within-block sups and sums."""
+    a = _coeff_array(coeffs, system)
+    K = a.size.bit_length() - 1
     V = system.values
     offsets = system.fibers.offsets
     weights = system.space.weights
 
-    order = np.arange(head.size)
-    edges = [min((1 << k) - 1, order.size) for k in range(K + 2)]
+    order = np.arange(a.size)
+    edges = [min((1 << k) - 1, a.size) for k in range(K + 2)]
     sup_sq, _, running = _sweep(V, offsets, a, order, edges)
     inner_sq, _, inner = _sweep(V, offsets, a, order, edges, restart=True)
     dyad_sq = _fiber_sq_norms(running, offsets).max(axis=0, initial=0.0)
@@ -380,7 +373,7 @@ def chaining_diagnostics(system: OrthonormalSystem, coeffs) -> ChainingDiagnosti
     block_norm_sum = compensated_sum(block_norms)
     inner_sq_sum = compensated_sum(inner_sup_norms ** 2)
     return ChainingDiagnostics(
-        n=a.size, k_max=K,
+        n=(2 << K) - 1, k_max=K,
         block_norms=block_norms, block_coeff_sq=block_coeff_sq,
         inner_sup_norms=inner_sup_norms,
         dyadic_sup_l2=float(_weighted_l2(weights, dyad_sq)),

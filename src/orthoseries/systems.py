@@ -156,6 +156,11 @@ def _standard_basis(spec: SystemSpec):
 
 def _rademacher(spec: SystemSpec):
     n = spec.n_functions
+    # n x 2^n values at the least resolution, refused before 2^n is formed
+    # (at n = 10^9 that integer alone is 125 MB)
+    if n >= MAX_SYSTEM_VALUES.bit_length() or n << n > MAX_SYSTEM_VALUES:
+        raise ContractError(f"rademacher n={n} needs {n} x 2^{n} values, "
+                            f"over the limit of {MAX_SYSTEM_VALUES}")
     min_res = 1 << n
     res = spec.resolution if spec.resolution is not None else min_res
     if not _is_pow2(res):

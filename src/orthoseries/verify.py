@@ -86,6 +86,12 @@ MIX_REFLECTORS = 4
 # the mixed Gram matrix by at most 4.3e-15 relative, and tests/test_verify.py
 # holds the margined ones (from G0's Gershgorin bounds) against eigvalsh.
 MIX_MARGIN = 4 * (8 * MIX_REFLECTORS + 1) * 2.0 ** -53
+# Largest riesz_condition.  riesz-ratio scales the mixed values by up to the
+# condition and its Riesz bound and squared fiber norms by up to its square:
+# 1e200 at this cap, which leaves float64 (to 1.8e308) a factor 1e108 for
+# the unmixed system's own squares.  Past about 1.3e154 the square alone
+# overflows.
+MAX_RIESZ_CONDITION = 1e100
 
 
 class Check(Enum):
@@ -136,8 +142,9 @@ class TrialConfig:
             raise ContractError("exhaustive permutation checks require n <= 8")
         if self.shuffle_plans < 0:
             raise ContractError(f"'shuffle_plans' must be >= 0, got {self.shuffle_plans}")
-        if self.riesz_condition < 1:
-            raise ContractError(f"'riesz_condition' must be >= 1, got {self.riesz_condition}")
+        if not 1 <= self.riesz_condition <= MAX_RIESZ_CONDITION:
+            raise ContractError(f"'riesz_condition' must be in [1, {MAX_RIESZ_CONDITION:g}], "
+                                f"got {self.riesz_condition}")
         object.__setattr__(self, "system_specs", tuple(self.system_specs))
         object.__setattr__(self, "checks", frozenset(self.checks))
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import resource
@@ -12,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthoseries import SystemKind, SystemSpec, cli, generate, serialization, validate_ons
+from orthoseries import (ContractError, SystemKind, SystemSpec, cli, generate, serialization,
+                         validate_ons)
 from orthoseries.cli import _config_from_file, build_parser, main
 from orthoseries.coefficients import SequenceSpec, WeightSpec, weyl_sum
 from orthoseries.serialization import system_from_json
-from orthoseries.verify import Check, default_config
+from orthoseries.verify import MAX_RIESZ_CONDITION, Check, default_config
 
 from conftest import run_check
 
@@ -651,6 +653,87 @@ def test_verify_config_system_negative_seed_exit_2(tmp_path, capsys):
     systems = [{"kind": "haar", "n": 8}, {"kind": "standard-basis", "n": 4, "seed": -3}]
     assert main(_config(tmp_path, {"systems": systems}) + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: standard-basis seed must be >= 0 (got -3)\n"
+    assert not out.exists()
+
+
+RADEMACHER_HUGE = ("error: rademacher n=1000000000 needs 1000000000 x 2^1000000000 values, "
+                   "over the limit of 16777216\n")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: ["gen-ons", "--kind", "rademacher", "--n", "1000000000"],
+    lambda t: ["gen-ons", "--spec", _file(t, '{"kind": "rademacher", "n": 1000000000}')],
+    lambda t: _config(t, {"checks": ["mr-inequality"],
+                          "systems": [{"kind": "rademacher", "n": 1000000000}]}),
+], ids=["flag", "spec", "config"])
+def test_rademacher_refused_before_2_to_the_n(tmp_path, capsys, argv):
+    # 2^n was formed first (0.9 s and 125 MB here), and the size message
+    # could not print it: "Exceeds the limit (4300 digits) ..."
+    out = tmp_path / "out.json"
+    assert main(argv(tmp_path) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == RADEMACHER_HUGE
+    assert not out.exists()
+
+
+def test_rademacher_refusal_names_n_by_2_to_the_n():
+    for n in (20, 25, 26):
+        with pytest.raises(ContractError, match=rf"rademacher n={n} needs {n} x 2\^{n} values"):
+            generate(SystemSpec(SystemKind.RADEMACHER, n))
+
+
+def test_rademacher_n_1e11_refused_under_a_memory_limit():
+    # 2^n alone would take 12.5 GB: a MemoryError traceback, exit 1, in a
+    # child process under a 2 GB address-space limit
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 << 10, 2_000_000 << 10))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orthoseries", "gen-ons", "--kind", "rademacher",
+                           "--n", "100000000000"],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: rademacher n=100000000000 needs 100000000000 x 2^")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def test_riesz_condition_cap(tmp_path, capsys):
+    # 1e200 raised OverflowError inside riesz-ratio, from s_max ** 2
+    out = tmp_path / "r.json"
+    cap = MAX_RIESZ_CONDITION
+    assert main(_config(tmp_path, {"checks": ["riesz-ratio"], "riesz_condition": cap})
+                + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["riesz-ratio"]["passed"]
+    out.unlink()
+    for over in (math.nextafter(cap, math.inf), 1e200):
+        assert main(_config(tmp_path, {"checks": ["riesz-ratio"], "riesz_condition": over})
+                    + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'riesz_condition' must be in [1, 1e+100]")
+        assert err.count("\n") == 1 and not out.exists()
+
+
+def test_verify_fractional_weight_shift_runs_orlicz_chain(tmp_path):
+    # its condensation chain took shift / n in floating point at n = 2^1024:
+    # an OverflowError traceback, exit 1
+    out = tmp_path / "r.json"
+    assert main(_config(tmp_path, {"checks": ["orlicz-chain"], "weights": {
+        "form": "log-power", "gamma": 1.5, "shift": 0.5}}) + ["--out", str(out)]) == 0
+    result = json.loads(out.read_text())["results"]["orlicz-chain"]
+    assert result["passed"] and 0 < result["worst_ratio"] < 1
+    assert result["worst_case"]["weights"] == "log-power gamma=1.5 shift=0.5"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["gen-ons", "--n", "4"], "gen-ons needs --kind and --n (or --spec FILE)"),
+    (["gen-ons", "--kind", "haar"], "gen-ons needs --kind and --n (or --spec FILE)"),
+    (["majorant", "--system", None], "provide --coeffs LIST or --coeffs-file FILE"),
+], ids=["gen-ons-no-kind", "gen-ons-no-n", "majorant-no-coefficients"])
+def test_missing_required_inputs_exit_2(tmp_path, capsys, argv, err):
+    out = tmp_path / "out.json"
+    argv = [_system_file(tmp_path, "json", 1.0) if a is None else a for a in argv]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,11 +218,46 @@ class TestCondensationChain:
         with pytest.raises(ContractError, match="explicit weight"):
             condensation_chain(w, terms=5)
 
+    def test_explicit_weights_are_unknown(self):
+        # indices 2..3, 2^1..2^2 and nu_0, nu_1 = 2, 4 of a constant weight
+        chain = condensation_chain(WeightSpec.from_values([2.0] * 4), terms=2)
+        assert [r.classification for r in chain] == [C.UNKNOWN_FROM_TRUNCATION] * 3
+        assert chain[1].total == 0.5 * (1 + 0.5) and chain[2].total == 1.0
+
     def test_condition_ids(self):
         chain = condensation_chain(WeightSpec.log_power(1.0), terms=3)
         assert [r.condition_id for r in chain] == [
             ConditionId.ORLICZ_WEIGHT, ConditionId.CONDENSED_POW2,
             ConditionId.CONDENSED_DOUBLE_EXP]
+
+
+class TestWeightFormula:
+    """``value_at`` and ``values`` are one formula."""
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 0.5, 1.5, 2.0, 3.3])
+    @pytest.mark.parametrize("shift", [0.0, 0.001, 0.5, 2.7, 3.0])
+    def test_value_at_is_values_bitwise(self, gamma, shift):
+        # the scalar formula differed in the last bit at thousands of
+        # indices: Python's float ** against numpy's, math.log2 against np.log2
+        w = WeightSpec.log_power(gamma, shift)
+        T = 1 << 12
+        at = np.array([w.value_at(n) for n in range(1, T + 1)])
+        assert np.array_equal(at.view(np.int64), w.values(T).view(np.int64))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 3.0, 2.75])
+    def test_past_the_float_range(self, shift):
+        # float(n) overflows from n = 2^1024 on (2^1024 - 1 rounds up to it);
+        # a fractional shift was taken as shift / n in floating point there
+        w = WeightSpec.log_power(1.5, shift)
+        for k in (1024, 2048):
+            assert w.value_at(1 << k) == max(k ** 1.5, w.value_at(1))
+        assert w.value_at((1 << 1024) - 1) == w.value_at(1 << 1024)
+
+    def test_floor_is_the_first_weight(self):
+        # for gamma < 0 every w_n is w_1 = max(log2(1 + shift), 1)^gamma
+        w = WeightSpec.log_power(-1.0, 7.0)
+        assert w.value_at(1) == 1 / 3
+        assert np.all(w.values(64) == 1 / 3) and w.value_at(1 << 4096) == 1 / 3
 
 
 class TestOrliczReduction:
@@ -303,7 +339,9 @@ def test_power_log_rejects_negative_scale():
     lambda: WeightSpec.log_power(2000.0).values(8),
     lambda: WeightSpec.log_power(2000.0).value_at(4),
     lambda: WeightSpec.log_power(2000.0, shift=2.5).value_at(1),
-], ids=["coeff-inf", "coeff-zero-times-inf", "weights-array", "weight-at", "weight-at-shift"])
+    lambda: WeightSpec.log_power(200.0, shift=0.5).value_at(1 << 2048),
+], ids=["coeff-inf", "coeff-zero-times-inf", "weights-array", "weight-at", "weight-at-shift",
+        "weight-past-float-range"])
 def test_overflowing_families_refused(call):
     with pytest.raises(ContractError, match="overflows float64"):
         call()
@@ -326,3 +364,15 @@ def test_overflowing_masses_are_infinite():
     # the one-shot sums go to inf where fsum overflows in between
     masses = block_masses(SequenceSpec.from_values([1e153] * 64), tandori_blocks(64))
     assert masses[-1] == math.inf and np.all(np.isfinite(masses[:-1]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: WeightSpec.log_power(1.5, shift=-0.5), "shift must be >= 0"),
+    (lambda: WeightSpec.log_power(1.5).value_at(0), "weight index must be >= 1"),
+    (lambda: SequenceSpec.from_values([]), "explicit sequence must be nonempty"),
+    (lambda: WeightSpec.from_values([]), "explicit weights must be nonempty"),
+    (lambda: condensation_chain(WeightSpec.log_power(1.5), terms=0), "terms must be >= 1"),
+], ids=["negative-shift", "weight-index-0", "empty-sequence", "empty-weights", "terms-0"])
+def test_refusals(call, message):
+    with pytest.raises(ContractError, match=re.escape(message)):
+        call()

@@ -417,6 +417,15 @@ class TestInvariantsOfTypes:
         with pytest.raises(StructuralError):
             MeasureSpace(weights=np.zeros(3))
 
+    @pytest.mark.parametrize("weights", [np.ones((2, 2)), np.ones(0)], ids=["2-d", "empty"])
+    def test_weights_must_be_a_nonempty_row(self, weights):
+        with pytest.raises(StructuralError, match="weights must be a nonempty 1-d array"):
+            MeasureSpace(weights=weights)
+
+    def test_dims_must_be_nonempty(self):
+        with pytest.raises(StructuralError, match="dims must be a nonempty 1-d array"):
+            HilbertCollection(dims=[])
+
     def test_dims_positive(self):
         with pytest.raises(StructuralError, match="atom 1"):
             HilbertCollection(dims=np.array([1, 0]))

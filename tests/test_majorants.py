@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -409,6 +410,15 @@ class TestDyadicPointwiseBound:
         lhs, rhs = dyadic_pointwise_bound(np.ones((3, 1)), 2)
         assert lhs == 9.0
         assert rhs == 51.0
+
+    @pytest.mark.parametrize("h,r,error,message", [
+        ([[1.0]], -1, ContractError, "r must be >= 0"),
+        ([["a"]], 1, StructuralError, "h must be a sequence of equal-length vectors"),
+        ([[1.0], [2.0], [3.0]], 1, ContractError, "j=3 outside [1, 2^1]"),
+    ], ids=["negative-r", "non-numeric", "j-over-2^r"])
+    def test_refusals(self, h, r, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            dyadic_pointwise_bound(h, r)
 
     def test_against_brute_force(self):
         gen = rng(99)
@@ -1202,6 +1212,13 @@ class TestAdversarial:
         assert per_step_greedy(system, b, 16) == list(range(16))
         order = adversarial_permutation(system, b, 16, AdversarialStrategy.GREEDY_MAX_PREFIX)
         assert order.tolist() == list(range(15, -1, -1))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("strategy", list(AdversarialStrategy))
+    def test_n_outside_2_to_the_coefficient_count_refused(self, n, strategy):
+        _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 8))
+        with pytest.raises(ContractError, match=re.escape(f"2 <= n <= 4, got n={n}")):
+            adversarial_permutation(system, np.ones(4), n, strategy)
 
     def test_greedy_two_case(self):
         _, _, system = generate(SystemSpec(SystemKind.STANDARD_BASIS, 2))

@@ -85,6 +85,11 @@ def test_json_missing_key():
         system_from_json('{"schema_version": 1, "field": "real", "dims": [1], "elements": []}')
 
 
+def test_csv_empty():
+    with pytest.raises(StructuralError, match="^empty CSV$"):
+        system_from_csv("")
+
+
 def test_csv_bad_header():
     with pytest.raises(StructuralError, match="header"):
         system_from_csv("a,b,c\n1,2,3\n")

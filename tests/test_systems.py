@@ -139,6 +139,11 @@ def test_random_qr_capacity():
         generate(SystemSpec(SystemKind.RANDOM_QR, 9, resolution=4, fiber_dim=2))
 
 
+def test_random_qr_resolution_zero_refused():
+    with pytest.raises(ContractError, match="^random-qr needs at least one atom$"):
+        generate(SystemSpec(SystemKind.RANDOM_QR, 4, resolution=0))
+
+
 def test_bad_spec_values():
     with pytest.raises(ContractError):
         SystemSpec(SystemKind.HAAR, 0)

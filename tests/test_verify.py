@@ -925,3 +925,16 @@ class TestConfigValidation:
     def test_trial_count(self):
         with pytest.raises(ContractError):
             small_config(n_trials=0)
+
+    @pytest.mark.parametrize("condition", [
+        math.nan, math.inf, math.nextafter(verify.MAX_RIESZ_CONDITION, math.inf), 0.5])
+    def test_riesz_condition_range(self, condition):
+        # NaN and infinity were accepted, and 1e200 overflowed inside riesz-ratio
+        with pytest.raises(ContractError, match="'riesz_condition' must be in"):
+            small_config(riesz_condition=condition)
+        small_config(riesz_condition=verify.MAX_RIESZ_CONDITION)
+
+
+def test_ratio_of_a_positive_lhs_to_a_zero_rhs_is_infinite():
+    assert verify._ratio(1.0, 0.0) == math.inf
+    assert verify._ratio(0.0, 0.0) == 0.0
