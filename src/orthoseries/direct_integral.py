@@ -259,6 +259,12 @@ def _hermitian_rows(G: np.ndarray, rows=slice(None)) -> np.ndarray:
     return herm
 
 
+def _require_hermitian(worst) -> None:
+    """Raises unless ``worst`` = max |G - G^H| <= GRAM_HERMITIAN_TOL (NaN passes)."""
+    if worst > GRAM_HERMITIAN_TOL:
+        raise StructuralError("gram matrix is not Hermitian to within 1e-12")
+
+
 def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G = (V w) V^H (the only n x n array formed), the diagonal of its
     Hermitian part H and the row sums sum_{j != i} |H_ij|; raises unless
@@ -275,9 +281,60 @@ def _hermitian_gram(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
         block = np.abs(herm)
         np.fill_diagonal(block[:, rows], 0.0)
         radii[rows] = block.sum(axis=1)
-    if worst > GRAM_HERMITIAN_TOL:
-        raise StructuralError("gram matrix is not Hermitian to within 1e-12")
+    _require_hermitian(worst)
     return G, diag, radii
+
+
+def _sparse_discs(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re H_ii and the row sums sum_{j != i} |H_ij| of the Hermitian part H
+    of G = (V w) V^H, as _hermitian_gram gives them, from G's entries at the
+    pairs of rows that share a nonzero coordinate; raises as it does.  A
+    coordinate with k nonzero values gives k^2 (row, row) pairs; each entry
+    G_ij sums its pairs' products (V_ic w_c) conj(V_jc) one at a time in
+    coordinate order, and a row's sum runs over its entries in column order,
+    with no BLAS call.  Entries no pair reaches are exact zeros, short of an
+    infinite value (inf * 0 is NaN in G)."""
+    n, T = V.shape
+    rows, cols = np.divmod(np.flatnonzero(V), T)
+    by_coordinate = np.argsort(cols, kind="stable")
+    rows, cols = rows[by_coordinate], cols[by_coordinate]
+    vals = V[rows, cols]
+    counts = np.bincount(cols, minlength=T)
+    # value e, at coordinate c = cols[e], pairs with each of c's values
+    # (numbered first[c] on), a run of reps[e] pairs from runs[e] on
+    reps = counts[cols]
+    runs = np.cumsum(reps) - reps
+    first = np.cumsum(counts) - counts
+    left = np.repeat(np.arange(len(vals)), reps)
+    right = np.arange(reps.sum()) - np.repeat(runs - first[cols], reps)
+    prods = (vals * w[cols])[left] * vals.conj()[right]
+    keys = rows[left] * n + rows[right]
+    del left, right
+    # the stable sort keeps each entry's pairs in coordinate order
+    by_entry = np.argsort(keys, kind="stable")
+    keys, prods = keys[by_entry], prods[by_entry]
+    del by_entry
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    entry = np.cumsum(new) - 1
+    keys = keys[new]
+    # np.add.at adds one value at a time, in the order given
+    G = np.zeros(len(keys), dtype=V.dtype)
+    np.add.at(G, entry, prods)
+    del entry, prods
+    i, j = np.divmod(keys, n)
+    # a pair set is symmetric, so entry (j, i) is present for each (i, j)
+    herm = G[np.searchsorted(keys, j * n + i)].conj()
+    _require_hermitian(np.max(np.abs(G - herm), initial=0.0))
+    # H_ij = (conj(G_ji) + G_ij) / 2, as _hermitian_rows forms it
+    herm += G
+    herm *= 0.5
+    on = i == j
+    diag, radii = np.zeros(n), np.zeros(n)
+    diag[i[on]] = herm[on].real
+    np.add.at(radii, i[~on], np.abs(herm[~on]))
+    return diag, radii
 
 
 def gram_matrix(system: OrthonormalSystem) -> GramReport:
@@ -300,8 +357,28 @@ def gram_matrix(system: OrthonormalSystem) -> GramReport:
 def gershgorin_bounds(system: OrthonormalSystem) -> tuple[float, float]:
     """Gershgorin bounds (min_i H_ii - r_i, max_i H_ii + r_i) on the spectrum of
     the Gram matrix's Hermitian part H, r_i = sum_{j != i} |H_ij| (1 + n 2^-53),
-    ends with r_i > 0 rounded outward by one ulp.  O(n^2); NaN in H gives NaN."""
-    _, diag, r = _hermitian_gram(system.values, expanded_weights(system.space, system.fibers))
+    ends with r_i > 0 rounded outward by one ulp; NaN in H gives NaN.
+
+    A sparse system, whose P = sum_c nnz_c^2 coordinate-sharing pairs (nnz_c
+    the nonzero values at flat coordinate c) satisfy 4 P <= n^2 and whose
+    values are not infinite, takes H from those pairs alone
+    (``_sparse_discs``, O(P log P), no BLAS call).  Its arrays take about 44
+    bytes a pair (60 complex), so at 4 P = n^2 they hold less than the dense
+    path's G and V w: 16 n^2 bytes or more (32 n^2 complex) for n
+    orthonormal functions on T >= n coordinates.  Every other system forms
+    all of G by one BLAS product, O(n^2 T)."""
+    V, w = system.values, expanded_weights(system.space, system.fibers)
+    counts = np.count_nonzero(V, axis=0)
+    if 4 * int(counts @ counts) <= len(V) ** 2 and not np.isinf(V).any():
+        diag, r = _sparse_discs(V, w)
+    else:
+        _, diag, r = _hermitian_gram(V, w)
+    return _disc_ends(diag, r)
+
+
+def _disc_ends(diag: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    """The lowest and highest ends of the discs at ``diag`` of radii ``r``
+    (in place) widened for their sums' rounding."""
     r *= 1.0 + len(diag) * 2.0 ** -53
     lower, upper = diag - r, diag + r
     np.nextafter(lower, -np.inf, out=lower, where=r > 0)

@@ -284,8 +284,9 @@ def dyadic_decomposition(j: int, r: int) -> DyadicDecomposition:
 def dyadic_pointwise_bound(h, r: int) -> tuple[float, float]:
     """Evaluate both sides of the single-fiber dyadic chaining bound.
 
-    ``h`` is a sequence of j vectors in one fiber (scalars allowed).  The
-    vectors are zero-padded to length 2^r, and the return value is
+    ``h`` is a sequence of j vectors in one fiber, or of j scalars (a 1-d
+    ``h`` is j terms, not one vector).  The sequence is zero-padded to
+    length 2^r, and the return value is
 
         lhs = || sum_{n<=j} h_n ||^2,
         rhs = (r+1) * sum_{k=0}^{r} sum_{p=0}^{2^k - 1}
@@ -295,7 +296,12 @@ def dyadic_pointwise_bound(h, r: int) -> tuple[float, float]:
     """
     if r < 0:
         raise ContractError("r must be >= 0")
-    arr = np.atleast_2d(np.asarray(h))
+    try:
+        arr = np.asarray(h)
+    except ValueError as exc:  # ragged: numpy's "inhomogeneous shape"
+        raise StructuralError("h must be a sequence of equal-length vectors") from exc
+    if arr.ndim < 2:
+        arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.dtype.kind not in "fci":
         raise StructuralError("h must be a sequence of equal-length vectors")
     j = arr.shape[0]

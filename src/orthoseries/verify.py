@@ -28,6 +28,9 @@ workers run BLAS unpinned, as no trial's arithmetic calls it (riesz-ratio's
 mix projects with einsum; tests/test_verify.py checks that no worker starts
 a thread), every check's systems and G0's bounds are made before any fork,
 and no verify path calls an eigensolver (its bits follow BLAS threads).
+G0's bounds call no BLAS at all for a sparse system, whose G0 entries
+``gershgorin_bounds`` sums from coordinate-sharing pairs in coordinate
+order; a dense system's come from one BLAS product.
 
 Parallelism: run_suite runs every check's setup (systems, G0's bounds) in
 the calling process, then all checks' (check, trial) claims in one pool of N
@@ -61,9 +64,10 @@ from .coefficients import (ABSOLUTE_FLOOR, SequenceSpec, WeightSpec, condensatio
 from .direct_integral import (GRAM_HERMITIAN_TOL, Field, OrthonormalSystem, gershgorin_bounds,
                               gram_matrix)
 from .errors import BudgetError, ContractError, StructuralError
-from .majorants import (AdversarialStrategy, MajorantProfile, adversarial_permutation,
-                        all_orders_l2, block_oscillations, chaining_diagnostics,
-                        dyadic_pointwise_bound, majorant, permuted_majorant, tandori_delta)
+from .majorants import (PREFIX_BUDGET, AdversarialStrategy, MajorantProfile,
+                        adversarial_permutation, all_orders_l2, block_oscillations,
+                        chaining_diagnostics, dyadic_pointwise_bound, majorant,
+                        permuted_majorant, tandori_delta)
 from .serialization import SCHEMA_VERSION, dumps
 from .systems import SystemKind, SystemSpec, generate, seeded_rng
 
@@ -646,7 +650,9 @@ def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
     number ``condition``: P and Q are each MIX_REFLECTORS real Householder
     reflectors I - 2 u u^T (unit u, from one (2k, n) standard-normal draw)
     and s = geomspace(1, condition, n), so M's singular values are exactly
-    s.  O(k n T) for n functions of T flat coordinates; no n x n array."""
+    s.  O(k n T) for n functions of T flat coordinates; no n x n array, and
+    each rank-one update runs a block of about ``PREFIX_BUDGET`` values of
+    rows at a time."""
     n = values.shape[0]
     u = rng.standard_normal((2 * MIX_REFLECTORS, n))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -655,12 +661,16 @@ def _conditioned_mix(rng: np.random.Generator, values: np.ndarray,
     # M is real, so it acts on real and imaginary parts alike; einsum's own
     # loop (not BLAS) keeps the projections' bits independent of BLAS threads
     work = mixed.view(np.float64)
-    scratch = np.empty_like(work)
+    step = max(1, PREFIX_BUDGET // work.shape[1])
+    scratch = np.empty((min(step, n), work.shape[1]))
     for j, row in enumerate(u):
         if j == MIX_REFLECTORS:
             work *= s[:, None]
-        np.multiply.outer(2.0 * row, np.einsum("i,ij->j", row, work), out=scratch)
-        work -= scratch
+        proj = np.einsum("i,ij->j", row, work)
+        for lo in range(0, n, step):
+            block = scratch[:min(step, n - lo)]
+            np.multiply.outer(2.0 * row[lo:lo + step], proj, out=block)
+            work[lo:lo + step] -= block
     return mixed, s
 
 

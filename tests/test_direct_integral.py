@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,153 @@ class TestGershgorinBounds:
         for gram in (gram_matrix, gershgorin_bounds):
             with pytest.raises(StructuralError, match="not Hermitian"):
                 gram(system)
+
+
+def complex_haar_pattern(n, kind):
+    """A complex system with Haar n's nonzero values: Haar's rows times one
+    seeded unit phase per atom ("phased-haar": Haar's Gram matrix, whose
+    products need their conj), or complex Gaussian values
+    ("gaussian-on-haar": complex Gram entries off the diagonal)."""
+    space, fibers, system = generate(SystemSpec(SystemKind.HAAR, n))
+    gen = rng(605)
+    if kind == "phased-haar":
+        values = system.values * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, fibers.total_dim))
+    else:
+        draw = gen.standard_normal(system.values.shape) + 1j * gen.standard_normal(system.values.shape)
+        values = np.where(system.values != 0, draw, 0)
+    return OrthonormalSystem(space, HilbertCollection(dims=fibers.dims, field=Field.COMPLEX), values)
+
+
+def block_diagonal(n, b, field=Field.REAL):
+    """n orthonormal functions on n atoms of mass 1, in diagonal blocks of b
+    random orthonormal rows: each coordinate has b nonzero values, so the
+    coordinate-sharing pairs number n b^2."""
+    gen = rng(606)
+    values = np.zeros((n, n), dtype=field.dtype)
+    for lo in range(0, n, b):
+        draw = gen.standard_normal((b, b))
+        if field is Field.COMPLEX:
+            draw = draw + 1j * gen.standard_normal((b, b))
+        values[lo:lo + b, lo:lo + b] = np.linalg.qr(draw)[0]
+    return OrthonormalSystem(*pair([1.0] * n, [1] * n, field), values)
+
+
+def both_paths(ons):
+    """(diag, radii) of the sparse and of the dense path."""
+    V, w = ons.values, expanded_weights(ons.space, ons.fibers)
+    return di._sparse_discs(V, w), di._hermitian_gram(V, w)[1:]
+
+
+@pytest.fixture
+def paths_taken(monkeypatch):
+    """The names of the paths gershgorin_bounds takes, in call order."""
+    taken = []
+    for name in ("_sparse_discs", "_hermitian_gram"):
+        def spy(V, w, _name=name, _real=getattr(di, name)):
+            taken.append(_name)
+            return _real(V, w)
+        monkeypatch.setattr(di, name, spy)
+    return taken
+
+
+# every stock kind, the sparse large-n systems and two complex sparse systems
+SPARSE_PATH_CASES = list(default_config().system_specs) + [
+    SystemSpec(SystemKind.HAAR, 1024), SystemSpec(SystemKind.VARYING_DIM, 600),
+    "phased-haar", "gaussian-on-haar"]
+
+
+class TestSparseGershgorin:
+    @pytest.mark.parametrize("case", SPARSE_PATH_CASES,
+                             ids=lambda case: getattr(case, "describe", lambda: case)())
+    def test_paths_agree_and_contain_the_spectrum(self, case):
+        # the sparse path's diagonal and radii are the dense path's within the
+        # rounding of their sums, on the system and, at n = 64, on a mix of it
+        # (every coordinate full, off-diagonal mass); both paths' bounds
+        # contain the spectrum, as in TestGershgorinBounds
+        ons = complex_haar_pattern(512, case) if isinstance(case, str) else generate(case)[2]
+        systems = [ons]
+        if len(ons) <= 64:
+            systems.append(OrthonormalSystem(
+                ons.space, ons.fibers, _conditioned_mix(rng(607), ons.values, 4.0)[0]))
+        for ons in systems:
+            V, w = ons.values, expanded_weights(ons.space, ons.fibers)
+            A = (np.abs(V) * w) @ np.abs(V).T
+            tol = 4.0 * (V.shape[1] + len(ons)) * 2.0 ** -53 * A.sum(axis=1)
+            (diag, radii), (dense_diag, dense_radii) = both_paths(ons)
+            assert np.all(np.abs(diag - dense_diag) <= tol)
+            assert np.all(np.abs(radii - dense_radii) <= tol)
+            G = gram_matrix(ons).gram
+            shifted = np.linalg.eigvalsh(0.5 * (G + G.conj().T) - np.eye(len(ons)))
+            for d, r in ((diag, radii), (dense_diag, dense_radii)):
+                lower, upper = di._disc_ends(d, r)
+                assert lower - 1.0 <= shifted[0] and shifted[-1] <= upper - 1.0
+
+    @pytest.mark.parametrize("case", ["standard-basis", "varying-dim", "one-atom"])
+    def test_exact_systems_keep_their_bits(self, case):
+        # single-term or exact sums: both paths give the same bits
+        if case == "one-atom":
+            ons = OrthonormalSystem(*pair([0.3], [1]), np.array([[0.6], [0.8]]))
+        else:
+            ons = generate(SystemSpec(SystemKind(case), 64))[2]
+        (diag, radii), (dense_diag, dense_radii) = both_paths(ons)
+        assert np.array_equal(diag, dense_diag) and np.array_equal(radii, dense_radii)
+
+    def test_stock_and_large_n_systems_take_the_path_the_rule_names(self, paths_taken):
+        # 4 P <= n^2: standard basis and varying-dim are sparse, and so are
+        # large-n's Haar and varying-dim; every random-qr system (the complex
+        # one of default.json too), Rademacher, tensor-vector and Haar n=64
+        # (4 P = 12,544 > 4,096) are dense
+        specs = list(default_config().system_specs) + STOCK_AND_LARGE_N[-3:]
+        sparse = {SystemKind.STANDARD_BASIS, SystemKind.VARYING_DIM}
+        for spec in specs:
+            paths_taken.clear()
+            gershgorin_bounds(generate(spec)[2])
+            large_haar = spec.kind is SystemKind.HAAR and spec.n_functions == 1024
+            want = "_sparse_discs" if spec.kind in sparse or large_haar else "_hermitian_gram"
+            assert paths_taken == [want], spec.describe()
+
+    def test_the_rules_boundary(self, paths_taken):
+        # blocks of 8 on 256 coordinates: 4 P = 4 * 256 * 64 = n^2; blocks of
+        # 16 are over the boundary
+        for b, want in ((8, "_sparse_discs"), (16, "_hermitian_gram")):
+            paths_taken.clear()
+            gershgorin_bounds(block_diagonal(256, b))
+            assert paths_taken == [want]
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_peak_memory_at_the_boundary_is_no_higher_than_dense(self, field):
+        ons = block_diagonal(256, 8, field)
+        V, w = ons.values, expanded_weights(ons.space, ons.fibers)
+        peaks = []
+        for path in (di._sparse_discs, di._hermitian_gram):
+            tracemalloc.start()
+            try:
+                path(V, w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_value_that_is_not_finite_gives_nan_bounds(self, bad, paths_taken):
+        # NaN takes the sparse path; an infinite value the dense one, whose
+        # products inf * 0 with the other rows' zeros are NaN
+        values = np.eye(8)
+        values[3, 3] = bad
+        ons = OrthonormalSystem(*pair([1.0] * 8, [1] * 8), values)
+        with np.errstate(invalid="ignore"):
+            lower, upper = gershgorin_bounds(ons)
+        assert math.isnan(lower) and math.isnan(upper)
+        assert paths_taken == ["_sparse_discs" if math.isnan(bad) else "_hermitian_gram"]
+
+    def test_non_hermitian_gram_is_refused(self):
+        system = non_hermitian_gram_system()
+        with pytest.raises(StructuralError, match="not Hermitian"):
+            di._sparse_discs(system.values, expanded_weights(system.space, system.fibers))
+
+    def test_no_nonzero_value(self):
+        ons = OrthonormalSystem(*pair([1.0, 1.0], [1, 1]), np.zeros((3, 2)))
+        assert gershgorin_bounds(ons) == (0.0, 0.0)
 
 
 class TestValidateOns:

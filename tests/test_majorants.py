@@ -411,11 +411,18 @@ class TestDyadicPointwiseBound:
         assert lhs == 9.0
         assert rhs == 51.0
 
+    def test_a_flat_list_is_scalar_terms(self):
+        # [1, 2] is two terms, not one vector: lhs = 3^2, rhs = 2 (9 + 1 + 4)
+        assert dyadic_pointwise_bound([1.0, 2.0], 1) == (9.0, 28.0)
+        assert dyadic_pointwise_bound([1.0, 2.0], 1) == dyadic_pointwise_bound([[1.0], [2.0]], 1)
+
     @pytest.mark.parametrize("h,r,error,message", [
         ([[1.0]], -1, ContractError, "r must be >= 0"),
         ([["a"]], 1, StructuralError, "h must be a sequence of equal-length vectors"),
         ([[1.0], [2.0], [3.0]], 1, ContractError, "j=3 outside [1, 2^1]"),
-    ], ids=["negative-r", "non-numeric", "j-over-2^r"])
+        ([1.0, 2.0, 3.0], 1, ContractError, "j=3 outside [1, 2^1]"),
+        ([[1.0], [2.0, 3.0]], 1, StructuralError, "h must be a sequence of equal-length vectors"),
+    ], ids=["negative-r", "non-numeric", "j-over-2^r", "flat-list-of-3-terms", "ragged"])
     def test_refusals(self, h, r, error, message):
         with pytest.raises(error, match=re.escape(message)):
             dyadic_pointwise_bound(h, r)

@@ -55,6 +55,11 @@ KILLED = [
 # not run: test_survivor_texts_still_occur only keeps each text current.
 # (id, module, text, replacement, reason)
 SURVIVORS = [
+    ("sparse-gram-without-conj", "direct_integral.py",
+     "vals.conj()[right]", "vals[right]",
+     "no stock system is both complex and sparse: the complex random-qr system "
+     "takes the dense path; tests/test_direct_integral.py's complex sparse "
+     "systems (Haar rows times unit phases) fail it"),
     ("mr-inequality-without-log", "verify.py",
      "(2.0 + math.log2(len(system))) * _coeff_norm(b)", "2.0 * _coeff_norm(b)",
      "no stock system comes near the log (mr-inequality 0.621); a Menshov "
