@@ -7,11 +7,11 @@ The central object is the finite majorant of partial sums
 
 computed by one running-sum sweep that holds about ``PREFIX_BUDGET`` prefix
 values at once, for one order or a batch of them (an independent
-materializing oracle lives in ``verify``); the chaining and oscillation
-diagnostics run on it too.  Each kernel sweeps exactly the coefficients
-given.  A rearrangement is a 0-based order of 0..n-1, one row of a (P, n)
-array for the batched kernels, and every kernel checks it by one rule
-(``_order_array``).  On top sit:
+materializing oracle lives in ``verify``); the chaining (one sweep per
+dyadic block) and oscillation diagnostics run on it too.  Each kernel
+sweeps exactly the coefficients given.  A rearrangement is a 0-based
+order of 0..n-1, one row of a (P, n) array for the batched kernels, and
+every kernel checks it by one rule (``_order_array``).  On top sit:
 
 * the binary-representation decomposition of a prefix length into at most
   r+1 dyadic blocks, and the pointwise bound it yields,
@@ -109,26 +109,24 @@ def _weighted_l2(weights: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 
 def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
-                 start: np.ndarray, step: int | None = None, restarts=()):
+                 start: np.ndarray | float, step: int | None = None):
     """Yield ``(lo, rows)`` for lo = 0, step, ...: ``rows[..., 0, :]`` is the
     sum through position lo - 1 (``start`` at lo = 0), ``rows[..., 1:, :]``
     the sums through positions lo, lo+1, ..., and the next step overwrites
-    them.  The row of a position in ``restarts`` adds ``start`` instead of
-    the row before it, so its bits are those of a fresh sweep from there.
-    The leading axes of ``order`` (..., m) and ``start`` (..., D) index
-    independent orders, which share one buffer of ``step`` rows each (by
-    default about ``PREFIX_BUDGET`` values in all).  Adding row by row gives
-    the bits of ``np.cumsum(axis=-2)``, which wins only on narrow rows: one
-    whole step (take, scale, running sum; timeit, best of 5, one Xeon core)
-    took 36 us with cumsum against the loop's 67 us at (rows, width) =
-    (65, 64) and 780 against 1,130 us at (1025, 64), but 854 against 165 us
-    at (65, 1024) and 722 against 249 us at (103, 640), the wide rows of the
-    larger systems.  A switch on width would be a tuning constant that the
-    stock and the large verify configs pull opposite ways, so the loop stays.
+    them.  The leading axes of ``order`` (..., m) and ``start`` (..., D, or
+    one scalar) index independent orders, which share one buffer of
+    ``step`` rows each (by default about ``PREFIX_BUDGET`` values in all).
+    Adding row by row gives the bits of ``np.cumsum(axis=-2)``, which wins
+    only on narrow rows: one whole step (take, scale, running sum; timeit,
+    best of 5, one Xeon core) took 36 us with cumsum against the loop's
+    67 us at (rows, width) = (65, 64) and 780 against 1,130 us at (1025, 64),
+    but 854 against 165 us at (65, 1024) and 722 against 249 us at
+    (103, 640), the wide rows of the larger systems.  A switch on width
+    would be a tuning constant that the stock and the large verify configs
+    pull opposite ways, so the loop stays.
     """
     batch, m = order.shape[:-1], order.shape[-1]
     step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
-    restarts = set(restarts)
     # step-major: the rows of one position, across the batch, are one
     # contiguous block, so np.take writes the products in place (a strided
     # ``out`` made it allocate a copy of the whole step) and each running-sum
@@ -147,44 +145,28 @@ def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
         np.take(V, idx, axis=0, out=buf[1:s + 1], mode="clip")
         np.multiply(coeffs[idx][..., None], buf[1:s + 1], out=buf[1:s + 1])
         for i in range(1, s + 1):
-            buf[i] += start if lo + i - 1 in restarts else buf[i - 1]
+            buf[i] += buf[i - 1]
         yield lo, buf[:s + 1].transpose(to_rows)
         buf[0] = buf[s]
 
 
 def _sweep(V: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
-           edges=None, restart: bool = False, first_arg: bool = False):
-    """Per segment [edges[j], edges[j+1]) of positions (by default one, all
-    of ``order``) and per order (the leading axes of ``order``): the per-atom
-    sup (at least 0) of the squared fiber norms of the sums ``_prefix_rows``
-    forms there, the first prefix length i attaining it (None unless
-    ``first_arg``), and the sum at the segment's end, segment axis first.
-    The sums start from zero and run on across segments, or with ``restart``
-    start again at each segment's first position (an empty segment's sum is
-    then zero).  Each step of the one sweep is reduced into the segments it
-    overlaps."""
-    batch, m = order.shape[:-1], order.shape[-1]
-    edges = (0, m) if edges is None else edges
-    sup_sq = np.zeros((len(edges) - 1,) + batch + (offsets.size - 1,))
-    arg = (np.add.outer(np.add(edges[:-1], 1), np.zeros(sup_sq.shape[1:], np.int64))
-           if first_arg else None)
-    zero = np.zeros(batch + V.shape[1:], dtype=V.dtype)
-    final = np.zeros((len(edges) - 1,) + zero.shape, dtype=V.dtype)
-    for lo, rows in _prefix_rows(V, coeffs, order, zero, restarts=edges[:-1] if restart else ()):
-        end = lo + rows.shape[-2] - 1
+           start: np.ndarray | float = 0.0, first_arg: bool = False):
+    """Per order (the leading axes of ``order``, each of at least one
+    position): the per-atom sup (at least 0) of the squared fiber norms of
+    the sums ``_prefix_rows`` forms from ``start``, the first prefix length
+    attaining it (None unless ``first_arg``), and the last sum, from which a
+    further sweep goes on with the bits of one sweep over both."""
+    sup_sq = np.zeros(order.shape[:-1] + (offsets.size - 1,))
+    arg = np.ones(sup_sq.shape, np.int64) if first_arg else None
+    for lo, rows in _prefix_rows(V, coeffs, order, start):
         sq = _fiber_sq_norms(rows[..., 1:, :], offsets)
-        for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            first, stop = max(a, lo), min(b, end)
-            if first < stop:
-                part = sq[..., first - lo:stop - lo, :]
-                peak = part.max(axis=-2)
-                if first_arg:
-                    upd = peak > sup_sq[j]
-                    arg[j][upd] = first + 1 + part.argmax(axis=-2)[upd]
-                np.maximum(sup_sq[j], peak, out=sup_sq[j])
-            if lo < b <= end and not (restart and a == b):
-                final[j] = rows[..., b - lo, :]
-    return sup_sq, arg, final
+        peak = sq.max(axis=-2)
+        if first_arg:
+            upd = peak > sup_sq
+            arg[upd] = lo + 1 + sq.argmax(axis=-2)[upd]
+        np.maximum(sup_sq, peak, out=sup_sq)
+    return sup_sq, arg, rows[..., -1, :]
 
 
 @dataclass(frozen=True)
@@ -218,8 +200,8 @@ def permuted_majorant(system: OrthonormalSystem, coeffs, order) -> MajorantProfi
     a = _coeff_array(coeffs, system)
     sup_sq, arg, _ = _sweep(system.values, system.fibers.offsets, a,
                             _order_array([order], a.size)[0], first_arg=True)
-    return MajorantProfile(values=np.sqrt(sup_sq[0]), argmax_prefix=arg[0],
-                           l2_norm=float(_weighted_l2(system.space.weights, sup_sq[0])))
+    return MajorantProfile(values=np.sqrt(sup_sq), argmax_prefix=arg,
+                           l2_norm=float(_weighted_l2(system.space.weights, sup_sq)))
 
 
 def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
@@ -238,7 +220,7 @@ def all_orders_l2(system: OrthonormalSystem, coeffs, orders) -> np.ndarray:
     chunk = max(1, PREFIX_BUDGET // (a.size * V.shape[1]))
     l2 = np.empty(orders.shape[0])
     for lo in range(0, orders.shape[0], chunk):
-        sup_sq = _sweep(V, offsets, a, orders[lo:lo + chunk])[0][0]
+        sup_sq = _sweep(V, offsets, a, orders[lo:lo + chunk])[0]
         l2[lo:lo + chunk] = _weighted_l2(weights, sup_sq)
     return l2
 
@@ -355,20 +337,26 @@ class ChainingDiagnostics:
 
 
 def chaining_diagnostics(system: OrthonormalSystem, coeffs) -> ChainingDiagnostics:
-    """Two ``_sweep`` passes over the len(coeffs) positions given, cut at the
-    block starts 2^k - 1: a running one gives each block's sup and the
-    running sum at its end, one restarted at each block start the
-    within-block sups and sums."""
+    """One ``_sweep`` per dyadic block, positions [2^k - 1, 2^(k+1) - 1) of
+    the len(coeffs) given, in a batch of two orders: one from the running
+    sum at the previous block's end (the block's sup and running end sum),
+    one from zero (the within-block sup and sum)."""
     a = _coeff_array(coeffs, system)
     K = a.size.bit_length() - 1
     V = system.values
     offsets = system.fibers.offsets
     weights = system.space.weights
 
-    order = np.arange(a.size)
-    edges = [min((1 << k) - 1, a.size) for k in range(K + 2)]
-    sup_sq, _, running = _sweep(V, offsets, a, order, edges)
-    inner_sq, _, inner = _sweep(V, offsets, a, order, edges, restart=True)
+    # per block only views and in-place writes (a stacked start cost 15 %)
+    order = np.tile(np.arange(a.size), (2, 1))
+    start = np.zeros((2, V.shape[1]), dtype=V.dtype)
+    sups = np.empty((2, K + 1, offsets.size - 1))
+    ends = np.empty((2, K + 1, V.shape[1]), dtype=V.dtype)
+    for k in range(K + 1):
+        block = order[:, (1 << k) - 1:(2 << k) - 1]
+        sups[:, k], _, ends[:, k] = _sweep(V, offsets, a, block, start)
+        start[0] = ends[0, k]
+    (sup_sq, inner_sq), (running, inner) = sups, ends
     dyad_sq = _fiber_sq_norms(running, offsets).max(axis=0, initial=0.0)
     block_norms = _weighted_l2(weights, _fiber_sq_norms(inner, offsets))
     block_coeff_sq = np.array([compensated_sum(np.abs(a[(1 << k) - 1:(2 << k) - 1]) ** 2)

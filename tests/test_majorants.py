@@ -600,15 +600,17 @@ class TestPrefixSweep:
                     assert np.array_equal(getattr(diag, field.name), want[field.name]), field.name
 
     @pytest.mark.parametrize("budget", [mj.PREFIX_BUDGET, 1], ids=["default", "one-row"])
-    def test_chaining_makes_two_prefix_passes(self, budget, monkeypatch):
-        # a running pass and a restarted one, whatever K and the step count
+    def test_chaining_makes_one_prefix_pass_per_block(self, budget, monkeypatch):
+        # one pass per dyadic block, whatever the step count: a batch of two
+        # orders over the block's positions, the first continued from the
+        # running sum at the previous block's end, the second from zero
         monkeypatch.setattr(mj, "PREFIX_BUDGET", budget)
         passes = []
         sweep = mj._prefix_rows
 
-        def counted(*args, **kwargs):
-            passes.append(kwargs.get("restarts", ()))
-            return sweep(*args, **kwargs)
+        def counted(V, coeffs, order, start, *args):
+            passes.append((order.copy(), start.copy()))
+            return sweep(V, coeffs, order, start, *args)
 
         monkeypatch.setattr(mj, "_prefix_rows", counted)
         system = generate(SystemSpec(SystemKind.HAAR, 64))[2]
@@ -617,9 +619,49 @@ class TestPrefixSweep:
             passes.clear()
             diag = chaining_diagnostics(system, b[:m])
             assert (diag.n, diag.k_max) == ((2 << diag.k_max) - 1, m.bit_length() - 1)
-            assert len(passes) == 2
-            assert [list(r) for r in passes] == [
-                [], [min((1 << k) - 1, m) for k in range(diag.k_max + 1)]]
+            assert len(passes) == diag.k_max + 1
+            for k, (order, start) in enumerate(passes):
+                block = np.arange((1 << k) - 1, min((2 << k) - 1, m))
+                assert order.shape == (2, block.size)
+                assert np.array_equal(order, [block, block])
+                running = prefix_sum(system, b[:block[0]]).values if k else 0.0
+                assert np.allclose(start[0], running, rtol=1e-12, atol=1e-12)
+                assert np.all(start[1] == 0)
+
+    def test_sweep_continued_from_start_is_the_whole_sweep(self, sweep_system, prefix_budget):
+        # split at every position, a batch of two orders: the second part,
+        # started from the first part's last sums, ends on the whole
+        # sweep's, and the two parts' sups and argmaxes make up its own
+        system = sweep_system
+        V, offsets, n = system.values, system.fibers.offsets, len(system)
+        orders = np.stack([np.arange(n), seeded_rng(101).permutation(n)])
+        for b in sweep_coeffs(system):
+            a = b.astype(V.dtype)
+            sup, arg, final = mj._sweep(V, offsets, a, orders, first_arg=True)
+            for p in range(1, n):
+                head_sup, head_arg, head_end = mj._sweep(V, offsets, a, orders[:, :p],
+                                                         first_arg=True)
+                tail_sup, tail_arg, tail_end = mj._sweep(V, offsets, a, orders[:, p:],
+                                                         head_end, first_arg=True)
+                assert tail_end.tobytes() == final.tobytes(), p
+                assert np.maximum(head_sup, tail_sup).tobytes() == sup.tobytes(), p
+                assert np.array_equal(np.where(tail_sup > head_sup, p + tail_arg, head_arg),
+                                      arg), p
+
+    def test_chaining_memory_bounded_by_the_prefix_budget(self):
+        # Haar n=4096 (K = 12, 13 block sweeps of two orders over 4096
+        # coordinates): a step's prefix buffer and squared norms, and the
+        # per-block sups and ends; measured 6.9 budgets of float64
+        system = generate(SystemSpec(SystemKind.HAAR, 4096))[2]
+        b = random_coeffs(system, 102)
+        tracemalloc.start()
+        try:
+            diag = chaining_diagnostics(system, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.k_max == 12 and math.isfinite(diag.majorant_l2)
+        assert peak <= 8 * mj.PREFIX_BUDGET * system.values.itemsize, peak
 
     def test_tandori_delta_bitwise_equal_to_per_term_loops(self, sweep_system, prefix_budget):
         system = sweep_system
