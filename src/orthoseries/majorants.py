@@ -25,7 +25,12 @@ every kernel checks it by one rule (``_order_array``).  On top sit:
   prefixes that neither a bounding-box nor a centroid-ball bound rules out
   (bitwise the all-pairs maximum).  On vector fibers a block's atoms go
   in chunks of about 4 * ``PREFIX_BUDGET`` prefix values, one sweep each,
-  so the kernel's memory is bounded whatever the fiber dimension, and
+  so the kernel's memory is bounded whatever the fiber dimension.  A
+  sparse block, at most t of its m functions nonzero on any one atom with
+  4(t + 1) <= m + 1 and every coefficient finite, skips the sweep: its
+  t + 1 compact rows per atom are the sums where the atom's sum moves, in
+  chunks of about ``PREFIX_BUDGET`` / 2 prefix values, with the same bits
+  (a repeated row adds no distance or norm, a zero term adds +-0), and
 * two adversarial rearrangement orders that depend on the coefficients
   alone: the max-prefix greedy order, which Parseval makes the
   decreasing-|a_n| order on an orthonormal system, and the reversal of every
@@ -56,7 +61,9 @@ DIAMETER_BUDGET = 1 << 16
 # (5 plans x 64 atoms of dimension d = 1, 2, 4), the filter took 1.1-2.0x
 # the all-pairs time at 17 rows, 0.65-1.24x at 25, 0.43-1.04x at 33 and
 # 0.25-0.71x at 49; the stock verify config (blocks of 3, 13 and 49 rows)
-# ran fastest with its 49-row blocks filtered.
+# ran fastest with its 49-row blocks filtered.  That measurement now
+# describes the dense blocks alone, random-qr's in the stock and large-n
+# configs: their compact blocks (varying-dim and tensor-vector) have 9 rows.
 FILTER_MIN_ROWS = 32
 
 # Prefix values (whole rows of flat fiber coordinates) one sweep step forms.
@@ -126,7 +133,7 @@ def _prefix_rows(V: np.ndarray, coeffs: np.ndarray, order: np.ndarray,
     pull opposite ways, so the loop stays.
     """
     batch, m = order.shape[:-1], order.shape[-1]
-    step = step or max(1, PREFIX_BUDGET // (math.prod(batch) * V.shape[1]))
+    step = step or max(1, PREFIX_BUDGET // (max(1, math.prod(batch)) * V.shape[1]))
     # step-major: the rows of one position, across the batch, are one
     # contiguous block, so np.take writes the products in place (a strided
     # ``out`` made it allocate a copy of the whole step) and each running-sum
@@ -565,6 +572,79 @@ def _pointwise_diameters(prefixes: np.ndarray, offsets: np.ndarray) -> np.ndarra
     return out.reshape(batch + (dims.size,))
 
 
+def _touches(rows: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray):
+    """The block's nonzero values, atom by atom and in row-major order
+    within one, as (function, column, atom, lead) arrays, ``lead`` marking
+    the first value of each (function, atom) pair, and t >= 1, at least the
+    most functions nonzero on one atom; None where the compact prefix rows
+    do not run.  They run when 4(t + 1) <= m + 1 for the block's m
+    functions and every coefficient is finite: the dense sweep forms NaN
+    from inf * 0 and NaN * 0, products the compact rows skip.  The values
+    are listed about ``PREFIX_BUDGET`` of ``rows`` at a time, and the
+    listing stops once they are too many: with at most (m + 1) // 4 - 1
+    functions nonzero on each atom, each column holds at most that many."""
+    m, width = rows.shape
+    limit = (m + 1) // 4 - 1
+    if limit < 1 or not np.all(np.isfinite(coeffs)):
+        return None
+    atom_of = np.repeat(np.arange(offsets.size - 1, dtype=np.int32), np.diff(offsets))
+    step = max(1, PREFIX_BUDGET // width)
+    counts = np.zeros(offsets.size - 1, np.int64)
+    functions, columns, leads = [], [], []
+    size = 0
+    for lo in range(0, m, step):
+        f, c = np.divmod(np.flatnonzero(rows[lo:lo + step] != 0).astype(np.int32), width)
+        size += f.size
+        if size > limit * width:
+            return None
+        # a pair's values are adjacent, and stay so in the atom-major order
+        x = atom_of[c]
+        lead = np.ones(f.size, dtype=bool)
+        np.not_equal(x[1:], x[:-1], out=lead[1:])
+        lead[1:] |= f[1:] != f[:-1]
+        counts += np.bincount(x[lead], minlength=counts.size)
+        if counts.max() > limit:
+            return None
+        functions.append(f + lo)
+        columns.append(c)
+        leads.append(lead)
+    columns = np.concatenate(columns)
+    atoms = atom_of[columns]
+    major = np.argsort(atoms, kind="stable")
+    return (np.concatenate(functions)[major], columns[major], atoms[major],
+            np.concatenate(leads)[major], max(1, int(counts.max())))
+
+
+def _compact_rows(rows: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray,
+                  position: np.ndarray, touches, first: int, stop: int) -> np.ndarray:
+    """The compact prefix rows (P, t + 1, columns) of atoms first..stop-1:
+    row j holds each atom's sum after the j-th of the block's functions
+    nonzero on it, in the order of plan p (``position[p, f]`` is function
+    f's place in it), and past the last of them its last sum again.  Per
+    plan, a (function, atom) pair's slot is its rank in its atom's group
+    after one argsort of atom * m + position; each nonzero product
+    a_f phi_f(c) goes to its pair's slot (a touched fiber's zero coordinates
+    add +-0, which moves no sum), and one cumsum down the rows sums them."""
+    functions, columns, atoms, lead, t = touches
+    i0, i1 = np.searchsorted(atoms, [first, stop])
+    f, columns, atoms, lead = functions[i0:i1], columns[i0:i1], atoms[i0:i1], lead[i0:i1]
+    products = coeffs[f] * rows[f, columns]
+    pair = np.cumsum(lead, dtype=np.int32) - 1
+    functions, atoms = f[lead], atoms[lead]
+    counts = np.bincount(atoms - first, minlength=stop - first)
+    # each pair's rank in its atom's group, from 1 (row 0 is the zero start)
+    rank = np.arange(1, atoms.size + 1, dtype=np.int32)
+    rank -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+    key = atoms * np.int64(position.shape[1])
+    columns = columns - int(offsets[first])
+    out = np.zeros((len(position), t + 1, offsets[stop] - offsets[first]), dtype=rows.dtype)
+    slot = np.empty_like(rank)
+    for p in range(len(position)):
+        slot[np.argsort(key + position[p, functions])] = rank
+        out[p, slot[pair], columns] = products
+    return np.cumsum(out, axis=1, out=out)
+
+
 def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> BlockOscillation:
     """Oscillation diagnostics of block ``k`` for every rearrangement in
     ``orders`` (as ``all_orders_l2`` takes them) in one pass, in row order.
@@ -573,16 +653,24 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
     index 3).  The exact per-atom diameter of the block's prefix sums:
     max - min on scalar real fibers, otherwise the largest
     direct-difference distance over the rows that can attain it
-    (``_pointwise_diameters``).  The P orders inside the block run through
-    one ``_prefix_rows`` sweep as a (P, m) batch, and their (order, atom)
-    pairs through one diameter stack; each order's row has the bits of a
-    pass over that order alone.  Off the scalar real case, the
-    block's atoms go a chunk of whole fibers at a time: the sweep of the
-    block's rows restricted to a chunk's columns, about 4 * PREFIX_BUDGET
-    prefix values (at least one atom), its diameters and one-sided sups,
-    and then the next chunk.  A column's sums do not depend on the other
-    columns, so every array keeps its bits, and a block that fits one chunk
-    (every block of the stock configs) is one sweep as before.
+    (``_pointwise_diameters``).  The prefix rows are dense, m + 1 per atom
+    from one ``_prefix_rows`` sweep of the block's m functions as a (P, m)
+    batch, or compact where ``_touches`` finds at most t functions nonzero
+    on any one atom with 4(t + 1) <= m + 1 and every coefficient finite:
+    t + 1 per atom, its sums after each of its own functions in the plan's
+    order, then its last sum again (``_compact_rows``).  Both go into the
+    same max - min and diameter code with the same bits: a repeated row
+    adds no pair distance or norm, and a function zero on an atom adds an
+    exact +-0 there, which moves no sum (the sums start at +0 and are never
+    -0).  Each order's row has the bits of a pass over that order alone.
+    A dense block on scalar real fibers is swept a budget of rows at a
+    time; any other goes a chunk of whole fibers (one atom at least) at a
+    time, each chunk's prefix rows, diameters and one-sided sups before the
+    next: about 4 * PREFIX_BUDGET dense prefix values (at 1, large-n's
+    blocks ran about 25 % slower on the per-chunk overhead, 19 chunks in
+    random-qr n = 640's last block), or PREFIX_BUDGET / 2 compact ones,
+    whose products and slot indices take about as much again.  A column's
+    sums do not depend on the other columns, so every array keeps its bits.
     ``doubled_one_sided`` is returned unjudged, NaN and infinity included;
     tandori-block judges it.
     """
@@ -594,46 +682,64 @@ def block_oscillations(system: OrthonormalSystem, coeffs, orders, k: int) -> Blo
     lo, hi = blocks.ranges[k]
 
     # every order holds each index of the block once, so each row keeps hi - lo + 1
-    src = orders[(orders >= lo - 1) & (orders < hi)].reshape(len(orders), -1)
-
-    V = system.values
+    P, m = len(orders), hi - lo + 1
+    src = orders[(orders >= lo - 1) & (orders < hi)].reshape(P, m) - (lo - 1)
+    # rows are sliced before columns, as np.take copies a strided V whole
+    rows, coeffs = system.values[lo - 1:hi], a[lo - 1:hi]
     offsets = system.fibers.offsets
-    zero = np.zeros((len(orders), V.shape[1]), dtype=V.dtype)
-    if V.dtype.kind != "c" and np.all(system.fibers.dims == 1):
-        # on a real line the diameter is max - min, taken a budget of rows at
-        # a time; |x| keeps the bits that sqrt(x^2) would lose to underflow
-        top, bottom = zero.copy(), zero.copy()
-        for _, rows in _prefix_rows(V, a, src, zero):
-            np.maximum(top, rows.max(axis=-2), out=top)
-            np.minimum(bottom, rows.min(axis=-2), out=bottom)
+    touches = _touches(rows, offsets, coeffs)
+    scalar = rows.dtype.kind != "c" and np.all(system.fibers.dims == 1)
+    if touches is None and scalar:
+        pieces = ((0, rows.shape[1], r) for _, r in _prefix_rows(rows, coeffs, src, 0.0))
+    else:
+        pieces = _fiber_chunks(rows, offsets, coeffs, src, touches)
+    shape = (P, offsets.size - 1)
+    if scalar:
+        # on a real line the diameter is max - min; |x| keeps the bits that
+        # sqrt(x^2) would lose to underflow
+        top, bottom = np.zeros(shape), np.zeros(shape)
+        for first, stop, prefixes in pieces:
+            np.maximum(top[:, first:stop], prefixes.max(axis=-2), out=top[:, first:stop])
+            np.minimum(bottom[:, first:stop], prefixes.min(axis=-2), out=bottom[:, first:stop])
+            del prefixes
         values = top - bottom
         doubled = 2.0 * np.maximum(top, np.abs(bottom))
     else:
-        # 4 budgets a chunk: at 1, large-n's blocks ran about 25 % slower on
-        # the per-chunk overhead (19 chunks in random-qr n = 640's last block).
-        # Rows are sliced before columns, as np.take copies a strided V whole.
-        values = np.empty((len(orders), offsets.size - 1))
-        doubled = np.empty_like(values)
-        rows, coeffs, src = V[lo - 1:hi], a[lo - 1:hi], src - (lo - 1)
-        width = 4 * PREFIX_BUDGET // (len(orders) * (src.shape[1] + 1))
-        first = 0
-        while first < values.shape[1]:
-            stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + width,
-                                                      side="right")) - 1)
-            c0, c1 = offsets[first], offsets[stop]
-            part = offsets[first:stop + 1] - c0
-            _, prefixes = next(_prefix_rows(rows[:, c0:c1], coeffs, src, zero[:, c0:c1],
-                                            src.shape[1]))
+        values, doubled = np.empty(shape), np.empty(shape)
+        for first, stop, prefixes in pieces:
+            part = offsets[first:stop + 1] - offsets[first]
             values[:, first:stop] = _pointwise_diameters(prefixes, part)
             doubled[:, first:stop] = 2.0 * np.sqrt(
                 _fiber_sq_norms(prefixes[:, 1:], part).max(axis=-2))
             del prefixes
-            first = stop
 
     return BlockOscillation(lo=lo, hi=hi, values=values,
                             l2=_weighted_l2(system.space.weights, values ** 2),
                             doubled_one_sided=doubled,
                             bound=8.0 * math.sqrt(block_mass(a, lo, hi)))
+
+
+def _fiber_chunks(rows, offsets, coeffs, src, touches):
+    """Yield ``(first, stop, prefixes)``: atoms first..stop-1 of the block
+    and all their prefix rows, dense or compact as ``touches`` says."""
+    P, m = src.shape
+    if touches is None:
+        width = 4 * PREFIX_BUDGET // (max(1, P) * (m + 1))
+    else:
+        width = PREFIX_BUDGET // (2 * max(1, P) * (touches[-1] + 1))
+        position = np.empty(src.shape, np.int32)
+        np.put_along_axis(position, src, np.arange(m), axis=1)
+    first = 0
+    while first < offsets.size - 1:
+        stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + width,
+                                                  side="right")) - 1)
+        c0, c1 = offsets[first], offsets[stop]
+        if touches is None:
+            yield first, stop, next(_prefix_rows(rows[:, c0:c1], coeffs, src, 0.0, m))[1]
+        else:
+            yield first, stop, _compact_rows(rows, offsets, coeffs, position, touches,
+                                             first, stop)
+        first = stop
 
 
 def tandori_delta(system: OrthonormalSystem, coeffs, order, k: int) -> BlockOscillation:

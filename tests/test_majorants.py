@@ -547,6 +547,10 @@ SWEEP_SPECS = {
 }
 
 
+# the kinds with a block that takes the compact prefix rows
+SPARSE_SWEEP_KINDS = ("haar", "standard-basis")
+
+
 @pytest.fixture(params=sorted(SWEEP_SPECS))
 def sweep_system(request):
     return generate(SWEEP_SPECS[request.param])[2]
@@ -702,9 +706,14 @@ class TestPrefixSweep:
                     assert np.array_equal(osc.doubled_one_sided[p], doubled)
                     assert osc.l2[p] == l2
 
-    def test_block_oscillations_one_atom_per_chunk(self, sweep_system, monkeypatch):
-        # PREFIX_BUDGET = 1 streams the vector branch one atom at a time:
-        # every array keeps the bits of the one-chunk default, NaN included
+    @pytest.mark.parametrize("path", ["shipped", "dense"])
+    def test_block_oscillations_one_atom_per_chunk(self, sweep_system, path, request,
+                                                    monkeypatch):
+        # PREFIX_BUDGET = 1 streams every chunked block one atom at a time:
+        # every array keeps the bits of the default budget, NaN included.
+        # Per block, a dense one off scalar real fibers sweeps once per atom,
+        # a dense one on scalar real fibers sweeps once, and a compact one
+        # builds its rows once per atom without a sweep
         system = sweep_system
         n = len(system)
         nan = random_coeffs(system, 98)
@@ -713,6 +722,8 @@ class TestPrefixSweep:
                            adversarial_permutation(system, np.ones(n), n,
                                                    AdversarialStrategy.BLOCK_REVERSAL)])
         cases = list(itertools.product(range(4), range(tandori_blocks(n).k_max + 1)))
+        if path == "dense":
+            monkeypatch.setattr(mj, "_touches", lambda *args: None)
 
         def run():
             coeffs = sweep_coeffs(system) + [nan]
@@ -721,18 +732,29 @@ class TestPrefixSweep:
 
         default = run()
         monkeypatch.setattr(mj, "PREFIX_BUDGET", 1)
-        sweeps = []
-        real_rows = mj._prefix_rows
-        monkeypatch.setattr(mj, "_prefix_rows",
-                            lambda V, *args, **kw: sweeps.append(V.shape) or real_rows(V, *args, **kw))
+        sweeps, compact, touched = [], [], []
+        for name, calls, record in (
+                ("_prefix_rows", sweeps, lambda V, *args: V.shape),
+                ("_compact_rows", compact, lambda *args: args[-1] - args[-2]),
+                ("_touches", touched, None)):
+            def counted(*args, real=getattr(mj, name), calls=calls, record=record):
+                out = real(*args)
+                calls.append(record(*args) if record else out is not None)
+                return out
+            monkeypatch.setattr(mj, name, counted)
         for want, got in zip(default, run()):
-            for name in ("values", "l2", "doubled_one_sided"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            assert got.bound == want.bound or math.isnan(got.bound) and math.isnan(want.bound)
+            assert_same_bits(got, want)
+        atoms = system.fibers.n_atoms
+        assert len(touched) == len(cases)
+        assert (sum(touched) > 0) == (path == "shipped" and request.node.callspec.params[
+            "sweep_system"] in SPARSE_SWEEP_KINDS)
+        assert compact == [1] * (sum(touched) * atoms)
         if system.values.dtype.kind == "c" or np.any(system.fibers.dims > 1):
-            # one sweep per atom, over the block's rows and that atom's columns
-            assert len(sweeps) == len(cases) * system.fibers.n_atoms
+            # over the block's rows and one atom's columns
+            assert len(sweeps) == (len(cases) - sum(touched)) * atoms
             assert {width for _, width in sweeps} == set(system.fibers.dims.tolist())
+        else:
+            assert len(sweeps) == len(cases) - sum(touched)
 
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_vector_memory_bounded_by_the_prefix_budget(self, n):
@@ -778,6 +800,228 @@ class TestPrefixSweep:
             assert np.array_equal(osc.values, values)
             assert np.array_equal(osc.doubled_one_sided, doubled)
             assert osc.l2 == l2
+
+
+# ---------------------------------------------------------------------------
+# compact prefix rows of sparse blocks against the dense sweep
+
+
+def both_paths(system, b, orders, k, monkeypatch):
+    """block_oscillations as shipped and with the dense prefix rows forced,
+    and whether the shipped call took the compact rows."""
+    taken = []
+    real = mj._touches
+    with monkeypatch.context() as patch:
+        patch.setattr(mj, "_touches", lambda *args: taken.append(real(*args)) or taken[-1])
+        shipped = mj.block_oscillations(system, b, orders, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(mj, "_touches", lambda *args: None)
+        dense = mj.block_oscillations(system, b, orders, k)
+    return shipped, dense, taken[0] is not None
+
+
+def assert_same_bits(got, want):
+    for name in ("values", "l2", "doubled_one_sided"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.bound == want.bound or math.isnan(got.bound) and math.isnan(want.bound)
+
+
+def five_plans(system, b, seed):
+    """The plans of a tandori-block trial: identity, two shuffles, greedy and
+    block reversal."""
+    n = len(system)
+    return np.stack([np.arange(n)] + [seeded_rng(seed + s).permutation(n) for s in (0, 1)]
+                    + [adversarial_permutation(system, b, n, strategy)
+                       for strategy in AdversarialStrategy])
+
+
+def phased_haar(n):
+    """Haar n's rows times one seeded unit phase per atom: complex and sparse,
+    as no generated system is."""
+    space, fibers, system = generate(SystemSpec(SystemKind.HAAR, n))
+    phases = np.exp(1j * rng(110).uniform(0.0, 2.0 * np.pi, fibers.total_dim))
+    return OrthonormalSystem(space, HilbertCollection(dims=fibers.dims, field=Field.COMPLEX),
+                             system.values * phases)
+
+
+def banded(touches, dims, field):
+    """27 functions on 11 atoms of the given fiber ``dims``: the last Tandori
+    block [17, 27] holds m = 11 functions, function 16 + j nonzero on atoms
+    j, ..., j + touches - 1 (mod 11), so t = touches and 4(t + 1) = m + 1 at
+    t = 2; the first 16 functions are dense (a hand-built system: the
+    kernels do not require orthonormality)."""
+    gen = rng(111)
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    values = gen.standard_normal((27, offsets[-1]))
+    if field is Field.COMPLEX:
+        values = values + 1j * gen.standard_normal(values.shape)
+    mask = np.zeros((11, 11), dtype=bool)
+    for j in range(11):
+        mask[j, (j + np.arange(touches)) % 11] = True
+    values[16:] *= np.repeat(mask, dims, axis=1)
+    return OrthonormalSystem(MeasureSpace(weights=gen.random(11) + 0.5),
+                             HilbertCollection(dims=np.array(dims), field=field), values)
+
+
+class TestCompactRows:
+    """Sparse blocks take t + 1 compact prefix rows; their results have the
+    bits of the dense sweep's m + 1 rows, forced by patching ``_touches``."""
+
+    def test_bitwise_equal_to_dense_on_every_sweep_kind(self, sweep_system, prefix_budget,
+                                                        request, monkeypatch):
+        system = sweep_system
+        n = len(system)
+        taken = []
+        for b in sweep_coeffs(system):
+            orders = five_plans(system, b, 112)
+            for k in range(tandori_blocks(n).k_max + 1):
+                shipped, dense, compact = both_paths(system, b, orders, k, monkeypatch)
+                assert_same_bits(shipped, dense)
+                taken.append(compact)
+        sparse = request.node.callspec.params["sweep_system"] in SPARSE_SWEEP_KINDS
+        assert any(taken) == sparse
+
+    @pytest.mark.parametrize("spec,compact", [
+        (SystemSpec(SystemKind.HAAR, 1024), [False, True, True, True]),
+        (SystemSpec(SystemKind.VARYING_DIM, 600), [False, False, True, True]),
+        (SystemSpec(SystemKind.TENSOR_VECTOR, 2048, fiber_dim=4), [False, False, True, True]),
+    ], ids=["haar-1024", "varying-dim-600", "tensor-vector-d4-2048"])
+    def test_bitwise_equal_to_dense_on_large_sparse_systems(self, spec, compact, monkeypatch):
+        system = generate(spec)[2]
+        b = random_coeffs(system, 113)
+        orders = five_plans(system, b, 114)
+        taken = []
+        for k in range(tandori_blocks(len(system)).k_max + 1):
+            shipped, dense, path = both_paths(system, b, orders, k, monkeypatch)
+            assert_same_bits(shipped, dense)
+            assert np.all(np.any(shipped.values > 0, axis=1))
+            taken.append(path)
+        assert taken == compact
+
+    def test_bitwise_equal_to_dense_on_a_complex_sparse_system(self, monkeypatch):
+        system = phased_haar(256)
+        b = random_coeffs(system, 115)
+        assert b.dtype.kind == "c"
+        orders = five_plans(system, b, 116)
+        for k in range(3):
+            shipped, dense, compact = both_paths(system, b, orders, k, monkeypatch)
+            assert_same_bits(shipped, dense)
+            assert compact == (k > 0)
+            for p, order in enumerate(orders):
+                values, doubled, l2 = per_term_delta(system, b, order, k, 256)
+                assert np.array_equal(shipped.values[p], values)
+                assert np.array_equal(shipped.doubled_one_sided[p], doubled)
+
+    def test_one_dense_atom_makes_the_block_dense(self, monkeypatch):
+        # the standard basis n=64 and one more atom on which every function
+        # is nonzero: t = m on every block, so no block is compact; without
+        # that atom's values the last two blocks are
+        n = 64
+        values = np.hstack([np.eye(n), np.full((n, 1), 0.125)])
+        system = OrthonormalSystem(MeasureSpace(weights=np.ones(n + 1)),
+                                   HilbertCollection(dims=np.ones(n + 1, dtype=int)), values)
+        sparse = OrthonormalSystem(system.space, system.fibers,
+                                   np.hstack([np.eye(n), np.zeros((n, 1))]))
+        b = random_coeffs(system, 117)
+        orders = five_plans(system, b, 118)
+        for k in range(3):
+            shipped, dense, compact = both_paths(system, b, orders, k, monkeypatch)
+            assert not compact
+            assert_same_bits(shipped, dense)
+            shipped, dense, compact = both_paths(sparse, b, orders, k, monkeypatch)
+            assert compact == (k > 0)
+            assert_same_bits(shipped, dense)
+            assert shipped.values[:, -1].tolist() == [0.0] * 5
+
+    def test_zero_nan_and_inf_coefficients(self, monkeypatch):
+        # zeros keep the compact rows; NaN or inf in a block makes it dense,
+        # where NaN * 0 and inf * 0 make every atom's diameter NaN or inf
+        # (the compact rows would skip those products, leaving most atoms
+        # finite); a block without them stays compact
+        system = generate(SystemSpec(SystemKind.HAAR, 256))[2]
+        b = random_coeffs(system, 119)
+        zero = b.copy()
+        zero[16:] = 0
+        orders = five_plans(system, b, 120)
+        for k in (1, 2):
+            shipped, dense, compact = both_paths(system, zero, orders, k, monkeypatch)
+            assert compact
+            assert_same_bits(shipped, dense)
+        assert np.all(shipped.values == 0) and np.all(shipped.doubled_one_sided == 0)
+        for bad in (np.nan, np.inf):
+            c = b.copy()
+            c[200] = bad
+            with np.errstate(invalid="ignore"):
+                shipped, dense, compact = both_paths(system, c, orders, 2, monkeypatch)
+                assert not compact
+                assert_same_bits(shipped, dense)
+                assert not np.any(np.isfinite(shipped.values))
+                for p, order in enumerate(orders):
+                    values, doubled, _ = per_term_delta(system, c, order, 2, 256)
+                    assert np.array_equal(shipped.values[p], values, equal_nan=True)
+                    assert np.array_equal(shipped.doubled_one_sided[p], doubled, equal_nan=True)
+                shipped, dense, compact = both_paths(system, c, orders, 1, monkeypatch)
+            assert compact
+            assert_same_bits(shipped, dense)
+
+    @pytest.mark.parametrize("dims,field", [([1] * 11, Field.REAL), ([2] * 11, Field.REAL),
+                                            ([1] * 11, Field.COMPLEX)],
+                             ids=["scalar-real", "vector-d2", "scalar-complex"])
+    @pytest.mark.parametrize("touches", [0, 2, 3])
+    def test_both_sides_of_the_boundary(self, touches, dims, field, monkeypatch):
+        # m = 11: 4(t + 1) <= 12 holds at t = 2, not at t = 3; at t = 0 the
+        # block's functions are zero and its compact rows still hold two
+        system = banded(touches, dims, field)
+        b = random_coeffs(system, 121)
+        for order in five_plans(system, b, 122):
+            shipped, dense, compact = both_paths(system, b, order[None], 2, monkeypatch)
+            assert compact == (touches < 3)
+            assert_same_bits(shipped, dense)
+            values, doubled, l2 = per_term_delta(system, b, order, 2, 27)
+            assert np.array_equal(shipped.values[0], values)
+            assert np.array_equal(shipped.doubled_one_sided[0], doubled)
+            assert shipped.l2[0] == l2
+
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(SystemKind.HAAR, 64),
+        SystemSpec(SystemKind.TENSOR_VECTOR, 64, fiber_dim=4),
+        SystemSpec(SystemKind.RANDOM_QR, 24, resolution=12, fiber_dim=2, seed=11),
+        SystemSpec(SystemKind.RANDOM_QR, 24, resolution=24, seed=12, field=Field.COMPLEX),
+    ], ids=lambda spec: spec.describe())
+    def test_an_empty_batch_of_orders(self, spec, monkeypatch):
+        system = generate(spec)[2]
+        n = len(system)
+        b = random_coeffs(system, 123)
+        empty = np.zeros((0, n), dtype=int)
+        assert mj.all_orders_l2(system, b, empty).shape == (0,)
+        for k in range(tandori_blocks(n).k_max + 1):
+            for osc in both_paths(system, b, empty, k, monkeypatch)[:2]:
+                assert osc.values.shape == osc.doubled_one_sided.shape == (0, system.fibers.n_atoms)
+                assert osc.l2.shape == (0,)
+
+    @pytest.mark.parametrize("spec,dense_peak", [
+        (SystemSpec(SystemKind.TENSOR_VECTOR, 2048, fiber_dim=4), 9.28),
+        (SystemSpec(SystemKind.HAAR, 4096), 3.86),
+        (SystemSpec(SystemKind.VARYING_DIM, 2048), 10.31),
+    ], ids=lambda arg: arg.describe() if isinstance(arg, SystemSpec) else "")
+    def test_memory_at_most_the_dense_sweeps(self, spec, dense_peak, monkeypatch):
+        # the last block with five plans: its tracemalloc peak in budgets of
+        # PREFIX_BUDGET float64 values stays at or below the dense sweep's as
+        # it was before the compact rows (measured 3.77, 2.90 and 3.13)
+        system = generate(spec)[2]
+        b = random_coeffs(system, 124)
+        orders = five_plans(system, b, 125)
+        taken = []
+        real = mj._touches
+        monkeypatch.setattr(mj, "_touches", lambda *args: taken.append(real(*args)) or taken[-1])
+        tracemalloc.start()
+        try:
+            mj.block_oscillations(system, b, orders, tandori_blocks(len(system)).k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taken[0] is not None
+        assert peak <= dense_peak * mj.PREFIX_BUDGET * system.values.itemsize, peak
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ KILLED = [
      "values[:, first:stop] = _pointwise_diameters(prefixes, part)",
      "values[:, first:stop] = 0.5 * _pointwise_diameters(prefixes, part)",
      {"tandori-block"}),
+    # the compact prefix rows of sparse blocks one row late: row 0 is no
+    # longer the block's zero start, so the bracket breaks
+    ("compact-slot-off-by-one", "majorants.py",
+     "rank = np.arange(1, atoms.size + 1, dtype=np.int32)",
+     "rank = np.arange(atoms.size, dtype=np.int32)",
+     {"tandori-block"}),
     # judged both ways at r = 0, where lhs and rhs are the same float
     ("dyadic-rhs-constant-plus-one", "majorants.py",
      "rhs = (r + 1) * compensated_sum(pieces)", "rhs = (r + 2) * compensated_sum(pieces)",
@@ -101,6 +107,30 @@ SURVIVORS = [
      "equals half of doubled_one_sided, so the bracket holds and no ratio moves "
      "(tandori-block 0.085); a gauge twist of each scalar fiber into R^2, which "
      "takes the vector path, would fail it"),
+    # the compact prefix rows of sparse blocks built wrong: values and
+    # doubled_one_sided come from the same wrong rows (ROADMAP item 15's gap)
+    ("compact-key-without-atom", "majorants.py",
+     "slot[np.argsort(key + position[p, functions])] = rank",
+     "slot[np.argsort(position[p, functions])] = rank",
+     "pairs take slots ranked across atoms, so an atom's rows sum the wrong "
+     "terms, but both sides of the bracket read the same rows and the worst "
+     "ratio is a dense random-qr block's (tandori-block 0.085); "
+     "tests/test_majorants.py's compact-against-dense tests fail it"),
+    ("compact-cumsum-dropped", "majorants.py",
+     "return np.cumsum(out, axis=1, out=out)", "return out",
+     "the rows are single terms, not sums, read by both sides of the bracket "
+     "alike (tandori-block 0.085); tests/test_majorants.py's compact-against-"
+     "dense tests fail it"),
+    ("compact-columns-shifted", "majorants.py",
+     "columns = columns - int(offsets[first])",
+     "columns = columns - int(offsets[first]) - 1",
+     "each product lands one coordinate early, at the neighbouring atom on "
+     "scalar fibers, read by both sides of the bracket alike (tandori-block "
+     "0.085); tests/test_majorants.py's compact-against-dense tests fail it"),
+    ("compact-finite-test-dropped", "majorants.py",
+     "if limit < 1 or not np.all(np.isfinite(coeffs)):", "if limit < 1:",
+     "verify draws finite coefficients only; tests/test_majorants.py's "
+     "NaN and inf coefficients on Haar n=256 fail it"),
     ("condensation-always-agrees", "verify.py",
      "agree = len({r.classification for r in chain}) == 1", "agree = True",
      "vacuous by construction: condensation_chain gives its three series one "
